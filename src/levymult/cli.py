@@ -3,9 +3,7 @@
 Subcommands wire JSON configs to the library and emit machine-readable
 results (JSON or CSV).  Every numeric artifact embeds the seed and a
 hash of the resolved configuration, and identical invocations produce
-identical output bytes.  ``--threads`` is accepted for scheduling
-convenience but never changes results (computation is deterministic and
-single-threaded at the reduction level).
+identical output bytes.
 """
 
 from __future__ import annotations
@@ -14,8 +12,8 @@ import argparse
 import gzip
 import hashlib
 import io
+import itertools
 import json
-import os
 import sys
 
 import numpy as np
@@ -213,6 +211,11 @@ def _coeff_table(obj, pointer: str) -> PeterWeylCoeffs:
     return PeterWeylCoeffs(group, obj.get("cutoff", 0), blocks)
 
 
+def _label_json(label):
+    """JSON view of an irrep label: T^2 labels are lists, the others numbers."""
+    return list(label) if isinstance(label, tuple) else label
+
+
 def _complex_matrix_json(mat: np.ndarray):
     mat = np.atleast_2d(np.asarray(mat, dtype=complex))
     return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
@@ -293,7 +296,7 @@ def cmd_dual(args) -> int:
     irreps = dual_enumerate(args.group, cutoff)
     rows = [
         {
-            "label": list(pi.label) if isinstance(pi.label, tuple) else pi.label,
+            "label": _label_json(pi.label),
             "dim": pi.dim,
             "casimir": pi.casimir,
         }
@@ -369,7 +372,7 @@ def cmd_multiplier(args) -> int:
         n = int(grid.get("n", 16))
         w = float(grid.get("halfwidth", 4.0))
         axis = np.linspace(-w, w, n)
-        xis = [np.array(p) for p in __import__("itertools").product(axis, repeat=triple.dim)]
+        xis = [np.array(p) for p in itertools.product(axis, repeat=triple.dim)]
         xis = [x for x in xis if np.any(x != 0.0)]
     rows = []
     for xi in xis:
@@ -423,18 +426,11 @@ def cmd_symbol_group(args) -> int:
                 raise ConfigError("config.kind", f"unknown symbol kind {kind!r}")
         except ValueError as exc:
             if pi.casimir == 0.0:
-                entries.append(
-                    {"label": list(pi.label) if isinstance(pi.label, tuple) else pi.label,
-                     "skipped": str(exc)}
-                )
+                entries.append({"label": _label_json(pi.label), "skipped": str(exc)})
                 continue
             raise
         entries.append(
-            {
-                "label": list(pi.label) if isinstance(pi.label, tuple) else pi.label,
-                "dim": pi.dim,
-                "matrix": _complex_matrix_json(mat),
-            }
+            {"label": _label_json(pi.label), "dim": pi.dim, "matrix": _complex_matrix_json(mat)}
         )
     extra = {}
     if kind == "central":
@@ -484,7 +480,7 @@ def cmd_apply(args) -> int:
         "group": out.group,
         "cutoff": out.cutoff,
         "blocks": [
-            {"label": list(lb) if isinstance(lb, tuple) else lb, "matrix": _complex_matrix_json(out.blocks[lb])}
+            {"label": _label_json(lb), "matrix": _complex_matrix_json(out.blocks[lb])}
             for lb in out.labels()
         ],
     }
@@ -621,7 +617,7 @@ def cmd_verify(args) -> int:
         overrides["transcripts"] = args.paths
     if args.specs is not None:
         overrides["n_specs"] = args.specs
-    if args.seed != 0:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     results = verifymod.run_checks(names, overrides)
     lines = [r.line() for r in results]
@@ -631,6 +627,7 @@ def cmd_verify(args) -> int:
             {
                 "name": r.name,
                 "passed": _py(r.passed),
+                "seed": r.seed,
                 "details": {k: _py(v) for k, v in r.details.items()},
             }
             for r in results
@@ -650,13 +647,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="levymult",
         description="Levy-process Fourier multipliers and their Monte Carlo verification",
     )
-    parser.add_argument("--seed", type=int, default=0, help="master seed for stochastic commands")
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="master seed for stochastic commands (default 0; verify: each check's own seed)",
+    )
     parser.add_argument("--out", type=str, default=None, help="output file (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument(
-        "--threads", type=int, default=int(os.environ.get("LEVYMULT_THREADS", "1")),
-        help="worker hint; results never depend on it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="sharp-constant report")
@@ -694,6 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is None and args.fn is not cmd_verify:
+        args.seed = 0
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -176,13 +176,11 @@ def profile_time_integral(profile: Callable, rate: float, n_nodes: int = 4096) -
     return complex(np.trapezoid(f, v))
 
 
-def _const_time_integral(rate: float, n_nodes: int = 64) -> float:
-    """int_0^infty exp(2 s rate) ds via the substitution u = exp(2 s rate)."""
+def _const_time_integral(rate: float) -> float:
+    """int_0^infty exp(2 s rate) ds = 1 / (-2 rate)."""
     if not rate < 0.0:
         raise ValueError("non-integrable time profile: decay rate must be negative")
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    # u in (0, 1), integrand du/(-2 rate): constant, so the rule is exact.
-    return float(np.sum(w) * 0.5 / (-2.0 * rate))
+    return 1.0 / (-2.0 * rate)
 
 
 @dataclass(frozen=True)

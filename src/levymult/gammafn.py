@@ -47,6 +47,3 @@ def gamma(z):
         out[reflect] = np.pi / (np.sin(np.pi * z[reflect]) * val[reflect])
     return out[0] if scalar else out
 
-
-def gamma_abs(z) -> float:
-    return float(np.abs(gamma(z)))

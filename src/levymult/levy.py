@@ -337,14 +337,6 @@ class BernsteinSpec:
     def atom_masses(self) -> np.ndarray:
         return np.array([m for _, m in self.atoms])
 
-    def moment_check(self) -> float:
-        """Quadrature estimate of int (1 and y) lambda(dy); finite by construction."""
-        total = float(np.sum(np.minimum(1.0, self.atom_y) * self.atom_masses)) if self.atoms else 0.0
-        if self.density is not None:
-            y, w = self.density.points_weights()
-            total += float(np.sum(np.minimum(1.0, y) * w))
-        return total
-
 
 def bernstein_eval(spec: BernsteinSpec, u):
     """h(u) for scalar or array u > 0."""

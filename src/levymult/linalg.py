@@ -85,8 +85,3 @@ def expm(a: np.ndarray) -> np.ndarray:
         out = out @ out
     return out
 
-
-def expm_skew(h_times_i: np.ndarray) -> np.ndarray:
-    """exp(i*H) for Hermitian H, via the eigendecomposition (exactly unitary)."""
-    w, v = np.linalg.eigh(h_times_i)
-    return (v * np.exp(1j * w)) @ v.conj().T

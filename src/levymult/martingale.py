@@ -5,10 +5,15 @@ moving point is evaluated exactly (the semigroup acts in closed form on
 coefficients).  The transform by a pair (A, psi) is accumulated from the
 stochastic-integral form: left-point Brownian sums, exact jump terms at
 exact event times, and the jump compensator integrated in closed form in
-time on the tori (left-point in the state).  The transcript also carries
-the stochastic-integral representation of M itself (the transform by
-(I, 1) plus the initial value); its gap to the exact M is the
-discretisation bias and is reported, not assumed zero.
+time (left-point in the state) on every group.  The transcript also
+carries the stochastic-integral representation of M itself (the
+transform by (I, 1) plus the initial value); its gap to the exact M is
+the discretisation bias and is reported, not assumed zero.
+
+One engine serves T^1, T^2 and SU(2): the coefficient blocks of f are
+grouped into stacks of equal-dimension irreps (a torus is one stack of
+1x1 blocks, each SU(2) spin its own stack), and only the evaluation of
+irreps at group elements and left translation are group specific.
 
 Quadratic variations are accumulated termwise from the same increments,
 so domination by the transform bounds holds path by path in floats.
@@ -16,6 +21,7 @@ so domination by the transform bounds holds path by path in floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,18 +30,22 @@ import numpy as np
 from . import rng as rngmod
 from .groups import (
     SU2,
-    T1,
-    T2,
     PeterWeylCoeffs,
     get_irrep,
     group_dim,
     haar_sample,
     identity_element,
-    su2_irrep_batch,
+    irrep_evaluate_batch,
+    irrep_stack_batch,
+    multiply,
 )
 from .linalg import expm
 from .simulate import GroupProcessSpec, PathRecord, ensemble_final_states, simulate_path
-from .symbols import central_alpha, generator_matrix
+from .symbols import central_alpha, generator_blocks, generator_matrix, psi_values
+
+#: generator blocks whose eigenvector matrix is worse conditioned than this
+#: are exponentiated directly instead of through their eigendecomposition
+EIG_COND_MAX = 1e8
 
 
 def _expm1c(z: np.ndarray) -> np.ndarray:
@@ -46,15 +56,6 @@ def _expm1c(z: np.ndarray) -> np.ndarray:
     zs = z[small]
     out[small] = zs * (1.0 + zs * (0.5 + zs * (1.0 / 6.0 + zs / 24.0)))
     return out
-
-
-def _psi_values(psi, n_atoms: int) -> np.ndarray:
-    arr = np.asarray(0.0 if psi is None else psi)
-    if arr.ndim == 0:
-        return np.full(n_atoms, complex(arr))
-    if arr.shape != (n_atoms,):
-        raise ValueError("per-atom psi table must match the atom count")
-    return arr.astype(complex)
 
 
 @dataclass
@@ -92,72 +93,150 @@ def check_differential_subordination(tr: MartingaleTranscript, bounds=None) -> f
 
 
 # ---------------------------------------------------------------------------
-# transform contexts (precomputed spectral data shared across an ensemble)
+# transform context (precomputed spectral data shared across an ensemble)
 
 
-class _TorusContext:
+def _rows(decay: np.ndarray, rep: np.ndarray) -> np.ndarray:
+    """Rows decay (m, L, F) (x) representation (m, L, d, d), flattened against ``h``."""
+    rows = decay[..., None, None] * rep[:, :, None]
+    return rows.reshape(len(rows), math.prod(rows.shape[1:]))
+
+
+def _running(increments: np.ndarray) -> np.ndarray:
+    """Running sums of per-step increments, starting from 0 at time 0."""
+    return np.concatenate([[0.0], np.cumsum(increments)])
+
+
+class _IrrepStack:
+    """Coefficient blocks F of f on a stack of L equal-dimension irreps.
+
+    With W = e^{sL} the decay of the generator block L(pi) = dpi(drift) +
+    generator_blocks over the remaining time s, column q of ``h`` turns a
+    row into sum_pi d_pi tr(Q_q W F pi(g)) for Q = I (the value M), dpi(X_i)
+    (its gradients) and pi(tau_a) - I (its jump by atom a).  Rows are
+    written in the eigenbasis L = P diag(w) P^{-1}, where the decay is the
+    vector e^{sw}; a stack with a block too ill-conditioned for that keeps
+    P = I and the full matrix W instead.
+    """
+
+    def __init__(self, spec: GroupProcessSpec, irreps: list, fblocks: np.ndarray):
+        self.irreps = irreps
+        n_blocks, dim = len(irreps), irreps[0].dim
+        eye = np.eye(dim)
+        gens = np.array([pi.generators for pi in irreps], dtype=complex)  # (L, n, d, d)
+        drift = np.einsum("i,lixy->lxy", np.asarray(spec.drift), gens)
+        self.lmat = drift + generator_blocks(spec.c, spec.jumps, irreps)
+        taus = [tau for tau, _ in spec.jumps.atoms]
+        if taus:
+            jumps = irrep_stack_batch(irreps, np.array(taus)).transpose(1, 0, 2, 3) - eye
+        else:
+            jumps = np.zeros((n_blocks, 0, dim, dim))
+        ops = np.concatenate([np.broadcast_to(eye, (n_blocks, 1, dim, dim)), gens, jumps], axis=1)
+        w, p = np.linalg.eig(self.lmat)
+        self.eig = bool(np.all(np.linalg.cond(p) < EIG_COND_MAX))
+        if self.eig:
+            self.w = w
+            pinv = np.linalg.inv(p)
+        else:
+            p = pinv = np.broadcast_to(eye, self.lmat.shape)
+        sub = "lbe,lqzb->lbezq" if self.eig else "lbe,lqzx->lxbezq"
+        self.h = (dim * np.einsum(sub, pinv @ fblocks, ops @ p[:, None])).reshape(-1, ops.shape[1])
+        # d_pi tr(F pi(g)) = fvec . pi(g), the value at the horizon
+        self.fvec = (dim * fblocks.transpose(0, 2, 1)).reshape(-1)
+        # grid nodes and whole grid steps are shared by every path; only
+        # event nodes and the segments they split vary
+        self.grid_decay = self.decay(spec.horizon - spec.grid_times)
+        lengths, step = np.unique(np.diff(spec.grid_times), return_inverse=True)
+        self.grid_phi = self.step_factor(lengths)[step]
+
+    def decay(self, s: np.ndarray) -> np.ndarray:
+        """Decay rows of e^{sL} at the remaining times s."""
+        if self.eig:
+            return np.exp(s[:, None, None] * self.w)
+        n_blocks, dim = self.lmat.shape[:2]
+        return np.array([expm(t * lm) for t in s for lm in self.lmat]).reshape(len(s), n_blocks, dim * dim)
+
+    def step_factor(self, ds: np.ndarray) -> np.ndarray:
+        """int_0^{ds} e^{vL} dv for each segment length: decay-like rows, or matrices."""
+        if self.eig:
+            w = self.w
+            wsafe = np.where(w == 0.0, 1.0, w)
+            return np.where(w != 0.0, _expm1c(ds[:, None, None] * w) / wsafe, ds[:, None, None])
+        # read off the exponential of the augmented matrix [[L, I], [0, 0]]
+        n_blocks, dim = self.lmat.shape[:2]
+        aug = np.zeros((n_blocks, 2 * dim, 2 * dim), dtype=complex)
+        aug[:, :dim, :dim] = self.lmat
+        aug[:, :dim, dim:] = np.eye(dim)
+        phi = [expm(h * a)[:dim, dim:] for h in ds for a in aug]
+        return np.array(phi).reshape(len(ds), n_blocks, dim, dim)
+
+    def decay_integral(self, decay: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Rows of int e^{(T-u)L} du over segment k, e^{(T - t_{k+1})L} phi_k."""
+        if self.eig:
+            return decay[1:] * phi
+        end = decay[1:].reshape(phi.shape)
+        return (end @ phi).reshape(len(phi), len(self.irreps), -1)
+
+
+class _TransformContext:
+    """The irrep stacks of f under one process spec; see ``_IrrepStack``.
+
+    A torus has one stack of 1x1 blocks, SU(2) one stack per spin.
+    """
+
     def __init__(self, spec: GroupProcessSpec, f: PeterWeylCoeffs):
         self.spec = spec
         self.dim = group_dim(spec.group)
-        labels = f.labels()
-        self.k = np.array([np.atleast_1d(lb) for lb in labels], dtype=float).reshape(
-            len(labels), self.dim
-        )
-        self.fhat = np.array([complex(f.blocks[lb][0, 0]) for lb in labels])
-        drift = np.asarray(spec.drift)
-        alpha = 1j * (self.k @ drift) - spec.c * np.sum(self.k**2, axis=1)
-        atoms = spec.jumps.atoms
-        self.masses = np.array([m for _, m in atoms]) if atoms else np.zeros(0)
-        if atoms:
-            taus = np.stack([t for t, _ in atoms])
-            phase = self.k @ taus.T  # (L, n_atoms)
-            alpha = alpha + (np.exp(1j * phase) - 1.0) @ self.masses
-            self.jumpfac = (np.exp(1j * phase) - 1.0).T.copy()  # (n_atoms, L)
-        else:
-            self.jumpfac = np.zeros((0, len(labels)), dtype=complex)
-        self.alpha = alpha
+        self.masses = np.array([m for _, m in spec.jumps.atoms], dtype=float)
+        by_dim = {}
+        for label in f.labels():
+            pi = get_irrep(spec.group, label)
+            by_dim.setdefault(pi.dim, []).append((pi, f.blocks[label]))
+        self.stacks = [
+            _IrrepStack(spec, [pi for pi, _ in blocks], np.array([fb for _, fb in blocks], dtype=complex))
+            for blocks in by_dim.values()
+        ]
 
     def final_value(self, path: PathRecord, sigma) -> complex:
-        pos = np.asarray(sigma) + path.states[-1]
-        return complex(np.exp(1j * (self.k @ pos)) @ self.fhat)
+        g = multiply(self.spec.group, sigma, path.states[-1])[None]
+        return complex(sum(irrep_stack_batch(st.irreps, g).reshape(-1) @ st.fvec for st in self.stacks))
 
     def transcript(self, path: PathRecord, amatrix, psi, sigma) -> MartingaleTranscript:
         spec = self.spec
-        horizon = spec.horizon
         grid = spec.grid_times
         n_steps = spec.n_steps
+        n = self.dim
+        n_atoms = len(self.masses)
         times = path.times
         ds = np.diff(times)
-        pos = np.asarray(sigma)[None, :] + path.states
-        decay = np.exp(np.outer(horizon - times, self.alpha))
-        e_mat = np.exp(1j * (pos @ self.k.T))
-        ew = e_mat * (decay * self.fhat[None, :])
-        m_node = ew.sum(axis=1)
-        grads = ew @ (1j * self.k)  # (S+1, d)
-        v = np.sqrt(2.0 * spec.c) * grads
-
-        n_atoms = len(spec.jumps.atoms)
-        has_jumps = n_atoms > 0
-        if has_jumps:
-            # closed-form time integral of the decay over each segment
-            ratio = np.where(
-                np.abs(self.alpha) > 0.0,
-                _expm1c(ds[:, None] * self.alpha[None, :]) / np.where(self.alpha == 0, 1.0, self.alpha)[None, :],
-                ds[:, None].astype(complex),
-            )
-            wint = decay[1:] * ratio * self.fhat[None, :]
-            comp_base = np.einsum("sl,al->sa", e_mat[:-1] * wint, self.jumpfac)
-            ev_rows = np.flatnonzero(path.kinds == 1)
-            pre_pos = np.asarray(sigma)[None, :] + path.prestates[ev_rows]
-            e_pre = np.exp(1j * (pre_pos @ self.k.T))
-            w_ev = decay[ev_rows] * self.fhat[None, :]
-            dp_ev = np.einsum("el,el->e", e_pre * w_ev, self.jumpfac[path.marks[ev_rows]])
-            # a jump exactly at a grid time is processed after the diffusion
-            # substep, i.e. it opens the following step
-            ev_steps = np.clip(
-                np.searchsorted(grid, times[ev_rows], side="right") - 1, 0, n_steps - 1
-            )
+        grid_rows = path.grid_rows
+        ev_rows = np.flatnonzero(path.kinds == 1)
+        marks = path.marks[ev_rows]
+        n_nodes, n_events = len(times), len(ev_rows)
         seg_steps = np.clip(np.searchsorted(grid, times[:-1], side="right") - 1, 0, n_steps - 1)
+        # a jump exactly at a grid time is processed after the diffusion
+        # substep, i.e. it opens the following step
+        ev_steps = np.clip(np.searchsorted(grid, times[ev_rows], side="right") - 1, 0, n_steps - 1)
+        split = np.flatnonzero((path.kinds[:-1] == 1) | (path.kinds[1:] == 1))  # not whole grid steps
+        # rows for the nodes, the pre-event states and (compensator) the segments
+        elements = multiply(spec.group, sigma, np.concatenate([path.states, path.prestates[ev_rows]]))
+        vals = 0.0
+        for st in self.stacks:
+            decay = np.empty((n_nodes,) + st.grid_decay.shape[1:], dtype=complex)
+            decay[grid_rows] = st.grid_decay
+            decay[ev_rows] = st.decay(spec.horizon - times[ev_rows])
+            rep = irrep_stack_batch(st.irreps, elements)
+            decays, reps = [decay, decay[ev_rows]], [rep]
+            if n_atoms:
+                phi = st.grid_phi[seg_steps]
+                phi[split] = st.step_factor(ds[split])
+                decays.append(st.decay_integral(decay, phi))
+                reps.append(rep[: n_nodes - 1])
+            vals = vals + _rows(np.concatenate(decays), np.concatenate(reps)) @ st.h
+        m_node = vals[:n_nodes, 0]
+        v = np.sqrt(2.0 * spec.c) * vals[:n_nodes, 1 : 1 + n]
+        dp_ev = vals[n_nodes + np.arange(n_events), 1 + n + marks]
+        comp_atom = vals[n_nodes + n_events :, 1 + n :]
 
         def accumulate(a_use, psi_use):
             va = v @ np.asarray(a_use, dtype=complex).T
@@ -173,162 +252,31 @@ class _TorusContext:
             np.add.at(d_qv, seg_steps, dqv)
             np.add.at(d_qv_t, seg_steps, dqv_t)
             np.add.at(d_qv_c, seg_steps, dqv_x)
-            if has_jumps:
-                psi_vals = _psi_values(psi_use, n_atoms)
-                comp = comp_base @ (self.masses * psi_vals)
+            if n_atoms:
+                psi_vals = psi_values(psi_use, n_atoms)
+                comp = comp_atom @ (self.masses * psi_vals)
                 np.add.at(inc, seg_steps, -comp)
-                jump_t = psi_vals[path.marks[ev_rows]] * dp_ev
+                jump_t = psi_vals[marks] * dp_ev
                 np.add.at(inc, ev_steps, jump_t)
                 np.add.at(d_qv, ev_steps, np.abs(dp_ev) ** 2)
                 np.add.at(d_qv_t, ev_steps, np.abs(jump_t) ** 2)
                 np.add.at(d_qv_c, ev_steps, np.real(np.conj(dp_ev) * jump_t))
             return inc, d_qv, d_qv_t, d_qv_c
 
-        eye = np.eye(self.dim)
-        repr_inc, d_qv, _, _ = accumulate(eye, 1.0)
-        a_use = np.zeros((self.dim, self.dim)) if amatrix is None else np.atleast_2d(amatrix)
+        repr_inc, d_qv, _, _ = accumulate(np.eye(n), 1.0)
+        a_use = np.zeros((n, n)) if amatrix is None else np.atleast_2d(amatrix)
         tr_inc, _, d_qv_t, d_qv_c = accumulate(a_use, psi)
 
-        grid_rows = path.grid_rows
         m_exact = m_node[grid_rows]
-        m_repr = m_exact[0] + np.concatenate([[0.0], np.cumsum(repr_inc)])
-        m_tr = np.concatenate([[0.0], np.cumsum(tr_inc)])
+        m_repr = m_exact[0] + _running(repr_inc)
         return MartingaleTranscript(
             times=grid,
             m=m_exact,
             m_repr=m_repr,
-            m_transform=m_tr,
-            qv=np.concatenate([[0.0], np.cumsum(d_qv)]),
-            qv_transform=np.concatenate([[0.0], np.cumsum(d_qv_t)]),
-            qv_cross=np.concatenate([[0.0], np.cumsum(d_qv_c)]),
-            d_qv=d_qv,
-            d_qv_transform=d_qv_t,
-            d_qv_cross=d_qv_c,
-            sigma=np.asarray(sigma),
-            repr_gap=float(np.max(np.abs(m_exact - m_repr))),
-        )
-
-
-class _Su2Context:
-    def __init__(self, spec: GroupProcessSpec, f: PeterWeylCoeffs):
-        self.spec = spec
-        self.irreps = [get_irrep(SU2, lb) for lb in f.labels()]
-        self.fblocks = [np.asarray(f.blocks[pi.label], dtype=complex) for pi in self.irreps]
-        self.lmats = [generator_matrix(spec.c, spec.jumps, pi) for pi in self.irreps]
-        self.tau_reps = [
-            [su2_irrep_batch(pi, np.asarray(tau, dtype=complex)) for tau, _ in spec.jumps.atoms]
-            for pi in self.irreps
-        ]
-        self.masses = np.array([m for _, m in spec.jumps.atoms]) if spec.jumps.atoms else np.zeros(0)
-        # eigendecompose each generator block for fast decay evaluation
-        self._eig = []
-        for lmat in self.lmats:
-            w, p = np.linalg.eig(lmat)
-            cond = np.linalg.cond(p)
-            self._eig.append((w, p, np.linalg.inv(p)) if cond < 1e8 else None)
-
-    def _decay(self, idx: int, s: np.ndarray) -> np.ndarray:
-        """e^{s L} for an array of times s, shape (len(s), d, d)."""
-        eig = self._eig[idx]
-        if eig is not None:
-            w, p, pinv = eig
-            return np.einsum("ab,sb,bc->sac", p, np.exp(np.outer(s, w)), pinv)
-        return np.stack([expm(t * self.lmats[idx]) for t in s])
-
-    def final_value(self, path: PathRecord, sigma) -> complex:
-        g = np.asarray(sigma) @ path.states[-1]
-        total = 0.0 + 0.0j
-        for pi, fb in zip(self.irreps, self.fblocks):
-            rep = su2_irrep_batch(pi, g)
-            total += pi.dim * np.trace(fb @ rep)
-        return complex(total)
-
-    def transcript(self, path: PathRecord, amatrix, psi, sigma) -> MartingaleTranscript:
-        spec = self.spec
-        grid = spec.grid_times
-        n_steps = spec.n_steps
-        times = path.times
-        ds = np.diff(times)
-        n_nodes = len(times)
-        post = np.asarray(sigma)[None, :, :] @ path.states
-        ev_rows = np.flatnonzero(path.kinds == 1)
-        pre = np.asarray(sigma)[None, :, :] @ path.prestates[ev_rows]
-        n_atoms = len(spec.jumps.atoms)
-
-        m_node = np.zeros(n_nodes, dtype=complex)
-        grads = np.zeros((n_nodes, 3), dtype=complex)
-        comp_atom = np.zeros((n_nodes - 1, n_atoms), dtype=complex)
-        dp_atom = np.zeros(len(ev_rows), dtype=complex)
-        for idx, (pi, fb) in enumerate(zip(self.irreps, self.fblocks)):
-            wmat = self._decay(idx, spec.horizon - times)  # (S+1, d, d)
-            coef = wmat @ fb
-            rep_post = su2_irrep_batch(pi, post)
-            m_node += pi.dim * np.einsum("sab,sba->s", coef, rep_post)
-            for i, gen in enumerate(pi.generators):
-                grads[:, i] += pi.dim * np.einsum("ab,sbc,sca->s", gen, coef, rep_post)
-            if n_atoms:
-                for a, rep_tau in enumerate(self.tau_reps[idx]):
-                    r_a = rep_tau - np.eye(pi.dim)
-                    comp_atom[:, a] += pi.dim * np.einsum(
-                        "sab,sbc,ca->s", coef[:-1], rep_post[:-1], r_a
-                    )
-                if len(ev_rows):
-                    rep_pre = su2_irrep_batch(pi, pre)
-                    for a, rep_tau in enumerate(self.tau_reps[idx]):
-                        rows = path.marks[ev_rows] == a
-                        if np.any(rows):
-                            r_a = rep_tau - np.eye(pi.dim)
-                            dp_atom[rows] += pi.dim * np.einsum(
-                                "sab,sbc,ca->s", coef[ev_rows][rows], rep_pre[rows], r_a
-                            )
-        v = np.sqrt(2.0 * spec.c) * grads
-        seg_steps = np.clip(np.searchsorted(grid, times[:-1], side="right") - 1, 0, n_steps - 1)
-        ev_steps = np.clip(
-            np.searchsorted(grid, times[ev_rows], side="right") - 1, 0, n_steps - 1
-        )
-
-        def accumulate(a_use, psi_use):
-            va = v @ np.asarray(a_use, dtype=complex).T
-            dm_c = np.einsum("sd,sd->s", va[:-1], path.db)
-            dqv = np.sum(np.abs(v[:-1]) ** 2, axis=1) * ds
-            dqv_t = np.sum(np.abs(va[:-1]) ** 2, axis=1) * ds
-            dqv_x = np.real(np.einsum("sd,sd->s", va[:-1], np.conj(v[:-1]))) * ds
-            inc = np.zeros(n_steps, dtype=complex)
-            d_qv = np.zeros(n_steps)
-            d_qv_t = np.zeros(n_steps)
-            d_qv_c = np.zeros(n_steps)
-            np.add.at(inc, seg_steps, dm_c)
-            np.add.at(d_qv, seg_steps, dqv)
-            np.add.at(d_qv_t, seg_steps, dqv_t)
-            np.add.at(d_qv_c, seg_steps, dqv_x)
-            if n_atoms:
-                psi_vals = _psi_values(psi_use, n_atoms)
-                comp = (comp_atom * ds[:, None]) @ (self.masses * psi_vals)
-                np.add.at(inc, seg_steps, -comp)
-                if len(ev_rows):
-                    jump_t = psi_vals[path.marks[ev_rows]] * dp_atom
-                    np.add.at(inc, ev_steps, jump_t)
-                    np.add.at(d_qv, ev_steps, np.abs(dp_atom) ** 2)
-                    np.add.at(d_qv_t, ev_steps, np.abs(jump_t) ** 2)
-                    np.add.at(d_qv_c, ev_steps, np.real(np.conj(dp_atom) * jump_t))
-            return inc, d_qv, d_qv_t, d_qv_c
-
-        repr_inc, d_qv, _, _ = accumulate(np.eye(3), 1.0)
-        a_use = np.zeros((3, 3)) if amatrix is None else np.atleast_2d(amatrix)
-        tr_inc, _, d_qv_t, d_qv_c = accumulate(a_use, psi)
-
-        grid_rows = path.grid_rows
-        m_exact = m_node[grid_rows]
-        m_repr = m_exact[0] + np.concatenate([[0.0], np.cumsum(repr_inc)])
-        m_tr = np.concatenate([[0.0], np.cumsum(tr_inc)])
-        return MartingaleTranscript(
-            times=grid,
-            m=m_exact,
-            m_repr=m_repr,
-            m_transform=m_tr,
-            qv=np.concatenate([[0.0], np.cumsum(d_qv)]),
-            qv_transform=np.concatenate([[0.0], np.cumsum(d_qv_t)]),
-            qv_cross=np.concatenate([[0.0], np.cumsum(d_qv_c)]),
+            m_transform=_running(tr_inc),
+            qv=_running(d_qv),
+            qv_transform=_running(d_qv_t),
+            qv_cross=_running(d_qv_c),
             d_qv=d_qv,
             d_qv_transform=d_qv_t,
             d_qv_cross=d_qv_c,
@@ -341,9 +289,7 @@ def transform_context(spec: GroupProcessSpec, f: PeterWeylCoeffs):
     """Precompute the spectral data shared by every transcript of (spec, f)."""
     if f.group != spec.group:
         raise ValueError("coefficient table group mismatch")
-    if spec.group in (T1, T2):
-        return _TorusContext(spec, f)
-    return _Su2Context(spec, f)
+    return _TransformContext(spec, f)
 
 
 def martingale_transcript(
@@ -445,19 +391,17 @@ def projection_deterministic(
     sum_k [2c k.Ak + 2 sum_a mass_a psi_a (1 - cos k.tau_a)]
           * int_0^T e^{2 s Re alpha_k} ds * fhat(k) ghat(-k)
     """
-    if spec.group not in (T1, T2):
+    if spec.group == SU2:
         raise ValueError("deterministic projection values are computed on the tori")
-    ctx = _TorusContext(spec, f)
-    d = ctx.dim
+    # the tori: one stack of 1x1 blocks, alpha_k = L(k), label k = frequency
+    (stack,) = transform_context(spec, f).stacks
+    d = group_dim(spec.group)
     a_use = np.zeros((d, d)) if amatrix is None else np.atleast_2d(amatrix)
-    psi_vals = _psi_values(psi, len(spec.jumps.atoms))
+    psi_vals = psi_values(psi, len(spec.jumps.atoms))
     total = 0.0 + 0.0j
-    for lb, kvec, fk, al in zip(
-        [tuple(np.atleast_1d(lb)) for lb in f.labels()], ctx.k, ctx.fhat, ctx.alpha
-    ):
-        neg = tuple(-int(x) for x in lb)
-        glabel = neg[0] if spec.group == T1 else neg
-        gb = g.blocks.get(glabel)
+    for pi, fk, al in zip(stack.irreps, stack.fvec, stack.lmat[:, 0, 0]):
+        kvec = np.atleast_1d(np.asarray(pi.label, dtype=float))
+        gb = g.blocks.get(tuple(-x for x in pi.label) if isinstance(pi.label, tuple) else -pi.label)
         if gb is None or fk == 0.0:
             continue
         quad = 2.0 * spec.c * complex(kvec @ (a_use @ kvec))
@@ -514,11 +458,7 @@ def empirical_char(states: np.ndarray, pi) -> tuple:
     stderr is entrywise: std of the complex entries over paths divided by
     sqrt(paths).
     """
-    if pi.group in (T1, T2):
-        k = np.array([gen[0, 0].imag for gen in pi.generators])
-        reps = np.exp(1j * (np.atleast_2d(states) @ k))[:, None, None]
-    else:
-        reps = su2_irrep_batch(pi, states)
+    reps = irrep_evaluate_batch(pi, states)
     mean = reps.mean(axis=0)
     n = reps.shape[0]
     var = np.var(reps.real, axis=0) + np.var(reps.imag, axis=0)

@@ -13,16 +13,16 @@ from typing import Optional, Union
 import numpy as np
 
 from .euclid import ImaginaryPowerProfile, profile_time_integral
-from .groups import GroupLevyMeasure, Irrep, irrep_evaluate
+from .groups import GroupLevyMeasure, Irrep, irrep_evaluate, irrep_stack_batch
 from .levy import BernsteinSpec, bernstein_eval
 
 
-def _psi_values(psi, nu: GroupLevyMeasure) -> np.ndarray:
-    n = len(nu.atoms)
+def psi_values(psi, n_atoms: int) -> np.ndarray:
+    """psi on each atom of a jump measure: None (zero), a scalar, or a per-atom table."""
     arr = np.asarray(0.0 if psi is None else psi)
     if arr.ndim == 0:
-        return np.full(n, complex(arr))
-    if arr.shape != (n,):
+        return np.full(n_atoms, complex(arr))
+    if arr.shape != (n_atoms,):
         raise ValueError("per-atom psi table must match the atom count")
     return arr.astype(complex)
 
@@ -46,10 +46,11 @@ ProfileLike = Union[np.ndarray, ImaginaryPowerProfile]
 
 
 def laplace_type_symbol(profile: ProfileLike, pi: Irrep, n_nodes: int = 4096) -> np.ndarray:
-    """int_0^infty 2 kappa e^{-2 s kappa} A(s) ds, evaluated by quadrature.
+    """int_0^infty 2 kappa e^{-2 s kappa} A(s) ds.
 
-    For a constant matrix the exponential density integrates to one; for
-    the imaginary-power profile the result is kappa^{-i gamma} I.
+    For a constant matrix the exponential density integrates to one, so
+    the symbol is A itself; for the imaginary-power profile the result,
+    kappa^{-i gamma} I, is evaluated by quadrature.
     """
     kappa = pi.casimir
     if kappa <= 0.0:
@@ -57,11 +58,8 @@ def laplace_type_symbol(profile: ProfileLike, pi: Irrep, n_nodes: int = 4096) ->
     if isinstance(profile, ImaginaryPowerProfile):
         val = 2.0 * kappa * profile_time_integral(profile, -kappa, n_nodes=n_nodes)
         return val * np.eye(pi.dim)
-    a = np.atleast_2d(np.asarray(profile))
-    # constant profile: with u = e^{-2 s kappa} the integral is int_0^1 A du
-    x, w = np.polynomial.legendre.leggauss(64)
-    weight = float(np.sum(w) * 0.5)
-    return weight * a.astype(complex)
+    # constant profile: with u = e^{-2 s kappa} the integral is int_0^1 A du = A
+    return np.atleast_2d(np.asarray(profile)).astype(complex)
 
 
 def subordination_symbol(
@@ -73,7 +71,7 @@ def subordination_symbol(
     hk = float(bernstein_eval(h, pi.casimir))
     if hk == 0.0:
         raise ValueError("h(kappa) = 0: subordination symbol undefined")
-    vals = _psi_values(psi, nu)
+    vals = psi_values(psi, len(nu.atoms))
     out = np.zeros((pi.dim, pi.dim), dtype=complex)
     for (tau, mass), pv in zip(nu.atoms, vals):
         rep = irrep_evaluate(pi, tau)
@@ -92,12 +90,21 @@ def central_alpha(c: float, nu: GroupLevyMeasure, pi: Irrep) -> complex:
     return complex(alpha)
 
 
+def generator_blocks(c: float, nu: GroupLevyMeasure, irreps) -> np.ndarray:
+    """Generator blocks -c kappa I + int (pi(tau) - I) d nu of equal-dimension irreps, (L, d, d)."""
+    eye = np.eye(irreps[0].dim)
+    kappa = np.array([pi.casimir for pi in irreps])
+    out = -c * kappa[:, None, None] * eye.astype(complex)
+    if nu.atoms:
+        reps = irrep_stack_batch(irreps, np.array([tau for tau, _ in nu.atoms]))
+        for (_, mass), rep in zip(nu.atoms, reps):
+            out += mass * (rep - eye)
+    return out
+
+
 def generator_matrix(c: float, nu: GroupLevyMeasure, pi: Irrep) -> np.ndarray:
     """Block of the process generator: -c kappa I + int (pi(tau) - I) d nu."""
-    out = -c * pi.casimir * np.eye(pi.dim, dtype=complex)
-    for tau, mass in nu.atoms:
-        out += mass * (irrep_evaluate(pi, tau) - np.eye(pi.dim))
-    return out
+    return generator_blocks(c, nu, [pi])[0]
 
 
 def central_multiplier(
@@ -133,7 +140,7 @@ def central_multiplier(
             if a[j, i] != 0.0:
                 out += a[j, i] * (pi.generators[i] @ pi.generators[j])
     out = out * (c / re_alpha)
-    vals = _psi_values(psi, nu)
+    vals = psi_values(psi, len(nu.atoms))
     if np.any(vals != 0.0):
         jump = np.zeros((pi.dim, pi.dim), dtype=complex)
         for (tau, mass), pv in zip(nu.atoms, vals):

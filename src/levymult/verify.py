@@ -8,7 +8,10 @@ and the command-line ``verify`` subcommand runs them at configurable
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
+from typing import Optional
+
 import numpy as np
 
 from . import rng as rngmod
@@ -68,6 +71,7 @@ class CheckResult:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
+    seed: Optional[int] = None  # set by run_checks; None for checks that draw nothing
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -620,7 +624,11 @@ ALL_CHECKS = {
 
 
 def run_checks(names=None, overrides=None) -> list:
-    """Run the named checks (all by default) with keyword overrides."""
+    """Run the named checks (all by default) with keyword overrides.
+
+    Each override goes to the checks that take it as a parameter; each
+    result records the seed its check actually ran with.
+    """
     names = list(ALL_CHECKS) if not names else list(names)
     overrides = overrides or {}
     out = []
@@ -628,6 +636,10 @@ def run_checks(names=None, overrides=None) -> list:
         if name not in ALL_CHECKS:
             raise KeyError(f"unknown check {name!r}")
         fn = ALL_CHECKS[name]
-        kwargs = {k: v for k, v in overrides.items() if k in fn.__code__.co_varnames}
-        out.append(fn(**kwargs))
+        params = inspect.signature(fn).parameters
+        kwargs = {k: v for k, v in overrides.items() if k in params}
+        result = fn(**kwargs)
+        if "seed" in params:
+            result.seed = kwargs.get("seed", params["seed"].default)
+        out.append(result)
     return out

@@ -208,18 +208,15 @@ def test_verify_reports_failure_with_nonzero_exit(tmp_path, monkeypatch):
     assert proc.returncode == 0
 
 
-def test_threads_flag_does_not_change_results(tmp_path):
-    cfg = tmp_path / "mult.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "triple": {"drift": [0.0, 0.0], "diffusion": [[1.0, 0.0], [0.0, 1.0]], "atoms": []},
-                "amatrix": [[1.0, 0.0], [0.0, 0.0]],
-                "mode": "autonomous",
-                "xi": [[0.3, -1.1]],
-            }
-        )
-    )
-    a = run_cli("--threads", "1", "multiplier", "--config", str(cfg)).stdout
-    b = run_cli("--threads", "8", "multiplier", "--config", str(cfg)).stdout
-    assert a == b
+def test_verify_reports_the_seed_each_check_used(tmp_path):
+    out = tmp_path / "verify.json"
+    run_cli("--out", str(out), "verify", "constants", "casimir")
+    payload = json.loads(out.read_text())
+    assert payload["meta"]["seed"] is None
+    seeds = {r["name"]: r["seed"] for r in payload["results"]}
+    assert seeds == {"constants": 20249, "casimir": None}
+    # an explicit --seed 0 is an override like any other
+    run_cli("--out", str(out), "--seed", "0", "verify", "constants")
+    payload = json.loads(out.read_text())
+    assert payload["meta"]["seed"] == 0
+    assert payload["results"][0]["seed"] == 0

@@ -114,6 +114,23 @@ def test_su2_evaluation_matches_matrix_exponential(j):
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
+def test_su2_evaluation_accurate_near_center(j):
+    # g = +-exp(v) at distance |v|/2 = 1e-12 ... 1e-1 from +-I; pi(-g) is
+    # (-1)^{2j} pi(g).  Taking sin(theta/2) as sqrt(1 - cos^2) lost up to
+    # 2e-3 on these elements.
+    pi = su2_irrep(j)
+    rng = np.random.default_rng(23)
+    dists = 10.0 ** -np.arange(12, 0, -1)
+    axes = rng.standard_normal((len(dists), 3))
+    vs = 2.0 * dists[:, None] * axes / np.linalg.norm(axes, axis=1)[:, None]
+    expect = np.array([scipy_expm(sum(vi * gi for vi, gi in zip(v, pi.generators))) for v in vs])
+    for sign in (1.0, -1.0):
+        reps = su2_irrep_batch(pi, sign * np.array([su2_exp(v) for v in vs]))
+        parity = sign ** round(2 * j)
+        assert np.max(np.abs(reps - parity * expect)) <= 1e-12
+
+
 def test_su2_batch_homomorphism_and_unitarity():
     pi = su2_irrep(1.5)
     g = haar_sample("su2", rngmod.stream(4, 0), 6)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from levymult import martingale as martmod
 from levymult import rng as rngmod
 from levymult.groups import (
     GroupLevyMeasure,
@@ -103,6 +104,49 @@ def test_pure_jump_qv_increments_recomputed_from_path():
             jump_sq += abs(dp) ** 2
         assert tr.qv[-1] == pytest.approx(jump_sq, rel=1e-10)
         assert tr.qv_transform[-1] == pytest.approx(psi_val**2 * jump_sq, rel=1e-10)
+
+
+PURE_JUMP_ATOMS = {
+    "t1": ((np.array([1.7]), 1.1), (np.array([4.0]), 0.6)),
+    "t2": ((np.array([1.1, 0.7]), 0.8), (np.array([2.3, 4.1]), 0.5)),
+    "su2": ((su2_exp([0.6, 0.3, 1.1]), 0.9), (-np.eye(2), 0.4)),
+}
+
+
+@pytest.mark.parametrize("group", ["t1", "t2", "su2"])
+def test_pure_jump_representation_is_exact(group):
+    # with c = 0 the state is constant between events, and the compensator is
+    # integrated in closed form in time, so the representation has no
+    # discretisation bias on any group
+    spec = GroupProcessSpec(group, 0.0, GroupLevyMeasure(group, PURE_JUMP_ATOMS[group]), 1.0, 1 / 64, seed=31)
+    f = random_band_limited(group, 1.0 if group == "su2" else 2, rngmod.stream(6, 1), real=True)
+    ctx = transform_context(spec, f)
+    for i in range(5):
+        path = simulate_path(spec, i)
+        assert path.n_events > 0
+        sigma = haar_sample(group, rngmod.stream(6, rngmod.HAAR, i), 1)[0]
+        tr = ctx.transcript(path, None, np.array([0.3, -0.8]), sigma)
+        assert tr.repr_gap <= 1e-12
+
+
+@pytest.mark.parametrize("group", ["t2", "su2"])
+def test_direct_exponential_fallback_matches_eigenbasis(group, monkeypatch):
+    # generator blocks too ill-conditioned to diagonalise are exponentiated
+    # directly; forcing that route must give the same transcript
+    spec = GroupProcessSpec(group, 0.3, GroupLevyMeasure(group, PURE_JUMP_ATOMS[group]), 0.5, 1 / 64, seed=32)
+    f = random_band_limited(group, 1.0 if group == "su2" else 2, rngmod.stream(6, 2), real=True)
+    n = 3 if group == "su2" else 2
+    ctx = transform_context(spec, f)
+    monkeypatch.setattr(martmod, "EIG_COND_MAX", 0.0)
+    direct = transform_context(spec, f)
+    assert all(st.eig for st in ctx.stacks) and not any(st.eig for st in direct.stacks)
+    for i in range(2):
+        path = simulate_path(spec, i)
+        sigma = haar_sample(group, rngmod.stream(6, rngmod.HAAR, i), 1)[0]
+        a, b = (c.transcript(path, 0.6 * np.eye(n), np.array([0.5, -0.2]), sigma) for c in (ctx, direct))
+        for name in ("m", "m_repr", "m_transform", "qv", "qv_transform", "qv_cross"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
 
 
 def test_differential_subordination_violation_signs(torus_setup):
