@@ -56,7 +56,18 @@ def identity_element(group: str):
 def multiply(group: str, g, h):
     if group in (T1, T2):
         return np.asarray(g) + np.asarray(h)
-    return np.asarray(g) @ np.asarray(h)
+    return su2_product(g, h)
+
+
+def su2_product(a, b) -> np.ndarray:
+    """a @ b for (stacks of) 2x2 matrices, entry by entry.
+
+    On stacks this is several times faster than matmul, which makes one
+    BLAS call per 2x2 product.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
 
 
 _PAULI = (
@@ -80,17 +91,16 @@ def su2_exp(v) -> np.ndarray:
 def su2_exp_batch(v: np.ndarray) -> np.ndarray:
     """Vectorised su2_exp for v of shape (m, 3)."""
     v = np.asarray(v, dtype=float)
-    theta = np.linalg.norm(v, axis=1)
-    safe = np.where(theta > 0.0, theta, 1.0)
-    axis = v / safe[:, None]
-    half = theta / 2.0
-    out = np.zeros(v.shape[:1] + (2, 2), dtype=complex)
-    c, s = np.cos(half), np.sin(half)
-    out[:, 0, 0] = c + 1j * s * axis[:, 2]
-    out[:, 1, 1] = c - 1j * s * axis[:, 2]
-    out[:, 0, 1] = s * (1j * axis[:, 0] + axis[:, 1])
-    out[:, 1, 0] = s * (1j * axis[:, 0] - axis[:, 1])
-    out[theta == 0.0] = np.eye(2)
+    theta = np.sqrt(np.einsum("ij,ij->i", v, v))
+    half = 0.5 * theta
+    # sin(theta/2) times the unit axis; zero, not undefined, at theta = 0
+    sv = v * (np.sin(half) / np.where(theta > 0.0, theta, 1.0))[:, None]
+    out = np.empty((len(v), 2, 2), dtype=complex)
+    re, im = out.real, out.imag
+    re[:, 0, 0] = re[:, 1, 1] = np.cos(half)
+    im[:, 0, 0], im[:, 1, 1] = sv[:, 2], -sv[:, 2]
+    re[:, 0, 1], re[:, 1, 0] = sv[:, 1], -sv[:, 1]
+    im[:, 0, 1] = im[:, 1, 0] = sv[:, 0]
     return out
 
 

@@ -40,7 +40,7 @@ from .groups import (
     multiply,
 )
 from .linalg import expm
-from .simulate import GroupProcessSpec, PathRecord, ensemble_final_states, simulate_path
+from .simulate import CHUNK_BYTES, GroupProcessSpec, PathRecord, chunk_paths, ensemble_final_states, simulate_paths
 from .symbols import central_alpha, generator_blocks, generator_matrix, psi_values
 
 #: generator blocks whose eigenvector matrix is worse conditioned than this
@@ -147,7 +147,7 @@ class _IrrepStack:
         # event nodes and the segments they split vary
         self.grid_decay = self.decay(spec.horizon - spec.grid_times)
         lengths, step = np.unique(np.diff(spec.grid_times), return_inverse=True)
-        self.grid_phi = self.step_factor(lengths)[step]
+        self.grid_integral = self.decay_integral(self.grid_decay[1:], self.step_factor(lengths)[step])
 
     def decay(self, s: np.ndarray) -> np.ndarray:
         """Decay rows of e^{sL} at the remaining times s."""
@@ -170,18 +170,25 @@ class _IrrepStack:
         phi = [expm(h * a)[:dim, dim:] for h in ds for a in aug]
         return np.array(phi).reshape(len(ds), n_blocks, dim, dim)
 
-    def decay_integral(self, decay: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Rows of int e^{(T-u)L} du over segment k, e^{(T - t_{k+1})L} phi_k."""
+    def decay_integral(self, end: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Rows of int e^{(T-u)L} du over each segment: e^{(T - t_end)L} phi."""
         if self.eig:
-            return decay[1:] * phi
-        end = decay[1:].reshape(phi.shape)
-        return (end @ phi).reshape(len(phi), len(self.irreps), -1)
+            return end * phi
+        m, n_blocks, dim = phi.shape[:3]
+        return (end.reshape(phi.shape) @ phi).reshape(m, n_blocks, dim * dim)
+
+
+def _pair_matrix(amatrix, n: int) -> np.ndarray:
+    return np.zeros((n, n)) if amatrix is None else np.atleast_2d(amatrix)
 
 
 class _TransformContext:
     """The irrep stacks of f under one process spec; see ``_IrrepStack``.
 
-    A torus has one stack of 1x1 blocks, SU(2) one stack per spin.
+    A torus has one stack of 1x1 blocks, SU(2) one stack per spin.  Every
+    evaluation runs over the flat node arrays of a ``PathRecord``, so one
+    path (a transcript) and a chunk of paths (ensemble final values) share
+    the same arithmetic.
     """
 
     def __init__(self, spec: GroupProcessSpec, f: PeterWeylCoeffs):
@@ -196,84 +203,112 @@ class _TransformContext:
             _IrrepStack(spec, [pi for pi, _ in blocks], np.array([fb for _, fb in blocks], dtype=complex))
             for blocks in by_dim.values()
         ]
+        # a path takes a row per node, per event (its pre-jump state) and,
+        # with atoms, per segment (the compensator); rows are complex
+        events = spec.jumps.total_mass * spec.horizon
+        rows = (spec.n_steps + 1 + events) * (2 if len(self.masses) else 1) + events
+        width = max(st.h.shape[0] for st in self.stacks)
+        self.paths_per_chunk = max(1, int(CHUNK_BYTES // (16 * width * rows)))
 
-    def final_value(self, path: PathRecord, sigma) -> complex:
-        g = multiply(self.spec.group, sigma, path.states[-1])[None]
-        return complex(sum(irrep_stack_batch(st.irreps, g).reshape(-1) @ st.fvec for st in self.stacks))
+    def horizon_values(self, elements) -> np.ndarray:
+        """f at a batch of elements: M_T of the paths that end there."""
+        n = len(elements)
+        return sum(irrep_stack_batch(st.irreps, elements).reshape(n, -1) @ st.fvec for st in self.stacks)
+
+    def _values(self, path: PathRecord, sigmas):
+        """M and sqrt(2c) grad M at every node, the jump of M at every event,
+        and each atom's compensator integral over every segment, for the
+        paths of ``path`` started at ``sigmas`` (one element per path)."""
+        spec = self.spec
+        n = self.dim
+        times = path.times
+        ev_rows, seg = path.event_rows, path.segment_rows
+        owner = path.owner
+        starts = np.asarray(sigmas)[np.concatenate([owner, owner[ev_rows]])]
+        elements = multiply(spec.group, starts, np.concatenate([path.states, path.prestates[ev_rows]]))
+        # rows are the nodes, then the events again at their pre-jump states;
+        # a grid node reads its row of the grid table, an event its own decay
+        src = np.empty(len(elements), dtype=int)
+        src[path.grid_rows] = np.tile(np.arange(spec.n_steps + 1), len(path.indices))
+        src[ev_rows] = src[len(times) :] = spec.n_steps + 1 + np.arange(len(ev_rows))
+        if len(self.masses):
+            seg_steps = path.steps(seg)
+            # segments that are not whole grid steps
+            split = np.flatnonzero((path.kinds[seg] == 1) | (path.kinds[seg + 1] == 1))
+            ds = times[seg[split] + 1] - times[seg[split]]
+        at_nodes = at_segments = 0.0
+        for st in self.stacks:
+            decay = np.concatenate([st.grid_decay, st.decay(spec.horizon - times[ev_rows])])[src]
+            rep = irrep_stack_batch(st.irreps, elements)
+            at_nodes = at_nodes + _rows(decay, rep) @ st.h
+            if len(self.masses):
+                end_decay, rep_seg = decay[seg[split] + 1], rep[seg]
+                del decay, rep  # free the node tables before building the segment ones
+                integral = st.grid_integral[seg_steps]
+                integral[split] = st.decay_integral(end_decay, st.step_factor(ds))
+                at_segments = at_segments + _rows(integral, rep_seg) @ st.h
+        at_events = at_nodes[len(times) :]
+        m_node = at_nodes[: len(times), 0]
+        grad = np.sqrt(2.0 * spec.c) * at_nodes[: len(times), 1 : 1 + n]
+        dp_ev = at_events[np.arange(len(ev_rows)), 1 + n + path.marks[ev_rows]]
+        comp_atom = at_segments[:, 1 + n :] if len(self.masses) else None
+        return m_node, grad, dp_ev, comp_atom
+
+    def _increments(self, path: PathRecord, grad, dp_ev, comp_atom, a_use, psi_use):
+        """Per-step increments (paths, steps) of the transform by (A, psi):
+        left-point Brownian sums, minus the compensator, plus the jumps.
+        Also returns the segment terms A grad M and the event terms psi dM."""
+        seg, ev_rows = path.segment_rows, path.event_rows
+        va = grad[seg] @ np.asarray(a_use, dtype=complex).T
+        inc = np.zeros(len(path.indices) * self.spec.n_steps, dtype=complex)
+        seg_cells = path.cells(seg)
+        np.add.at(inc, seg_cells, np.einsum("sd,sd->s", va, path.db))
+        jump_t = np.zeros(0, dtype=complex)
+        if len(self.masses):
+            psi_vals = psi_values(psi_use, len(self.masses))
+            np.add.at(inc, seg_cells, -(comp_atom @ (self.masses * psi_vals)))
+            jump_t = psi_vals[path.marks[ev_rows]] * dp_ev
+            np.add.at(inc, path.cells(ev_rows), jump_t)
+        return inc.reshape(len(path.indices), -1), va, jump_t
+
+    def final_values(self, path: PathRecord, sigmas, amatrix, psi):
+        """(M_0, M_T, transform at T) of every path, started at ``sigmas``.
+
+        Only the transform is accumulated: no representation of M and no
+        quadratic variations.  Summation follows ``transcript`` step by step.
+        """
+        m_node, grad, dp_ev, comp_atom = self._values(path, sigmas)
+        inc, _, _ = self._increments(path, grad, dp_ev, comp_atom, _pair_matrix(amatrix, self.dim), psi)
+        return m_node[path.offsets[:-1]], m_node[path.end_rows], np.cumsum(inc, axis=1)[:, -1]
 
     def transcript(self, path: PathRecord, amatrix, psi, sigma) -> MartingaleTranscript:
-        spec = self.spec
-        grid = spec.grid_times
-        n_steps = spec.n_steps
         n = self.dim
-        n_atoms = len(self.masses)
-        times = path.times
-        ds = np.diff(times)
-        grid_rows = path.grid_rows
-        ev_rows = np.flatnonzero(path.kinds == 1)
-        marks = path.marks[ev_rows]
-        n_nodes, n_events = len(times), len(ev_rows)
-        seg_steps = np.clip(np.searchsorted(grid, times[:-1], side="right") - 1, 0, n_steps - 1)
-        # a jump exactly at a grid time is processed after the diffusion
-        # substep, i.e. it opens the following step
-        ev_steps = np.clip(np.searchsorted(grid, times[ev_rows], side="right") - 1, 0, n_steps - 1)
-        split = np.flatnonzero((path.kinds[:-1] == 1) | (path.kinds[1:] == 1))  # not whole grid steps
-        # rows for the nodes, the pre-event states and (compensator) the segments
-        elements = multiply(spec.group, sigma, np.concatenate([path.states, path.prestates[ev_rows]]))
-        vals = 0.0
-        for st in self.stacks:
-            decay = np.empty((n_nodes,) + st.grid_decay.shape[1:], dtype=complex)
-            decay[grid_rows] = st.grid_decay
-            decay[ev_rows] = st.decay(spec.horizon - times[ev_rows])
-            rep = irrep_stack_batch(st.irreps, elements)
-            decays, reps = [decay, decay[ev_rows]], [rep]
-            if n_atoms:
-                phi = st.grid_phi[seg_steps]
-                phi[split] = st.step_factor(ds[split])
-                decays.append(st.decay_integral(decay, phi))
-                reps.append(rep[: n_nodes - 1])
-            vals = vals + _rows(np.concatenate(decays), np.concatenate(reps)) @ st.h
-        m_node = vals[:n_nodes, 0]
-        v = np.sqrt(2.0 * spec.c) * vals[:n_nodes, 1 : 1 + n]
-        dp_ev = vals[n_nodes + np.arange(n_events), 1 + n + marks]
-        comp_atom = vals[n_nodes + n_events :, 1 + n :]
+        m_node, grad, dp_ev, comp_atom = self._values(path, np.asarray(sigma)[None])
+        repr_inc, v, _ = self._increments(path, grad, dp_ev, comp_atom, np.eye(n), 1.0)
+        tr_inc, va, jump_t = self._increments(path, grad, dp_ev, comp_atom, _pair_matrix(amatrix, n), psi)
+        seg, ev_rows = path.segment_rows, path.event_rows
+        ds = path.times[seg + 1] - path.times[seg]
+        seg_cells, ev_cells = path.cells(seg), path.cells(ev_rows)
 
-        def accumulate(a_use, psi_use):
-            va = v @ np.asarray(a_use, dtype=complex).T
-            dm_c = np.einsum("sd,sd->s", va[:-1], path.db)
-            dqv = np.sum(np.abs(v[:-1]) ** 2, axis=1) * ds
-            dqv_t = np.sum(np.abs(va[:-1]) ** 2, axis=1) * ds
-            dqv_x = np.real(np.einsum("sd,sd->s", va[:-1], np.conj(v[:-1]))) * ds
-            inc = np.zeros(n_steps, dtype=complex)
-            d_qv = np.zeros(n_steps)
-            d_qv_t = np.zeros(n_steps)
-            d_qv_c = np.zeros(n_steps)
-            np.add.at(inc, seg_steps, dm_c)
-            np.add.at(d_qv, seg_steps, dqv)
-            np.add.at(d_qv_t, seg_steps, dqv_t)
-            np.add.at(d_qv_c, seg_steps, dqv_x)
-            if n_atoms:
-                psi_vals = psi_values(psi_use, n_atoms)
-                comp = comp_atom @ (self.masses * psi_vals)
-                np.add.at(inc, seg_steps, -comp)
-                jump_t = psi_vals[marks] * dp_ev
-                np.add.at(inc, ev_steps, jump_t)
-                np.add.at(d_qv, ev_steps, np.abs(dp_ev) ** 2)
-                np.add.at(d_qv_t, ev_steps, np.abs(jump_t) ** 2)
-                np.add.at(d_qv_c, ev_steps, np.real(np.conj(dp_ev) * jump_t))
-            return inc, d_qv, d_qv_t, d_qv_c
+        def per_step(seg_terms, ev_terms):
+            out = np.zeros(self.spec.n_steps)
+            np.add.at(out, seg_cells, seg_terms)
+            if len(self.masses):
+                np.add.at(out, ev_cells, ev_terms)
+            return out
 
-        repr_inc, d_qv, _, _ = accumulate(np.eye(n), 1.0)
-        a_use = np.zeros((n, n)) if amatrix is None else np.atleast_2d(amatrix)
-        tr_inc, _, d_qv_t, d_qv_c = accumulate(a_use, psi)
-
-        m_exact = m_node[grid_rows]
-        m_repr = m_exact[0] + _running(repr_inc)
+        d_qv = per_step(np.sum(np.abs(v) ** 2, axis=1) * ds, np.abs(dp_ev) ** 2)
+        d_qv_t = per_step(np.sum(np.abs(va) ** 2, axis=1) * ds, np.abs(jump_t) ** 2)
+        d_qv_c = per_step(
+            np.real(np.einsum("sd,sd->s", va, np.conj(v))) * ds, np.real(np.conj(dp_ev) * jump_t)
+        )
+        m_exact = m_node[path.grid_rows]
+        m_repr = m_exact[0] + _running(repr_inc[0])
         return MartingaleTranscript(
-            times=grid,
+            times=self.spec.grid_times,
             m=m_exact,
             m_repr=m_repr,
-            m_transform=_running(tr_inc),
+            m_transform=_running(tr_inc[0]),
             qv=_running(d_qv),
             qv_transform=_running(d_qv_t),
             qv_cross=_running(d_qv_c),
@@ -319,7 +354,20 @@ class TransformEnsemble:
     x_final: np.ndarray
     y_final: np.ndarray
     m_initial: np.ndarray
-    transcripts: Optional[list] = None
+
+
+def _ensemble_chunks(spec: GroupProcessSpec, ctx: _TransformContext, paths: int, seed: int, haar_start=True):
+    """(path indices, their simulated paths, their start points), chunk by chunk.
+
+    Starting points are Haar samples (their own stream per path) unless
+    haar_start is False, in which case all paths start at the identity.
+    """
+    for idx in chunk_paths(paths, ctx.paths_per_chunk):
+        if haar_start:
+            sigmas = np.array([haar_sample(spec.group, rngmod.stream(seed, rngmod.HAAR, i), 1)[0] for i in idx])
+        else:
+            sigmas = np.array([identity_element(spec.group)] * len(idx))
+        yield idx, simulate_paths(spec, idx), sigmas
 
 
 def simulate_transform_ensemble(
@@ -330,32 +378,18 @@ def simulate_transform_ensemble(
     paths: int,
     seed: Optional[int] = None,
     haar_start: bool = True,
-    keep_transcripts: bool = False,
 ) -> TransformEnsemble:
-    """Simulate paths, transcribe them, and collect the final values.
+    """Simulate paths in chunks and collect their final values.
 
-    Starting points are Haar samples (their own stream per path) unless
-    haar_start is False, in which case all paths start at the identity.
+    Path i's values depend only on (spec.seed, seed, i); see
+    ``_ensemble_chunks`` for the starting points.
     """
     seed = spec.seed if seed is None else seed
     ctx = transform_context(spec, f)
-    x = np.zeros(paths, dtype=complex)
-    y = np.zeros(paths, dtype=complex)
-    m0 = np.zeros(paths, dtype=complex)
-    kept = [] if keep_transcripts else None
-    for i in range(paths):
-        path = simulate_path(spec, i)
-        if haar_start:
-            sigma = haar_sample(spec.group, rngmod.stream(seed, rngmod.HAAR, i), 1)[0]
-        else:
-            sigma = identity_element(spec.group)
-        tr = ctx.transcript(path, amatrix, psi, sigma)
-        x[i] = tr.m[-1]
-        y[i] = tr.m_transform[-1]
-        m0[i] = tr.m[0]
-        if kept is not None:
-            kept.append(tr)
-    return TransformEnsemble(x, y, m0, kept)
+    x, y, m0 = (np.zeros(paths, dtype=complex) for _ in range(3))
+    for idx, path, sigmas in _ensemble_chunks(spec, ctx, paths, seed, haar_start):
+        m0[idx], x[idx], y[idx] = ctx.final_values(path, sigmas, amatrix, psi)
+    return TransformEnsemble(x, y, m0)
 
 
 def empirical_burkholder(ensemble: TransformEnsemble, p: float):
@@ -431,11 +465,9 @@ def projection_mc_estimate(
     ctx_f = transform_context(spec, f)
     ctx_g = transform_context(spec, g)
     vals = np.zeros(paths, dtype=complex)
-    for i in range(paths):
-        path = simulate_path(spec, i)
-        sigma = haar_sample(spec.group, rngmod.stream(seed, rngmod.HAAR, i), 1)[0]
-        tr = ctx_f.transcript(path, amatrix, psi, sigma)
-        vals[i] = tr.m_transform[-1] * ctx_g.final_value(path, sigma)
+    for idx, path, sigmas in _ensemble_chunks(spec, ctx_f, paths, seed):
+        _, _, y = ctx_f.final_values(path, sigmas, amatrix, psi)
+        vals[idx] = y * ctx_g.horizon_values(multiply(spec.group, sigmas, path.states[path.end_rows]))
     det = projection_deterministic(f, g, amatrix, psi, spec)
     mc = complex(np.mean(vals))
     stderr = float(np.std(vals.real, ddof=1) / np.sqrt(paths))

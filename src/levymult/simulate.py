@@ -18,12 +18,10 @@ import numpy as np
 from . import rng as rngmod
 from .groups import (
     SU2,
-    T1,
-    T2,
     GroupLevyMeasure,
     group_dim,
-    su2_exp,
     su2_exp_batch,
+    su2_product,
     su2_renormalise,
 )
 from .levy import BernsteinSpec
@@ -74,34 +72,75 @@ class GroupProcessSpec:
         return np.arange(self.n_steps + 1) * self.dt
 
 
+#: ensembles are simulated and evaluated in chunks of paths sized so that no
+#: batched table exceeds about this many bytes (larger chunks gain little speed
+#: and raise the peak resident memory)
+CHUNK_BYTES = 1 << 20
+
+#: SU(2) states are projected back onto the group after every this many grid steps
+RENORM_STEPS = 32
+
+
 @dataclass
 class PathRecord:
-    """One simulated path, segmented at grid times and exact event times.
+    """Simulated paths, segmented at grid times and exact event times.
 
-    Nodes are ordered points in time; every grid time is a node, every
-    jump is its own node (after the grid node when times coincide).
-    ``states[i]`` is the state at node i after any event there;
-    ``prestates[i]`` the state just before it.  ``db[i]`` is the standard
-    Brownian increment over segment (times[i], times[i+1]).
+    The nodes of a path are ordered points in time; every grid time is a
+    node, every jump is its own node (after the grid node when times
+    coincide).  Paths are laid out one after another in flat arrays: path
+    ``indices[p]`` owns nodes ``offsets[p]:offsets[p + 1]``.  ``states[i]``
+    is the state at node i after any event there; ``prestates[i]`` the
+    state just before it.  ``db`` holds the standard Brownian increments
+    over the segments (node i, node i + 1) inside each path, in node order
+    (see ``segment_rows``).
     """
 
     spec: GroupProcessSpec
-    index: int
+    indices: np.ndarray
+    offsets: np.ndarray
     times: np.ndarray
     kinds: np.ndarray  # 0 grid node, 1 event node
     marks: np.ndarray  # atom index at event nodes, -1 elsewhere
-    states: np.ndarray
-    prestates: np.ndarray
     db: np.ndarray
+    states: np.ndarray = None
+    prestates: np.ndarray = None
     unitarity_residual: float = 0.0
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """Position in ``indices`` of the path each node belongs to."""
+        return np.repeat(np.arange(len(self.indices)), np.diff(self.offsets))
+
+    @cached_property
+    def segment_rows(self) -> np.ndarray:
+        """The node that starts each segment: every node but the last of its path."""
+        return np.delete(np.arange(len(self.times)), self.offsets[1:] - 1)
+
+    @property
+    def end_rows(self) -> np.ndarray:
+        """The last node (the horizon) of each path."""
+        return self.offsets[1:] - 1
 
     @property
     def grid_rows(self) -> np.ndarray:
         return np.flatnonzero(self.kinds == 0)
 
     @property
+    def event_rows(self) -> np.ndarray:
+        return np.flatnonzero(self.kinds == 1)
+
+    @property
     def n_events(self) -> int:
         return int(np.sum(self.kinds == 1))
+
+    def steps(self, rows: np.ndarray) -> np.ndarray:
+        """Grid step [t_k, t_{k+1}) holding each node's time."""
+        k = np.searchsorted(self.spec.grid_times, self.times[rows], side="right") - 1
+        return np.clip(k, 0, self.spec.n_steps - 1)
+
+    def cells(self, rows: np.ndarray) -> np.ndarray:
+        """(path, grid step) of each node, flattened as path * n_steps + step."""
+        return self.owner[rows] * self.spec.n_steps + self.steps(rows)
 
 
 def _draw_events(spec: GroupProcessSpec, index: int):
@@ -116,122 +155,172 @@ def _draw_events(spec: GroupProcessSpec, index: int):
     return times, marks
 
 
-def _merge_nodes(grid: np.ndarray, ev_times: np.ndarray, ev_marks: np.ndarray):
-    times = np.concatenate([grid, ev_times])
-    kinds = np.concatenate([np.zeros(len(grid), dtype=np.int8), np.ones(len(ev_times), dtype=np.int8)])
-    marks = np.concatenate([np.full(len(grid), -1), ev_marks]).astype(int)
-    order = np.lexsort((kinds, times))  # grid node first on a time tie
-    return times[order], kinds[order], marks[order]
+def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
+    """Draw each path's events and normals and lay its nodes out flat.
+
+    Every path draws from its own streams, events first, exactly as a path
+    simulated alone would; only the layout is shared.
+    """
+    indices = np.atleast_1d(np.asarray(indices, dtype=int))
+    n_paths, k_steps = len(indices), spec.n_steps
+    events = [_draw_events(spec, i) for i in indices]
+    counts = np.array([len(t) for t, _ in events], dtype=int)
+    offsets = np.concatenate([[0], np.cumsum(k_steps + 1 + counts)])
+    t_ev = np.concatenate([t for t, _ in events])
+    # an event follows the grid nodes at or before it (grid node first on a
+    # time tie) and the earlier events of its path
+    before = np.arange(len(t_ev)) - np.repeat(np.cumsum(counts) - counts, counts)
+    ev_rows = offsets[:-1].repeat(counts) + np.searchsorted(spec.grid_times, t_ev, side="right") + before
+    kinds = np.zeros(offsets[-1], dtype=np.int8)
+    kinds[ev_rows] = 1
+    times = np.empty(offsets[-1])
+    times[ev_rows] = t_ev
+    times[kinds == 0] = np.tile(spec.grid_times, n_paths)
+    marks = np.full(offsets[-1], -1)
+    marks[ev_rows] = np.concatenate([m for _, m in events])
+    # path p's segments are rows offsets[p] - p .. offsets[p + 1] - p - 1
+    seg_start = offsets - np.arange(n_paths + 1)
+    db = np.empty((seg_start[-1], group_dim(spec.group)))
+    for i, a, b in zip(indices, seg_start[:-1], seg_start[1:]):
+        rngmod.stream(spec.seed, rngmod.BROWNIAN, i).standard_normal(out=db[a:b])
+    # segment lengths, leaving out the steps from one path's end to the next one's start
+    db *= np.sqrt(np.delete(np.diff(times), offsets[1:-1] - 1))[:, None]
+    return PathRecord(spec, indices, offsets, times, kinds, marks, db)
+
+
+def _torus_states(path: PathRecord):
+    """Exact states: running sums of drift, diffusion and jump increments."""
+    spec = path.spec
+    n_nodes, d = len(path.times), group_dim(spec.group)
+    seg = path.segment_rows
+    ds = path.times[seg + 1] - path.times[seg]
+    jump_at = np.zeros((n_nodes, d))
+    ev_rows = path.event_rows
+    if len(ev_rows):
+        taus = np.array([tau for tau, _ in spec.jumps.atoms])
+        jump_at[ev_rows] = taus[path.marks[ev_rows]]
+    # each path runs along its own row, so its sums are those of the path alone
+    owner = path.owner
+    col = np.arange(n_nodes) - path.offsets[owner]
+    incr = np.zeros((len(path.indices), int(col.max()) + 1, 2, d))
+    incr[owner[seg + 1], col[seg + 1], 0] = np.asarray(spec.drift) * ds[:, None] + np.sqrt(2.0 * spec.c) * path.db
+    incr[owner, col, 1] = jump_at
+    run = np.cumsum(incr, axis=1)[owner, col]
+    path.states = run[:, 0] + run[:, 1]
+    path.prestates = path.states - jump_at
+    return path
+
+
+def _su2_evolve(path: PathRecord, record: bool) -> np.ndarray:
+    """Evolve every path of the layout on SU(2) at once; returns the final states.
+
+    One loop runs over the grid steps.  A step multiplies each state by the
+    exponential of its last diffusion substep; before that, the substeps
+    ending at events (sorted by step and rank within the step) are applied
+    to the paths that have them, each followed by its jump.  States are
+    projected back onto the group every ``RENORM_STEPS`` steps and at the
+    horizon.  With ``record`` the state at every node is kept as well.
+    """
+    spec = path.spec
+    k_steps, n_paths = spec.n_steps, len(path.indices)
+    diffuse = spec.c > 0.0
+    scale = np.sqrt(2.0 * spec.c)
+    # segment j starts at node j + (its path's position): the one ending at
+    # node i is segment i - 1 - (path of i)
+    grid_nodes = path.grid_rows.reshape(n_paths, k_steps + 1)
+    to_grid = (grid_nodes[:, 1:] - 1 - np.arange(n_paths)[:, None]).T  # (step, path)
+    ev_nodes = path.event_rows
+    ev_owner = np.searchsorted(path.offsets, ev_nodes, side="right") - 1
+    to_event = ev_nodes - 1 - ev_owner
+    ev_step = path.steps(ev_nodes)
+    cell = ev_owner * k_steps + ev_step
+    first = np.flatnonzero(np.diff(cell, prepend=-1))
+    rank = np.arange(len(cell)) - np.repeat(first, np.diff(np.append(first, len(cell))))
+    # events of one step and rank, each on its own path, are applied together
+    order = np.lexsort((ev_owner, rank, ev_step))
+    cuts = np.flatnonzero(np.diff(ev_step[order]) | np.diff(rank[order])) + 1
+    groups = {}
+    for rows in np.split(order, cuts) if len(order) else ():
+        groups.setdefault(int(ev_step[rows[0]]), []).append(rows)
+    if diffuse:
+        ev_rot = su2_exp_batch(scale * path.db[to_event])
+    atom_mats = np.array([tau for tau, _ in spec.jumps.atoms], dtype=complex).reshape(-1, 2, 2)
+    g = np.tile(np.eye(2, dtype=complex), (n_paths, 1, 1))
+    if record:
+        states = np.empty((len(path.times), 2, 2), dtype=complex)
+        states[grid_nodes[:, 0]] = g
+        prestates = np.empty_like(states)
+    residual = 0.0
+    for k0 in range(0, k_steps, RENORM_STEPS):
+        k1 = min(k0 + RENORM_STEPS, k_steps)
+        if diffuse:
+            rot = su2_exp_batch(scale * path.db[to_grid[k0:k1].reshape(-1)]).reshape(k1 - k0, n_paths, 2, 2)
+        for k in range(k0, k1):
+            for rows in groups.get(k, ()):
+                who, nodes = ev_owner[rows], ev_nodes[rows]
+                pre = su2_product(g[who], ev_rot[rows]) if diffuse else g[who]
+                g[who] = su2_product(pre, atom_mats[path.marks[nodes]])
+                if record:
+                    prestates[nodes] = pre
+                    states[nodes] = g[who]
+            if diffuse:
+                g = su2_product(g, rot[k - k0])
+            if record and k + 1 < k1:
+                states[grid_nodes[:, k + 1]] = g
+        g, res = su2_renormalise(g)
+        residual = max(residual, res)
+        if record:
+            states[grid_nodes[:, k1]] = g
+    path.unitarity_residual = residual
+    if record:
+        grid = grid_nodes.reshape(-1)
+        prestates[grid] = states[grid]
+        path.states, path.prestates = states, prestates
+    return g
+
+
+def simulate_paths(spec: GroupProcessSpec, indices) -> PathRecord:
+    """Simulate the given path indices together; each is reproducible from
+    (spec.seed, index) alone and does not depend on the others."""
+    path = _layout(spec, indices)
+    if spec.group == SU2:
+        _su2_evolve(path, record=True)
+        return path
+    return _torus_states(path)
 
 
 def simulate_path(spec: GroupProcessSpec, index: int) -> PathRecord:
     """Simulate path ``index``; reproducible from (spec.seed, index) alone."""
-    ev_times, ev_marks = _draw_events(spec, index)
-    times, kinds, marks = _merge_nodes(spec.grid_times, ev_times, ev_marks)
-    n_seg = len(times) - 1
-    d = group_dim(spec.group)
-    gen = rngmod.stream(spec.seed, rngmod.BROWNIAN, index)
-    z = gen.standard_normal((n_seg, d))
-    ds = np.diff(times)
-    db = z * np.sqrt(ds)[:, None]
-    scale = np.sqrt(2.0 * spec.c)
+    return simulate_paths(spec, [index])
 
-    if spec.group in (T1, T2):
-        incr = np.asarray(spec.drift) * ds[:, None] + scale * db
-        base = np.vstack([np.zeros(d), np.cumsum(incr, axis=0)])
-        jump_at = np.zeros((len(times), d))
-        ev_rows = np.flatnonzero(kinds == 1)
-        if len(ev_rows):
-            taus = np.stack([spec.jumps.atoms[m][0] for m in marks[ev_rows]])
-            jump_at[ev_rows] = taus
-        states = base + np.cumsum(jump_at, axis=0)
-        prestates = states - jump_at
-        return PathRecord(spec, index, times, kinds, marks, states, prestates, db)
 
-    # SU(2): sequential on the group
-    states = np.empty((len(times), 2, 2), dtype=complex)
-    prestates = np.empty_like(states)
-    atom_mats = [np.asarray(tau, dtype=complex) for tau, _ in spec.jumps.atoms]
-    g = np.eye(2, dtype=complex)
-    states[0] = prestates[0] = g
-    residual = 0.0
-    for i in range(n_seg):
-        if spec.c > 0.0:
-            g = g @ su2_exp(scale * db[i])
-        pre = g
-        if kinds[i + 1] == 1:
-            g = g @ atom_mats[marks[i + 1]]
-        if (i + 1) % 64 == 0:
-            g, res = su2_renormalise(g)
-            residual = max(residual, res)
-        states[i + 1] = g
-        prestates[i + 1] = pre
-    return PathRecord(spec, index, times, kinds, marks, states, prestates, db, residual)
+def chunk_paths(paths: int, per_chunk: int):
+    """Consecutive index ranges covering 0..paths-1, at most per_chunk long."""
+    per_chunk = max(1, int(per_chunk))
+    return [np.arange(s, min(s + per_chunk, paths)) for s in range(0, paths, per_chunk)]
 
 
 def ensemble_final_states(spec: GroupProcessSpec, paths: int) -> np.ndarray:
     """phi(horizon) for all path indices, started at the identity.
 
-    Tori paths delegate to ``simulate_path`` (cheap there); SU(2) paths
-    are evolved over the grid in a batch, with event-carrying steps split
-    at their exact event times.  Either way path p agrees with
-    ``simulate_path(spec, p)`` state by state.
+    Paths are simulated in chunks, with the same draws and layout as
+    ``simulate_paths``; on SU(2) only the final states are kept.  Path p
+    agrees with ``simulate_path(spec, p)``.
     """
-    if spec.group in (T1, T2):
-        d = group_dim(spec.group)
+    d = group_dim(spec.group)
+    # the widest table of a chunk holds each segment's normals (d floats)
+    per_chunk = CHUNK_BYTES // (8 * d * (spec.n_steps + 1 + spec.jumps.total_mass * spec.horizon))
+    if spec.group == SU2:
+        out = np.empty((paths, 2, 2), dtype=complex)
+    else:
         out = np.empty((paths, d))
-        for p in range(paths):
-            out[p] = simulate_path(spec, p).states[-1]
-        return out
-
-    k_steps = spec.n_steps
-    dt = spec.dt
-    scale = np.sqrt(2.0 * spec.c)
-    atom_mats = [np.asarray(tau, dtype=complex) for tau, _ in spec.jumps.atoms]
-    events = []
-    seg_counts = np.full(paths, k_steps, dtype=int)
-    for p in range(paths):
-        t_ev, m_ev = _draw_events(spec, p)
-        events.append((t_ev, m_ev))
-        seg_counts[p] += len(t_ev)
-    max_seg = int(seg_counts.max()) if paths else 0
-    z = np.zeros((paths, max_seg, 3))
-    for p in range(paths):
-        z[p, : seg_counts[p]] = rngmod.stream(spec.seed, rngmod.BROWNIAN, p).standard_normal(
-            (seg_counts[p], 3)
-        )
-    state = np.tile(np.eye(2, dtype=complex), (paths, 1, 1))
-    ptr = np.zeros(paths, dtype=int)
-    eptr = np.zeros(paths, dtype=int)
-    next_ev = np.array([e[0][0] if len(e[0]) else np.inf for e in events])
-    idx_all = np.arange(paths)
-    for k in range(k_steps):
-        t0, t1 = k * dt, (k + 1) * dt
-        special = next_ev <= t1 + 1e-15
-        clean = idx_all[~special]
-        if len(clean) and spec.c > 0.0:
-            rot = su2_exp_batch(scale * np.sqrt(dt) * z[clean, ptr[clean]])
-            state[clean] = state[clean] @ rot
-        ptr[~special] += 1
-        for p in idx_all[special]:
-            t_ev, m_ev = events[p]
-            tcur = t0
-            while eptr[p] < len(t_ev) and t_ev[eptr[p]] <= t1 + 1e-15:
-                s = t_ev[eptr[p]]
-                if spec.c > 0.0:
-                    state[p] = state[p] @ su2_exp(scale * np.sqrt(max(s - tcur, 0.0)) * z[p, ptr[p]])
-                ptr[p] += 1
-                state[p] = state[p] @ atom_mats[m_ev[eptr[p]]]
-                eptr[p] += 1
-                tcur = s
-            if spec.c > 0.0:
-                state[p] = state[p] @ su2_exp(scale * np.sqrt(max(t1 - tcur, 0.0)) * z[p, ptr[p]])
-            ptr[p] += 1
-            next_ev[p] = t_ev[eptr[p]] if eptr[p] < len(t_ev) else np.inf
-        if (k + 1) % 32 == 0:
-            state, _ = su2_renormalise(state)
-    state, _ = su2_renormalise(state)
-    return state
+    for idx in chunk_paths(paths, per_chunk):
+        path = _layout(spec, idx)
+        if spec.group == SU2:
+            out[idx] = _su2_evolve(path, record=False)
+        else:
+            out[idx] = _torus_states(path).states[path.end_rows]
+    return out
 
 
 @dataclass

@@ -3,6 +3,7 @@ import pytest
 
 from levymult import martingale as martmod
 from levymult import rng as rngmod
+from levymult import simulate as simmod
 from levymult.groups import (
     GroupLevyMeasure,
     dual_enumerate,
@@ -320,3 +321,120 @@ def test_ensemble_reproducibility(torus_setup):
     b = simulate_transform_ensemble(spec, f, np.array([[0.9]]), 0.5, paths=40)
     assert np.array_equal(a.y_final, b.y_final)
     assert np.array_equal(a.x_final, b.x_final)
+    su2 = FINAL_VALUE_SPECS["su2"]
+    f2 = random_band_limited("su2", 1.0, rngmod.stream(7, 1), real=True)
+    c, d = (simulate_transform_ensemble(su2, f2, 0.5 * np.eye(3), np.array([0.4, -0.3]), paths=9) for _ in "cd")
+    assert c.y_final.tobytes() == d.y_final.tobytes() and c.x_final.tobytes() == d.x_final.tobytes()
+    assert np.array_equal(ensemble_final_states(su2, 9), ensemble_final_states(su2, 9))
+    t2 = FINAL_VALUE_SPECS["t2-drift"]
+    g = random_band_limited("t2", 2, rngmod.stream(7, 2), real=True)
+    f3 = random_band_limited("t2", 2, rngmod.stream(7, 3), real=True)
+    e, h = (projection_mc_estimate(f3, g, np.eye(2), np.array([0.5, -0.5]), t2, paths=9) for _ in "eh")
+    assert (e.mc_value, e.stderr) == (h.mc_value, h.stderr)
+
+
+# -- batched final values against per-path transcripts -----------------------
+
+FINAL_VALUE_SPECS = {
+    "t1": GroupProcessSpec("t1", 0.5, GroupLevyMeasure("t1", ((np.array([2.0]), 6.0),)), 1.0, 1 / 16, seed=51),
+    "t1-c0": GroupProcessSpec("t1", 0.0, GroupLevyMeasure("t1", ((np.array([2.0]), 3.0),)), 1.0, 1 / 16, seed=52),
+    "t2-drift": GroupProcessSpec(
+        "t2",
+        0.3,
+        GroupLevyMeasure("t2", ((np.array([1.1, 0.7]), 4.0), (np.array([2.3, 4.1]), 2.5))),
+        0.5,
+        1 / 16,
+        seed=53,
+        drift=(0.4, -0.2),
+    ),
+    "t2-no-jumps": GroupProcessSpec("t2", 0.4, GroupLevyMeasure("t2"), 0.5, 1 / 16, seed=54),
+    "su2": GroupProcessSpec("su2", 0.3, GroupLevyMeasure("su2", PURE_JUMP_ATOMS["su2"]), 0.5, 1 / 16, seed=55),
+    "su2-c0": GroupProcessSpec("su2", 0.0, GroupLevyMeasure("su2", PURE_JUMP_ATOMS["su2"]), 0.5, 1 / 16, seed=56),
+    "su2-no-jumps": GroupProcessSpec("su2", 0.3, GroupLevyMeasure("su2"), 0.5, 1 / 16, seed=57),
+}
+
+
+def _transform_pair(spec):
+    n = {"t1": 1, "t2": 2, "su2": 3}[spec.group]
+    amat = 0.6 * np.eye(n) + 0.2j * np.tri(n, k=-1)
+    return amat, np.array([0.7, -0.4])[: len(spec.jumps.atoms)]
+
+
+def _reference_final_values(spec, f, amat, psi, paths, seed, g=None):
+    """Per path: (M_0, M_T, transform at T[, M_T of g]) from full transcripts."""
+    ctx = transform_context(spec, f)
+    ctx_g = None if g is None else transform_context(spec, g)
+    rows = []
+    for i in range(paths):
+        path = simulate_path(spec, i)
+        sigma = haar_sample(spec.group, rngmod.stream(seed, rngmod.HAAR, i), 1)[0]
+        tr = ctx.transcript(path, amat, psi, sigma)
+        row = [tr.m[0], tr.m[-1], tr.m_transform[-1]]
+        if ctx_g is not None:
+            row.append(ctx_g.transcript(path, None, 0.0, sigma).m[-1])
+        rows.append(row)
+    return np.array(rows)
+
+
+def _close(a, b, rtol=1e-12):
+    return np.max(np.abs(a - b), initial=0.0) <= rtol * max(1.0, np.max(np.abs(b), initial=0.0))
+
+
+@pytest.mark.parametrize("name", sorted(FINAL_VALUE_SPECS))
+def test_batched_final_values_match_transcripts(name, monkeypatch):
+    spec = FINAL_VALUE_SPECS[name]
+    f = random_band_limited(spec.group, 1.0 if spec.group == "su2" else 2, rngmod.stream(8, 1), real=True)
+    amat, psi = _transform_pair(spec)
+    ref = _reference_final_values(spec, f, amat, psi, 7, seed=99)
+    ens = simulate_transform_ensemble(spec, f, amat, psi, 7, seed=99)
+    for got, col in ((ens.m_initial, 0), (ens.x_final, 1), (ens.y_final, 2)):
+        assert _close(got, ref[:, col])
+    # more than one chunk: one path per chunk
+    monkeypatch.setattr(martmod, "CHUNK_BYTES", 1)
+    assert transform_context(spec, f).paths_per_chunk == 1
+    split = simulate_transform_ensemble(spec, f, amat, psi, 7, seed=99)
+    assert _close(split.y_final, ens.y_final) and _close(split.x_final, ens.x_final)
+
+
+@pytest.mark.parametrize("name", ["t1", "t1-c0", "t2-drift", "t2-no-jumps"])
+def test_batched_projection_matches_transcripts(name):
+    # the deterministic pairing value exists on the tori only, so SU(2)
+    # ensembles are covered by the final-value test above
+    spec = FINAL_VALUE_SPECS[name]
+    gen = rngmod.stream(8, 2)
+    f = random_band_limited(spec.group, 2, gen, real=True)
+    g = random_band_limited(spec.group, 2, gen, real=True)
+    amat, psi = _transform_pair(spec)
+    ref = _reference_final_values(spec, f, amat, psi, 9, seed=spec.seed, g=g)
+    vals = ref[:, 2] * ref[:, 3]
+    est = projection_mc_estimate(f, g, amat, psi, spec, 9)
+    assert est.mc_value == pytest.approx(float(np.mean(vals).real), rel=1e-12, abs=1e-15)
+    se = np.hypot(np.std(vals.real, ddof=1), np.std(vals.imag, ddof=1)) / 3.0
+    assert est.stderr == pytest.approx(float(se), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["t2-drift", "su2"])
+def test_batched_final_values_with_events_on_grid_times(name, monkeypatch):
+    spec = FINAL_VALUE_SPECS[name]
+    grid, dt = spec.grid_times, spec.dt
+
+    def events(spec, index):
+        times = np.array([0.0, grid[2], grid[3] + 0.25 * dt, grid[3] + 0.25 * dt, grid[5] + 0.1 * index * dt])
+        return times, np.arange(len(times)) % len(spec.jumps.atoms)
+
+    monkeypatch.setattr(simmod, "_draw_events", events)
+    f = random_band_limited(spec.group, 1.0 if spec.group == "su2" else 2, rngmod.stream(8, 3), real=True)
+    amat, psi = _transform_pair(spec)
+    ref = _reference_final_values(spec, f, amat, psi, 4, seed=98)
+    ens = simulate_transform_ensemble(spec, f, amat, psi, 4, seed=98)
+    assert _close(ens.y_final, ref[:, 2]) and _close(ens.x_final, ref[:, 1])
+
+
+@pytest.mark.parametrize("name", ["t2-drift", "su2"])
+def test_path_values_do_not_depend_on_ensemble_size(name):
+    spec = FINAL_VALUE_SPECS[name]
+    f = random_band_limited(spec.group, 1.0 if spec.group == "su2" else 2, rngmod.stream(8, 4), real=True)
+    amat, psi = _transform_pair(spec)
+    big = simulate_transform_ensemble(spec, f, amat, psi, 12)
+    small = simulate_transform_ensemble(spec, f, amat, psi, 5)
+    assert _close(small.y_final, big.y_final[:5]) and _close(small.x_final, big.x_final[:5])

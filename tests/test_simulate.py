@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from levymult import rng as rngmod
+from levymult import simulate as simmod
 from levymult.groups import GroupLevyMeasure, su2_exp
 from levymult.levy import BernsteinSpec, PositiveDensity, bernstein_atoms, bernstein_eval
 from levymult.simulate import (
@@ -8,6 +10,7 @@ from levymult.simulate import (
     SubordinatorEnsemble,
     ensemble_final_states,
     simulate_path,
+    simulate_paths,
     simulate_subordinator,
 )
 
@@ -109,6 +112,109 @@ def test_ensemble_final_states_match_paths():
     finals2 = ensemble_final_states(spec2, 5)
     for i in range(5):
         assert np.max(np.abs(finals2[i] - simulate_path(spec2, i).states[-1])) < 1e-12
+
+
+# -- batched simulation against a per-segment reference --------------------------
+
+BATCH_SPECS = {
+    # several events per grid step, drift, an atom-free measure, c = 0
+    "t1": GroupProcessSpec("t1", 0.5, GroupLevyMeasure("t1", ((np.array([2.0]), 6.0),)), 1.0, 1 / 8, seed=41),
+    "t2-drift": GroupProcessSpec(
+        "t2",
+        0.3,
+        GroupLevyMeasure("t2", ((np.array([1.0, 2.0]), 4.5), (np.array([2.0, 0.3]), 2.5))),
+        0.5,
+        1 / 16,
+        seed=42,
+        drift=(0.4, -0.2),
+    ),
+    "t2-no-jumps": GroupProcessSpec("t2", 0.3, GroupLevyMeasure("t2"), 0.5, 1 / 16, seed=43),
+    "su2": GroupProcessSpec(
+        "su2", 0.4, GroupLevyMeasure("su2", ((su2_exp([0.6, 0.3, 1.1]), 5.0), (-np.eye(2), 2.0))), 1.0, 1 / 40, seed=44
+    ),
+    "su2-c0": GroupProcessSpec("su2", 0.0, GroupLevyMeasure("su2", ((su2_exp([0.6, 0.3, 1.1]), 5.0),)), 0.5, 1 / 16, seed=45),
+    "su2-no-jumps": GroupProcessSpec("su2", 0.4, GroupLevyMeasure("su2"), 0.5, 1 / 16, seed=46),
+}
+
+
+def reference_path(spec, index):
+    """(times, kinds, states) of one path, segment by segment from its draws."""
+    ev_t, ev_m = simmod._draw_events(spec, index)
+    times = np.concatenate([spec.grid_times, ev_t])
+    kinds = np.concatenate([np.zeros(spec.n_steps + 1, dtype=int), np.ones(len(ev_t), dtype=int)])
+    marks = np.concatenate([np.full(spec.n_steps + 1, -1), ev_m])
+    order = np.lexsort((kinds, times))
+    times, kinds, marks = times[order], kinds[order], marks[order]
+    d = 3 if spec.group == "su2" else len(spec.drift)
+    z = rngmod.stream(spec.seed, rngmod.BROWNIAN, index).standard_normal((len(times) - 1, d))
+    g = np.eye(2, dtype=complex) if spec.group == "su2" else np.zeros(d)
+    states = [g]
+    for i, ds in enumerate(np.diff(times)):
+        step = np.sqrt(2.0 * spec.c) * z[i] * np.sqrt(ds)
+        if spec.group == "su2":
+            g = g @ su2_exp(step)
+        else:
+            g = g + np.asarray(spec.drift) * ds + step
+        if kinds[i + 1]:
+            tau = spec.jumps.atoms[marks[i + 1]][0]
+            g = g @ tau if spec.group == "su2" else g + tau
+        states.append(g)
+    return times, kinds, np.array(states)
+
+
+def _check_against_reference(spec, paths):
+    batch = simulate_paths(spec, np.arange(paths))
+    finals = ensemble_final_states(spec, paths)
+    for p in range(paths):
+        rows = slice(batch.offsets[p], batch.offsets[p + 1])
+        times, kinds, states = reference_path(spec, p)
+        assert np.array_equal(batch.times[rows], times)
+        assert np.array_equal(batch.kinds[rows], kinds)
+        assert np.max(np.abs(batch.states[rows] - states)) <= 1e-12
+        assert np.max(np.abs(finals[p] - states[-1])) <= 1e-12
+    return batch
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SPECS))
+def test_batched_paths_match_a_per_segment_reference(name):
+    spec = BATCH_SPECS[name]
+    batch = _check_against_reference(spec, 6)
+    if spec.jumps.atoms and name != "su2-c0":
+        # some grid step of some path holds two or more events
+        cells = batch.cells(batch.event_rows)
+        assert len(np.unique(cells)) < len(cells)
+
+
+@pytest.mark.parametrize("name", ["t2-drift", "su2"])
+def test_events_exactly_on_grid_times(name, monkeypatch):
+    spec = BATCH_SPECS[name]
+    grid, dt = spec.grid_times, spec.dt
+
+    def events(spec, index):
+        # at t = 0, on a grid time, two at one time inside a step, two more in one step
+        times = np.array([0.0, grid[2], grid[3] + 0.25 * dt, grid[3] + 0.25 * dt, grid[3] + 0.5 * dt])
+        times = times[index % 2 :] + [0.0, 0.0, 0.0, 0.0, (index + 1) * 0.01 * dt][index % 2 :]
+        return times, np.arange(len(times)) % len(spec.jumps.atoms)
+
+    monkeypatch.setattr(simmod, "_draw_events", events)
+    batch = _check_against_reference(spec, 3)
+    on_grid = batch.event_rows[np.isin(batch.times[batch.event_rows], grid)]
+    assert len(on_grid) and np.all(batch.kinds[on_grid - 1] == 0)  # the grid node comes first
+
+
+@pytest.mark.parametrize("name", ["t2-drift", "su2", "su2-c0"])
+def test_path_does_not_depend_on_its_chunk(name, monkeypatch):
+    spec = BATCH_SPECS[name]
+    whole = simulate_paths(spec, np.arange(7))
+    for chunk in ([5], [3, 4, 5, 6], [5, 0]):
+        part = simulate_paths(spec, chunk)
+        p, q = list(chunk).index(5), 5
+        mine = part.states[part.offsets[p] : part.offsets[p + 1]]
+        assert np.max(np.abs(mine - whole.states[whole.offsets[q] : whole.offsets[q + 1]])) <= 1e-12
+    # an ensemble spanning several chunks gives the same final states
+    finals = ensemble_final_states(spec, 7)
+    monkeypatch.setattr(simmod, "CHUNK_BYTES", 1)
+    assert np.max(np.abs(ensemble_final_states(spec, 7) - finals)) <= 1e-12
 
 
 # -- subordinators -------------------------------------------------------------
