@@ -5,7 +5,8 @@ moving point is evaluated exactly (the semigroup acts in closed form on
 coefficients).  The transform by a pair (A, psi) is accumulated from the
 stochastic-integral form: left-point Brownian sums, exact jump terms at
 exact event times, and the jump compensator integrated in closed form in
-time (left-point in the state) on every group.  The transcript also
+time on every group (left-point in the state, but for the drift, which
+moves the state in closed form along a segment).  The transcript also
 carries the stochastic-integral representation of M itself (the
 transform by (I, 1) plus the initial value); its gap to the exact M is
 the discretisation bias and is reported, not assumed zero.
@@ -17,6 +18,9 @@ irreps at group elements and left translation are group specific.
 
 Quadratic variations are accumulated termwise from the same increments,
 so domination by the transform bounds holds path by path in floats.
+
+Ensembles that use only final values evaluate chunks of paths at once and
+accumulate only the transform, step by step as a transcript would.
 """
 
 from __future__ import annotations
@@ -124,8 +128,9 @@ class _IrrepStack:
         n_blocks, dim = len(irreps), irreps[0].dim
         eye = np.eye(dim)
         gens = np.array([pi.generators for pi in irreps], dtype=complex)  # (L, n, d, d)
-        drift = np.einsum("i,lixy->lxy", np.asarray(spec.drift), gens)
-        self.lmat = drift + generator_blocks(spec.c, spec.jumps, irreps)
+        self.drift = np.einsum("i,lixy->lxy", np.asarray(spec.drift), gens)
+        self.gmat = generator_blocks(spec.c, spec.jumps, irreps)
+        self.lmat = self.drift + self.gmat
         taus = [tau for tau, _ in spec.jumps.atoms]
         if taus:
             jumps = irrep_stack_batch(irreps, np.array(taus)).transpose(1, 0, 2, 3) - eye
@@ -137,6 +142,9 @@ class _IrrepStack:
         if self.eig:
             self.w = w
             pinv = np.linalg.inv(p)
+            # the drift part of the eigenvalues (the drift commutes with the
+            # generator blocks: the tori are abelian, SU(2) has no drift)
+            self.w_drift = np.einsum("lij,ljk,lki->li", pinv, self.drift, p)
         else:
             p = pinv = np.broadcast_to(eye, self.lmat.shape)
         sub = "lbe,lqzb->lbezq" if self.eig else "lbe,lqzx->lxbezq"
@@ -157,17 +165,23 @@ class _IrrepStack:
         return np.array([expm(t * lm) for t in s for lm in self.lmat]).reshape(len(s), n_blocks, dim * dim)
 
     def step_factor(self, ds: np.ndarray) -> np.ndarray:
-        """int_0^{ds} e^{vL} dv for each segment length: decay-like rows, or matrices."""
+        """e^{ds D} int_0^{ds} e^{vG} dv for each segment length: decay-like rows, or matrices.
+
+        This is int_0^{ds} e^{vL} e^{(ds - v)D} dv with D = dpi(drift) and
+        G = L - D: the compensator over a segment, along which the state
+        stays put but for the drift, which moves it in closed form.
+        """
         if self.eig:
-            w = self.w
-            wsafe = np.where(w == 0.0, 1.0, w)
-            return np.where(w != 0.0, _expm1c(ds[:, None, None] * w) / wsafe, ds[:, None, None])
-        # read off the exponential of the augmented matrix [[L, I], [0, 0]]
+            g = self.w - self.w_drift
+            gsafe = np.where(g == 0.0, 1.0, g)
+            held = np.where(g != 0.0, _expm1c(ds[:, None, None] * g) / gsafe, ds[:, None, None])
+            return np.exp(ds[:, None, None] * self.w_drift) * held
+        # read off the exponential of the augmented matrix [[G, I], [0, 0]]
         n_blocks, dim = self.lmat.shape[:2]
         aug = np.zeros((n_blocks, 2 * dim, 2 * dim), dtype=complex)
-        aug[:, :dim, :dim] = self.lmat
+        aug[:, :dim, :dim] = self.gmat
         aug[:, :dim, dim:] = np.eye(dim)
-        phi = [expm(h * a)[:dim, dim:] for h in ds for a in aug]
+        phi = [expm(h * d) @ expm(h * a)[:dim, dim:] for h in ds for d, a in zip(self.drift, aug)]
         return np.array(phi).reshape(len(ds), n_blocks, dim, dim)
 
     def decay_integral(self, end: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -232,10 +246,9 @@ class _TransformContext:
         src[path.grid_rows] = np.tile(np.arange(spec.n_steps + 1), len(path.indices))
         src[ev_rows] = src[len(times) :] = spec.n_steps + 1 + np.arange(len(ev_rows))
         if len(self.masses):
-            seg_steps = path.steps(seg)
+            seg_steps = path.steps[seg]
             # segments that are not whole grid steps
             split = np.flatnonzero((path.kinds[seg] == 1) | (path.kinds[seg + 1] == 1))
-            ds = times[seg[split] + 1] - times[seg[split]]
         at_nodes = at_segments = 0.0
         for st in self.stacks:
             decay = np.concatenate([st.grid_decay, st.decay(spec.horizon - times[ev_rows])])[src]
@@ -245,7 +258,7 @@ class _TransformContext:
                 end_decay, rep_seg = decay[seg[split] + 1], rep[seg]
                 del decay, rep  # free the node tables before building the segment ones
                 integral = st.grid_integral[seg_steps]
-                integral[split] = st.decay_integral(end_decay, st.step_factor(ds))
+                integral[split] = st.decay_integral(end_decay, st.step_factor(path.ds[split]))
                 at_segments = at_segments + _rows(integral, rep_seg) @ st.h
         at_events = at_nodes[len(times) :]
         m_node = at_nodes[: len(times), 0]
@@ -261,14 +274,14 @@ class _TransformContext:
         seg, ev_rows = path.segment_rows, path.event_rows
         va = grad[seg] @ np.asarray(a_use, dtype=complex).T
         inc = np.zeros(len(path.indices) * self.spec.n_steps, dtype=complex)
-        seg_cells = path.cells(seg)
+        seg_cells = path.cells[seg]
         np.add.at(inc, seg_cells, np.einsum("sd,sd->s", va, path.db))
         jump_t = np.zeros(0, dtype=complex)
         if len(self.masses):
             psi_vals = psi_values(psi_use, len(self.masses))
             np.add.at(inc, seg_cells, -(comp_atom @ (self.masses * psi_vals)))
             jump_t = psi_vals[path.marks[ev_rows]] * dp_ev
-            np.add.at(inc, path.cells(ev_rows), jump_t)
+            np.add.at(inc, path.cells[ev_rows], jump_t)
         return inc.reshape(len(path.indices), -1), va, jump_t
 
     def final_values(self, path: PathRecord, sigmas, amatrix, psi):
@@ -282,13 +295,14 @@ class _TransformContext:
         return m_node[path.offsets[:-1]], m_node[path.end_rows], np.cumsum(inc, axis=1)[:, -1]
 
     def transcript(self, path: PathRecord, amatrix, psi, sigma) -> MartingaleTranscript:
+        if len(path.indices) != 1:
+            raise ValueError("a transcript follows a single path")
         n = self.dim
         m_node, grad, dp_ev, comp_atom = self._values(path, np.asarray(sigma)[None])
         repr_inc, v, _ = self._increments(path, grad, dp_ev, comp_atom, np.eye(n), 1.0)
         tr_inc, va, jump_t = self._increments(path, grad, dp_ev, comp_atom, _pair_matrix(amatrix, n), psi)
-        seg, ev_rows = path.segment_rows, path.event_rows
-        ds = path.times[seg + 1] - path.times[seg]
-        seg_cells, ev_cells = path.cells(seg), path.cells(ev_rows)
+        seg, ev_rows, ds = path.segment_rows, path.event_rows, path.ds
+        seg_cells, ev_cells = path.cells[seg], path.cells[ev_rows]
 
         def per_step(seg_terms, ev_terms):
             out = np.zeros(self.spec.n_steps)

@@ -7,6 +7,10 @@ diffusion is integrated to the event and the jump is applied after the
 diffusion substep.  Randomness is drawn from counter-based streams keyed
 by (seed, purpose, path index), so path i is the same no matter how many
 other paths are simulated.
+
+Paths are simulated in chunks laid out in flat node arrays (a single path
+is a chunk of one): torus states are running sums, and SU(2) states are
+advanced by one loop over the grid steps for the whole chunk.
 """
 
 from __future__ import annotations
@@ -114,33 +118,43 @@ class PathRecord:
     @cached_property
     def segment_rows(self) -> np.ndarray:
         """The node that starts each segment: every node but the last of its path."""
-        return np.delete(np.arange(len(self.times)), self.offsets[1:] - 1)
+        starts = np.ones(len(self.times), dtype=bool)
+        starts[self.offsets[1:] - 1] = False
+        return np.flatnonzero(starts)
+
+    @cached_property
+    def ds(self) -> np.ndarray:
+        """Length of each segment."""
+        return (self.times[1:] - self.times[:-1])[self.segment_rows]
 
     @property
     def end_rows(self) -> np.ndarray:
         """The last node (the horizon) of each path."""
         return self.offsets[1:] - 1
 
-    @property
+    @cached_property
     def grid_rows(self) -> np.ndarray:
         return np.flatnonzero(self.kinds == 0)
 
-    @property
+    @cached_property
     def event_rows(self) -> np.ndarray:
         return np.flatnonzero(self.kinds == 1)
 
     @property
     def n_events(self) -> int:
-        return int(np.sum(self.kinds == 1))
+        return len(self.event_rows)
 
-    def steps(self, rows: np.ndarray) -> np.ndarray:
-        """Grid step [t_k, t_{k+1}) holding each node's time."""
-        k = np.searchsorted(self.spec.grid_times, self.times[rows], side="right") - 1
-        return np.clip(k, 0, self.spec.n_steps - 1)
+    @cached_property
+    def steps(self) -> np.ndarray:
+        """Grid step [t_k, t_{k+1}) holding each node; an event exactly at a
+        grid time follows the diffusion up to it, so it opens the next step."""
+        k = np.searchsorted(self.spec.grid_times, self.times, side="right") - 1
+        return np.minimum(k, self.spec.n_steps - 1)
 
-    def cells(self, rows: np.ndarray) -> np.ndarray:
+    @cached_property
+    def cells(self) -> np.ndarray:
         """(path, grid step) of each node, flattened as path * n_steps + step."""
-        return self.owner[rows] * self.spec.n_steps + self.steps(rows)
+        return self.owner * self.spec.n_steps + self.steps
 
 
 def _draw_events(spec: GroupProcessSpec, index: int):
@@ -167,10 +181,10 @@ def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
     counts = np.array([len(t) for t, _ in events], dtype=int)
     offsets = np.concatenate([[0], np.cumsum(k_steps + 1 + counts)])
     t_ev = np.concatenate([t for t, _ in events])
-    # an event follows the grid nodes at or before it (grid node first on a
-    # time tie) and the earlier events of its path
-    before = np.arange(len(t_ev)) - np.repeat(np.cumsum(counts) - counts, counts)
-    ev_rows = offsets[:-1].repeat(counts) + np.searchsorted(spec.grid_times, t_ev, side="right") + before
+    # an event follows its path's earlier nodes: the grid nodes at or before
+    # it (grid node first on a time tie) and the earlier events
+    ev_owner = np.repeat(np.arange(n_paths), counts)
+    ev_rows = ev_owner * (k_steps + 1) + np.arange(len(t_ev)) + np.searchsorted(spec.grid_times, t_ev, side="right")
     kinds = np.zeros(offsets[-1], dtype=np.int8)
     kinds[ev_rows] = 1
     times = np.empty(offsets[-1])
@@ -183,31 +197,26 @@ def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
     db = np.empty((seg_start[-1], group_dim(spec.group)))
     for i, a, b in zip(indices, seg_start[:-1], seg_start[1:]):
         rngmod.stream(spec.seed, rngmod.BROWNIAN, i).standard_normal(out=db[a:b])
-    # segment lengths, leaving out the steps from one path's end to the next one's start
-    db *= np.sqrt(np.delete(np.diff(times), offsets[1:-1] - 1))[:, None]
-    return PathRecord(spec, indices, offsets, times, kinds, marks, db)
+    path = PathRecord(spec, indices, offsets, times, kinds, marks, db)
+    db *= np.sqrt(path.ds)[:, None]
+    return path
 
 
 def _torus_states(path: PathRecord):
     """Exact states: running sums of drift, diffusion and jump increments."""
     spec = path.spec
-    n_nodes, d = len(path.times), group_dim(spec.group)
-    seg = path.segment_rows
-    ds = path.times[seg + 1] - path.times[seg]
-    jump_at = np.zeros((n_nodes, d))
-    ev_rows = path.event_rows
-    if len(ev_rows):
-        taus = np.array([tau for tau, _ in spec.jumps.atoms])
-        jump_at[ev_rows] = taus[path.marks[ev_rows]]
-    # each path runs along its own row, so its sums are those of the path alone
-    owner = path.owner
-    col = np.arange(n_nodes) - path.offsets[owner]
-    incr = np.zeros((len(path.indices), int(col.max()) + 1, 2, d))
-    incr[owner[seg + 1], col[seg + 1], 0] = np.asarray(spec.drift) * ds[:, None] + np.sqrt(2.0 * spec.c) * path.db
-    incr[owner, col, 1] = jump_at
-    run = np.cumsum(incr, axis=1)[owner, col]
-    path.states = run[:, 0] + run[:, 1]
-    path.prestates = path.states - jump_at
+    seg, ev_rows = path.segment_rows, path.event_rows
+    # per node: the drift and diffusion of the segment ending there, and its jump
+    incr = np.zeros((len(path.times), 2, group_dim(spec.group)))
+    incr[seg + 1, 0] = np.asarray(spec.drift) * path.ds[:, None] + np.sqrt(2.0 * spec.c) * path.db
+    jumps = np.array([tau for tau, _ in spec.jumps.atoms]).reshape(-1, incr.shape[2])[path.marks[ev_rows]]
+    incr[ev_rows, 1] = jumps
+    # each path's own running sums: the same as if it were simulated alone
+    for a, b in zip(path.offsets[:-1], path.offsets[1:]):
+        np.cumsum(incr[a:b], axis=0, out=incr[a:b])
+    path.states = incr[:, 0] + incr[:, 1]
+    path.prestates = path.states.copy()
+    path.prestates[ev_rows] -= jumps
     return path
 
 
@@ -232,10 +241,9 @@ def _su2_evolve(path: PathRecord, record: bool) -> np.ndarray:
     ev_nodes = path.event_rows
     ev_owner = np.searchsorted(path.offsets, ev_nodes, side="right") - 1
     to_event = ev_nodes - 1 - ev_owner
-    ev_step = path.steps(ev_nodes)
-    cell = ev_owner * k_steps + ev_step
-    first = np.flatnonzero(np.diff(cell, prepend=-1))
-    rank = np.arange(len(cell)) - np.repeat(first, np.diff(np.append(first, len(cell))))
+    ev_step = path.steps[ev_nodes]
+    cell = ev_owner * k_steps + ev_step  # nondecreasing along the nodes
+    rank = np.arange(len(cell)) - np.searchsorted(cell, cell)  # within its step
     # events of one step and rank, each on its own path, are applied together
     order = np.lexsort((ev_owner, rank, ev_step))
     cuts = np.flatnonzero(np.diff(ev_step[order]) | np.diff(rank[order])) + 1

@@ -391,7 +391,8 @@ def check_differential_subordination_sweep(
     while total < transcripts:
         gen = rngmod.stream(seed, rngmod.SPEC_DRAW, batch)
         group = (T1, T2, SU2)[batch % 3]
-        c = 0.0 if group == SU2 else float(gen.uniform(0.0, 0.6))
+        # SU(2) always diffuses, so its Brownian gradient terms are checked too
+        c = float(gen.uniform(0.05, 0.6)) if group == SU2 else float(gen.uniform(0.0, 0.6))
         jumps = _random_group_measure(gen, group)
         if c == 0.0 and not jumps.atoms:
             c = 0.3

@@ -71,6 +71,12 @@ def test_transcript_initial_conditions(torus_setup):
     assert tr.qv[0] == 0.0
 
 
+def test_transcript_takes_one_path(torus_setup):
+    spec, f, ctx = torus_setup
+    with pytest.raises(ValueError, match="single path"):
+        ctx.transcript(simmod.simulate_paths(spec, [0, 1]), None, 0.0, np.array([0.4]))
+
+
 def test_quadratic_variations_nondecreasing(torus_setup):
     spec, f, ctx = torus_setup
     path = simulate_path(spec, 2)
@@ -130,11 +136,28 @@ def test_pure_jump_representation_is_exact(group):
         assert tr.repr_gap <= 1e-12
 
 
+@pytest.mark.parametrize("group,drift", [("t1", (0.7,)), ("t2", (0.4, -0.2))])
+def test_drift_only_representation_is_exact(group, drift):
+    # with c = 0 the drift moves the state deterministically between events;
+    # the compensator integrates that motion in closed form, so the
+    # representation has no discretisation bias
+    jumps = GroupLevyMeasure(group, PURE_JUMP_ATOMS[group])
+    spec = GroupProcessSpec(group, 0.0, jumps, 1.0, 1 / 64, seed=33, drift=drift)
+    f = random_band_limited(group, 2, rngmod.stream(6, 3), real=True)
+    ctx = transform_context(spec, f)
+    for i in range(5):
+        path = simulate_path(spec, i)
+        sigma = haar_sample(group, rngmod.stream(6, rngmod.HAAR, i), 1)[0]
+        tr = ctx.transcript(path, None, np.array([0.3, -0.8]), sigma)
+        assert tr.repr_gap <= 1e-12
+
+
 @pytest.mark.parametrize("group", ["t2", "su2"])
 def test_direct_exponential_fallback_matches_eigenbasis(group, monkeypatch):
     # generator blocks too ill-conditioned to diagonalise are exponentiated
     # directly; forcing that route must give the same transcript
-    spec = GroupProcessSpec(group, 0.3, GroupLevyMeasure(group, PURE_JUMP_ATOMS[group]), 0.5, 1 / 64, seed=32)
+    drift = (0.4, -0.2) if group == "t2" else ()
+    spec = GroupProcessSpec(group, 0.3, GroupLevyMeasure(group, PURE_JUMP_ATOMS[group]), 0.5, 1 / 64, seed=32, drift=drift)
     f = random_band_limited(group, 1.0 if group == "su2" else 2, rngmod.stream(6, 2), real=True)
     n = 3 if group == "su2" else 2
     ctx = transform_context(spec, f)

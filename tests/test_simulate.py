@@ -181,7 +181,7 @@ def test_batched_paths_match_a_per_segment_reference(name):
     batch = _check_against_reference(spec, 6)
     if spec.jumps.atoms and name != "su2-c0":
         # some grid step of some path holds two or more events
-        cells = batch.cells(batch.event_rows)
+        cells = batch.cells[batch.event_rows]
         assert len(np.unique(cells)) < len(cells)
 
 
