@@ -246,7 +246,7 @@ class _TransformContext:
         src[path.grid_rows] = np.tile(np.arange(spec.n_steps + 1), len(path.indices))
         src[ev_rows] = src[len(times) :] = spec.n_steps + 1 + np.arange(len(ev_rows))
         if len(self.masses):
-            seg_steps = path.steps[seg]
+            seg_steps = path.steps(seg)
             # segments that are not whole grid steps
             split = np.flatnonzero((path.kinds[seg] == 1) | (path.kinds[seg + 1] == 1))
         at_nodes = at_segments = 0.0

@@ -124,8 +124,9 @@ class PathRecord:
 
     @cached_property
     def ds(self) -> np.ndarray:
-        """Length of each segment."""
-        return (self.times[1:] - self.times[:-1])[self.segment_rows]
+        """Length of each segment (leaving out the step from one path's end
+        to the next one's start)."""
+        return np.delete(self.times[1:] - self.times[:-1], self.offsets[1:-1] - 1)
 
     @property
     def end_rows(self) -> np.ndarray:
@@ -144,17 +145,17 @@ class PathRecord:
     def n_events(self) -> int:
         return len(self.event_rows)
 
-    @cached_property
-    def steps(self) -> np.ndarray:
-        """Grid step [t_k, t_{k+1}) holding each node; an event exactly at a
-        grid time follows the diffusion up to it, so it opens the next step."""
-        k = np.searchsorted(self.spec.grid_times, self.times, side="right") - 1
+    def steps(self, rows) -> np.ndarray:
+        """Grid step [t_k, t_{k+1}) holding each of the given nodes; an event
+        exactly at a grid time follows the diffusion up to it, so it opens
+        the next step."""
+        k = np.searchsorted(self.spec.grid_times, self.times[rows], side="right") - 1
         return np.minimum(k, self.spec.n_steps - 1)
 
     @cached_property
     def cells(self) -> np.ndarray:
-        """(path, grid step) of each node, flattened as path * n_steps + step."""
-        return self.owner * self.spec.n_steps + self.steps
+        """(path, grid step) of every node, flattened as path * n_steps + step."""
+        return self.owner * self.spec.n_steps + self.steps(slice(None))
 
 
 def _draw_events(spec: GroupProcessSpec, index: int):
@@ -241,7 +242,7 @@ def _su2_evolve(path: PathRecord, record: bool) -> np.ndarray:
     ev_nodes = path.event_rows
     ev_owner = np.searchsorted(path.offsets, ev_nodes, side="right") - 1
     to_event = ev_nodes - 1 - ev_owner
-    ev_step = path.steps[ev_nodes]
+    ev_step = path.steps(ev_nodes)
     cell = ev_owner * k_steps + ev_step  # nondecreasing along the nodes
     rank = np.arange(len(cell)) - np.searchsorted(cell, cell)  # within its step
     # events of one step and rank, each on its own path, are applied together
