@@ -94,6 +94,7 @@ from .simulate import (
     SubordinatorEnsemble,
     ensemble_final_states,
     simulate_path,
+    simulate_paths,
     simulate_subordinator,
 )
 from .symbols import (

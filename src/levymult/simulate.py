@@ -126,7 +126,9 @@ class PathRecord:
     def ds(self) -> np.ndarray:
         """Length of each segment (leaving out the step from one path's end
         to the next one's start)."""
-        return np.delete(self.times[1:] - self.times[:-1], self.offsets[1:-1] - 1)
+        inside = np.ones(len(self.times) - 1, dtype=bool)
+        inside[self.offsets[1:-1] - 1] = False
+        return (self.times[1:] - self.times[:-1])[inside]
 
     @property
     def end_rows(self) -> np.ndarray:
@@ -180,7 +182,8 @@ def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
     n_paths, k_steps = len(indices), spec.n_steps
     events = [_draw_events(spec, i) for i in indices]
     counts = np.array([len(t) for t, _ in events], dtype=int)
-    offsets = np.concatenate([[0], np.cumsum(k_steps + 1 + counts)])
+    offsets = np.zeros(n_paths + 1, dtype=int)
+    np.cumsum(k_steps + 1 + counts, out=offsets[1:])
     t_ev = np.concatenate([t for t, _ in events])
     # an event follows its path's earlier nodes: the grid nodes at or before
     # it (grid node first on a time tie) and the earlier events
@@ -214,7 +217,7 @@ def _torus_states(path: PathRecord):
     incr[ev_rows, 1] = jumps
     # each path's own running sums: the same as if it were simulated alone
     for a, b in zip(path.offsets[:-1], path.offsets[1:]):
-        np.cumsum(incr[a:b], axis=0, out=incr[a:b])
+        incr[a:b].cumsum(axis=0, out=incr[a:b])
     path.states = incr[:, 0] + incr[:, 1]
     path.prestates = path.states.copy()
     path.prestates[ev_rows] -= jumps
