@@ -115,20 +115,21 @@ class PathRecord:
         """Position in ``indices`` of the path each node belongs to."""
         return np.repeat(np.arange(len(self.indices)), np.diff(self.offsets))
 
-    @cached_property
-    def segment_rows(self) -> np.ndarray:
-        """The node that starts each segment: every node but the last of its path."""
+    def _starts(self) -> np.ndarray:
+        """Mask of the nodes that start a segment: all but the last of each path."""
         starts = np.ones(len(self.times), dtype=bool)
         starts[self.offsets[1:] - 1] = False
-        return np.flatnonzero(starts)
+        return starts
+
+    @cached_property
+    def segment_rows(self) -> np.ndarray:
+        """The node that starts each segment."""
+        return np.flatnonzero(self._starts())
 
     @cached_property
     def ds(self) -> np.ndarray:
-        """Length of each segment (leaving out the step from one path's end
-        to the next one's start)."""
-        inside = np.ones(len(self.times) - 1, dtype=bool)
-        inside[self.offsets[1:-1] - 1] = False
-        return (self.times[1:] - self.times[:-1])[inside]
+        """Length of each segment."""
+        return (self.times[1:] - self.times[:-1])[self._starts()[:-1]]
 
     @property
     def end_rows(self) -> np.ndarray:
