@@ -87,6 +87,7 @@ from .operators import (
     norm_lower_bound_search,
     plancherel_residual,
     semigroup_symbol,
+    symbol_on_lattice,
 )
 from .simulate import (
     GroupProcessSpec,

@@ -9,6 +9,7 @@ identical output bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gzip
 import hashlib
 import io
@@ -24,6 +25,7 @@ from .euclid import (
     ImaginaryPowerProfile,
     MultiplierSpec,
     multiplier_autonomous,
+    multiplier_autonomous_grid,
     multiplier_time_dependent,
     riesz2_symbol_rn,
 )
@@ -46,8 +48,8 @@ from .levy import (
     bernstein_eval,
     eval_symbol,
 )
-from .martingale import transform_context
-from .operators import norm_lower_bound_search
+from .martingale import TransformEnsemble, check_differential_subordination, empirical_burkholder, transform_context
+from .operators import apply_symbol_coeffs, norm_lower_bound_search, symbol_on_lattice
 from .rng import HAAR, stream
 from .simulate import GroupProcessSpec, simulate_path
 from .symbols import (
@@ -56,6 +58,7 @@ from .symbols import (
     laplace_type_symbol,
     riesz2_symbol_group,
     subordination_symbol,
+    symbol_table,
 )
 
 EXIT_CONFIG = 2
@@ -261,6 +264,10 @@ def _meta(args, config) -> dict:
 # subcommands
 
 
+def _fields_but_p(report) -> dict:
+    return {k: v for k, v in dataclasses.asdict(report).items() if k != "p"}
+
+
 def cmd_constants(args) -> int:
     report = constant_report(args.p, args.b, args.B)
     payload = {
@@ -268,25 +275,10 @@ def cmd_constants(args) -> int:
         "p": report.p,
         "p_star": report.p_star,
         "burkholder": report.burkholder,
-        "choi": {
-            "value": report.choi.value,
-            "leading": report.choi.leading,
-            "log_term": report.choi.log_term,
-            "alpha2_term": report.choi.alpha2_term,
-            "alpha2": report.choi.alpha2,
-            "asymptotic": report.choi.asymptotic,
-        },
+        "choi": _fields_but_p(report.choi),
     }
     if report.interval is not None:
-        payload["interval"] = {
-            "b": report.interval.b,
-            "B": report.interval.B,
-            "lower": report.interval.lower,
-            "upper": report.interval.upper,
-            "exact": report.interval.exact,
-            "exact_kind": report.interval.exact_kind,
-            "open_value": report.interval.open_value,
-        }
+        payload["interval"] = _fields_but_p(report.interval)
     _emit(payload, args)
     return 0
 
@@ -392,6 +384,17 @@ def cmd_multiplier(args) -> int:
     return 0
 
 
+def _shared_group_symbol(kind: str, cfg: dict, pointer: str, dual):
+    """pi -> symbol block for the kinds both group commands take (riesz2, laplace), else None."""
+    if kind == "riesz2":
+        cmat = _matrix(cfg.get("cmatrix", np.eye(len(dual[0].generators))), f"{pointer}.cmatrix")
+        return lambda pi: riesz2_symbol_group(cmat, pi)
+    if kind == "laplace":
+        profile = ImaginaryPowerProfile(float(cfg.get("gamma", 0.5)))
+        return lambda pi: laplace_type_symbol(profile, pi)
+    return None
+
+
 def cmd_symbol_group(args) -> int:
     config = _load_config(args.config)
     _require_keys(
@@ -405,13 +408,12 @@ def cmd_symbol_group(args) -> int:
     dual = dual_enumerate(group, cutoff)
     nu = _group_measure(group, config.get("atoms"), "config.atoms")
     psi = _psi(config.get("psi"))
+    shared = _shared_group_symbol(kind, config, "config", dual)
     entries = []
     for pi in dual:
         try:
-            if kind == "riesz2":
-                mat = riesz2_symbol_group(_matrix(config.get("cmatrix", np.eye(len(pi.generators))), "config.cmatrix"), pi)
-            elif kind == "laplace":
-                mat = laplace_type_symbol(ImaginaryPowerProfile(float(config.get("gamma", 0.5))), pi)
+            if shared is not None:
+                mat = shared(pi)
             elif kind == "subordination":
                 mat = subordination_symbol(psi, _bernstein(config.get("bernstein", {})), nu, pi)
             elif kind == "central":
@@ -435,11 +437,8 @@ def cmd_symbol_group(args) -> int:
     extra = {}
     if kind == "central":
         extra["central_measure"] = nu.is_central()
-        extra["alpha"] = [
-            [float(np.real(central_alpha(float(config.get("c", 1.0)), nu, pi))),
-             float(np.imag(central_alpha(float(config.get("c", 1.0)), nu, pi)))]
-            for pi in dual
-        ]
+        alphas = [complex(central_alpha(float(config.get("c", 1.0)), nu, pi)) for pi in dual]
+        extra["alpha"] = [[a.real, a.imag] for a in alphas]
     payload = {"meta": _meta(args, config), "kind": kind, "symbols": entries, **extra}
     _emit(payload, args)
     return 0
@@ -453,27 +452,16 @@ def cmd_apply(args) -> int:
     sym_cfg.setdefault("group", coeffs.group)
     sym_cfg.setdefault("cutoff", coeffs.cutoff)
 
-    from .symbols import symbol_table
-
-    group = sym_cfg["group"]
     kind = sym_cfg.get("kind", "riesz2")
     _require_keys(sym_cfg, {"group", "cutoff", "kind", "cmatrix", "gamma", "trivial"}, "config.symbol")
-    dual = dual_enumerate(group, sym_cfg["cutoff"])
-    trivial = sym_cfg.get("trivial", 0.0)
-    if kind == "riesz2":
-        cmat = _matrix(sym_cfg.get("cmatrix", np.eye(len(dual[0].generators))), "config.symbol.cmatrix")
-        table = symbol_table(dual, lambda pi: riesz2_symbol_group(cmat, pi), trivial=trivial)
-    elif kind == "laplace":
-        gammav = float(sym_cfg.get("gamma", 0.5))
-        table = symbol_table(
-            dual, lambda pi: laplace_type_symbol(ImaginaryPowerProfile(gammav), pi), trivial=trivial
-        )
+    dual = dual_enumerate(sym_cfg["group"], sym_cfg["cutoff"])
+    shared = _shared_group_symbol(kind, sym_cfg, "config.symbol", dual)
+    if shared is not None:
+        table = symbol_table(dual, shared, trivial=sym_cfg.get("trivial", 0.0))
     elif kind == "heat":
         table = {pi.label: np.exp(-float(sym_cfg.get("gamma", 1.0)) * pi.casimir) * np.eye(pi.dim) for pi in dual}
     else:
         raise ConfigError("config.symbol.kind", f"unknown symbol kind {kind!r}")
-    from .operators import apply_symbol_coeffs
-
     out = apply_symbol_coeffs(table, coeffs)
     payload = {
         "meta": _meta(args, config),
@@ -501,9 +489,6 @@ def cmd_norm_search(args) -> int:
     if aprofile is not None:
         raise ConfigError("config.aprofile", "norm search uses autonomous multipliers")
     n = int(config.get("grid", 32))
-    shape = (n,) * triple.dim
-
-    from .euclid import multiplier_autonomous_grid
 
     def m(pts):
         vals = np.zeros(len(pts), dtype=complex)
@@ -513,11 +498,11 @@ def cmd_norm_search(args) -> int:
         )
         return vals
 
+    values = symbol_on_lattice(m, (n,) * triple.dim)
     rows = []
     for p in config.get("p", [2.0]):
         res = norm_lower_bound_search(
-            m,
-            shape,
+            values,
             float(p),
             trials=int(config.get("trials", 8)),
             refine_steps=int(config.get("refine", 6)),
@@ -559,8 +544,6 @@ def cmd_simulate(args) -> int:
     sigma_mode = config.get("sigma", "haar")
     ctx = transform_context(spec, coeffs)
     out_path = args.out or "transcripts.jsonl.gz"
-    from .martingale import TransformEnsemble, check_differential_subordination, empirical_burkholder
-
     summary = {"paths": paths, "max_violation": -np.inf, "max_repr_gap": 0.0}
     x_final = np.zeros(paths, dtype=complex)
     y_final = np.zeros(paths, dtype=complex)

@@ -5,6 +5,8 @@ closed ratio of quadratic-plus-jump forms (unscaled frequency convention);
 ``multiplier_time_dependent`` integrates the semigroup decay in time and
 uses the 2*pi-scaled convention, so that for constant data
 ``multiplier_time_dependent(spec, triple, xi) == multiplier_autonomous(..., 2*pi*xi)``.
+
+Every jump sum sum_q w_q (1 - cos(xi . y_q)) is ``levy.oneminus_cos_sums``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .levy import (
     LevyTriple,
     QuadratureError,
     factor_diffusion,
+    oneminus_cos_sums,
     symbol_grid,
 )
 from .linalg import operator_norm
@@ -28,47 +31,19 @@ from .linalg import operator_norm
 PsiLike = Union[None, float, complex, np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 
-def _psi_on_atoms(psi: PsiLike, nu: LevyMeasureRn) -> np.ndarray:
-    n_at = len(nu.atoms)
-    if psi is None:
-        return np.zeros(n_at)
-    if callable(psi):
-        return np.asarray(psi(nu.atom_points)) if n_at else np.zeros(0)
-    arr = np.asarray(psi)
+def psi_values(psi, n_atoms: int) -> np.ndarray:
+    """psi on each atom of a jump measure: None (zero), a scalar, or a per-atom table."""
+    arr = np.asarray(0.0 if psi is None else psi)
     if arr.ndim == 0:
-        return np.full(n_at, complex(arr)) if np.iscomplexobj(arr) else np.full(n_at, float(arr))
-    if arr.shape != (n_at,):
-        raise ValueError("per-atom psi table must match the atom count")
-    return arr
+        return np.full(n_atoms, complex(arr))
+    if arr.shape != (n_atoms,):
+        raise ValueError("a per-atom psi table must match the atom count (densities take no table)")
+    return arr.astype(complex)
 
 
-def _psi_on_density(psi: PsiLike):
-    """Density modulator: None -> 0, scalar -> constant, callable -> itself."""
-    if psi is None:
-        return None
-    if callable(psi):
-        return psi
-    arr = np.asarray(psi)
-    if arr.ndim == 0:
-        val = complex(arr)
-        return lambda pts: np.full(len(pts), val)
-    raise ValueError("a per-atom psi table cannot modulate a density part")
-
-
-def _chunked_oneminus_cos(xi: np.ndarray, pts: np.ndarray, *weights) -> list:
-    """[sum_q w_q (1 - cos(xi . y_q))] per weight vector, blocked to bound memory.
-
-    The cosine matrix is the expensive part, so it is formed once per
-    block and contracted against every weight vector.
-    """
-    block = max(1, (1 << 22) // max(1, len(pts)))
-    outs = [np.empty(len(xi), dtype=w.dtype) for w in weights]
-    for lo in range(0, len(xi), block):
-        hi = min(lo + block, len(xi))
-        oc = 1.0 - np.cos(xi[lo:hi] @ pts.T)
-        for out, w in zip(outs, weights):
-            out[lo:hi] = oc @ w
-    return outs
+def _psi_at(psi: PsiLike, pts: np.ndarray) -> np.ndarray:
+    """psi at the jump points (atoms or density nodes): a callable evaluated there, else ``psi_values``."""
+    return np.asarray(psi(pts)) if callable(psi) else psi_values(psi, len(pts))
 
 
 def multiplier_autonomous_grid(
@@ -94,22 +69,20 @@ def multiplier_autonomous_grid(
     den = np.einsum("mi,ij,mj->m", xi, a, xi)
 
     if len(nu.atoms):
-        phase = xi @ nu.atom_points.T
-        oneminus = 1.0 - np.cos(phase)
-        den = den + oneminus @ nu.atom_masses
-        num = num + oneminus @ (nu.atom_masses * _psi_on_atoms(psi, nu))
+        masses = nu.atom_masses
+        sums = oneminus_cos_sums(xi, nu.atom_points, masses, masses * _psi_at(psi, nu.atom_points))
+        den, num = den + sums[0], num + sums[1]
     if nu.density is not None:
-        mod = _psi_on_density(psi)
         pts_c, w_c = nu._quad_coarse
         pts_f, w_f = nu._quad_fine
-        (den_c,) = _chunked_oneminus_cos(xi, pts_c, w_c)
-        fine_weights = [w_f] if mod is None else [w_f, w_f * np.asarray(mod(pts_f))]
-        fine = _chunked_oneminus_cos(xi, pts_f, *fine_weights)
+        (den_c,) = oneminus_cos_sums(xi, pts_c, w_c)
+        fine_weights = [w_f] if psi is None else [w_f, w_f * _psi_at(psi, pts_f)]
+        fine = oneminus_cos_sums(xi, pts_f, *fine_weights)
         den_f = fine[0]
         if np.any(np.abs(den_f - den_c) > REFINE_RTOL * (1.0 + np.abs(den_f))):
             raise QuadratureError("jump-part quadrature did not stabilise on refinement")
         den = den + den_f
-        if mod is not None:
+        if psi is not None:
             num = num + fine[1]
     if np.any(den <= 0.0):
         raise ValueError("zero-symbol frequency: denominator vanishes (xi = 0 or degenerate data)")
@@ -214,12 +187,10 @@ class MultiplierSpec:
             raise ValueError(f"declared |A| bound {self.a_bound} exceeded: measured {measured}")
         sup_psi = 0.0
         if len(nu.atoms):
-            sup_psi = float(np.max(np.abs(_psi_on_atoms(self.psi, nu))))
-        if nu.density is not None:
-            mod = _psi_on_density(self.psi)
-            if mod is not None:
-                pts, _ = nu._quad_coarse
-                sup_psi = max(sup_psi, float(np.max(np.abs(np.asarray(mod(pts))))))
+            sup_psi = float(np.max(np.abs(_psi_at(self.psi, nu.atom_points))))
+        if nu.density is not None and self.psi is not None:
+            pts, _ = nu._quad_coarse
+            sup_psi = max(sup_psi, float(np.max(np.abs(_psi_at(self.psi, pts)))))
         if sup_psi > self.psi_bound + slack:
             raise ValueError(f"declared |psi| bound {self.psi_bound} exceeded: measured {sup_psi}")
 
@@ -248,12 +219,10 @@ def multiplier_time_dependent(spec: MultiplierSpec, triple: LevyTriple, xi) -> c
     nu = triple.nu
     time_factor = _const_time_integral(rate)
     if len(nu.atoms):
-        oneminus = 1.0 - np.cos(nu.atom_points @ (2.0 * np.pi * xi))
-        m2 += 2.0 * np.sum(oneminus * nu.atom_masses * _psi_on_atoms(spec.psi, nu)) * time_factor
-    if nu.density is not None:
-        mod = _psi_on_density(spec.psi)
-        if mod is not None:
-            pts, w = nu._quad_fine
-            oneminus = 1.0 - np.cos(pts @ (2.0 * np.pi * xi))
-            m2 += 2.0 * np.sum(oneminus * w * np.asarray(mod(pts))) * time_factor
+        (sums,) = oneminus_cos_sums(2.0 * np.pi * xi, nu.atom_points, nu.atom_masses * _psi_at(spec.psi, nu.atom_points))
+        m2 += 2.0 * sums[0] * time_factor
+    if nu.density is not None and spec.psi is not None:
+        pts, w = nu._quad_fine
+        (sums,) = oneminus_cos_sums(2.0 * np.pi * xi, pts, w * _psi_at(spec.psi, pts))
+        m2 += 2.0 * sums[0] * time_factor
     return complex(m1 + m2)

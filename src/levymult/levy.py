@@ -8,6 +8,12 @@ approximation by construction, not an exact representation.
 Drift convention: the drift vector is the *given* drift after small-jump
 compensation over the unit ball.  Comparing against texts that compensate
 differently requires translating the drift accordingly.
+
+Every jump sum sum_q w_q (1 - cos(xi . y_q)), here and in ``euclid``, is
+``oneminus_cos_sums``: 2 sum_q w_q sin^2(xi . y_q / 2), exact where
+1 - cos rounds to 0, with half-angle sines taken once per distinct
+coordinate value on lattices (``_separable_sums``) and per frequency
+elsewhere (``_direct_sums``).
 """
 
 from __future__ import annotations
@@ -246,6 +252,81 @@ def factor_diffusion(a, tol: float = PSD_TOL) -> np.ndarray:
     return out
 
 
+TABLE_BYTES = 1 << 20  # size of each node-blocked sine/cosine table
+
+
+def oneminus_cos_sums(xi: np.ndarray, pts: np.ndarray, *weights) -> list:
+    """[sum_q w_q (1 - cos(xi . y_q))] at each row of xi, one array per weight vector.
+
+    Taken as 2 sum_q w_q sin^2(xi . y_q / 2), complex weights as their real
+    and imaginary parts.  Direct sums take a sine per frequency and node.
+    The lattice route sorts each coordinate (about two sines per frequency
+    and axis), then per node takes 2 (n_first + n_rest) sines and cosines
+    and products worth about 1/16 sine per point of the n_first x n_rest
+    grid; it runs where that costs less.
+    """
+    half = 0.5 * np.atleast_2d(np.asarray(xi, dtype=float))
+    parts = [(w.real, w.imag) if np.iscomplexobj(w) else (w,) for w in weights]
+    wmat = np.stack([col for cols in parts for col in cols], axis=1)
+    factors = _lattice_factors(half, len(pts))
+    if factors is None:
+        sums = _direct_sums(half, pts, wmat)
+    else:
+        firsts, first_idx, rests, rest_idx = factors
+        sums = _separable_sums(firsts, rests, pts, wmat)[:, first_idx, rest_idx].T
+    split = np.split(sums, np.cumsum([len(cols) for cols in parts])[:-1], axis=1)
+    return [s[:, 0] + 1j * s[:, 1] if s.shape[1] == 2 else s[:, 0] for s in split]
+
+
+def _lattice_factors(half: np.ndarray, n_nodes: int):
+    """(firsts, first_idx, rests, rest_idx) of the frequencies, or None where direct sums cost less."""
+    n_freq, dim = half.shape
+    if n_nodes <= 2 * dim:  # the sorting alone would cost more
+        return None
+    axes = [np.unique(col, return_inverse=True) for col in half.T]
+    (firsts, first_idx), n_rest, rest_idx = axes[0], 1, 0
+    for values, idx in axes[1:]:
+        n_rest, rest_idx = n_rest * len(values), rest_idx * len(values) + idx
+    per_node = 2 * (len(firsts) + n_rest) + len(firsts) * n_rest / 16
+    if per_node * n_nodes + 2 * dim * n_freq >= n_freq * n_nodes:
+        return None
+    rests = np.array(np.meshgrid(*[v for v, _ in axes[1:]], indexing="ij"))
+    return firsts, first_idx, rests.reshape(-1, n_rest).T, rest_idx
+
+
+def _direct_sums(half: np.ndarray, pts: np.ndarray, wmat: np.ndarray) -> np.ndarray:
+    """2 sum_q w_q sin^2(h . y_q) for each row h of half, shape (len(half), weights)."""
+    out = np.zeros((len(half), wmat.shape[1]))
+    block = max(1, TABLE_BYTES // (8 * len(half)))
+    for lo in range(0, len(pts), block):
+        s = np.sin(half @ pts[lo : lo + block].T)
+        out += (s * s) @ wmat[lo : lo + block]
+    return 2.0 * out
+
+
+def _separable_sums(firsts, rests, pts: np.ndarray, wmat: np.ndarray) -> np.ndarray:
+    """2 sum_q w_q sin^2(a + b) on the grid (weight, first value, rest tuple).
+
+    a = f y_q1 for each distinct half first coordinate f, b = r . y_q' for
+    each distinct tuple r of the others; sin(a + b) = sin a cos b + cos a sin b
+    makes the sum three real matrix products.  The cross term's relative
+    error, eps sum w (|a| + |b|)^2 / sum w (a + b)^2, stays near eps unless xi
+    is nearly orthogonal to every node, which radial densities exclude.
+    """
+    n_w, n_first, n_rest = wmat.shape[1], len(firsts), len(rests)
+    grid = np.zeros((n_w * n_first, n_rest))
+    block = max(1, TABLE_BYTES // (24 * max(n_w * n_first, n_rest)))
+    for lo in range(0, len(pts), block):
+        y, w = pts[lo : lo + block], wmat[lo : lo + block]
+        a, b = np.multiply.outer(firsts, y[:, 0]), rests @ y[:, 1:].T
+        sa, ca, sb, cb = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
+        left = np.concatenate([sa * sa, sa * ca, ca * ca], axis=1)
+        right = np.concatenate([cb * cb, 2.0 * sb * cb, sb * sb], axis=1)
+        weighted = np.tile(w.T, 3)[:, None, :] * left
+        grid += weighted.reshape(-1, left.shape[1]) @ right.T
+    return 2.0 * grid.reshape(n_w, n_first, n_rest)
+
+
 def symbol_grid(triple: LevyTriple, xi: np.ndarray):
     """Real and imaginary parts of the Levy exponent on an array of frequencies.
 
@@ -258,31 +339,23 @@ def symbol_grid(triple: LevyTriple, xi: np.ndarray):
     re = -np.einsum("mi,ij,mj->m", xi, a, xi)
     im = xi @ b
 
-    def add_part(points, weights):
-        nonlocal re, im
+    def jump_part(points, weights):
         small = np.sum(points * points, axis=1) <= 1.0
-        block = max(1, (1 << 22) // max(1, len(points)))
+        odd = np.empty(len(xi))
+        block = max(1, TABLE_BYTES // (8 * len(points)))
         for lo in range(0, len(xi), block):
-            hi = min(lo + block, len(xi))
-            phase = xi[lo:hi] @ points.T  # (block, q)
-            re[lo:hi] += (np.cos(phase) - 1.0) @ weights
-            comp = np.where(small[None, :], phase, 0.0)
-            im[lo:hi] += (np.sin(phase) - comp) @ weights
+            phase = xi[lo : lo + block] @ points.T
+            odd[lo : lo + block] = (np.sin(phase) - np.where(small, phase, 0.0)) @ weights
+        return -oneminus_cos_sums(xi, points, weights)[0], odd
 
     if len(nu.atoms):
-        add_part(nu.atom_points, nu.atom_masses)
+        atom_re, atom_im = jump_part(nu.atom_points, nu.atom_masses)
+        re, im = re + atom_re, im + atom_im
     if nu.density is not None:
-        pts_c, w_c = nu._quad_coarse
-        pts_f, w_f = nu._quad_fine
-        re_save, im_save = re.copy(), im.copy()
-        add_part(pts_c, w_c)
-        re_c, im_c = re, im
-        re, im = re_save, im_save
-        add_part(pts_f, w_f)
-        bad = np.abs(re - re_c) + np.abs(im - im_c) > REFINE_RTOL * (
-            1.0 + np.abs(re) + np.abs(im)
-        )
-        if np.any(bad):
+        re_c, im_c = jump_part(*nu._quad_coarse)
+        re_f, im_f = jump_part(*nu._quad_fine)
+        re, im = re + re_f, im + im_f
+        if np.any(np.abs(re_f - re_c) + np.abs(im_f - im_c) > REFINE_RTOL * (1.0 + np.abs(re) + np.abs(im))):
             raise QuadratureError("exponent quadrature did not stabilise on refinement")
     return np.minimum(re, 0.0), im
 

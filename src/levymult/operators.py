@@ -60,19 +60,19 @@ def frequency_lattice(f: GridFunction) -> np.ndarray:
     return np.stack(mesh, axis=-1)
 
 
-def apply_symbol_grid(
+def symbol_on_lattice(
     m: Callable[[np.ndarray], np.ndarray],
-    f: GridFunction,
+    dims: tuple,
+    period: tuple = (),
     zero_mode: float = 0.0,
-) -> GridFunction:
-    """Inverse transform of m(xi) fhat(xi) on the grid.
+) -> np.ndarray:
+    """m sampled on the frequency lattice of a grid of shape ``dims``.
 
     ``m`` maps an array of frequency vectors (q, n) to complex values.
     If m is not finite at xi = 0 (Riesz-type symbols), ``zero_mode`` is
     used there; non-finite values elsewhere raise.
     """
-    lattice = frequency_lattice(f)
-    flat = lattice.reshape(-1, lattice.shape[-1])
+    flat = frequency_lattice(GridFunction(np.zeros(dims), period)).reshape(-1, len(dims))
     with np.errstate(divide="ignore", invalid="ignore"):
         try:
             vals = np.asarray(m(flat), dtype=complex)
@@ -81,13 +81,27 @@ def apply_symbol_grid(
             vals = np.zeros(len(flat), dtype=complex)
             vals[nonzero] = np.asarray(m(flat[nonzero]), dtype=complex)
             vals[~nonzero] = np.nan
-    vals = vals.reshape(f.dims)
-    zero_index = (0,) * f.values.ndim
+    vals = vals.reshape(dims)
+    zero_index = (0,) * len(dims)
     if not np.isfinite(vals[zero_index]):
         vals[zero_index] = zero_mode
     if not np.all(np.isfinite(vals)):
         raise ValueError("symbol is not finite on the frequency lattice")
-    return GridFunction(np.fft.fftn(vals * f.coeffs()), f.period)
+    return vals
+
+
+def apply_symbol_grid(
+    m: Callable[[np.ndarray], np.ndarray],
+    f: GridFunction,
+    zero_mode: float = 0.0,
+) -> GridFunction:
+    """Inverse transform of m(xi) fhat(xi) on the grid (m as in ``symbol_on_lattice``)."""
+    return _multiply(symbol_on_lattice(m, f.dims, f.period, zero_mode), f)
+
+
+def _multiply(values: np.ndarray, f: GridFunction) -> GridFunction:
+    """The grid function with coefficients values * fhat."""
+    return GridFunction(np.fft.fftn(values * f.coeffs()), f.period)
 
 
 def apply_symbol_coeffs(symbol: dict, coeffs: PeterWeylCoeffs) -> PeterWeylCoeffs:
@@ -160,32 +174,29 @@ def _band_coeffs(shape: tuple, band: int, rng: np.random.Generator) -> np.ndarra
 
 
 def norm_lower_bound_search(
-    m: Callable[[np.ndarray], np.ndarray],
-    shape: tuple,
+    values: np.ndarray,
     p: float,
     trials: int = 8,
     refine_steps: int = 6,
     seed: int = 0,
     band: Optional[int] = None,
     period: tuple = (),
-    zero_mode: float = 0.0,
 ) -> SearchResult:
     """Largest found ratio |S f|_p / |f|_p over random band-limited f.
 
-    Random starts are refined by a nonlinear power iteration through the
-    adjoint (conjugate symbol).  The reported value is a lower bound on
-    the operator norm; it is deterministic for a fixed seed.
+    ``values`` is the symbol sampled on the frequency lattice of the grid
+    (``symbol_on_lattice``); the grid shape is ``values.shape``.  Random
+    starts are refined by a nonlinear power iteration through the adjoint
+    (conjugate symbol).  The reported value is a lower bound on the
+    operator norm; it is deterministic for a fixed seed.
     """
+    values = np.asarray(values, dtype=complex)
+    adjoint = np.conj(values)
+    shape = values.shape
     if band is None:
         band = min(shape) // 4
     band = max(1, min(band, (min(shape) - 2) // 2))
     q = p / (p - 1.0)
-
-    def apply(mm, gf):
-        return apply_symbol_grid(mm, gf, zero_mode=zero_mode)
-
-    def madj(xi):
-        return np.conj(np.asarray(m(xi), dtype=complex))
 
     best_ratio = -np.inf
     best = None
@@ -196,15 +207,14 @@ def norm_lower_bound_search(
             nx = lp_norm(x, p)
             if nx == 0.0:
                 break
-            y = apply(m, x)
+            y = _multiply(values, x)
             ratio = lp_norm(y, p) / nx
             if ratio > best_ratio:
                 best_ratio, best = ratio, x
             # dual vector of y in L^p, pulled back through the adjoint
             yv = y.values
             dual = np.abs(yv) ** (p - 1.0) * np.exp(1j * np.angle(yv))
-            z = apply(madj, GridFunction(dual, y.period))
-            zv = z.values
+            zv = _multiply(adjoint, GridFunction(dual, y.period)).values
             xv = np.abs(zv) ** (q - 1.0) * np.exp(1j * np.angle(zv))
             scale = np.max(np.abs(xv))
             if scale == 0.0 or not np.all(np.isfinite(xv)):

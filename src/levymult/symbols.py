@@ -12,19 +12,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .euclid import ImaginaryPowerProfile, profile_time_integral
+from .euclid import ImaginaryPowerProfile, profile_time_integral, psi_values
 from .groups import GroupLevyMeasure, Irrep, irrep_evaluate, irrep_stack_batch
 from .levy import BernsteinSpec, bernstein_eval
-
-
-def psi_values(psi, n_atoms: int) -> np.ndarray:
-    """psi on each atom of a jump measure: None (zero), a scalar, or a per-atom table."""
-    arr = np.asarray(0.0 if psi is None else psi)
-    if arr.ndim == 0:
-        return np.full(n_atoms, complex(arr))
-    if arr.shape != (n_atoms,):
-        raise ValueError("per-atom psi table must match the atom count")
-    return arr.astype(complex)
 
 
 def riesz2_symbol_group(c, pi: Irrep) -> np.ndarray:

@@ -31,11 +31,13 @@ from .groups import (
     quadrature_grid,
     random_band_limited,
     su2_exp,
+    torus_irrep,
 )
 from .levy import (
     BernsteinSpec,
     LevyMeasureRn,
     PositiveDensity,
+    RadialDensity,
     bernstein_atoms,
     bernstein_eval,
     factor_diffusion,
@@ -55,6 +57,7 @@ from .operators import (
     apply_symbol_grid,
     frequency_lattice,
     norm_lower_bound_search,
+    plancherel_residual,
 )
 from .simulate import GroupProcessSpec, simulate_path, simulate_subordinator
 from .symbols import (
@@ -141,8 +144,6 @@ def check_multiplier_bound(n_specs=1000, grid=64, seed=20240, tol=1e-9) -> Check
             # a handful of fixtures carry a density part as well; the support
             # is kept small so the fixed quadrature resolves cos(xi . y) over
             # the whole frequency lattice
-            from .levy import RadialDensity
-
             scale = float(gen.uniform(0.5, 1.5))
             nu = LevyMeasureRn(
                 dim=2,
@@ -200,32 +201,14 @@ def check_riesz_equivalence(grid=64, cutoff=5, seed=20241, rtol=1e-10) -> CheckR
     )
 
 
-def _cached_lattice_symbol(values: np.ndarray):
-    flat = values.ravel()
-
-    def m(pts):
-        if len(pts) == flat.size:
-            return flat
-        raise ValueError("cached symbol evaluated on an unexpected lattice")
-
-    return m
-
-
-def _central_lattice_symbol(gen, flat):
-    """Random central-process multiplier on T^2, sampled on the lattice."""
-    from .groups import torus_irrep
-
+def _central_lattice_symbol(gen, xi):
+    """Random central-process multiplier on T^2 at the frequencies xi."""
     amat = _random_bounded_matrix(gen, 2)
     c = float(gen.uniform(0.05, 0.8))
     nu = _random_group_measure(gen, T2)
     psi = gen.uniform(-0.999, 0.999, size=len(nu.atoms))
-    vals = np.zeros(len(flat), dtype=complex)
-    for idx, xi in enumerate(flat):
-        if not np.any(xi != 0.0):
-            continue
-        pi = torus_irrep(T2, (int(round(xi[0])), int(round(xi[1]))))
-        vals[idx] = central_multiplier(amat, psi, c, nu, pi)[0, 0]
-    return vals
+    pis = [torus_irrep(T2, (int(round(k[0])), int(round(k[1])))) for k in xi]
+    return np.array([central_multiplier(amat, psi, c, nu, pi)[0, 0] for pi in pis])
 
 
 def check_norm_search(
@@ -240,9 +223,7 @@ def check_norm_search(
 ) -> CheckResult:
     """Search lower bounds never exceed the sharp constants."""
     shape = (grid, grid)
-    lattice = frequency_lattice(GridFunction(np.zeros(shape, dtype=complex)))
-    flat = lattice.reshape(-1, 2)
-    nonzero = np.any(flat != 0.0, axis=1)
+    xi = _nonzero_lattice(shape)  # every lattice frequency after xi = 0, which is first
     worst_gap = -np.inf
     worst_p2 = -np.inf
     worst_interval = -np.inf
@@ -251,11 +232,10 @@ def check_norm_search(
         interval_case = n_specs <= i < n_specs + n_interval
         if i >= n_specs + n_interval:
             # compact-group route: central-process symbols on the T^2 lattice
-            vals = _central_lattice_symbol(gen, flat)
-            m = _cached_lattice_symbol(vals.reshape(shape))
+            vals = np.concatenate([[0.0], _central_lattice_symbol(gen, xi)])
             sup_lattice = float(np.max(np.abs(vals)))
             for p in ps:
-                res = norm_lower_bound_search(m, shape, p, trials=4, refine_steps=4, seed=seed + i)
+                res = norm_lower_bound_search(vals.reshape(shape), p, trials=4, refine_steps=4, seed=seed + i)
                 worst_gap = max(worst_gap, res.ratio - (p_star(p) - 1.0))
                 if p == 2.0:
                     worst_p2 = max(worst_p2, res.ratio - sup_lattice)
@@ -271,12 +251,10 @@ def check_norm_search(
             psi = np.zeros(0)
         else:
             amat, psi, a, nu = _random_multiplier_fixture(gen)
-        vals = np.zeros(len(flat), dtype=complex)
-        vals[nonzero] = multiplier_autonomous_grid(amat, psi, a, nu, flat[nonzero])
-        m = _cached_lattice_symbol(vals.reshape(shape))
+        vals = np.concatenate([[0.0], multiplier_autonomous_grid(amat, psi, a, nu, xi)])
         sup_lattice = float(np.max(np.abs(vals)))
         for p in ps:
-            res = norm_lower_bound_search(m, shape, p, trials=4, refine_steps=4, seed=seed + i)
+            res = norm_lower_bound_search(vals.reshape(shape), p, trials=4, refine_steps=4, seed=seed + i)
             if interval_case:
                 upper = cpbB_bounds(p, b, bb).upper
                 worst_interval = max(worst_interval, res.ratio - upper)
@@ -299,8 +277,6 @@ def check_norm_search(
 
 def check_plancherel(pairs=100, seed=20243, tol=1e-6) -> CheckResult:
     """Space-side and coefficient-side pairings agree on all three groups."""
-    from .operators import plancherel_residual
-
     worst = 0.0
     cutoffs = {T1: 8, T2: 4, SU2: 2.0}
     for gi, group in enumerate((T1, T2, SU2)):
@@ -443,7 +419,7 @@ def check_burkholder(
     f = random_band_limited(T1, 3, rngmod.stream(seed, rngmod.SPEC_DRAW), real=True)
     amat = np.array([[0.95]])
     psi = -0.9
-    rows = []
+    margins = []
     passed = True
     for horizon in horizons:
         spec = GroupProcessSpec(T1, 0.5, jumps, horizon, horizon / 256, seed=seed)
@@ -452,19 +428,12 @@ def check_burkholder(
             ratio, se = empirical_burkholder(ens, p)
             bound = p_star(p) - 1.0
             ok = ratio <= bound * (1.0 + 3.0 * se / ratio)
-            if p == 2.0:
-                ok = ok and ratio <= 1.0 + 3.0 * se
-            passed = passed and ok
-            rows.append(
-                {"horizon": horizon, "p": p, "ratio": ratio, "stderr": se, "bound": bound, "ok": ok}
-            )
-    worst_margin = min(
-        (r["bound"] * (1 + 3 * r["stderr"] / r["ratio"]) - r["ratio"]) for r in rows
-    )
+            passed = passed and ok and (p != 2.0 or ratio <= 1.0 + 3.0 * se)
+            margins.append(bound * (1 + 3 * se / ratio) - ratio)
     return CheckResult(
         "burkholder",
         passed,
-        {"cases": len(rows), "min_margin": worst_margin, "paths": paths},
+        {"cases": len(margins), "min_margin": min(margins), "paths": paths},
     )
 
 
@@ -492,17 +461,14 @@ def check_projection(paths=10000, seed=20246, dt=1 / 256) -> CheckResult:
     """Monte Carlo pairing values against the finite-horizon spectral formula."""
     f, g, fixtures = _projection_fixtures(seed)
     worst_z = 0.0
-    rows = []
     for fi, (name, amat, psi, c, jumps, horizon, drift) in enumerate(fixtures):
         spec = GroupProcessSpec(T2, c, jumps, horizon, dt, seed=seed + 137 * fi, drift=drift)
         est = projection_mc_estimate(f, g, amat, psi, spec, paths)
-        z = abs(est.mc_value - est.deterministic) / est.stderr
-        worst_z = max(worst_z, z)
-        rows.append({"fixture": name, "z": z, "mc": est.mc_value, "det": est.deterministic})
+        worst_z = max(worst_z, abs(est.mc_value - est.deterministic) / est.stderr)
     return CheckResult(
         "projection",
         worst_z <= 3.0,
-        {"max_z": worst_z, "fixtures": len(rows), "paths": paths},
+        {"max_z": worst_z, "fixtures": len(fixtures), "paths": paths},
     )
 
 

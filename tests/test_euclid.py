@@ -11,7 +11,17 @@ from levymult.euclid import (
     riesz2_symbol_rn,
 )
 from levymult.gammafn import gamma
-from levymult.levy import LevyMeasureRn, LevyTriple, pure_gaussian
+from levymult.levy import (
+    LevyMeasureRn,
+    LevyTriple,
+    QuadratureError,
+    RadialDensity,
+    _direct_sums,
+    _lattice_factors,
+    _separable_sums,
+    oneminus_cos_sums,
+    pure_gaussian,
+)
 from levymult import rng as rngmod
 
 
@@ -159,3 +169,126 @@ def test_symmetric_range_property():
     assert np.max(np.abs(vals.imag)) < 1e-12
     assert np.min(vals.real) >= b - 1e-12
     assert np.max(vals.real) <= bb + 1e-12
+
+
+# -- the half-angle jump kernel ------------------------------------------------
+
+
+def _criterion1_density(scale=1.1):
+    return RadialDensity(profile=lambda r, u, s=scale: s * np.exp(-r) / r, inner=0.06, outer=0.45, nodes=72)
+
+
+def _nonzero_lattice(n):
+    k = np.fft.fftfreq(n) * n
+    xi = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
+    return xi[np.any(xi != 0.0, axis=1)]
+
+
+def _rowwise(fn, xi, pts, w, rows=256):
+    return np.concatenate([fn(xi[lo : lo + rows] @ pts.T) @ w for lo in range(0, len(xi), rows)])
+
+
+def _half_angle_reference(xi, pts, w):
+    """2 sum_q w_q sin^2(xi . y_q / 2), summed node by node."""
+    return _rowwise(lambda ph: 2.0 * np.sin(0.5 * ph) ** 2, np.atleast_2d(xi), pts, w)
+
+
+def _one_minus_cos_reference(xi, pts, w):
+    return _rowwise(lambda ph: 1.0 - np.cos(ph), np.atleast_2d(xi), pts, w)
+
+
+def _grid_route(xi, pts, wmat):
+    """The separable route on the product grid of distinct coordinates, whatever it costs."""
+    half = 0.5 * xi
+    firsts, first_idx = np.unique(half[:, 0], return_inverse=True)
+    rests, rest_idx = np.zeros((1, 0)), 0
+    if xi.shape[1] == 2:
+        rests, rest_idx = np.unique(half[:, 1], return_inverse=True)
+        rests = rests[:, None]
+    return _separable_sums(firsts, rests, pts, wmat)[:, first_idx, rest_idx].T
+
+
+def _kernel_case(case):
+    if case == "lattice-density":
+        pts, w = LevyMeasureRn(dim=2, density=_criterion1_density())._quad_coarse
+        return _nonzero_lattice(64), pts, w
+    if case == "dim1-density":
+        pts, w = LevyMeasureRn(dim=1, density=_criterion1_density(0.7))._quad_fine
+        xi = np.arange(-32.0, 32.0)
+        return xi[xi != 0.0][:, None], pts, w
+    if case == "complex-modulator":
+        pts, w = LevyMeasureRn(dim=2, density=_criterion1_density(0.9))._quad_coarse
+        return _nonzero_lattice(16), pts, w * 0.8 * np.exp(1j * (pts[:, 0] - 2.0 * pts[:, 1]))
+    pts, w = LevyMeasureRn(dim=2, density=_criterion1_density())._quad_coarse
+    return rngmod.stream(3, rngmod.SPEC_DRAW).standard_normal((7, 2)) * 5.0, pts, w
+
+
+@pytest.mark.parametrize("case", ["lattice-density", "dim1-density", "complex-modulator", "scattered"])
+def test_grid_and_direct_routes_agree_with_one_minus_cos(case):
+    xi, pts, w = _kernel_case(case)
+    wmat = np.stack([w.real, w.imag], axis=1) if np.iscomplexobj(w) else w[:, None]
+    grid = _grid_route(xi, pts, wmat)
+    direct = _direct_sums(0.5 * xi, pts, wmat)
+    (chosen,) = oneminus_cos_sums(xi, pts, w)
+    if np.iscomplexobj(w):
+        grid, direct = grid[:, 0] + 1j * grid[:, 1], direct[:, 0] + 1j * direct[:, 1]
+    else:
+        grid, direct = grid[:, 0], direct[:, 0]
+    # on the lattice the helper takes the grid route, elsewhere the direct one
+    assert np.array_equal(chosen, grid if case in ("lattice-density", "complex-modulator") else direct)
+    scale = _half_angle_reference(xi, pts, np.abs(w))
+    for ref in (_half_angle_reference(xi, pts, w), _one_minus_cos_reference(xi, pts, w)):
+        assert np.max(np.abs(grid - ref) / scale) <= 1e-12
+        assert np.max(np.abs(direct - ref) / scale) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-4])
+def test_small_frequencies_keep_a_positive_denominator(scale):
+    # a = 0: the whole denominator is the jump part, where 1 - cos(xi . y) rounds to 0
+    xi = np.array([[scale, 0.0]])
+    zero = np.zeros((2, 2))
+    atom = LevyMeasureRn(dim=2, atoms=(((0.3, 0.1), 1.0),))
+    dens = LevyMeasureRn(dim=2, density=_criterion1_density())
+    for nu, (pts, w) in ((atom, (atom.atom_points, atom.atom_masses)), (dens, dens._quad_fine)):
+        (den,) = oneminus_cos_sums(xi, pts, w)
+        ref = _half_angle_reference(xi, pts, w)
+        assert np.all(ref > 0.0)
+        assert np.max(np.abs(den - ref) / ref) <= 1e-12
+        m = multiplier_autonomous_grid(zero, 0.5, zero, nu, xi)
+        assert m[0] == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-4])
+def test_time_dependent_multiplier_at_small_frequencies(scale):
+    # the decay rate Re rho and the jump integral take the same half-angle sums
+    zero = np.zeros((2, 2))
+    spec = MultiplierSpec(a_bound=1.0, psi_bound=1.0, amatrix=zero, psi=0.5)
+    for nu in (LevyMeasureRn(dim=2, atoms=(((0.3, 0.1), 1.0),)), LevyMeasureRn(dim=2, density=_criterion1_density())):
+        triple = LevyTriple(drift=[0.0, 0.0], diffusion=zero, nu=nu)
+        assert multiplier_time_dependent(spec, triple, [scale, 0.0]) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_small_frequencies_on_a_scaled_lattice():
+    xi = _nonzero_lattice(64) * 1e-9
+    nu = LevyMeasureRn(dim=2, density=_criterion1_density())
+    pts, w = nu._quad_coarse
+    assert _lattice_factors(0.5 * xi, len(pts)) is not None  # the grid route runs
+    (den,) = oneminus_cos_sums(xi, pts, w)
+    ref = _half_angle_reference(xi, pts, w)
+    assert np.max(np.abs(den - ref) / ref) <= 1e-12
+    zero = np.zeros((2, 2))
+    m = multiplier_autonomous_grid(zero, lambda y: 0.5 + 0.25 * np.tanh(y[:, 0]), zero, nu, xi)
+    pts_f, w_f = nu._quad_fine
+    expected = _half_angle_reference(xi, pts_f, w_f * (0.5 + 0.25 * np.tanh(pts_f[:, 0])))
+    expected = expected / _half_angle_reference(xi, pts_f, w_f)
+    assert np.max(np.abs(m - expected) / np.abs(expected)) <= 1e-12
+
+
+def test_underresolved_density_raises_on_the_lattice():
+    # eight nodes per decade cannot track cos(xi . y) out to |y| = 30 at |xi| ~ 40
+    dens = RadialDensity(profile=lambda r, u: r**-1.5, inner=1e-2, outer=30.0, nodes=8)
+    nu = LevyMeasureRn(dim=2, density=dens)
+    eye = np.eye(2)
+    for xi in (np.array([[40.0, 0.0]]), 5.0 * _nonzero_lattice(16)):
+        with pytest.raises(QuadratureError):
+            multiplier_autonomous_grid(eye, 0.5, eye, nu, xi)

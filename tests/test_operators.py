@@ -7,6 +7,7 @@ from levymult.groups import dual_enumerate, pw_inverse, random_band_limited
 from levymult.levy import LevyMeasureRn, LevyTriple
 from levymult.operators import (
     GridFunction,
+    _band_coeffs,
     apply_symbol_coeffs,
     apply_symbol_grid,
     frequency_lattice,
@@ -14,6 +15,7 @@ from levymult.operators import (
     norm_lower_bound_search,
     plancherel_residual,
     semigroup_symbol,
+    symbol_on_lattice,
 )
 from levymult.symbols import riesz2_symbol_group, symbol_table
 
@@ -142,16 +144,15 @@ def test_plancherel_residual_grid_and_groups():
 
 
 def test_norm_search_identity_and_constant():
-    res = norm_lower_bound_search(lambda xi: np.ones(len(xi)), (16, 16), 3.0, trials=3, refine_steps=3, seed=1)
+    res = norm_lower_bound_search(symbol_on_lattice(lambda xi: np.ones(len(xi)), (16, 16)), 3.0, trials=3, refine_steps=3, seed=1)
     assert abs(res.ratio - 1.0) < 1e-9
-    res2 = norm_lower_bound_search(lambda xi: np.full(len(xi), 0.7 + 0.0j), (16, 16), 2.0, trials=3, refine_steps=3, seed=1)
+    res2 = norm_lower_bound_search(symbol_on_lattice(lambda xi: np.full(len(xi), 0.7 + 0.0j), (16, 16)), 2.0, trials=3, refine_steps=3, seed=1)
     assert abs(res2.ratio - 0.7) < 1e-9
 
 
 def test_norm_search_riesz_p2_approaches_but_never_exceeds_one():
     res = norm_lower_bound_search(
-        lambda xi: riesz2_symbol_rn(np.diag([1.0, -1.0]), xi),
-        (32, 32),
+        symbol_on_lattice(lambda xi: riesz2_symbol_rn(np.diag([1.0, -1.0]), xi), (32, 32)),
         2.0,
         trials=6,
         refine_steps=6,
@@ -162,9 +163,9 @@ def test_norm_search_riesz_p2_approaches_but_never_exceeds_one():
 
 
 def test_norm_search_deterministic():
-    m = lambda xi: riesz2_symbol_rn(np.diag([1.0, -1.0]), xi)
-    a = norm_lower_bound_search(m, (16, 16), 1.5, trials=3, refine_steps=2, seed=42)
-    b = norm_lower_bound_search(m, (16, 16), 1.5, trials=3, refine_steps=2, seed=42)
+    m = symbol_on_lattice(lambda xi: riesz2_symbol_rn(np.diag([1.0, -1.0]), xi), (16, 16))
+    a = norm_lower_bound_search(m, 1.5, trials=3, refine_steps=2, seed=42)
+    b = norm_lower_bound_search(m, 1.5, trials=3, refine_steps=2, seed=42)
     assert a.ratio == b.ratio
     assert np.array_equal(a.witness.values, b.witness.values)
 
@@ -183,3 +184,68 @@ def test_frequency_lattice_scaling():
     lat = frequency_lattice(f)
     assert lat[1, 0, 0] == pytest.approx(0.5)  # index 1 on a period-2 axis
     assert lat[0, 1, 1] == pytest.approx(1.0)
+
+
+def _callable_search(m, shape, p, trials, refine_steps, seed):
+    """The search as it was when it took the symbol as a callable, for reference."""
+    band = max(1, min(min(shape) // 4, (min(shape) - 2) // 2))
+    q = p / (p - 1.0)
+    madj = lambda xi: np.conj(np.asarray(m(xi), dtype=complex))
+    best_ratio, best = -np.inf, None
+    for trial in range(trials):
+        gen = rngmod.stream(seed, rngmod.SEARCH, trial)
+        x = GridFunction.from_coeffs(_band_coeffs(shape, band, gen))
+        for _ in range(refine_steps + 1):
+            nx = lp_norm(x, p)
+            y = apply_symbol_grid(m, x)
+            ratio = lp_norm(y, p) / nx
+            if ratio > best_ratio:
+                best_ratio, best = ratio, x
+            dual = np.abs(y.values) ** (p - 1.0) * np.exp(1j * np.angle(y.values))
+            zv = apply_symbol_grid(madj, GridFunction(dual)).values
+            xv = np.abs(zv) ** (q - 1.0) * np.exp(1j * np.angle(zv))
+            x = GridFunction(xv / np.max(np.abs(xv)))
+    return best_ratio, best
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_norm_search_on_values_matches_the_callable_route_bitwise(p):
+    m = lambda xi: riesz2_symbol_rn(np.array([[1.0, 0.4], [0.4, -0.6]]), xi)
+    ratio, witness = _callable_search(m, (16, 16), p, trials=3, refine_steps=3, seed=9)
+    res = norm_lower_bound_search(symbol_on_lattice(m, (16, 16)), p, trials=3, refine_steps=3, seed=9)
+    assert res.ratio == ratio
+    assert np.array_equal(res.witness.values, witness.values)
+
+
+def test_cli_norm_search_evaluates_the_multiplier_once(tmp_path, monkeypatch, capsys):
+    import json
+
+    from levymult import cli
+
+    calls = []
+    original = cli.multiplier_autonomous_grid
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[4]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "multiplier_autonomous_grid", counted)
+    cfg = tmp_path / "ns.json"
+    density = {"profile": {"type": "exp", "scale": 1.1}, "inner": 0.06, "outer": 0.45, "nodes": 24}
+    cfg.write_text(
+        json.dumps(
+            {
+                "triple": {"diffusion": [[0.2, 0.0], [0.0, 0.1]], "atoms": [], "density": density},
+                "amatrix": [[0.5, 0.0], [0.0, -0.5]],
+                "psi": 0.3,
+                "grid": 16,
+                "p": [1.5, 2.0, 3.0],
+                "trials": 3,
+                "refine": 2,
+            }
+        )
+    )
+    assert cli.main(["--seed", "4", "norm-search", "--config", str(cfg)]) == 0
+    assert calls == [16 * 16 - 1]
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["p"] for row in rows] == [1.5, 2.0, 3.0]
