@@ -13,11 +13,16 @@ Conventions fixed here and relied on everywhere else:
   normalised Haar measure, inverted by f(s) = sum d_pi tr(fhat(pi) pi(s)).
   A left-invariant field X acts on coefficients by left multiplication
   with d pi(X).
+* SU(2) irreps are evaluated as pi(g) = e^{i alpha J3} d(beta) e^{i gamma J3}
+  from Euler angles, with d(beta) = e^{i beta J2} from a cached eigenbasis
+  of J2, at points and in the separable transforms on Euler grids, where a
+  table over (m, beta, m') meets the alpha and gamma phases in two matmuls
+  (Kostelec & Rockmore, "FFTs on the rotation group", 2008).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
@@ -104,23 +109,25 @@ def su2_exp_batch(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _su2_quaternion(g: np.ndarray):
+    """(a, b) of the Frobenius projection of 2x2 matrices onto [[a, b], [-conj(b), conj(a)]]."""
+    return (g[..., 0, 0] + g[..., 1, 1].conj()) / 2.0, (g[..., 0, 1] - g[..., 1, 0].conj()) / 2.0
+
+
+def _su2_matrix(a, b) -> np.ndarray:
+    """The matrices [[a, b], [-conj(b), conj(a)]]."""
+    return np.stack([a, b, -np.conj(b), np.conj(a)], axis=-1).reshape(np.shape(a) + (2, 2))
+
+
 def su2_renormalise(g: np.ndarray):
     """Project near-unitary 2x2 matrices back to SU(2) via their quaternion.
 
     Returns (projected, residual) where residual is the largest correction.
     """
     g = np.asarray(g, dtype=complex)
-    # Frobenius projection onto the quaternion basis {I, i s1, i s2, i s3}
-    wr = (g[..., 0, 0] + g[..., 1, 1]).real / 2.0
-    zr = (g[..., 0, 0] - g[..., 1, 1]).imag / 2.0
-    xr = (g[..., 0, 1] + g[..., 1, 0]).imag / 2.0
-    yr = (g[..., 0, 1] - g[..., 1, 0]).real / 2.0
-    norm = np.sqrt(wr**2 + xr**2 + yr**2 + zr**2)
-    out = np.zeros_like(g)
-    out[..., 0, 0] = (wr + 1j * zr) / norm
-    out[..., 1, 1] = (wr - 1j * zr) / norm
-    out[..., 0, 1] = (1j * xr + yr) / norm
-    out[..., 1, 0] = (1j * xr - yr) / norm
+    a, b = _su2_quaternion(g)
+    norm = np.sqrt(a.real**2 + b.imag**2 + b.real**2 + a.imag**2)
+    out = _su2_matrix(a / norm, b / norm)
     residual = float(np.max(np.abs(out - g))) if g.size else 0.0
     return out, residual
 
@@ -131,12 +138,7 @@ def haar_sample(group: str, rng: np.random.Generator, size: int):
         return rng.uniform(0.0, 2.0 * np.pi, size=(size, group_dim(group)))
     q = rng.standard_normal(size=(size, 4))
     q /= np.linalg.norm(q, axis=1)[:, None]
-    out = np.zeros((size, 2, 2), dtype=complex)
-    out[:, 0, 0] = q[:, 0] + 1j * q[:, 3]
-    out[:, 1, 1] = q[:, 0] - 1j * q[:, 3]
-    out[:, 0, 1] = 1j * q[:, 1] + q[:, 2]
-    out[:, 1, 0] = 1j * q[:, 1] - q[:, 2]
-    return out
+    return _su2_matrix(q[:, 0] + 1j * q[:, 3], q[:, 2] + 1j * q[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +219,6 @@ def get_irrep(group: str, label) -> Irrep:
     return torus_irrep(group, label)
 
 
-def casimir_of_label(group: str, label) -> float:
-    return get_irrep(group, label).casimir
-
-
 def casimir_eigenvalue(pi: Irrep) -> float:
     """Casimir eigenvalue recovered from the generators, with a scalarity check."""
     s = sum(g @ g for g in pi.generators)
@@ -230,41 +228,43 @@ def casimir_eigenvalue(pi: Irrep) -> float:
     return kappa
 
 
-def _su2_axis_angle(g: np.ndarray):
-    """theta in [0, 2pi] and unit axis for batched 2x2 SU(2) matrices.
+def _su2_euler(g: np.ndarray):
+    """Euler angles (alpha, beta, gamma) of g = e^{alpha X3} e^{beta X2} e^{gamma X3}.
 
-    g = cos(t/2) I + i sin(t/2) n.sigma.  sin(t/2) n is read off the
-    quaternion vector part and theta = 2 atan2(sin(t/2), cos(t/2)), so
-    angle and axis stay accurate near +-I, where sqrt(1 - cos^2) cancels.
+    Read off a = cos(beta/2) e^{i(alpha+gamma)/2} and b = sin(beta/2) e^{i(alpha-gamma)/2}: beta = 2 atan2(|b|, |a|)
+    stays accurate near +-I, and a phase left undefined at beta = 0 or pi is 0, where d(beta) vanishes under it.
     """
-    g = np.asarray(g, dtype=complex)
-    cos_half = (g[..., 0, 0] + g[..., 1, 1]).real / 2.0
-    x = (g[..., 0, 1] + g[..., 1, 0]).imag / 2.0
-    y = (g[..., 0, 1] - g[..., 1, 0]).real / 2.0
-    z = (g[..., 0, 0] - g[..., 1, 1]).imag / 2.0
-    sin_half = np.sqrt(x * x + y * y + z * z)
-    theta = 2.0 * np.arctan2(sin_half, cos_half)
-    # at +-I the axis is arbitrary; pick e3
-    deg = sin_half == 0.0
-    safe = np.where(deg, 1.0, sin_half)
-    return theta, np.stack([x / safe, y / safe, np.where(deg, 1.0, z / safe)], axis=-1)
+    a, b = _su2_quaternion(g)
+    half_sum, half_diff = np.angle(a), np.angle(b)
+    return half_sum + half_diff, 2.0 * np.arctan2(np.abs(b), np.abs(a)), half_sum - half_diff
+
+
+@lru_cache(maxsize=None)
+def _j2_eigenbasis(twice_j: int):
+    """Eigenvalues w of J2 and K[b, (a, c)] = V_ab conj(V_cb) from its eigenvectors V."""
+    w, v = np.linalg.eigh(_angular_momentum(twice_j)[1])
+    return w, np.einsum("ab,cb->bac", v, v.conj()).reshape(len(w), -1)
+
+
+def _wigner_small_d(twice_j: int, beta) -> np.ndarray:
+    """d^j(beta) = e^{i beta J2} = e^{i beta w} @ K for an array of angles, shape beta.shape + (d, d); real."""
+    w, k = _j2_eigenbasis(twice_j)
+    return (np.exp(1j * np.multiply.outer(beta, w)) @ k).real.reshape(np.shape(beta) + (twice_j + 1,) * 2)
+
+
+def _wigner_d(twice_j: int, alpha, beta, gamma) -> np.ndarray:
+    """pi(g) = e^{i alpha J3} d(beta) e^{i gamma J3} from broadcasting arrays of Euler angles, (..., d, d).
+
+    Only e^{i(m alpha + m' gamma)} with m - m' integer enters, so alpha, gamma mod 2 pi suffice.
+    """
+    m = twice_j / 2.0 - np.arange(twice_j + 1)
+    phase_a, phase_c = np.exp(1j * np.multiply.outer(alpha, m)), np.exp(1j * np.multiply.outer(gamma, m))
+    return phase_a[..., :, None] * _wigner_small_d(twice_j, beta) * phase_c[..., None, :]
 
 
 def su2_irrep_batch(pi: Irrep, gs: np.ndarray) -> np.ndarray:
     """pi(g) for a batch of 2x2 SU(2) elements, shape (..., d, d)."""
-    gs = np.asarray(gs, dtype=complex)
-    single = gs.ndim == 2
-    g = gs[None] if single else gs
-    theta, axis = _su2_axis_angle(g)
-    j1, j2, j3 = (gen / 1j for gen in pi.generators)
-    h = theta[..., None, None] * (
-        axis[..., 0, None, None] * j1
-        + axis[..., 1, None, None] * j2
-        + axis[..., 2, None, None] * j3
-    )
-    w, v = np.linalg.eigh(h)
-    out = np.einsum("...ab,...b,...cb->...ac", v, np.exp(1j * w), v.conj())
-    return out[0] if single else out
+    return _wigner_d(pi.dim - 1, *_su2_euler(np.asarray(gs, dtype=complex)))
 
 
 def irrep_stack_batch(irreps, gs) -> np.ndarray:
@@ -308,10 +308,10 @@ class GroupQuadrature:
 
     ``band`` is the largest spin / frequency for which matrix coefficients
     are integrated exactly (so transforms of products need the sum of the
-    factors' bands).  SU(2) grids keep their Euler angles for fast Wigner
-    evaluation; node counts are n_alpha x n_beta x n_alpha with
-    n_alpha = 2*band+2 (uniform on [0, 4 pi)) and n_beta = 2*band+16
-    (Gauss-Legendre on [0, pi]).
+    factors' bands).  SU(2) grids are products over Euler angles (alpha,
+    beta, gamma) with separable weights: n_alpha = 2*band+2 uniform on
+    [0, 4 pi) and n_beta = 2*band+16 Gauss-Legendre on [0, pi].  The SU(2)
+    transforms run on ``euler`` = (alpha, beta, beta weights, n_alpha, n_beta).
     """
 
     group: str
@@ -319,13 +319,6 @@ class GroupQuadrature:
     points: np.ndarray
     weights: np.ndarray
     euler: Optional[tuple] = None
-    _rep_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def rep_on_grid(self, pi: Irrep) -> np.ndarray:
-        key = pi.label
-        if key not in self._rep_cache:
-            self._rep_cache[key] = _rep_on_grid(self, pi)
-        return self._rep_cache[key]
 
 
 def quadrature_grid(group: str, band) -> GroupQuadrature:
@@ -349,43 +342,10 @@ def quadrature_grid(group: str, band) -> GroupQuadrature:
     x, wx = np.polynomial.legendre.leggauss(n_beta)
     beta = 0.5 * np.pi * (x + 1.0)
     wbeta = 0.5 * np.pi * wx * np.sin(beta)
-    aa, bb, cc = np.meshgrid(alpha, beta, alpha, indexing="ij")
-    weights = np.zeros((n_ang, n_beta, n_ang))
-    weights[:] = wbeta[None, :, None] / (2.0 * n_ang * n_ang)
-    # assemble the 2x2 matrices e^{alpha X3} e^{beta X2} e^{gamma X3}
-    half_a, half_b, half_c = aa.ravel() / 2.0, bb.ravel() / 2.0, cc.ravel() / 2.0
-    ea = np.exp(1j * half_a)
-    ec = np.exp(1j * half_c)
-    cb, sb = np.cos(half_b), np.sin(half_b)
-    pts = np.zeros((half_a.size, 2, 2), dtype=complex)
-    pts[:, 0, 0] = ea * cb * ec
-    pts[:, 0, 1] = ea * sb / ec
-    pts[:, 1, 0] = -sb * ec / ea
-    pts[:, 1, 1] = cb / (ea * ec)
-    return GroupQuadrature(
-        SU2,
-        float(band),
-        pts,
-        weights.ravel(),
-        euler=(alpha, beta, wbeta, n_ang, n_beta),
-    )
-
-
-def _rep_on_grid(grid: GroupQuadrature, pi: Irrep) -> np.ndarray:
-    if grid.group in (T1, T2):
-        return irrep_evaluate_batch(pi, grid.points)
-    alpha, beta, _, n_ang, n_beta = grid.euler
-    j1, j2, j3 = (gen / 1j for gen in pi.generators)
-    m = np.diag(j3).real
-    phase_a = np.exp(1j * np.outer(alpha, m))  # (n_ang, d)
-    w2, v2 = np.linalg.eigh(j2)
-    d_beta = np.einsum("ab,nb,cb->nac", v2, np.exp(1j * np.outer(beta, w2)), v2.conj())
-    full = (
-        phase_a[:, None, None, :, None]
-        * d_beta[None, :, None, :, :]
-        * phase_a[None, None, :, None, :]
-    )
-    return full.reshape(n_ang * n_beta * n_ang, pi.dim, pi.dim)
+    weights = np.broadcast_to(wbeta[None, :, None] / (2.0 * n_ang * n_ang), (n_ang, n_beta, n_ang))
+    # the spin-1/2 representation is the defining one: the points are e^{alpha X3} e^{beta X2} e^{gamma X3}
+    pts = _wigner_d(1, alpha[:, None, None], beta[None, :, None], alpha[None, None, :]).reshape(-1, 2, 2)
+    return GroupQuadrature(SU2, float(band), pts, weights.ravel(), euler=(alpha, beta, wbeta, n_ang, n_beta))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +394,6 @@ def pw_forward(
     cutoff,
     band=None,
     grid: Optional[GroupQuadrature] = None,
-    dual: Optional[list] = None,
 ) -> PeterWeylCoeffs:
     """Peter-Weyl transform of a band-limited function.
 
@@ -456,11 +415,10 @@ def pw_forward(
     if values.shape != (len(grid.weights),):
         raise ValueError("sample array does not match the quadrature grid")
     wf = grid.weights * values
-    dual = dual_enumerate(group, cutoff) if dual is None else dual
-    blocks = {}
-    for pi in dual:
-        d_mat = grid.rep_on_grid(pi)
-        blocks[pi.label] = np.einsum("q,qba->ab", wf, d_mat.conj())
+    dual = dual_enumerate(group, cutoff)
+    if group == SU2:
+        return PeterWeylCoeffs(group, cutoff, _su2_grid_analysis(wf, grid, dual))
+    blocks = {pi.label: np.einsum("q,qba->ab", wf, irrep_evaluate_batch(pi, grid.points).conj()) for pi in dual}
     return PeterWeylCoeffs(group, cutoff, blocks)
 
 
@@ -468,23 +426,52 @@ def pw_inverse(coeffs: PeterWeylCoeffs, points=None, grid: Optional[GroupQuadrat
     """Synthesis f(s) = sum_pi d_pi tr(fhat(pi) pi(s)) at the given points."""
     if (points is None) == (grid is None):
         raise ValueError("give exactly one of points / grid")
-    if grid is None:
-        if coeffs.group in (T1, T2):
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-        else:
-            pts = np.asarray(points, dtype=complex)
-            if pts.ndim == 2:
-                pts = pts[None]
-        n = len(pts)
+    if grid is not None and coeffs.group == SU2:
+        return _su2_grid_synthesis(coeffs, grid)
+    if grid is not None:
+        pts = grid.points
+    elif coeffs.group in (T1, T2):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
     else:
-        pts = None
-        n = len(grid.weights)
-    out = np.zeros(n, dtype=complex)
+        pts = np.asarray(points, dtype=complex).reshape(-1, 2, 2)
+    out = np.zeros(len(pts), dtype=complex)
     for label, block in coeffs.blocks.items():
         pi = get_irrep(coeffs.group, label)
-        d_mat = grid.rep_on_grid(pi) if grid is not None else irrep_evaluate_batch(pi, pts)
-        out += pi.dim * np.einsum("ab,qba->q", block, d_mat)
+        out += pi.dim * np.einsum("ab,qba->q", block, irrep_evaluate_batch(pi, pts))
     return out
+
+
+def _half_integer_phases(alpha, top: int) -> np.ndarray:
+    """e^{i alpha m} for m = top/2, top/2 - 1/2, ..., -top/2: spin t/2 sits at slice(top - t, top + t + 1, 2)."""
+    return np.exp(1j * np.outer(alpha, (top - np.arange(2 * top + 1)) / 2.0))
+
+
+def _su2_grid_synthesis(coeffs: PeterWeylCoeffs, grid: GroupQuadrature) -> np.ndarray:
+    """f on the grid; exact evaluation of any table, whatever its spins and the grid's band."""
+    alpha, beta, _, _, n_beta = grid.euler
+    spins = [(get_irrep(SU2, label).dim, np.asarray(block)) for label, block in coeffs.blocks.items()]
+    top = max((d - 1 for d, _ in spins), default=0)
+    table = np.zeros((2 * top + 1, n_beta, 2 * top + 1), dtype=complex)
+    for d, block in spins:
+        s = slice(top - d + 1, top + d, 2)
+        table[s, :, s] += d * block.T[:, None, :] * _wigner_small_d(d - 1, beta).transpose(1, 0, 2)
+    phase = _half_integer_phases(alpha, top)
+    partial = (phase @ table.reshape(len(table), -1)).reshape(-1, len(table))  # (alpha, beta) x m'
+    return (partial @ phase.T).ravel()
+
+
+def _su2_grid_analysis(wf: np.ndarray, grid: GroupQuadrature, dual) -> dict:
+    """Blocks sum_q wf_q conj(pi(g_q))^T, the adjoint of ``_su2_grid_synthesis``."""
+    alpha, beta, _, n_ang, n_beta = grid.euler
+    top = dual[-1].dim - 1
+    phase = _half_integer_phases(alpha, top).conj()
+    partial = (wf.reshape(-1, n_ang) @ phase).reshape(n_ang, -1)  # alpha x (beta, m')
+    table = (phase.T @ partial).reshape(2 * top + 1, n_beta, 2 * top + 1)
+    blocks = {}
+    for pi in dual:
+        s = slice(top - pi.dim + 1, top + pi.dim, 2)
+        blocks[pi.label] = np.einsum("nba,bna->ab", _wigner_small_d(pi.dim - 1, beta), table[s, :, s])
+    return blocks
 
 
 def heat_coeffs(coeffs: PeterWeylCoeffs, t: float) -> PeterWeylCoeffs:
@@ -492,7 +479,7 @@ def heat_coeffs(coeffs: PeterWeylCoeffs, t: float) -> PeterWeylCoeffs:
     if t < 0.0:
         raise ValueError("time must be nonnegative")
     return coeffs.map_blocks(
-        lambda label, block: np.exp(-t * casimir_of_label(coeffs.group, label)) * block
+        lambda label, block: np.exp(-t * get_irrep(coeffs.group, label).casimir) * block
     )
 
 

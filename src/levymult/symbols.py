@@ -13,7 +13,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .euclid import ImaginaryPowerProfile, profile_time_integral, psi_values
-from .groups import GroupLevyMeasure, Irrep, irrep_evaluate, irrep_stack_batch
+from .groups import GroupLevyMeasure, Irrep, irrep_stack_batch
 from .levy import BernsteinSpec, bernstein_eval
 
 
@@ -25,11 +25,29 @@ def riesz2_symbol_group(c, pi: Irrep) -> np.ndarray:
     n = len(pi.generators)
     if c.shape != (n, n):
         raise ValueError(f"coefficient matrix must be {n}x{n}")
-    out = np.zeros((pi.dim, pi.dim), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out -= c[j, i] * (pi.generators[i] @ pi.generators[j])
-    return out / pi.casimir
+    return -_gradient_sums(c, [pi])[0] / pi.casimir
+
+
+def _atom_reps(nu: GroupLevyMeasure, irreps):
+    """pi(tau) at every atom for a stack of equal-dimension irreps, (atoms, L, d, d)."""
+    return irrep_stack_batch(irreps, np.array([tau for tau, _ in nu.atoms])) if nu.atoms else ()
+
+
+def _gradient_sums(a, irreps) -> np.ndarray:
+    """sum_{ij} A_{ji} dpi(X_i) dpi(X_j) for a stack of equal-dimension irreps, (L, d, d)."""
+    gens = np.array([pi.generators for pi in irreps])  # (L, n, d, d)
+    out = np.zeros((len(irreps),) + gens.shape[2:], dtype=complex)
+    for i, j in zip(*np.nonzero(a.T)):
+        out += a[j, i] * (gens[:, i] @ gens[:, j])
+    return out
+
+
+def _jump_sums(psi, nu: GroupLevyMeasure, reps, shape) -> np.ndarray:
+    """int (2I - pi(tau) - pi(tau)^*) psi(tau) nu(dtau) for a stack of irreps, ``shape`` (L, d, d)."""
+    total = np.zeros(shape, dtype=complex)
+    for (_, mass), pv, rep in zip(nu.atoms, psi_values(psi, len(nu.atoms)), reps):
+        total += mass * pv * (2.0 * np.eye(shape[-1]) - rep - rep.conj().swapaxes(-1, -2))
+    return total
 
 
 ProfileLike = Union[np.ndarray, ImaginaryPowerProfile]
@@ -61,23 +79,22 @@ def subordination_symbol(
     hk = float(bernstein_eval(h, pi.casimir))
     if hk == 0.0:
         raise ValueError("h(kappa) = 0: subordination symbol undefined")
-    vals = psi_values(psi, len(nu.atoms))
-    out = np.zeros((pi.dim, pi.dim), dtype=complex)
-    for (tau, mass), pv in zip(nu.atoms, vals):
-        rep = irrep_evaluate(pi, tau)
-        out += mass * pv * (2.0 * np.eye(pi.dim) - rep - rep.conj().T)
-    return out / (2.0 * hk)
+    return _jump_sums(psi, nu, _atom_reps(nu, [pi]), (1, pi.dim, pi.dim))[0] / (2.0 * hk)
+
+
+def _central_alphas(c: float, nu: GroupLevyMeasure, irreps, reps) -> np.ndarray:
+    """``central_alpha`` of a stack of equal-dimension irreps from their ``_atom_reps``, (L,)."""
+    if c < 0.0:
+        raise ValueError("diffusion coefficient must be nonnegative")
+    alpha = -c * np.array([pi.casimir for pi in irreps]) + 0.0j
+    for (_, mass), rep in zip(nu.atoms, reps):
+        alpha += mass * (np.trace(rep, axis1=-2, axis2=-1) / irreps[0].dim - 1.0)
+    return alpha
 
 
 def central_alpha(c: float, nu: GroupLevyMeasure, pi: Irrep) -> complex:
     """Exponent alpha_pi = -c kappa + int (normalised character - 1) d nu."""
-    if c < 0.0:
-        raise ValueError("diffusion coefficient must be nonnegative")
-    alpha = -c * pi.casimir + 0.0j
-    for tau, mass in nu.atoms:
-        rep = irrep_evaluate(pi, tau)
-        alpha += mass * (np.trace(rep) / pi.dim - 1.0)
-    return complex(alpha)
+    return complex(_central_alphas(c, nu, [pi], _atom_reps(nu, [pi]))[0])
 
 
 def generator_blocks(c: float, nu: GroupLevyMeasure, irreps) -> np.ndarray:
@@ -85,16 +102,30 @@ def generator_blocks(c: float, nu: GroupLevyMeasure, irreps) -> np.ndarray:
     eye = np.eye(irreps[0].dim)
     kappa = np.array([pi.casimir for pi in irreps])
     out = -c * kappa[:, None, None] * eye.astype(complex)
-    if nu.atoms:
-        reps = irrep_stack_batch(irreps, np.array([tau for tau, _ in nu.atoms]))
-        for (_, mass), rep in zip(nu.atoms, reps):
-            out += mass * (rep - eye)
+    for (_, mass), rep in zip(nu.atoms, _atom_reps(nu, irreps)):
+        out += mass * (rep - eye)
     return out
 
 
 def generator_matrix(c: float, nu: GroupLevyMeasure, pi: Irrep) -> np.ndarray:
     """Block of the process generator: -c kappa I + int (pi(tau) - I) d nu."""
     return generator_blocks(c, nu, [pi])[0]
+
+
+def central_multipliers(amatrix, psi, c: float, nu: GroupLevyMeasure, irreps, alpha=None) -> np.ndarray:
+    """``central_multiplier`` of a stack of equal-dimension irreps, (L, d, d); ``alpha`` may hold one value per irrep.
+
+    Each atom's pi(tau) is evaluated once, for the exponent and the jump term alike.
+    """
+    reps = _atom_reps(nu, irreps)
+    if alpha is None:
+        alpha = _central_alphas(c, nu, irreps, reps)
+    re_alpha = np.broadcast_to(np.real(alpha), (len(irreps),)).astype(float)
+    if np.any(re_alpha == 0.0):
+        raise ValueError("Re alpha = 0: multiplier undefined")
+    a = np.zeros((0, 0)) if amatrix is None else np.atleast_2d(np.asarray(amatrix))
+    out = _gradient_sums(a, irreps) * (c / re_alpha)[:, None, None]
+    return out - _jump_sums(psi, nu, reps, out.shape) / (2.0 * re_alpha)[:, None, None]
 
 
 def central_multiplier(
@@ -117,27 +148,7 @@ def central_multiplier(
     -h(kappa) to realise the subordinated-diffusion special case, whose
     own jump measure is not finite-atomic.
     """
-    if alpha is None:
-        alpha = central_alpha(c, nu, pi)
-    re_alpha = float(np.real(alpha))
-    if re_alpha == 0.0:
-        raise ValueError("Re alpha = 0: multiplier undefined")
-    n = len(pi.generators)
-    a = np.zeros((n, n)) if amatrix is None else np.atleast_2d(np.asarray(amatrix))
-    out = np.zeros((pi.dim, pi.dim), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if a[j, i] != 0.0:
-                out += a[j, i] * (pi.generators[i] @ pi.generators[j])
-    out = out * (c / re_alpha)
-    vals = psi_values(psi, len(nu.atoms))
-    if np.any(vals != 0.0):
-        jump = np.zeros((pi.dim, pi.dim), dtype=complex)
-        for (tau, mass), pv in zip(nu.atoms, vals):
-            rep = irrep_evaluate(pi, tau)
-            jump += mass * pv * (2.0 * np.eye(pi.dim) - rep - rep.conj().T)
-        out = out - jump / (2.0 * re_alpha)
-    return out
+    return central_multipliers(amatrix, psi, c, nu, [pi], alpha)[0]
 
 
 def symbol_table(dual, fn, trivial=None) -> dict:

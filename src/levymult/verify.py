@@ -62,6 +62,7 @@ from .operators import (
 from .simulate import GroupProcessSpec, simulate_path, simulate_subordinator
 from .symbols import (
     central_multiplier,
+    central_multipliers,
     laplace_type_symbol,
     riesz2_symbol_group,
     subordination_symbol,
@@ -208,7 +209,7 @@ def _central_lattice_symbol(gen, xi):
     nu = _random_group_measure(gen, T2)
     psi = gen.uniform(-0.999, 0.999, size=len(nu.atoms))
     pis = [torus_irrep(T2, (int(round(k[0])), int(round(k[1])))) for k in xi]
-    return np.array([central_multiplier(amat, psi, c, nu, pi)[0, 0] for pi in pis])
+    return central_multipliers(amat, psi, c, nu, pis)[:, 0, 0]
 
 
 def check_norm_search(

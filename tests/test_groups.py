@@ -103,18 +103,48 @@ def test_identity_evaluates_to_identity():
         assert np.allclose(irrep_evaluate(pi, g), np.eye(pi.dim), atol=1e-14)
 
 
-@pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
+def _rep_by_expm(pi, v):
+    return scipy_expm(sum(vi * gi for vi, gi in zip(v, pi.generators)))
+
+
+SPINS = [0.5, 1.0, 1.5, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("j", SPINS)
 def test_su2_evaluation_matches_matrix_exponential(j):
     pi = su2_irrep(j)
     rng = np.random.default_rng(17)
     for _ in range(8):
         v = rng.standard_normal(3) * rng.uniform(0.1, 2.5)
         lhs = irrep_evaluate(pi, su2_exp(v))
-        rhs = scipy_expm(sum(vi * gi for vi, gi in zip(v, pi.generators)))
+        rhs = _rep_by_expm(pi, v)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-@pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("j", SPINS)
+def test_su2_evaluation_at_singular_euler_angles(j):
+    # beta = 0 (diagonal elements, e^{t X3}), beta = pi (zero diagonal,
+    # rotations by pi about an axis in the X1-X2 plane) and exactly +-I,
+    # where one Euler phase is undefined and must drop out.
+    pi = su2_irrep(j)
+    ts = np.array([-4.0 * np.pi, -3.0, -1e-9, 0.0, 1e-9, 0.7, np.pi, 2.0 * np.pi, 5.5, 4.0 * np.pi])
+    phis = np.array([0.0, 0.3, 0.5 * np.pi, 2.0, np.pi, -2.5])
+    vs = np.concatenate([
+        np.outer(ts, [0.0, 0.0, 1.0]),
+        np.pi * np.stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)], axis=1),
+    ])
+    gs = np.array([su2_exp(v) for v in vs])
+    assert np.all(gs[: len(ts), [0, 1], [1, 0]] == 0.0)
+    gs[len(ts):, [0, 1], [0, 1]] = 0.0  # cos(pi / 2) rounds to 6e-17
+    expect = np.array([_rep_by_expm(pi, v) for v in vs])
+    assert np.max(np.abs(su2_irrep_batch(pi, gs) - expect)) <= 1e-12
+    parity = (-1.0) ** round(2 * j)
+    center = su2_irrep_batch(pi, np.array([np.eye(2), -np.eye(2)], dtype=complex))
+    assert np.max(np.abs(center[0] - np.eye(pi.dim))) <= 1e-12
+    assert np.max(np.abs(center[1] - parity * np.eye(pi.dim))) <= 1e-12
+
+
+@pytest.mark.parametrize("j", SPINS)
 def test_su2_evaluation_accurate_near_center(j):
     # g = +-exp(v) at distance |v|/2 = 1e-12 ... 1e-1 from +-I; pi(-g) is
     # (-1)^{2j} pi(g).  Taking sin(theta/2) as sqrt(1 - cos^2) lost up to
@@ -124,7 +154,7 @@ def test_su2_evaluation_accurate_near_center(j):
     dists = 10.0 ** -np.arange(12, 0, -1)
     axes = rng.standard_normal((len(dists), 3))
     vs = 2.0 * dists[:, None] * axes / np.linalg.norm(axes, axis=1)[:, None]
-    expect = np.array([scipy_expm(sum(vi * gi for vi, gi in zip(v, pi.generators))) for v in vs])
+    expect = np.array([_rep_by_expm(pi, v) for v in vs])
     for sign in (1.0, -1.0):
         reps = su2_irrep_batch(pi, sign * np.array([su2_exp(v) for v in vs]))
         parity = sign ** round(2 * j)
@@ -132,14 +162,15 @@ def test_su2_evaluation_accurate_near_center(j):
 
 
 def test_su2_batch_homomorphism_and_unitarity():
-    pi = su2_irrep(1.5)
     g = haar_sample("su2", rngmod.stream(4, 0), 6)
-    reps = su2_irrep_batch(pi, g)
-    for i in range(3):
-        prod = su2_irrep_batch(pi, g[2 * i] @ g[2 * i + 1])
-        assert np.max(np.abs(prod - reps[2 * i] @ reps[2 * i + 1])) < 1e-12
-        u = reps[i]
-        assert np.max(np.abs(u @ u.conj().T - np.eye(pi.dim))) < 1e-10
+    for j in (1.5, 4.0):
+        pi = su2_irrep(j)
+        reps = su2_irrep_batch(pi, g)
+        for i in range(3):
+            prod = su2_irrep_batch(pi, g[2 * i] @ g[2 * i + 1])
+            assert np.max(np.abs(prod - reps[2 * i] @ reps[2 * i + 1])) < 1e-12
+            u = reps[i]
+            assert np.max(np.abs(u @ u.conj().T - np.eye(pi.dim))) < 1e-10
 
 
 def test_su2_center_evaluation():
@@ -222,6 +253,62 @@ def test_aliasing_guard():
     grid = quadrature_grid("t1", 4)
     with pytest.raises(ValueError, match="aliasing"):
         pw_forward(lambda pts: np.exp(1j * pts[:, 0]), "t1", 4, grid=grid)
+    grid = quadrature_grid("su2", 3.5)
+    with pytest.raises(ValueError, match="aliasing"):
+        pw_forward(np.ones(len(grid.weights)), "su2", 2.0, grid=grid)
+    with pytest.raises(ValueError, match="aliasing"):
+        pw_forward(np.ones(len(grid.weights)), "su2", 1.0, band=1.5, grid=grid)
+
+
+def _su2_tables():
+    """A full spin-4 table, a sparse one, and one with spins beyond the bands 2 and 8."""
+    full = random_band_limited("su2", 4.0, rngmod.stream(7, 1))
+    sparse_half = np.where(np.abs(full.blocks[1.5]) > 0.3, full.blocks[1.5], 0.0)
+    sparse = PeterWeylCoeffs("su2", 3.0, {1.5: sparse_half, 3.0: full.blocks[3.0]})
+    high = random_band_limited("su2", 8.5, rngmod.stream(7, 2))
+    high = PeterWeylCoeffs("su2", 8.5, {lb: high.blocks[lb] for lb in (0.0, 2.5, 4.5, 8.5)})
+    return full, sparse, high
+
+
+@pytest.mark.parametrize("band", [2.0, 8.0])
+def test_su2_grid_synthesis_equals_point_evaluation(band):
+    grid = quadrature_grid("su2", band)
+    every = np.arange(0, len(grid.weights), 7)
+    for coeffs in _su2_tables():
+        on_grid = pw_inverse(coeffs, grid=grid)[every]
+        at_points = pw_inverse(coeffs, points=grid.points[every])
+        assert np.max(np.abs(on_grid - at_points)) <= 1e-12 * np.max(np.abs(at_points))
+
+
+@pytest.mark.parametrize("band,cutoff", [(2.0, 1.0), (8.0, 4.0)])
+def test_su2_grid_analysis_equals_direct_quadrature(band, cutoff):
+    grid = quadrature_grid("su2", band)
+    values = haar_sample("su2", rngmod.stream(7, 3), len(grid.weights))[:, 0, 1]
+    coeffs = pw_forward(values, "su2", cutoff, grid=grid)
+    for pi in dual_enumerate("su2", cutoff):
+        direct = np.einsum("q,qba->ab", grid.weights * values, su2_irrep_batch(pi, grid.points).conj())
+        assert np.max(np.abs(coeffs.blocks[pi.label] - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_su2_round_trip_at_spin_four_on_band_eight_grid():
+    coeffs = random_band_limited("su2", 4.0, rngmod.stream(7, 4))
+    grid = quadrature_grid("su2", 8.0)
+    back = pw_forward(pw_inverse(coeffs, grid=grid), "su2", 4.0, grid=grid)
+    assert set(back.blocks) == set(coeffs.blocks)
+    diff = coeffs.map_blocks(lambda label, block: back.blocks[label] - block)
+    assert diff.l2_norm() <= 1e-12 * coeffs.l2_norm()
+
+
+def test_su2_callable_below_cutoff_transforms_exactly():
+    # band 1 < cutoff 2: the grid resolves 3, and only the spin-1 entry survives
+    pi = su2_irrep(1.0)
+    co = pw_forward(lambda pts: su2_irrep_batch(pi, pts)[:, 2, 0], "su2", 2.0, band=1.0)
+    assert sorted(co.blocks) == [0.0, 0.5, 1.0, 1.5, 2.0]
+    for label, block in co.blocks.items():
+        expect = np.zeros_like(block)
+        if label == 1.0:
+            expect[0, 2] = 1.0 / 3.0
+        assert np.max(np.abs(block - expect)) < 1e-12
 
 
 def test_plancherel_pairing_matches_quadrature():

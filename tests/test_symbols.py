@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from levymult.euclid import ImaginaryPowerProfile
-from levymult.groups import GroupLevyMeasure, dual_enumerate, su2_exp, su2_irrep, torus_irrep
+from levymult.groups import GroupLevyMeasure, dual_enumerate, irrep_evaluate, su2_exp, su2_irrep, torus_irrep
 from levymult.levy import BernsteinSpec, bernstein_eval
 from levymult.symbols import (
     central_alpha,
     central_multiplier,
+    central_multipliers,
     generator_matrix,
     laplace_type_symbol,
     riesz2_symbol_group,
@@ -138,6 +139,40 @@ def test_central_multiplier_zero_pair():
 def test_central_multiplier_requires_decay():
     with pytest.raises(ValueError, match="alpha"):
         central_multiplier(np.eye(1), None, 0.0, GroupLevyMeasure("t1"), torus_irrep("t1", 1))
+
+
+def _central_multiplier_reference(amat, psi, c, nu, pi, alpha=None):
+    """The central-process symbol of one irrep, atom by atom from its definition."""
+    reps = [irrep_evaluate(pi, tau) for tau, _ in nu.atoms]
+    if alpha is None:
+        alpha = -c * pi.casimir + sum(m * (np.trace(r) / pi.dim - 1.0) for (_, m), r in zip(nu.atoms, reps))
+    grad = sum(amat[j, i] * pi.generators[i] @ pi.generators[j] for i in range(len(amat)) for j in range(len(amat)))
+    jump = sum(m * p * (2.0 * np.eye(pi.dim) - r - r.conj().T) for (_, m), p, r in zip(nu.atoms, psi, reps))
+    return c * grad / alpha.real - jump / (2.0 * alpha.real)
+
+
+def test_central_multipliers_stack_matches_definition():
+    rng = np.random.default_rng(9)
+    t2_nu = GroupLevyMeasure("t2", ((np.array([0.4, -1.1]), 0.8), (np.array([2.0, 0.3]), 0.5)))
+    t2_stack = [torus_irrep("t2", (k1, k2)) for k1 in range(-4, 5) for k2 in range(-4, 5) if k1 or k2]
+    su2_nu = GroupLevyMeasure("su2", ((su2_exp([0.6, 0.3, 1.1]), 0.9), (-np.eye(2), 0.4)))
+    for nu, stack in ((t2_nu, t2_stack), (su2_nu, [su2_irrep(1.5)])):
+        n = len(stack[0].generators)
+        amat, psi = rng.standard_normal((n, n)), rng.uniform(-1.0, 1.0, size=2)
+        alphas = -rng.uniform(0.5, 2.0, size=len(stack)) + 0.3j
+        for alpha in (None, alphas):
+            out = central_multipliers(amat, psi, 0.35, nu, stack, alpha=alpha)
+            for k, pi in enumerate(stack):
+                expect = _central_multiplier_reference(
+                    amat, psi, 0.35, nu, pi, None if alpha is None else alpha[k]
+                )
+                assert np.max(np.abs(out[k] - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def test_central_multipliers_reject_a_vanishing_exponent():
+    stack = [torus_irrep("t1", k) for k in (1, 2, 3)]
+    with pytest.raises(ValueError, match="alpha"):
+        central_multipliers(np.eye(1), None, 0.5, GroupLevyMeasure("t1"), stack, alpha=np.array([-1.0, 0.0, -2.0]))
 
 
 def test_generator_matrix_matches_alpha_for_central_data():
