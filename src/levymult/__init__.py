@@ -71,6 +71,7 @@ from .martingale import (
     check_differential_subordination,
     empirical_burkholder,
     empirical_char,
+    ensemble_chunks,
     martingale_transcript,
     projection_deterministic,
     projection_mc_estimate,

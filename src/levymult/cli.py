@@ -27,15 +27,11 @@ from .euclid import (
     multiplier_autonomous,
     multiplier_autonomous_grid,
     multiplier_time_dependent,
-    riesz2_symbol_rn,
 )
 from .groups import (
     GroupLevyMeasure,
     PeterWeylCoeffs,
     dual_enumerate,
-    get_irrep,
-    haar_sample,
-    identity_element,
     su2_exp,
 )
 from .levy import (
@@ -45,13 +41,17 @@ from .levy import (
     PositiveDensity,
     QuadratureError,
     RadialDensity,
-    bernstein_eval,
     eval_symbol,
 )
-from .martingale import TransformEnsemble, check_differential_subordination, empirical_burkholder, transform_context
+from .martingale import (
+    TransformEnsemble,
+    check_differential_subordination,
+    empirical_burkholder,
+    ensemble_chunks,
+    transform_context,
+)
 from .operators import apply_symbol_coeffs, norm_lower_bound_search, symbol_on_lattice
-from .rng import HAAR, stream
-from .simulate import GroupProcessSpec, simulate_path
+from .simulate import GroupProcessSpec
 from .symbols import (
     central_alpha,
     central_multiplier,
@@ -542,6 +542,8 @@ def cmd_simulate(args) -> int:
     psi = _psi(config.get("psi"))
     paths = int(config.get("paths", 100))
     sigma_mode = config.get("sigma", "haar")
+    if sigma_mode not in ("haar", "identity"):
+        raise ConfigError("config.sigma", f"expected 'haar' or 'identity', got {sigma_mode!r}")
     ctx = transform_context(spec, coeffs)
     out_path = args.out or "transcripts.jsonl.gz"
     summary = {"paths": paths, "max_violation": -np.inf, "max_repr_gap": 0.0}
@@ -551,29 +553,25 @@ def cmd_simulate(args) -> int:
     with open(out_path, "wb") as raw, gzip.GzipFile(
         filename="", fileobj=raw, mode="wb", mtime=0
     ) as gz, io.TextIOWrapper(gz, encoding="utf-8") as fh:
-        for i in range(paths):
-            path = simulate_path(spec, i)
-            if sigma_mode == "haar":
-                sigma = haar_sample(group, stream(args.seed, HAAR, i), 1)[0]
-            else:
-                sigma = identity_element(group)
-            tr = ctx.transcript(path, amatrix, psi, sigma)
+        for idx, path, sigmas in ensemble_chunks(spec, ctx, paths, args.seed, sigma_mode == "haar"):
+            tr = ctx.transcript(path, amatrix, psi, sigmas)
             viol = check_differential_subordination(tr)
-            summary["max_violation"] = max(summary["max_violation"], viol)
+            summary["max_violation"] = max(summary["max_violation"], float(np.max(viol)))
             summary["max_repr_gap"] = max(summary["max_repr_gap"], tr.repr_gap)
-            x_final[i], y_final[i] = tr.m[-1], tr.m_transform[-1]
-            record = {
-                "path": i,
-                "times": [float(t) for t in tr.times],
-                "m_re": [float(v) for v in tr.m.real],
-                "m_im": [float(v) for v in tr.m.imag],
-                "transform_re": [float(v) for v in tr.m_transform.real],
-                "transform_im": [float(v) for v in tr.m_transform.imag],
-                "qv": [float(v) for v in tr.qv],
-                "qv_transform": [float(v) for v in tr.qv_transform],
-                "violation": viol,
+            x_final[idx], y_final[idx] = tr.m[:, -1], tr.m_transform[:, -1]
+            times = tr.times.tolist()
+            rows = {
+                "m_re": tr.m.real,
+                "m_im": tr.m.imag,
+                "transform_re": tr.m_transform.real,
+                "transform_im": tr.m_transform.imag,
+                "qv": tr.qv,
+                "qv_transform": tr.qv_transform,
             }
-            fh.write(_canonical(record) + "\n")
+            for row, i in enumerate(idx):
+                record = {"path": int(i), "times": times, "violation": float(viol[row])}
+                record.update({key: values[row].tolist() for key, values in rows.items()})
+                fh.write(_canonical(record) + "\n")
     ratio, stderr = (0.0, 0.0)
     if paths >= 2 and np.any(np.abs(x_final) > 0.0):
         ratio, stderr = empirical_burkholder(TransformEnsemble(x_final, y_final, x_final), 2.0)

@@ -31,7 +31,6 @@ import numpy as np
 T1 = "t1"
 T2 = "t2"
 SU2 = "su2"
-GROUPS = (T1, T2, SU2)
 
 #: residual allowed when checking that sum_i dpi(X_i)^2 is scalar
 CASIMIR_TOL = 1e-10

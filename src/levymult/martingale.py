@@ -19,8 +19,9 @@ irreps at group elements and left translation are group specific.
 Quadratic variations are accumulated termwise from the same increments,
 so domination by the transform bounds holds path by path in floats.
 
-Ensembles that use only final values evaluate chunks of paths at once and
-accumulate only the transform, step by step as a transcript would.
+Every Monte Carlo consumer evaluates chunks of paths (``ensemble_chunks``):
+a transcript has one row per path, and final-value ensembles accumulate only
+the transform, step by step as a transcript would.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def _expm1c(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MartingaleTranscript:
-    """Sampled value process, its transform, and their quadratic variations."""
+    """Sampled value process, its transform, and their quadratic variations: one
+    row per path, (paths, steps + 1) at the grid times, (paths, steps) for ``d_*``."""
 
     times: np.ndarray
     m: np.ndarray  # exact P_{T-t} f along the path
@@ -76,24 +78,24 @@ class MartingaleTranscript:
     d_qv: np.ndarray
     d_qv_transform: np.ndarray
     d_qv_cross: np.ndarray
-    sigma: object
-    repr_gap: float
+    sigmas: np.ndarray  # start point of each path
+    repr_gap: float  # largest |m - m_repr| over all paths
 
 
-def check_differential_subordination(tr: MartingaleTranscript, bounds=None) -> float:
-    """Largest increment violation; <= 0 means domination holds pathwise.
+def check_differential_subordination(tr: MartingaleTranscript, bounds=None) -> np.ndarray:
+    """Largest increment violation of each path; <= 0 means domination holds.
 
     Default: max_k (d[Y]_k - d[X]_k), nonpositive when the transform pair
     is bounded by one.  With bounds=(b, B): the non-symmetric form, the
     increments of [((B-b)/2) X] - [Y - ((b+B)/2) X].
     """
     if bounds is None:
-        return float(np.max(tr.d_qv_transform - tr.d_qv, initial=-np.inf))
+        return np.max(tr.d_qv_transform - tr.d_qv, axis=1, initial=-np.inf)
     b, bb = bounds
     half_w = (bb - b) / 2.0
     mid = (bb + b) / 2.0
     dom = half_w**2 * tr.d_qv - (tr.d_qv_transform - 2.0 * mid * tr.d_qv_cross + mid**2 * tr.d_qv)
-    return float(np.max(-dom, initial=-np.inf))
+    return np.max(-dom, axis=1, initial=-np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +109,8 @@ def _rows(decay: np.ndarray, rep: np.ndarray) -> np.ndarray:
 
 
 def _running(increments: np.ndarray) -> np.ndarray:
-    """Running sums of per-step increments, starting from 0 at time 0."""
-    return np.concatenate([[0.0], np.cumsum(increments)])
+    """Running sums of (paths, steps) increments, starting from 0 at time 0."""
+    return np.concatenate([np.zeros((len(increments), 1)), np.cumsum(increments, axis=1)], axis=1)
 
 
 class _IrrepStack:
@@ -200,9 +202,9 @@ class _TransformContext:
     """The irrep stacks of f under one process spec; see ``_IrrepStack``.
 
     A torus has one stack of 1x1 blocks, SU(2) one stack per spin.  Every
-    evaluation runs over the flat node arrays of a ``PathRecord``, so one
-    path (a transcript) and a chunk of paths (ensemble final values) share
-    the same arithmetic.
+    evaluation runs over the flat node arrays of a ``PathRecord`` chunk, so
+    transcripts and ensemble final values share the same arithmetic, and a
+    path's values are the same in a chunk of one as in a larger chunk.
     """
 
     def __init__(self, spec: GroupProcessSpec, f: PeterWeylCoeffs):
@@ -238,6 +240,8 @@ class _TransformContext:
         times = path.times
         ev_rows, seg = path.event_rows, path.segment_rows
         owner = path.owner
+        if np.shape(sigmas) != (len(path.indices),) + np.shape(identity_element(spec.group)):
+            raise ValueError("need one start element per path")
         starts = np.asarray(sigmas)[np.concatenate([owner, owner[ev_rows]])]
         elements = multiply(spec.group, starts, np.concatenate([path.states, path.prestates[ev_rows]]))
         # rows are the nodes, then the events again at their pre-jump states;
@@ -294,42 +298,41 @@ class _TransformContext:
         inc, _, _ = self._increments(path, grad, dp_ev, comp_atom, _pair_matrix(amatrix, self.dim), psi)
         return m_node[path.offsets[:-1]], m_node[path.end_rows], np.cumsum(inc, axis=1)[:, -1]
 
-    def transcript(self, path: PathRecord, amatrix, psi, sigma) -> MartingaleTranscript:
-        if len(path.indices) != 1:
-            raise ValueError("a transcript follows a single path")
-        n = self.dim
-        m_node, grad, dp_ev, comp_atom = self._values(path, np.asarray(sigma)[None])
-        repr_inc, v, _ = self._increments(path, grad, dp_ev, comp_atom, np.eye(n), 1.0)
-        tr_inc, va, jump_t = self._increments(path, grad, dp_ev, comp_atom, _pair_matrix(amatrix, n), psi)
+    def transcript(self, path: PathRecord, amatrix, psi, sigmas) -> MartingaleTranscript:
+        """Transcripts of the paths of ``path``, started at ``sigmas``, one row per path."""
+        n_paths, k_steps = len(path.indices), self.spec.n_steps
+        m_node, grad, dp_ev, comp_atom = self._values(path, sigmas)
+        repr_inc, v, _ = self._increments(path, grad, dp_ev, comp_atom, np.eye(self.dim), 1.0)
+        tr_inc, va, jump_t = self._increments(path, grad, dp_ev, comp_atom, _pair_matrix(amatrix, self.dim), psi)
         seg, ev_rows, ds = path.segment_rows, path.event_rows, path.ds
         seg_cells, ev_cells = path.cells[seg], path.cells[ev_rows]
 
         def per_step(seg_terms, ev_terms):
-            out = np.zeros(self.spec.n_steps)
+            out = np.zeros(n_paths * k_steps)
             np.add.at(out, seg_cells, seg_terms)
             if len(self.masses):
                 np.add.at(out, ev_cells, ev_terms)
-            return out
+            return out.reshape(n_paths, k_steps)
 
         d_qv = per_step(np.sum(np.abs(v) ** 2, axis=1) * ds, np.abs(dp_ev) ** 2)
         d_qv_t = per_step(np.sum(np.abs(va) ** 2, axis=1) * ds, np.abs(jump_t) ** 2)
         d_qv_c = per_step(
             np.real(np.einsum("sd,sd->s", va, np.conj(v))) * ds, np.real(np.conj(dp_ev) * jump_t)
         )
-        m_exact = m_node[path.grid_rows]
-        m_repr = m_exact[0] + _running(repr_inc[0])
+        m_exact = m_node[path.grid_rows].reshape(n_paths, k_steps + 1)
+        m_repr = m_exact[:, :1] + _running(repr_inc)
         return MartingaleTranscript(
             times=self.spec.grid_times,
             m=m_exact,
             m_repr=m_repr,
-            m_transform=_running(tr_inc[0]),
+            m_transform=_running(tr_inc),
             qv=_running(d_qv),
             qv_transform=_running(d_qv_t),
             qv_cross=_running(d_qv_c),
             d_qv=d_qv,
             d_qv_transform=d_qv_t,
             d_qv_cross=d_qv_c,
-            sigma=np.asarray(sigma),
+            sigmas=np.asarray(sigmas),
             repr_gap=float(np.max(np.abs(m_exact - m_repr))),
         )
 
@@ -349,12 +352,12 @@ def martingale_transcript(
     sigma=None,
     ctx=None,
 ) -> MartingaleTranscript:
-    """Transcript of one path: exact M, its representation, transform, QVs."""
+    """Transcript of one path started at ``sigma`` (default the identity): a chunk of one."""
     if ctx is None:
         ctx = transform_context(path.spec, f)
     if sigma is None:
         sigma = identity_element(path.spec.group)
-    return ctx.transcript(path, amatrix, psi, sigma)
+    return ctx.transcript(path, amatrix, psi, np.asarray(sigma)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +373,17 @@ class TransformEnsemble:
     m_initial: np.ndarray
 
 
-def _ensemble_chunks(spec: GroupProcessSpec, ctx: _TransformContext, paths: int, seed: int, haar_start=True):
+def ensemble_chunks(spec: GroupProcessSpec, ctx: _TransformContext, paths: int, seed: int, haar_start=True, haar_key=()):
     """(path indices, their simulated paths, their start points), chunk by chunk.
 
-    Starting points are Haar samples (their own stream per path) unless
-    haar_start is False, in which case all paths start at the identity.
+    Path i's start is a Haar sample from its own stream (seed, HAAR,
+    *haar_key, i) unless haar_start is False, in which case all paths start
+    at the identity.  The chunk size is ``ctx.paths_per_chunk``.
     """
+    key = (seed, rngmod.HAAR, *haar_key)
     for idx in chunk_paths(paths, ctx.paths_per_chunk):
         if haar_start:
-            sigmas = np.array([haar_sample(spec.group, rngmod.stream(seed, rngmod.HAAR, i), 1)[0] for i in idx])
+            sigmas = np.array([haar_sample(spec.group, rngmod.stream(*key, i), 1)[0] for i in idx])
         else:
             sigmas = np.array([identity_element(spec.group)] * len(idx))
         yield idx, simulate_paths(spec, idx), sigmas
@@ -396,12 +401,12 @@ def simulate_transform_ensemble(
     """Simulate paths in chunks and collect their final values.
 
     Path i's values depend only on (spec.seed, seed, i); see
-    ``_ensemble_chunks`` for the starting points.
+    ``ensemble_chunks`` for the starting points.
     """
     seed = spec.seed if seed is None else seed
     ctx = transform_context(spec, f)
     x, y, m0 = (np.zeros(paths, dtype=complex) for _ in range(3))
-    for idx, path, sigmas in _ensemble_chunks(spec, ctx, paths, seed, haar_start):
+    for idx, path, sigmas in ensemble_chunks(spec, ctx, paths, seed, haar_start):
         m0[idx], x[idx], y[idx] = ctx.final_values(path, sigmas, amatrix, psi)
     return TransformEnsemble(x, y, m0)
 
@@ -443,8 +448,7 @@ def projection_deterministic(
         raise ValueError("deterministic projection values are computed on the tori")
     # the tori: one stack of 1x1 blocks, alpha_k = L(k), label k = frequency
     (stack,) = transform_context(spec, f).stacks
-    d = group_dim(spec.group)
-    a_use = np.zeros((d, d)) if amatrix is None else np.atleast_2d(amatrix)
+    a_use = _pair_matrix(amatrix, group_dim(spec.group))
     psi_vals = psi_values(psi, len(spec.jumps.atoms))
     total = 0.0 + 0.0j
     for pi, fk, al in zip(stack.irreps, stack.fvec, stack.lmat[:, 0, 0]):
@@ -479,7 +483,7 @@ def projection_mc_estimate(
     ctx_f = transform_context(spec, f)
     ctx_g = transform_context(spec, g)
     vals = np.zeros(paths, dtype=complex)
-    for idx, path, sigmas in _ensemble_chunks(spec, ctx_f, paths, seed):
+    for idx, path, sigmas in ensemble_chunks(spec, ctx_f, paths, seed):
         _, _, y = ctx_f.final_values(path, sigmas, amatrix, psi)
         vals[idx] = y * ctx_g.horizon_values(multiply(spec.group, sigmas, path.states[path.end_rows]))
     det = projection_deterministic(f, g, amatrix, psi, spec)

@@ -26,7 +26,6 @@ from .groups import (
     dual_enumerate,
     casimir_eigenvalue,
     get_irrep,
-    haar_sample,
     pw_inverse,
     quadrature_grid,
     random_band_limited,
@@ -40,13 +39,12 @@ from .levy import (
     RadialDensity,
     bernstein_atoms,
     bernstein_eval,
-    factor_diffusion,
 )
 from .martingale import (
     central_char_report,
     check_differential_subordination,
     empirical_burkholder,
-    martingale_transcript,
+    ensemble_chunks,
     projection_mc_estimate,
     simulate_transform_ensemble,
     transform_context,
@@ -59,7 +57,7 @@ from .operators import (
     norm_lower_bound_search,
     plancherel_residual,
 )
-from .simulate import GroupProcessSpec, simulate_path, simulate_subordinator
+from .simulate import GroupProcessSpec, simulate_subordinator
 from .symbols import (
     central_multiplier,
     central_multipliers,
@@ -393,14 +391,12 @@ def check_differential_subordination_sweep(
             psi = gen.uniform(-0.999, 0.999, size=len(jumps.atoms))
         ctx = transform_context(spec, f)
         per_batch = 400 if group == SU2 else 520
-        for i in range(per_batch):
-            path = simulate_path(spec, i)
-            sigma = haar_sample(group, rngmod.stream(seed, rngmod.HAAR, batch, i), 1)[0]
-            tr = ctx.transcript(path, amat, psi, sigma)
-            worst = max(worst, check_differential_subordination(tr))
+        for _, path, sigmas in ensemble_chunks(spec, ctx, per_batch, seed, haar_key=(batch,)):
+            tr = ctx.transcript(path, amat, psi, sigmas)
+            worst = max(worst, float(np.max(check_differential_subordination(tr))))
             if interval is not None:
                 worst_interval = max(
-                    worst_interval, check_differential_subordination(tr, bounds=interval)
+                    worst_interval, float(np.max(check_differential_subordination(tr, bounds=interval)))
                 )
         total += per_batch
         batch += 1

@@ -138,30 +138,29 @@ def test_norm_search_command(tmp_path):
     assert 0.5 < out["rows"][0]["lower_bound"] <= 1.0 + 1e-9
 
 
+SIMULATE_CONFIG = {
+    "group": "t1",
+    "c": 0.4,
+    "atoms": [{"angle": [2.0], "mass": 1.0}],
+    "horizon": 0.5,
+    "dt": 0.0625,
+    "paths": 5,
+    "f": {
+        "group": "t1",
+        "cutoff": 2,
+        "blocks": [
+            {"label": 1, "matrix": [[0.5]]},
+            {"label": -1, "matrix": [[0.5]]},
+        ],
+    },
+    "amatrix": [[0.9]],
+    "psi": 0.5,
+}
+
+
 def test_simulate_writes_compressed_transcripts(tmp_path):
     cfg = tmp_path / "sim.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "group": "t1",
-                "c": 0.4,
-                "atoms": [{"angle": [2.0], "mass": 1.0}],
-                "horizon": 0.5,
-                "dt": 0.0625,
-                "paths": 5,
-                "f": {
-                    "group": "t1",
-                    "cutoff": 2,
-                    "blocks": [
-                        {"label": 1, "matrix": [[0.5]]},
-                        {"label": -1, "matrix": [[0.5]]},
-                    ],
-                },
-                "amatrix": [[0.9]],
-                "psi": 0.5,
-            }
-        )
-    )
+    cfg.write_text(json.dumps(SIMULATE_CONFIG))
     out_gz = tmp_path / "tr.jsonl.gz"
     proc = run_cli("--out", str(out_gz), "--seed", "3", "simulate", "--config", str(cfg))
     summary = json.loads(proc.stdout)
@@ -175,6 +174,16 @@ def test_simulate_writes_compressed_transcripts(tmp_path):
     out_gz2 = tmp_path / "tr2.jsonl.gz"
     run_cli("--out", str(out_gz2), "--seed", "3", "simulate", "--config", str(cfg))
     assert out_gz.read_bytes() == out_gz2.read_bytes()
+
+
+def test_simulate_rejects_unknown_start_mode(tmp_path):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({**SIMULATE_CONFIG, "sigma": "haaar"}))
+    out_gz = tmp_path / "tr.jsonl.gz"
+    proc = run_cli("--out", str(out_gz), "simulate", "--config", str(cfg), check=False)
+    assert proc.returncode == 2
+    assert "config.sigma" in proc.stderr
+    assert not out_gz.exists()
 
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -201,11 +210,15 @@ def test_verify_subcommand_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_verify_reports_failure_with_nonzero_exit(tmp_path, monkeypatch):
-    # constants check always passes; a tiny differential-subordination run
-    # passes too; exercised here mainly for exit-code wiring
-    proc = run_cli("verify", "constants", check=False)
-    assert proc.returncode == 0
+def test_verify_reports_failure_with_nonzero_exit(monkeypatch, capsys):
+    from levymult import cli, verify
+
+    def failing_check():
+        return verify.CheckResult("constants", False, {"duality_err": 1.0})
+
+    monkeypatch.setitem(verify.ALL_CHECKS, "constants", failing_check)
+    assert cli.main(["verify", "constants"]) == 1
+    assert "[FAIL] constants: duality_err=1.0" in capsys.readouterr().out.splitlines()
 
 
 def test_verify_reports_the_seed_each_check_used(tmp_path):

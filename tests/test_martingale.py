@@ -6,11 +6,8 @@ from levymult import rng as rngmod
 from levymult import simulate as simmod
 from levymult.groups import (
     GroupLevyMeasure,
-    dual_enumerate,
     get_irrep,
     haar_sample,
-    pw_inverse,
-    quadrature_grid,
     random_band_limited,
     su2_exp,
 )
@@ -19,6 +16,7 @@ from levymult.martingale import (
     check_differential_subordination,
     empirical_burkholder,
     empirical_char,
+    ensemble_chunks,
     martingale_transcript,
     projection_deterministic,
     projection_mc_estimate,
@@ -39,26 +37,26 @@ def torus_setup():
 def test_zero_pair_transform_vanishes(torus_setup):
     spec, f, ctx = torus_setup
     path = simulate_path(spec, 0)
-    tr = ctx.transcript(path, None, 0.0, np.array([0.4]))
-    assert np.max(np.abs(tr.m_transform)) == 0.0
-    assert np.max(tr.qv_transform) == 0.0
+    tr = ctx.transcript(path, None, 0.0, np.array([[0.4]]))
+    assert np.max(np.abs(tr.m_transform[0])) == 0.0
+    assert np.max(tr.qv_transform[0]) == 0.0
 
 
 def test_identity_pair_reproduces_representation_exactly(torus_setup):
     spec, f, ctx = torus_setup
     for i in range(3):
         path = simulate_path(spec, i)
-        tr = ctx.transcript(path, np.eye(1), 1.0, np.array([0.4]))
+        tr = ctx.transcript(path, np.eye(1), 1.0, np.array([[0.4]]))
         # bitwise: the transform by (I, 1) is the integral representation of M
-        assert np.array_equal(tr.m_repr, tr.m[0] + tr.m_transform)
-        assert np.array_equal(tr.qv_transform, tr.qv)
+        assert np.array_equal(tr.m_repr[0], tr.m[0, 0] + tr.m_transform[0])
+        assert np.array_equal(tr.qv_transform[0], tr.qv[0])
 
 
 def test_transcript_initial_conditions(torus_setup):
     spec, f, ctx = torus_setup
     path = simulate_path(spec, 1)
     sigma = np.array([1.1])
-    tr = ctx.transcript(path, np.array([[0.8]]), 0.5, sigma)
+    tr = ctx.transcript(path, np.array([[0.8]]), 0.5, sigma[None])
     # M(0) is the semigroup-smoothed value at the start point
     expect = sum(
         complex(f.blocks[k][0, 0])
@@ -66,23 +64,25 @@ def test_transcript_initial_conditions(torus_setup):
         * np.exp(1j * k * sigma[0])
         for k in f.blocks
     )
-    assert tr.m[0] == pytest.approx(expect, abs=1e-12)
-    assert tr.m_transform[0] == 0.0
-    assert tr.qv[0] == 0.0
+    assert tr.m[0, 0] == pytest.approx(expect, abs=1e-12)
+    assert tr.m_transform[0, 0] == 0.0
+    assert tr.qv[0, 0] == 0.0
 
 
-def test_transcript_takes_one_path(torus_setup):
+def test_transcript_needs_one_start_per_path(torus_setup):
     spec, f, ctx = torus_setup
-    with pytest.raises(ValueError, match="single path"):
-        ctx.transcript(simmod.simulate_paths(spec, [0, 1]), None, 0.0, np.array([0.4]))
+    path = simmod.simulate_paths(spec, [0, 1])
+    for sigmas in (np.array([[0.4]]), np.array([0.4, 0.5]), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="one start element per path"):
+            ctx.transcript(path, None, 0.0, sigmas)
 
 
 def test_quadratic_variations_nondecreasing(torus_setup):
     spec, f, ctx = torus_setup
     path = simulate_path(spec, 2)
-    tr = ctx.transcript(path, np.array([[0.7]]), -0.4, np.array([0.0]))
-    assert np.min(np.diff(tr.qv)) >= 0.0
-    assert np.min(np.diff(tr.qv_transform)) >= 0.0
+    tr = ctx.transcript(path, np.array([[0.7]]), -0.4, np.array([[0.0]]))
+    assert np.min(np.diff(tr.qv[0])) >= 0.0
+    assert np.min(np.diff(tr.qv_transform[0])) >= 0.0
 
 
 def test_pure_jump_qv_increments_recomputed_from_path():
@@ -101,7 +101,7 @@ def test_pure_jump_qv_increments_recomputed_from_path():
     sigma = np.array([0.9])
     for i in range(4):
         path = simulate_path(spec, i)
-        tr = ctx.transcript(path, None, psi_val, sigma)
+        tr = ctx.transcript(path, None, psi_val, sigma[None])
         jump_sq = 0.0
         for row in np.flatnonzero(path.kinds == 1):
             s = path.times[row]
@@ -109,8 +109,8 @@ def test_pure_jump_qv_increments_recomputed_from_path():
             w = fhat * np.exp((spec.horizon - s) * alpha)
             dp = np.sum(w * np.exp(1j * kvec * pre) * (np.exp(1j * kvec * 1.7) - 1.0))
             jump_sq += abs(dp) ** 2
-        assert tr.qv[-1] == pytest.approx(jump_sq, rel=1e-10)
-        assert tr.qv_transform[-1] == pytest.approx(psi_val**2 * jump_sq, rel=1e-10)
+        assert tr.qv[0, -1] == pytest.approx(jump_sq, rel=1e-10)
+        assert tr.qv_transform[0, -1] == pytest.approx(psi_val**2 * jump_sq, rel=1e-10)
 
 
 PURE_JUMP_ATOMS = {
@@ -131,8 +131,8 @@ def test_pure_jump_representation_is_exact(group):
     for i in range(5):
         path = simulate_path(spec, i)
         assert path.n_events > 0
-        sigma = haar_sample(group, rngmod.stream(6, rngmod.HAAR, i), 1)[0]
-        tr = ctx.transcript(path, None, np.array([0.3, -0.8]), sigma)
+        sigmas = haar_sample(group, rngmod.stream(6, rngmod.HAAR, i), 1)
+        tr = ctx.transcript(path, None, np.array([0.3, -0.8]), sigmas)
         assert tr.repr_gap <= 1e-12
 
 
@@ -147,8 +147,8 @@ def test_drift_only_representation_is_exact(group, drift):
     ctx = transform_context(spec, f)
     for i in range(5):
         path = simulate_path(spec, i)
-        sigma = haar_sample(group, rngmod.stream(6, rngmod.HAAR, i), 1)[0]
-        tr = ctx.transcript(path, None, np.array([0.3, -0.8]), sigma)
+        sigmas = haar_sample(group, rngmod.stream(6, rngmod.HAAR, i), 1)
+        tr = ctx.transcript(path, None, np.array([0.3, -0.8]), sigmas)
         assert tr.repr_gap <= 1e-12
 
 
@@ -166,8 +166,8 @@ def test_direct_exponential_fallback_matches_eigenbasis(group, monkeypatch):
     assert all(st.eig for st in ctx.stacks) and not any(st.eig for st in direct.stacks)
     for i in range(2):
         path = simulate_path(spec, i)
-        sigma = haar_sample(group, rngmod.stream(6, rngmod.HAAR, i), 1)[0]
-        a, b = (c.transcript(path, 0.6 * np.eye(n), np.array([0.5, -0.2]), sigma) for c in (ctx, direct))
+        sigmas = haar_sample(group, rngmod.stream(6, rngmod.HAAR, i), 1)
+        a, b = (c.transcript(path, 0.6 * np.eye(n), np.array([0.5, -0.2]), sigmas) for c in (ctx, direct))
         for name in ("m", "m_repr", "m_transform", "qv", "qv_transform", "qv_cross"):
             x, y = getattr(a, name), getattr(b, name)
             assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
@@ -176,13 +176,13 @@ def test_direct_exponential_fallback_matches_eigenbasis(group, monkeypatch):
 def test_differential_subordination_violation_signs(torus_setup):
     spec, f, ctx = torus_setup
     path = simulate_path(spec, 3)
-    inside = ctx.transcript(path, np.array([[0.5]]), 0.5, np.array([0.2]))
-    assert check_differential_subordination(inside) <= 1e-12
-    outside = ctx.transcript(path, np.array([[1.5]]), 0.0, np.array([0.2]))
-    assert check_differential_subordination(outside) > 0.0
+    inside = ctx.transcript(path, np.array([[0.5]]), 0.5, np.array([[0.2]]))
+    assert check_differential_subordination(inside)[0] <= 1e-12
+    outside = ctx.transcript(path, np.array([[1.5]]), 0.0, np.array([[0.2]]))
+    assert check_differential_subordination(outside)[0] > 0.0
     # interval form with values in [0.2, 0.8]
-    shifted = ctx.transcript(path, np.array([[0.8]]), 0.2, np.array([0.2]))
-    assert check_differential_subordination(shifted, bounds=(0.2, 0.8)) <= 1e-12
+    shifted = ctx.transcript(path, np.array([[0.8]]), 0.2, np.array([[0.2]]))
+    assert check_differential_subordination(shifted, bounds=(0.2, 0.8))[0] <= 1e-12
 
 
 def test_martingale_mean_increments(torus_setup):
@@ -190,12 +190,9 @@ def test_martingale_mean_increments(torus_setup):
     # in law); the ensemble is frozen, so the 3 sigma check is deterministic
     spec, f, ctx = torus_setup
     incs = []
-    for i in range(2000):
-        path = simulate_path(spec, i)
-        sigma = haar_sample("t1", rngmod.stream(19, rngmod.HAAR, i), 1)[0]
-        tr = ctx.transcript(path, None, 0.0, sigma)
-        incs.append(np.diff(tr.m.real))
-    incs = np.stack(incs)
+    for _, path, sigmas in ensemble_chunks(spec, ctx, 2000, 19):
+        incs.append(np.diff(ctx.transcript(path, None, 0.0, sigmas).m.real, axis=1))
+    incs = np.concatenate(incs)
     mean = incs.mean(axis=0)
     se = incs.std(axis=0, ddof=1) / np.sqrt(incs.shape[0])
     z = np.abs(mean) / np.maximum(se, 1e-30)
@@ -205,13 +202,11 @@ def test_martingale_mean_increments(torus_setup):
 def test_ito_isometry_l2(torus_setup):
     spec, f, ctx = torus_setup
     sq, qv = [], []
-    for i in range(2000):
-        path = simulate_path(spec, i)
-        sigma = haar_sample("t1", rngmod.stream(8, rngmod.HAAR, i), 1)[0]
-        tr = ctx.transcript(path, None, 0.0, sigma)
-        sq.append(abs(tr.m[-1] - tr.m[0]) ** 2)
-        qv.append(tr.qv[-1])
-    sq, qv = np.array(sq), np.array(qv)
+    for _, path, sigmas in ensemble_chunks(spec, ctx, 2000, 8):
+        tr = ctx.transcript(path, None, 0.0, sigmas)
+        sq.append(np.abs(tr.m[:, -1] - tr.m[:, 0]) ** 2)
+        qv.append(tr.qv[:, -1])
+    sq, qv = np.concatenate(sq), np.concatenate(qv)
     diff = sq - qv
     se = diff.std(ddof=1) / np.sqrt(len(diff))
     assert abs(diff.mean()) <= 3.0 * se
@@ -390,11 +385,11 @@ def _reference_final_values(spec, f, amat, psi, paths, seed, g=None):
     rows = []
     for i in range(paths):
         path = simulate_path(spec, i)
-        sigma = haar_sample(spec.group, rngmod.stream(seed, rngmod.HAAR, i), 1)[0]
-        tr = ctx.transcript(path, amat, psi, sigma)
-        row = [tr.m[0], tr.m[-1], tr.m_transform[-1]]
+        sigmas = haar_sample(spec.group, rngmod.stream(seed, rngmod.HAAR, i), 1)
+        tr = ctx.transcript(path, amat, psi, sigmas)
+        row = [tr.m[0, 0], tr.m[0, -1], tr.m_transform[0, -1]]
         if ctx_g is not None:
-            row.append(ctx_g.transcript(path, None, 0.0, sigma).m[-1])
+            row.append(ctx_g.transcript(path, None, 0.0, sigmas).m[0, -1])
         rows.append(row)
     return np.array(rows)
 
@@ -436,9 +431,9 @@ def test_batched_projection_matches_transcripts(name):
     assert est.stderr == pytest.approx(float(se), rel=1e-12)
 
 
-@pytest.mark.parametrize("name", ["t2-drift", "su2"])
-def test_batched_final_values_with_events_on_grid_times(name, monkeypatch):
-    spec = FINAL_VALUE_SPECS[name]
+def _events_on_grid_times(spec, monkeypatch):
+    """Make every path jump at time 0, on a grid time, twice at one time, and
+    at a path-dependent time."""
     grid, dt = spec.grid_times, spec.dt
 
     def events(spec, index):
@@ -446,6 +441,12 @@ def test_batched_final_values_with_events_on_grid_times(name, monkeypatch):
         return times, np.arange(len(times)) % len(spec.jumps.atoms)
 
     monkeypatch.setattr(simmod, "_draw_events", events)
+
+
+@pytest.mark.parametrize("name", ["t2-drift", "su2"])
+def test_batched_final_values_with_events_on_grid_times(name, monkeypatch):
+    spec = FINAL_VALUE_SPECS[name]
+    _events_on_grid_times(spec, monkeypatch)
     f = random_band_limited(spec.group, 1.0 if spec.group == "su2" else 2, rngmod.stream(8, 3), real=True)
     amat, psi = _transform_pair(spec)
     ref = _reference_final_values(spec, f, amat, psi, 4, seed=98)
@@ -461,3 +462,37 @@ def test_path_values_do_not_depend_on_ensemble_size(name):
     big = simulate_transform_ensemble(spec, f, amat, psi, 12)
     small = simulate_transform_ensemble(spec, f, amat, psi, 5)
     assert _close(small.y_final, big.y_final[:5]) and _close(small.x_final, big.x_final[:5])
+
+
+TRANSCRIPT_ROWS = (
+    "m", "m_repr", "m_transform", "qv", "qv_transform", "qv_cross", "d_qv", "d_qv_transform", "d_qv_cross", "sigmas",
+)
+
+
+@pytest.mark.parametrize(
+    "name,grid_events",
+    [(name, False) for name in sorted(FINAL_VALUE_SPECS)] + [("t2-drift", True), ("su2", True)],
+)
+def test_chunk_transcript_rows_match_single_paths(name, grid_events, monkeypatch):
+    # every row of a chunk transcript is bitwise the path's one-path transcript
+    spec = FINAL_VALUE_SPECS[name]
+    if grid_events:
+        _events_on_grid_times(spec, monkeypatch)
+    f = random_band_limited(spec.group, 1.0 if spec.group == "su2" else 2, rngmod.stream(8, 5), real=True)
+    amat, psi = _transform_pair(spec)
+    ctx = transform_context(spec, f)
+    ((idx, path, sigmas),) = ensemble_chunks(spec, ctx, 9, seed=97)
+    chunk = ctx.transcript(path, amat, psi, sigmas)
+    assert chunk.m.shape == (9, spec.n_steps + 1) and chunk.d_qv.shape == (9, spec.n_steps)
+    assert np.array_equal(chunk.times, spec.grid_times)
+    gaps = []
+    for row, i in enumerate(idx):
+        one = martingale_transcript(simulate_path(spec, i), f, amat, psi, sigmas[row], ctx=ctx)
+        for field in TRANSCRIPT_ROWS:
+            assert getattr(chunk, field)[row].tobytes() == getattr(one, field)[0].tobytes(), field
+        for bounds in (None, (-0.4, 0.6)):
+            got = check_differential_subordination(chunk, bounds)
+            assert got.shape == (9,)
+            assert got[row] == check_differential_subordination(one, bounds)[0]
+        gaps.append(one.repr_gap)
+    assert chunk.repr_gap == max(gaps)
