@@ -24,7 +24,6 @@ from .constants import constant_report
 from .euclid import (
     ImaginaryPowerProfile,
     MultiplierSpec,
-    multiplier_autonomous,
     multiplier_autonomous_grid,
     multiplier_time_dependent,
 )
@@ -53,8 +52,8 @@ from .martingale import (
 from .operators import apply_symbol_coeffs, norm_lower_bound_search, symbol_on_lattice
 from .simulate import GroupProcessSpec
 from .symbols import (
-    central_alpha,
-    central_multiplier,
+    UNDEFINED,
+    central_symbols,
     laplace_type_symbol,
     riesz2_symbol_group,
     subordination_symbol,
@@ -356,28 +355,24 @@ def cmd_multiplier(args) -> int:
     mode = config.get("mode", "autonomous")
     if mode not in ("autonomous", "time"):
         raise ConfigError("config.mode", "expected 'autonomous' or 'time'")
+    if mode == "autonomous" and aprofile is not None:
+        raise ConfigError("config.mode", "autonomous mode needs a constant matrix")
     if config.get("xi") is not None:
-        xis = [np.asarray(x, dtype=float) for x in config["xi"]]
+        xis = np.array(config["xi"], dtype=float).reshape(len(config["xi"]), triple.dim)
     else:
         grid = config.get("grid", {})
         _require_keys(grid, {"n", "halfwidth"}, "config.grid")
         n = int(grid.get("n", 16))
         w = float(grid.get("halfwidth", 4.0))
         axis = np.linspace(-w, w, n)
-        xis = [np.array(p) for p in itertools.product(axis, repeat=triple.dim)]
-        xis = [x for x in xis if np.any(x != 0.0)]
-    rows = []
-    for xi in xis:
-        if mode == "autonomous":
-            if aprofile is not None:
-                raise ConfigError("config.mode", "autonomous mode needs a constant matrix")
-            val = multiplier_autonomous(amatrix, psi, triple.diffusion, triple.nu, xi)
-        else:
-            spec = MultiplierSpec(
-                a_bound=np.inf, psi_bound=np.inf, amatrix=amatrix, aprofile=aprofile, psi=psi
-            )
-            val = multiplier_time_dependent(spec, triple, xi)
-        rows.append(tuple(float(x) for x in xi) + (val.real, val.imag))
+        xis = np.array(list(itertools.product(axis, repeat=triple.dim)))
+        xis = xis[np.any(xis != 0.0, axis=1)]
+    if mode == "autonomous":
+        vals = multiplier_autonomous_grid(amatrix, psi, triple.diffusion, triple.nu, xis)
+    else:
+        spec = MultiplierSpec(a_bound=np.inf, psi_bound=np.inf, amatrix=amatrix, aprofile=aprofile, psi=psi)
+        vals = [multiplier_time_dependent(spec, triple, xi) for xi in xis]
+    rows = [tuple(float(x) for x in xi) + (float(val.real), float(val.imag)) for xi, val in zip(xis, vals)]
     header = tuple(f"xi{i+1}" for i in range(triple.dim)) + ("re_m", "im_m")
     payload = {"meta": _meta(args, config), "rows": [dict(zip(header, r)) for r in rows]}
     _emit(payload, args, csv_rows=rows, csv_header=header)
@@ -395,6 +390,20 @@ def _shared_group_symbol(kind: str, cfg: dict, pointer: str, dual):
     return None
 
 
+def _central_group_symbols(config: dict, dual, nu: GroupLevyMeasure, psi):
+    """``symbol-group`` entries of kind central and every irrep's exponent, one stacked evaluation
+    per irrep dimension; every mode where the multiplier is undefined is ``skipped``."""
+    cmat = _matrix(config["cmatrix"], "config.cmatrix") if config.get("cmatrix") is not None else None
+    by_label = {}
+    for dim in {pi.dim for pi in dual}:
+        stack = [pi for pi in dual if pi.dim == dim]
+        mats, alphas, defined = central_symbols(cmat, psi, float(config.get("c", 1.0)), nu, stack, None)
+        for pi, mat, alpha, ok in zip(stack, mats, alphas, defined):
+            entry = {"dim": pi.dim, "matrix": _complex_matrix_json(mat)} if ok else {"skipped": UNDEFINED}
+            by_label[pi.label] = ({"label": _label_json(pi.label), **entry}, [float(alpha.real), float(alpha.imag)])
+    return [by_label[pi.label][0] for pi in dual], [by_label[pi.label][1] for pi in dual]
+
+
 def cmd_symbol_group(args) -> int:
     config = _load_config(args.config)
     _require_keys(
@@ -408,6 +417,12 @@ def cmd_symbol_group(args) -> int:
     dual = dual_enumerate(group, cutoff)
     nu = _group_measure(group, config.get("atoms"), "config.atoms")
     psi = _psi(config.get("psi"))
+    payload = {"meta": _meta(args, config), "kind": kind}
+    if kind == "central":
+        payload["symbols"], payload["alpha"] = _central_group_symbols(config, dual, nu, psi)
+        payload["central_measure"] = nu.is_central()
+        _emit(payload, args)
+        return 0
     shared = _shared_group_symbol(kind, config, "config", dual)
     entries = []
     for pi in dual:
@@ -416,14 +431,6 @@ def cmd_symbol_group(args) -> int:
                 mat = shared(pi)
             elif kind == "subordination":
                 mat = subordination_symbol(psi, _bernstein(config.get("bernstein", {})), nu, pi)
-            elif kind == "central":
-                mat = central_multiplier(
-                    _matrix(config["cmatrix"], "config.cmatrix") if config.get("cmatrix") is not None else None,
-                    psi,
-                    float(config.get("c", 1.0)),
-                    nu,
-                    pi,
-                )
             else:
                 raise ConfigError("config.kind", f"unknown symbol kind {kind!r}")
         except ValueError as exc:
@@ -434,12 +441,7 @@ def cmd_symbol_group(args) -> int:
         entries.append(
             {"label": _label_json(pi.label), "dim": pi.dim, "matrix": _complex_matrix_json(mat)}
         )
-    extra = {}
-    if kind == "central":
-        extra["central_measure"] = nu.is_central()
-        alphas = [complex(central_alpha(float(config.get("c", 1.0)), nu, pi)) for pi in dual]
-        extra["alpha"] = [[a.real, a.imag] for a in alphas]
-    payload = {"meta": _meta(args, config), "kind": kind, "symbols": entries, **extra}
+    payload["symbols"] = entries
     _emit(payload, args)
     return 0
 
@@ -649,17 +651,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, required=True)
     p.set_defaults(fn=cmd_dual)
 
-    for name, fn, needs_config in (
-        ("symbol", cmd_symbol, True),
-        ("multiplier", cmd_multiplier, True),
-        ("symbol-group", cmd_symbol_group, True),
-        ("apply", cmd_apply, True),
-        ("norm-search", cmd_norm_search, True),
-        ("simulate", cmd_simulate, True),
+    for name, fn in (
+        ("symbol", cmd_symbol),
+        ("multiplier", cmd_multiplier),
+        ("symbol-group", cmd_symbol_group),
+        ("apply", cmd_apply),
+        ("norm-search", cmd_norm_search),
+        ("simulate", cmd_simulate),
     ):
         p = sub.add_parser(name)
-        if needs_config:
-            p.add_argument("--config", type=str, required=True)
+        p.add_argument("--config", type=str, required=True)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("verify", help="run verification suites; nonzero exit on failure")

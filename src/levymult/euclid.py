@@ -52,7 +52,6 @@ def multiplier_autonomous_grid(
     a,
     nu: LevyMeasureRn,
     xi: np.ndarray,
-    lam: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Autonomous multiplier on an array of frequencies (m, n).
 
@@ -62,9 +61,7 @@ def multiplier_autonomous_grid(
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     a = np.atleast_2d(np.asarray(a, dtype=float))
     amatrix = np.atleast_2d(np.asarray(amatrix)) if amatrix is not None else np.zeros(a.shape)
-    if lam is None:
-        lam = factor_diffusion(a)
-    u = xi @ lam  # rows are L^T xi
+    u = xi @ factor_diffusion(a)  # rows are L^T xi
     num = 0.5 * np.einsum("mi,ij,mj->m", u, amatrix, u)
     den = np.einsum("mi,ij,mj->m", xi, a, xi)
 
@@ -130,7 +127,11 @@ def gamma_one_plus_i(g: float) -> complex:
     return complex(gamma(1.0 + 1j * g))
 
 
-def profile_time_integral(profile: Callable, rate: float, n_nodes: int = 4096) -> complex:
+#: nodes of the log-time trapezoid rule of ``profile_time_integral``
+TIME_NODES = 4096
+
+
+def profile_time_integral(profile: Callable, rate: float) -> complex:
     """int_0^infty profile(s) * exp(2 s rate) ds for rate < 0.
 
     Log-time trapezoid rule.  The substitution keeps oscillatory profiles
@@ -143,7 +144,7 @@ def profile_time_integral(profile: Callable, rate: float, n_nodes: int = 4096) -
     s_scale = 1.0 / (2.0 * abs(rate))
     v0 = np.log(s_scale) - 36.0
     v1 = np.log(s_scale) + np.log(50.0)
-    v = np.linspace(v0, v1, n_nodes)
+    v = np.linspace(v0, v1, TIME_NODES)
     s = np.exp(v)
     f = np.asarray(profile(s), dtype=complex) * np.exp(2.0 * s * rate) * s
     return complex(np.trapezoid(f, v))

@@ -45,8 +45,9 @@ from .groups import (
     multiply,
 )
 from .linalg import expm
-from .simulate import CHUNK_BYTES, GroupProcessSpec, PathRecord, chunk_paths, ensemble_final_states, simulate_paths
-from .symbols import central_alpha, generator_blocks, generator_matrix, psi_values
+from .simulate import CHUNK_BYTES, GroupProcessSpec, PathRecord, chunk_paths, paths_per_chunk
+from .simulate import ensemble_final_states, simulate_paths
+from .symbols import central_alpha, central_symbols, generator_blocks, generator_matrix, psi_values
 
 #: generator blocks whose eigenvector matrix is worse conditioned than this
 #: are exponentiated directly instead of through their eigendecomposition
@@ -224,7 +225,7 @@ class _TransformContext:
         events = spec.jumps.total_mass * spec.horizon
         rows = (spec.n_steps + 1 + events) * (2 if len(self.masses) else 1) + events
         width = max(st.h.shape[0] for st in self.stacks)
-        self.paths_per_chunk = max(1, int(CHUNK_BYTES // (16 * width * rows)))
+        self.paths_per_chunk = paths_per_chunk(CHUNK_BYTES, 16 * width * rows)
 
     def horizon_values(self, elements) -> np.ndarray:
         """f at a batch of elements: M_T of the paths that end there."""
@@ -396,17 +397,16 @@ def simulate_transform_ensemble(
     psi,
     paths: int,
     seed: Optional[int] = None,
-    haar_start: bool = True,
 ) -> TransformEnsemble:
     """Simulate paths in chunks and collect their final values.
 
-    Path i's values depend only on (spec.seed, seed, i); see
-    ``ensemble_chunks`` for the starting points.
+    Path i's values depend only on (spec.seed, seed, i) and start at a
+    Haar sample; see ``ensemble_chunks``.
     """
     seed = spec.seed if seed is None else seed
     ctx = transform_context(spec, f)
     x, y, m0 = (np.zeros(paths, dtype=complex) for _ in range(3))
-    for idx, path, sigmas in ensemble_chunks(spec, ctx, paths, seed, haar_start):
+    for idx, path, sigmas in ensemble_chunks(spec, ctx, paths, seed):
         m0[idx], x[idx], y[idx] = ctx.final_values(path, sigmas, amatrix, psi)
     return TransformEnsemble(x, y, m0)
 
@@ -441,32 +441,23 @@ def projection_deterministic(
 ) -> complex:
     """Spectral value of the pairing functional at finite horizon (tori).
 
-    sum_k [2c k.Ak + 2 sum_a mass_a psi_a (1 - cos k.tau_a)]
-          * int_0^T e^{2 s Re alpha_k} ds * fhat(k) ghat(-k)
+    -sum_k m(k) expm1(2 T Re alpha_k) fhat(k) ghat(-k)
+
+    with m and alpha the central multiplier and exponent of the paired
+    labels k (``central_symbols``); undefined modes contribute 0.
     """
     if spec.group == SU2:
         raise ValueError("deterministic projection values are computed on the tori")
-    # the tori: one stack of 1x1 blocks, alpha_k = L(k), label k = frequency
-    (stack,) = transform_context(spec, f).stacks
-    a_use = _pair_matrix(amatrix, group_dim(spec.group))
-    psi_vals = psi_values(psi, len(spec.jumps.atoms))
-    total = 0.0 + 0.0j
-    for pi, fk, al in zip(stack.irreps, stack.fvec, stack.lmat[:, 0, 0]):
-        kvec = np.atleast_1d(np.asarray(pi.label, dtype=float))
-        gb = g.blocks.get(tuple(-x for x in pi.label) if isinstance(pi.label, tuple) else -pi.label)
-        if gb is None or fk == 0.0:
-            continue
-        quad = 2.0 * spec.c * complex(kvec @ (a_use @ kvec))
-        jump = 0.0 + 0.0j
-        for (tau, mass), pv in zip(spec.jumps.atoms, psi_vals):
-            jump += 2.0 * mass * pv * (1.0 - np.cos(float(kvec @ tau)))
-        re2 = 2.0 * float(np.real(al))
-        if re2 == 0.0:
-            weight = spec.horizon
-        else:
-            weight = float(np.expm1(re2 * spec.horizon) / re2)
-        total += (quad + jump) * weight * fk * complex(gb[0, 0])
-    return complex(total)
+    if f.group != spec.group:
+        raise ValueError("coefficient table group mismatch")
+    pairs = [(k, g.blocks.get(tuple(-x for x in k) if isinstance(k, tuple) else -k)) for k in f.labels()]
+    pairs = [(k, gb) for k, gb in pairs if gb is not None]
+    if not pairs:
+        return 0.0j
+    pis = [get_irrep(spec.group, k) for k, _ in pairs]
+    m, alpha, _ = central_symbols(amatrix, psi, spec.c, spec.jumps, pis, None)
+    fg = np.array([f.blocks[k][0, 0] * gb[0, 0] for k, gb in pairs])
+    return complex(-np.sum(m[:, 0, 0] * np.expm1(2.0 * spec.horizon * alpha.real) * fg))
 
 
 def projection_mc_estimate(
@@ -476,14 +467,12 @@ def projection_mc_estimate(
     psi,
     spec: GroupProcessSpec,
     paths: int,
-    seed: Optional[int] = None,
 ) -> ProjectionEstimate:
     """Haar-and-path average of transform_f(T) * M_g(T) against its spectral value."""
-    seed = spec.seed if seed is None else seed
     ctx_f = transform_context(spec, f)
     ctx_g = transform_context(spec, g)
     vals = np.zeros(paths, dtype=complex)
-    for idx, path, sigmas in ensemble_chunks(spec, ctx_f, paths, seed):
+    for idx, path, sigmas in ensemble_chunks(spec, ctx_f, paths, spec.seed):
         _, _, y = ctx_f.final_values(path, sigmas, amatrix, psi)
         vals[idx] = y * ctx_g.horizon_values(multiply(spec.group, sigmas, path.states[path.end_rows]))
     det = projection_deterministic(f, g, amatrix, psi, spec)

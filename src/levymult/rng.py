@@ -15,7 +15,6 @@ import numpy as np
 # them changes every simulated ensemble.
 BROWNIAN = 1
 JUMPS = 2
-START_POINT = 3
 SUBORDINATOR = 4
 SEARCH = 5
 SPEC_DRAW = 6

@@ -161,16 +161,20 @@ class PathRecord:
         return self.owner * self.spec.n_steps + self.steps(slice(None))
 
 
+def _compound_poisson(gen: np.random.Generator, masses: np.ndarray, horizon: float):
+    """Sorted event times on [0, horizon] at total rate sum(masses), and the atom of each event."""
+    lam = float(np.sum(masses))
+    count = int(gen.poisson(lam * horizon))
+    times = np.sort(gen.uniform(0.0, horizon, size=count))
+    marks = gen.choice(len(masses), size=count, p=masses / lam)
+    return times, marks
+
+
 def _draw_events(spec: GroupProcessSpec, index: int):
-    gen = rngmod.stream(spec.seed, rngmod.JUMPS, index)
     masses = np.array([m for _, m in spec.jumps.atoms])
     if masses.size == 0:
         return np.zeros(0), np.zeros(0, dtype=int)
-    lam = float(masses.sum())
-    count = int(gen.poisson(lam * spec.horizon))
-    times = np.sort(gen.uniform(0.0, spec.horizon, size=count))
-    marks = gen.choice(len(masses), size=count, p=masses / lam)
-    return times, marks
+    return _compound_poisson(rngmod.stream(spec.seed, rngmod.JUMPS, index), masses, spec.horizon)
 
 
 def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
@@ -307,9 +311,13 @@ def simulate_path(spec: GroupProcessSpec, index: int) -> PathRecord:
     return simulate_paths(spec, [index])
 
 
+def paths_per_chunk(budget: int, bytes_per_path: float) -> int:
+    """Paths per chunk: as many as fit ``budget`` bytes at bytes_per_path each, and at least one."""
+    return max(1, int(budget // bytes_per_path))
+
+
 def chunk_paths(paths: int, per_chunk: int):
     """Consecutive index ranges covering 0..paths-1, at most per_chunk long."""
-    per_chunk = max(1, int(per_chunk))
     return [np.arange(s, min(s + per_chunk, paths)) for s in range(0, paths, per_chunk)]
 
 
@@ -322,7 +330,7 @@ def ensemble_final_states(spec: GroupProcessSpec, paths: int) -> np.ndarray:
     """
     d = group_dim(spec.group)
     # the widest table of a chunk holds each segment's normals (d floats)
-    per_chunk = CHUNK_BYTES // (8 * d * (spec.n_steps + 1 + spec.jumps.total_mass * spec.horizon))
+    per_chunk = paths_per_chunk(CHUNK_BYTES, 8 * d * (spec.n_steps + 1 + spec.jumps.total_mass * spec.horizon))
     if spec.group == SU2:
         out = np.empty((paths, 2, 2), dtype=complex)
     else:
@@ -358,18 +366,12 @@ def simulate_subordinator(
     if abs(k * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be an integer number of steps")
     grid = np.arange(k + 1) * dt
-    lam = float(np.sum(spec.atom_masses)) if spec.atoms else 0.0
-    sizes = spec.atom_y
-    probs = spec.atom_masses / lam if lam > 0.0 else None
     values = np.empty((paths, k + 1))
     for p in range(paths):
-        gen = rngmod.stream(seed, rngmod.SUBORDINATOR, p)
         base = spec.c * grid
-        if lam > 0.0:
-            count = int(gen.poisson(lam * horizon))
-            t_ev = np.sort(gen.uniform(0.0, horizon, size=count))
-            y_ev = sizes[gen.choice(len(sizes), size=count, p=probs)]
-            cum = np.concatenate([[0.0], np.cumsum(y_ev)])
+        if spec.atoms:
+            t_ev, marks = _compound_poisson(rngmod.stream(seed, rngmod.SUBORDINATOR, p), spec.atom_masses, horizon)
+            cum = np.concatenate([[0.0], np.cumsum(spec.atom_y[marks])])
             base = base + cum[np.searchsorted(t_ev, grid, side="right")]
         values[p] = base
     return SubordinatorEnsemble(grid, values, spec)

@@ -53,7 +53,7 @@ def _jump_sums(psi, nu: GroupLevyMeasure, reps, shape) -> np.ndarray:
 ProfileLike = Union[np.ndarray, ImaginaryPowerProfile]
 
 
-def laplace_type_symbol(profile: ProfileLike, pi: Irrep, n_nodes: int = 4096) -> np.ndarray:
+def laplace_type_symbol(profile: ProfileLike, pi: Irrep) -> np.ndarray:
     """int_0^infty 2 kappa e^{-2 s kappa} A(s) ds.
 
     For a constant matrix the exponential density integrates to one, so
@@ -64,7 +64,7 @@ def laplace_type_symbol(profile: ProfileLike, pi: Irrep, n_nodes: int = 4096) ->
     if kappa <= 0.0:
         raise ValueError("Laplace-transform-type symbol undefined on the trivial representation")
     if isinstance(profile, ImaginaryPowerProfile):
-        val = 2.0 * kappa * profile_time_integral(profile, -kappa, n_nodes=n_nodes)
+        val = 2.0 * kappa * profile_time_integral(profile, -kappa)
         return val * np.eye(pi.dim)
     # constant profile: with u = e^{-2 s kappa} the integral is int_0^1 A du = A
     return np.atleast_2d(np.asarray(profile)).astype(complex)
@@ -112,20 +112,39 @@ def generator_matrix(c: float, nu: GroupLevyMeasure, pi: Irrep) -> np.ndarray:
     return generator_blocks(c, nu, [pi])[0]
 
 
-def central_multipliers(amatrix, psi, c: float, nu: GroupLevyMeasure, irreps, alpha=None) -> np.ndarray:
-    """``central_multiplier`` of a stack of equal-dimension irreps, (L, d, d); ``alpha`` may hold one value per irrep.
+#: a mode is undefined where Re alpha >= -UNDEFINED_RTOL (c kappa + total jump mass), zero up to
+#: rounding: the trivial irrep, and with c = 0 every irrep on which all atoms act trivially
+UNDEFINED_RTOL = 1e-12
+UNDEFINED = "Re alpha = 0: multiplier undefined"
 
-    Each atom's pi(tau) is evaluated once, for the exponent and the jump term alike.
+
+def central_symbols(amatrix, psi, c: float, nu: GroupLevyMeasure, irreps, alpha):
+    """``central_multiplier`` and ``central_alpha`` of a stack of equal-dimension irreps.
+
+    ``alpha`` is None (the exponents of (c, nu)) or holds one value per
+    irrep.  Returns the multipliers (L, d, d), the exponents (L,) and the
+    mask (L,) of the modes where the multiplier is defined; undefined modes
+    get zero blocks.  Each atom's pi(tau) is evaluated once.
     """
     reps = _atom_reps(nu, irreps)
     if alpha is None:
         alpha = _central_alphas(c, nu, irreps, reps)
-    re_alpha = np.broadcast_to(np.real(alpha), (len(irreps),)).astype(float)
-    if np.any(re_alpha == 0.0):
-        raise ValueError("Re alpha = 0: multiplier undefined")
+    alpha = np.broadcast_to(alpha, (len(irreps),)).astype(complex)
+    kappa = np.array([pi.casimir for pi in irreps])
+    defined = alpha.real < -UNDEFINED_RTOL * (c * kappa + nu.total_mass)
+    re_alpha = np.where(defined, alpha.real, np.inf)  # zero blocks at undefined modes
     a = np.zeros((0, 0)) if amatrix is None else np.atleast_2d(np.asarray(amatrix))
     out = _gradient_sums(a, irreps) * (c / re_alpha)[:, None, None]
-    return out - _jump_sums(psi, nu, reps, out.shape) / (2.0 * re_alpha)[:, None, None]
+    return out - _jump_sums(psi, nu, reps, out.shape) / (2.0 * re_alpha)[:, None, None], alpha, defined
+
+
+def central_multipliers(amatrix, psi, c: float, nu: GroupLevyMeasure, irreps, alpha=None) -> np.ndarray:
+    """``central_multiplier`` of a stack of equal-dimension irreps, (L, d, d); ``alpha`` may hold one
+    value per irrep.  Raises on an undefined mode."""
+    out, _, defined = central_symbols(amatrix, psi, c, nu, irreps, alpha)
+    if not defined.all():
+        raise ValueError(UNDEFINED)
+    return out
 
 
 def central_multiplier(

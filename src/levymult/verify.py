@@ -231,32 +231,22 @@ def check_norm_search(
         interval_case = n_specs <= i < n_specs + n_interval
         if i >= n_specs + n_interval:
             # compact-group route: central-process symbols on the T^2 lattice
-            vals = np.concatenate([[0.0], _central_lattice_symbol(gen, xi)])
-            sup_lattice = float(np.max(np.abs(vals)))
-            for p in ps:
-                res = norm_lower_bound_search(vals.reshape(shape), p, trials=4, refine_steps=4, seed=seed + i)
-                worst_gap = max(worst_gap, res.ratio - (p_star(p) - 1.0))
-                if p == 2.0:
-                    worst_p2 = max(worst_p2, res.ratio - sup_lattice)
-            continue
-        if interval_case:
+            sym = _central_lattice_symbol(gen, xi)
+        elif interval_case:
             b = float(gen.uniform(-2.0, 0.5))
             bb = float(gen.uniform(b + 0.2, 2.5))
             q, _ = np.linalg.qr(gen.standard_normal((2, 2)))
-            eig = np.array([b, bb])
-            amat = (q * eig) @ q.T
+            amat = (q * np.array([b, bb])) @ q.T
             a = _random_psd(gen, 2, allow_degenerate=False)
-            nu = LevyMeasureRn(dim=2)
-            psi = np.zeros(0)
+            sym = multiplier_autonomous_grid(amat, np.zeros(0), a, LevyMeasureRn(dim=2), xi)
         else:
-            amat, psi, a, nu = _random_multiplier_fixture(gen)
-        vals = np.concatenate([[0.0], multiplier_autonomous_grid(amat, psi, a, nu, xi)])
+            sym = multiplier_autonomous_grid(*_random_multiplier_fixture(gen), xi)
+        vals = np.concatenate([[0.0], sym])
         sup_lattice = float(np.max(np.abs(vals)))
         for p in ps:
             res = norm_lower_bound_search(vals.reshape(shape), p, trials=4, refine_steps=4, seed=seed + i)
             if interval_case:
-                upper = cpbB_bounds(p, b, bb).upper
-                worst_interval = max(worst_interval, res.ratio - upper)
+                worst_interval = max(worst_interval, res.ratio - cpbB_bounds(p, b, bb).upper)
             else:
                 worst_gap = max(worst_gap, res.ratio - (p_star(p) - 1.0))
                 if p == 2.0:
@@ -485,6 +475,12 @@ def check_central_char(paths=10000, seed=20247, oracle_tol=1e-8) -> CheckResult:
     )
 
 
+def _z_score(vals: np.ndarray, expect) -> float:
+    """|mean - expect| in standard errors of the mean."""
+    se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
+    return abs(float(np.mean(vals)) - expect) / se
+
+
 def check_subordination(paths=10000, seed=20248, symbol_tol=1e-10) -> CheckResult:
     """Subordinator law against its Laplace exponent; symbol cross-checks."""
     density = PositiveDensity(
@@ -492,26 +488,15 @@ def check_subordination(paths=10000, seed=20248, symbol_tol=1e-10) -> CheckResul
     )
     h_disc = bernstein_atoms(BernsteinSpec(c=0.05, density=density))
     ens = simulate_subordinator(h_disc, horizon=1.0, dt=0.25, seed=seed, paths=paths)
-    worst_z = 0.0
-    for u in (1.0, 2.0, 4.0):
-        vals = np.exp(-u * ens.values[:, -1])
-        se = float(np.std(vals, ddof=1) / np.sqrt(paths))
-        z = abs(float(np.mean(vals)) - np.exp(-float(bernstein_eval(h_disc, u)))) / se
-        worst_z = max(worst_z, z)
-    # subordinated heat semigroup on T^1: average of e^{-s kappa} over the law
-    for k in (1, 2):
-        kap = float(k * k)
-        vals = np.exp(-kap * ens.values[:, -1])
-        se = float(np.std(vals, ddof=1) / np.sqrt(paths))
-        z = abs(float(np.mean(vals)) - np.exp(-float(bernstein_eval(h_disc, kap)))) / se
-        worst_z = max(worst_z, z)
+    # the law at u = 1, 2, 4, and the subordinated heat semigroup on T^1 (the
+    # average of e^{-s kappa} over the law) at kappa = k^2 for k = 1, 2
+    us = [1.0, 2.0, 4.0] + [float(k * k) for k in (1, 2)]
+    zs = [_z_score(np.exp(-u * ens.values[:, -1]), np.exp(-float(bernstein_eval(h_disc, u)))) for u in us]
     # closed-form Poisson case
     h1 = BernsteinSpec(c=0.0, atoms=((1.0, 1.0),))
     ens1 = simulate_subordinator(h1, 1.0, 0.5, seed + 1, paths)
-    vals = np.exp(-ens1.values[:, -1])
-    se = float(np.std(vals, ddof=1) / np.sqrt(paths))
-    z1 = abs(float(np.mean(vals)) - np.exp(-(1.0 - np.exp(-1.0)))) / se
-    worst_z = max(worst_z, z1)
+    zs.append(_z_score(np.exp(-ens1.values[:, -1]), np.exp(-(1.0 - np.exp(-1.0)))))
+    worst_z = max(zs)
     # symbol cross-check: subordination symbol == central multiplier at alpha = -h(kappa)
     worst_sym = 0.0
     hb = BernsteinSpec(c=0.1, atoms=((0.8, 2.0), (2.5, 0.4)))

@@ -97,6 +97,98 @@ def test_symbol_group_riesz(tmp_path):
     assert val[0] == pytest.approx(1.0) and val[1] == 0.0
 
 
+def _symbol_group_in_process(tmp_path, config, capsys):
+    from levymult import cli
+
+    cfg = tmp_path / "sg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["symbol-group", "--config", str(cfg)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+CENTRAL_CONFIGS = {
+    "t2": {
+        "group": "t2", "cutoff": 4, "kind": "central", "c": 0.35, "psi": [0.7, -0.5],
+        "cmatrix": [[0.6, 0.2], [-0.1, -0.5]],
+        "atoms": [{"angle": [0.4, -1.1], "mass": 0.8}, {"angle": [2.0, 0.3], "mass": 0.5}],
+    },
+    "su2": {
+        "group": "su2", "cutoff": 2.5, "kind": "central", "c": 0.3, "psi": [0.6, -0.4],
+        "cmatrix": [[0.5, 0.1, 0.0], [0.0, -0.4, 0.2], [0.1, 0.0, 0.3]],
+        "atoms": [{"axis_angle": [0.6, 0.3, 1.1], "mass": 0.9}, {"axis_angle": [0.0, 0.0, 6.0], "mass": 0.5}],
+    },
+}
+
+
+@pytest.mark.parametrize("group", sorted(CENTRAL_CONFIGS))
+def test_symbol_group_central_matches_per_irrep_symbols(group, tmp_path, capsys):
+    from levymult.groups import GroupLevyMeasure, dual_enumerate, su2_exp
+    from levymult.symbols import central_alpha, central_multiplier
+
+    config = CENTRAL_CONFIGS[group]
+    out = _symbol_group_in_process(tmp_path, config, capsys)
+    key = "angle" if group == "t2" else "axis_angle"
+    to_element = np.asarray if group == "t2" else su2_exp
+    nu = GroupLevyMeasure(group, tuple((to_element(a[key]), a["mass"]) for a in config["atoms"]))
+    dual = dual_enumerate(group, config["cutoff"])
+    assert [e["label"] for e in out["symbols"]] == [list(pi.label) if group == "t2" else pi.label for pi in dual]
+    for pi, entry, (re, im) in zip(dual, out["symbols"], out["alpha"]):
+        alpha = central_alpha(config["c"], nu, pi)
+        assert abs(complex(re, im) - alpha) <= 1e-12 * abs(alpha) + 1e-15
+        if pi.casimir == 0.0:
+            assert "skipped" in entry
+            continue
+        expect = central_multiplier(np.array(config["cmatrix"]), np.array(config["psi"]), config["c"], nu, pi)
+        got = np.array(entry["matrix"])
+        got = got[..., 0] + 1j * got[..., 1]
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize(
+    "config,undefined",
+    [
+        # c = 0, one atom at (pi, 0): the modes with even k1 do not see the atom
+        (
+            {"group": "t2", "cutoff": 2, "kind": "central", "c": 0.0, "psi": [0.7],
+             "cmatrix": [[1.0, 0.0], [0.0, 1.0]], "atoms": [{"angle": [3.141592653589793, 0.0], "mass": 1.0}]},
+            [[k1, k2] for k1 in (-2, 0, 2) for k2 in range(-2, 3)],
+        ),
+        # c = 0, one atom at exp(2 pi X_3) = -I up to rounding: integer spins do not see it
+        (
+            {"group": "su2", "cutoff": 2, "kind": "central", "c": 0.0, "psi": [0.7],
+             "atoms": [{"axis_angle": [0.0, 0.0, 6.283185307179586], "mass": 1.0}]},
+            [0.0, 1.0, 2.0],
+        ),
+    ],
+)
+def test_symbol_group_central_skips_every_undefined_mode(config, undefined, tmp_path, capsys):
+    out = _symbol_group_in_process(tmp_path, config, capsys)
+    skipped = [e["label"] for e in out["symbols"] if "skipped" in e]
+    assert sorted(skipped) == sorted(undefined)
+    assert all(e["skipped"] == "Re alpha = 0: multiplier undefined" for e in out["symbols"] if "skipped" in e)
+    for entry in out["symbols"]:
+        if "matrix" in entry:
+            assert np.all(np.isfinite(np.array(entry["matrix"])))
+    assert len(out["alpha"]) == len(out["symbols"])
+
+
+def test_multiplier_autonomous_profile_exits_2_without_frequencies(tmp_path):
+    cfg = tmp_path / "mult.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "triple": {"diffusion": [[1.0]]},
+                "aprofile": {"type": "imaginary_power", "gamma": 0.5},
+                "mode": "autonomous",
+                "xi": [],
+            }
+        )
+    )
+    proc = run_cli("multiplier", "--config", str(cfg), check=False)
+    assert proc.returncode == 2
+    assert "constant matrix" in proc.stderr
+
+
 def test_apply_command(tmp_path):
     cfg = tmp_path / "apply.json"
     cfg.write_text(

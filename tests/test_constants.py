@@ -7,7 +7,6 @@ from levymult.constants import (
     choi_constant_approx,
     constant_report,
     cpbB_bounds,
-    p_star,
 )
 
 

@@ -8,11 +8,9 @@ from levymult.groups import (
     PeterWeylCoeffs,
     casimir_eigenvalue,
     dual_enumerate,
-    get_irrep,
     haar_sample,
     heat_coeffs,
     irrep_evaluate,
-    irrep_evaluate_batch,
     plancherel_pairing,
     pw_forward,
     pw_inverse,

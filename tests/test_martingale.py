@@ -279,6 +279,49 @@ def test_projection_deterministic_against_brute_force_quadrature():
     assert float(spectral.real) == pytest.approx(brute, abs=1e-8)
 
 
+def _projection_per_label(f, g, amatrix, psi, spec):
+    """The finite-horizon pairing value label by label and atom by atom:
+    sum_k [2c k.Ak + 2 sum_a mass_a psi_a (1 - cos k.tau_a)]
+          * int_0^T e^{2 s Re alpha_k} ds * fhat(k) ghat(-k)."""
+    (stack,) = transform_context(spec, f).stacks
+    a_use = np.zeros((2, 2)) if amatrix is None else np.atleast_2d(amatrix)
+    psi_vals = np.broadcast_to(np.asarray(psi, dtype=complex), (len(spec.jumps.atoms),))
+    total = 0.0 + 0.0j
+    for pi, fk, al in zip(stack.irreps, stack.fvec, stack.lmat[:, 0, 0]):
+        kvec = np.atleast_1d(np.asarray(pi.label, dtype=float))
+        gb = g.blocks.get(tuple(-x for x in pi.label))
+        if gb is None or fk == 0.0:
+            continue
+        quad = 2.0 * spec.c * complex(kvec @ (a_use @ kvec))
+        jump = 0.0 + 0.0j
+        for (tau, mass), pv in zip(spec.jumps.atoms, psi_vals):
+            jump += 2.0 * mass * pv * (1.0 - np.cos(float(kvec @ tau)))
+        re2 = 2.0 * float(np.real(al))
+        weight = spec.horizon if re2 == 0.0 else float(np.expm1(re2 * spec.horizon) / re2)
+        total += (quad + jump) * weight * fk * complex(gb[0, 0])
+    return complex(total)
+
+
+def test_projection_deterministic_matches_per_label_formula():
+    from levymult.verify import _projection_fixtures
+
+    f, g, fixtures = _projection_fixtures(20246)
+    half_turn = GroupLevyMeasure("t2", ((np.array([np.pi, 0.0]), 0.6),))
+    complex_psi = np.array([0.3 + 0.4j, -0.5j])
+    cases = [(amat, psi, c, nu, horizon, drift) for _, amat, psi, c, nu, horizon, drift in fixtures]
+    cases += [
+        # c = 0: the modes with even k1 are undefined (Re alpha = 0) and contribute 0
+        (np.eye(2), np.array([0.7]), 0.0, half_turn, 1.0, ()),
+        (None, complex_psi, 0.25, fixtures[3][4], 0.5, (0.4, -0.2)),
+        (np.array([[0.2, 0.5j], [-0.3, 0.1]]), 0.6, 0.0, fixtures[3][4], 1.0, ()),
+    ]
+    for amat, psi, c, nu, horizon, drift in cases:
+        spec = GroupProcessSpec("t2", c, nu, horizon, 1 / 64, seed=0, drift=drift)
+        expect = _projection_per_label(f, g, amat, psi, spec)
+        got = projection_deterministic(f, g, amat, psi, spec)
+        assert abs(got - expect) <= 1e-12 * abs(expect)
+
+
 def test_projection_zero_pair_and_disjoint_supports():
     spec = GroupProcessSpec("t2", 0.4, GroupLevyMeasure("t2"), 1.0, 1 / 64, seed=2)
     gen = rngmod.stream(10, 2)

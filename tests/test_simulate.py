@@ -7,7 +7,6 @@ from levymult.groups import GroupLevyMeasure, su2_exp
 from levymult.levy import BernsteinSpec, PositiveDensity, bernstein_atoms, bernstein_eval
 from levymult.simulate import (
     GroupProcessSpec,
-    SubordinatorEnsemble,
     ensemble_final_states,
     simulate_path,
     simulate_paths,
