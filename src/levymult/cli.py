@@ -78,6 +78,13 @@ def _require_keys(obj: dict, allowed, pointer: str):
             raise ConfigError(f"{pointer}.{key}", "unknown key")
 
 
+def _int_at_least(config: dict, key: str, default: int, low: int) -> int:
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not low <= value < np.inf:
+        raise ConfigError(f"config.{key}", f"expected a number >= {low}, got {value!r}")
+    return int(value)
+
+
 def _py(value):
     """Plain-Python view of numpy scalars for JSON output."""
     if isinstance(value, np.bool_):
@@ -233,21 +240,24 @@ def _load_config(path: str) -> dict:
         raise ConfigError(path, f"invalid JSON: {exc}")
 
 
-def _emit(payload: dict, args, csv_rows=None, csv_header=None) -> None:
-    """Write the payload as JSON, or the rows as CSV, to --out or stdout.
+def _render(payload: dict, args, csv_rows=None, csv_header=None) -> str:
+    """The payload as JSON, or the rows as CSV.
 
     CSV output carries the seed and config hash in a leading comment line
     so every numeric table keeps its provenance.
     """
-    if args.format == "csv" and csv_rows is not None:
-        meta = payload.get("meta", {})
-        lines = [f"# seed={meta.get('seed')} config_hash={meta.get('config_hash')}"]
-        lines.append(",".join(csv_header))
-        for row in csv_rows:
-            lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    if args.format != "csv" or csv_rows is None:
+        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    meta = payload.get("meta", {})
+    lines = [f"# seed={meta.get('seed')} config_hash={meta.get('config_hash')}", ",".join(csv_header)]
+    for row in csv_rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _emit(payload: dict, args, csv_rows=None, csv_header=None) -> None:
+    """Write ``_render`` of the payload to --out or stdout."""
+    text = _render(payload, args, csv_rows, csv_header)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -424,13 +434,14 @@ def cmd_symbol_group(args) -> int:
         _emit(payload, args)
         return 0
     shared = _shared_group_symbol(kind, config, "config", dual)
+    bernstein = _bernstein(config.get("bernstein", {})) if kind == "subordination" else None
     entries = []
     for pi in dual:
         try:
             if shared is not None:
                 mat = shared(pi)
             elif kind == "subordination":
-                mat = subordination_symbol(psi, _bernstein(config.get("bernstein", {})), nu, pi)
+                mat = subordination_symbol(psi, bernstein, nu, pi)
             else:
                 raise ConfigError("config.kind", f"unknown symbol kind {kind!r}")
         except ValueError as exc:
@@ -490,7 +501,18 @@ def cmd_norm_search(args) -> int:
     )
     if aprofile is not None:
         raise ConfigError("config.aprofile", "norm search uses autonomous multipliers")
-    n = int(config.get("grid", 32))
+    n = _int_at_least(config, "grid", 32, 2)
+    if n & (n - 1):
+        raise ConfigError("config.grid", f"{n} is not a power of two")
+    trials = _int_at_least(config, "trials", 8, 1)
+    refine = _int_at_least(config, "refine", 6, 0)
+    band = None if config.get("band") is None else _int_at_least(config, "band", None, 1)
+    ps = config.get("p", [2.0])
+    if not isinstance(ps, list):
+        raise ConfigError("config.p", "expected a list of exponents")
+    for i, p in enumerate(ps):
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 1.0 < p < np.inf:
+            raise ConfigError(f"config.p[{i}]", f"expected an exponent in (1, infinity), got {p!r}")
 
     def m(pts):
         vals = np.zeros(len(pts), dtype=complex)
@@ -501,24 +523,13 @@ def cmd_norm_search(args) -> int:
         return vals
 
     values = symbol_on_lattice(m, (n,) * triple.dim)
-    rows = []
-    for p in config.get("p", [2.0]):
-        res = norm_lower_bound_search(
-            values,
-            float(p),
-            trials=int(config.get("trials", 8)),
-            refine_steps=int(config.get("refine", 6)),
-            seed=args.seed,
-            band=config.get("band"),
-        )
-        rows.append((float(p), res.ratio, res.trials, res.refine_steps))
-    payload = {
-        "meta": _meta(args, config),
-        "rows": [
-            {"p": r[0], "lower_bound": r[1], "trials": r[2], "refine_steps": r[3]} for r in rows
-        ],
-    }
-    _emit(payload, args, csv_rows=rows, csv_header=("p", "lower_bound", "trials", "refine_steps"))
+    results = norm_lower_bound_search(
+        values, ps, trials=trials, refine_steps=refine, seed=args.seed, band=band
+    )
+    rows = [(res.p, res.ratio, res.trials, res.refine_steps) for res in results]
+    header = ("p", "lower_bound", "trials", "refine_steps")
+    payload = {"meta": _meta(args, config), "rows": [dict(zip(header, r)) for r in rows]}
+    _emit(payload, args, csv_rows=rows, csv_header=header)
     return 0
 
 
@@ -580,15 +591,9 @@ def cmd_simulate(args) -> int:
     summary["ratio_p2"] = ratio
     summary["stderr_p2"] = stderr
     payload = {"meta": _meta(args, config), "transcripts": out_path, **summary}
-    if args.format == "csv":
-        meta = payload["meta"]
-        sys.stdout.write(
-            f"# seed={meta['seed']} config_hash={meta['config_hash']}\n"
-            "paths,ratio_p2,stderr_p2,max_violation,max_repr_gap\n"
-            f"{paths},{ratio:.17g},{stderr:.17g},{summary['max_violation']:.17g},{summary['max_repr_gap']:.17g}\n"
-        )
-    else:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    header = ("paths", "ratio_p2", "stderr_p2", "max_violation", "max_repr_gap")
+    # stdout, as --out names the transcripts file
+    sys.stdout.write(_render(payload, args, [tuple(summary[k] for k in header)], header))
     return 0
 
 
@@ -616,10 +621,9 @@ def cmd_verify(args) -> int:
             for r in results
         ],
     }
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.write(_render(payload, args))
     for line in lines:
         sys.stdout.write(line + "\n")
     return 0 if all(r.passed for r in results) else 1

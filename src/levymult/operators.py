@@ -96,11 +96,7 @@ def apply_symbol_grid(
     zero_mode: float = 0.0,
 ) -> GridFunction:
     """Inverse transform of m(xi) fhat(xi) on the grid (m as in ``symbol_on_lattice``)."""
-    return _multiply(symbol_on_lattice(m, f.dims, f.period, zero_mode), f)
-
-
-def _multiply(values: np.ndarray, f: GridFunction) -> GridFunction:
-    """The grid function with coefficients values * fhat."""
+    values = symbol_on_lattice(m, f.dims, f.period, zero_mode)
     return GridFunction(np.fft.fftn(values * f.coeffs()), f.period)
 
 
@@ -118,14 +114,8 @@ def lp_norm(f, p: float) -> float:
     """(sum w |f|^p)^{1/p} with normalised weights; exact for constants."""
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, infinity)")
-    if isinstance(f, GridFunction):
-        values = f.values.ravel()
-        weights = np.full(values.size, 1.0 / values.size)
-    else:
-        values, weights = f
-        values = np.asarray(values).ravel()
-        weights = np.asarray(weights, dtype=float).ravel()
-    return float(np.sum(weights * np.abs(values) ** p) ** (1.0 / p))
+    values, weights = (f.values, 1.0 / f.values.size) if isinstance(f, GridFunction) else f
+    return float(np.sum(np.asarray(weights, dtype=float) * np.abs(np.asarray(values)) ** p) ** (1.0 / p))
 
 
 def plancherel_residual(f, g, grid=None) -> float:
@@ -152,6 +142,9 @@ def semigroup_symbol(triple: LevyTriple, t: float) -> Callable[[np.ndarray], np.
     return m
 
 
+SEARCH_BYTES = 1 << 20  # size of one stack of (p, trial) grids in the norm search
+
+
 @dataclass
 class SearchResult:
     """Lower bound on an operator p-norm with the witness that attains it."""
@@ -175,51 +168,101 @@ def _band_coeffs(shape: tuple, band: int, rng: np.random.Generator) -> np.ndarra
 
 def norm_lower_bound_search(
     values: np.ndarray,
-    p: float,
+    ps,
     trials: int = 8,
     refine_steps: int = 6,
     seed: int = 0,
     band: Optional[int] = None,
     period: tuple = (),
-) -> SearchResult:
-    """Largest found ratio |S f|_p / |f|_p over random band-limited f.
+) -> list:
+    """Largest found ratio |S f|_p / |f|_p over random band-limited f: one ``SearchResult`` per p in ps.
 
     ``values`` is the symbol sampled on the frequency lattice of the grid
-    (``symbol_on_lattice``); the grid shape is ``values.shape``.  Random
-    starts are refined by a nonlinear power iteration through the adjoint
-    (conjugate symbol).  The reported value is a lower bound on the
-    operator norm; it is deterministic for a fixed seed.
+    (``symbol_on_lattice``); the grid shape is ``values.shape``.  Trial starts,
+    drawn from (seed, SEARCH, trial) and shared by every p, are refined by
+    Boyd's nonlinear power iteration through the adjoint (conjugate symbol).
+    Every (p, trial) pair is one row of a stack of grids, as many rows per FFT
+    batch as fit ``SEARCH_BYTES``; a row stops alone.  Each p gets its best
+    ratio in trial-major, step-minor order (ties to the first) and the iterate
+    attaining it: a lower bound on the operator norm, deterministic per seed.
     """
     values = np.asarray(values, dtype=complex)
-    adjoint = np.conj(values)
     shape = values.shape
+    ps = [float(p) for p in ps]
+    if not all(1.0 < p < np.inf for p in ps):
+        raise ValueError("p must lie in (1, infinity)")
     if band is None:
         band = min(shape) // 4
     band = max(1, min(band, (min(shape) - 2) // 2))
-    q = p / (p - 1.0)
-
-    best_ratio = -np.inf
-    best = None
-    for trial in range(trials):
-        gen = rngmod.stream(seed, rngmod.SEARCH, trial)
-        x = GridFunction.from_coeffs(_band_coeffs(shape, band, gen), period)
-        for _ in range(refine_steps + 1):
-            nx = lp_norm(x, p)
-            if nx == 0.0:
-                break
-            y = _multiply(values, x)
-            ratio = lp_norm(y, p) / nx
-            if ratio > best_ratio:
-                best_ratio, best = ratio, x
-            # dual vector of y in L^p, pulled back through the adjoint
-            yv = y.values
-            dual = np.abs(yv) ** (p - 1.0) * np.exp(1j * np.angle(yv))
-            zv = _multiply(adjoint, GridFunction(dual, y.period)).values
-            xv = np.abs(zv) ** (q - 1.0) * np.exp(1j * np.angle(zv))
-            scale = np.max(np.abs(xv))
-            if scale == 0.0 or not np.all(np.isfinite(xv)):
-                break
-            x = GridFunction(xv / scale, y.period)
-    if best is None:
+    pairs = [(j, t) for j in range(len(ps)) for t in range(trials)]  # p-major: each p's trials in order
+    per_block = max(1, SEARCH_BYTES // (16 * values.size))
+    best = [(-np.inf, None)] * len(ps)
+    for lo in range(0, len(pairs), per_block):
+        block = pairs[lo : lo + per_block]
+        drawn, row_trial = np.unique([t for _, t in block], return_inverse=True)
+        coeffs = [_band_coeffs(shape, band, rngmod.stream(seed, rngmod.SEARCH, int(t))) for t in drawn]
+        starts = np.fft.fftn(coeffs, axes=tuple(range(1, 1 + len(shape))))[row_trial]
+        exps = np.array([ps[j] for j, _ in block])
+        for (j, _), ratio, x in zip(block, *_power_iteration(values, starts, exps, refine_steps)):
+            if ratio > best[j][0]:
+                best[j] = (ratio, x)
+    if any(x is None for _, x in best):
         raise ValueError("all trial functions degenerated to zero norm")
-    return SearchResult(float(best_ratio), best, p, trials, refine_steps)
+    witnesses = [GridFunction(x.copy(), period) for _, x in best]
+    return [SearchResult(float(r), w, p, trials, refine_steps) for p, (r, _), w in zip(ps, best, witnesses)]
+
+
+def _power_iteration(values: np.ndarray, x: np.ndarray, p: np.ndarray, steps: int):
+    """Best ratio and its iterate for each start x[i] at exponent p[i].
+
+    Work buffers are reused: fresh grid-sized arrays cost about as much as the FFTs."""
+    axes = tuple(range(1, x.ndim))
+    p = p.reshape((-1,) + (1,) * len(axes))
+    q = p / (p - 1.0)
+    adjoint = np.conj(values)
+    best = np.full(len(x), -np.inf)
+    best_x = np.zeros_like(x)
+    rows = np.arange(len(x))
+    y, z, mag = np.empty_like(x), np.empty_like(x), np.empty(x.shape)
+    nx = _lp_norms(x, p, mag)
+    live = nx != 0.0
+    for _ in range(steps + 1):
+        if not live.all():  # a row stops on a zero norm, or an iterate that vanished or is not finite
+            rows, x, p, q, nx = rows[live], x[live], p[live], q[live], nx[live]
+            y, z, mag = y[: len(rows)], z[: len(rows)], mag[: len(rows)]
+        if not len(rows):
+            break
+        ratio = _lp_norms(_apply(values, x, y), p, mag) / nx
+        better = ratio > best[rows]
+        best[rows[better]] = ratio[better]
+        best_x[rows[better]] = x[better]
+        # dual vector of y in L^p, pulled back through the adjoint
+        _duality_map(_apply(adjoint, _duality_map(y, p, mag), z), q, mag)
+        scale = np.max(np.abs(z, out=mag), axis=axes, keepdims=True)
+        finite = (scale > 0.0) & (scale < np.inf)  # NaN fails both
+        nx = _lp_norms(np.divide(z, scale, out=x, where=finite), p, mag)
+        live = finite.reshape(-1) & (nx != 0.0)
+    return best, best_x
+
+
+def _apply(values: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each grid x[i] with its coefficients multiplied by values, written to out."""
+    axes = tuple(range(1, x.ndim))
+    np.fft.ifftn(x, axes=axes, out=out)
+    out *= values
+    return np.fft.fftn(out, axes=axes, out=out)
+
+
+def _lp_norms(x: np.ndarray, p: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """``lp_norm`` of each grid x[i] at exponent p[i]; mag is scratch of x's shape."""
+    np.power(np.abs(x, out=mag), p, out=mag)
+    mag *= 1.0 / np.prod(x.shape[1:])
+    return np.sum(mag, axis=tuple(range(1, x.ndim))).reshape(-1) ** (1.0 / p.reshape(-1))
+
+
+def _duality_map(y: np.ndarray, p: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """y times |y|^{p-2} in place, 0 where y is 0 even for p < 2; mag is scratch of y's shape."""
+    np.abs(y, out=mag)
+    np.power(mag, p - 2.0, out=mag, where=mag > 0.0)
+    y *= mag
+    return y

@@ -243,13 +243,12 @@ def check_norm_search(
             sym = multiplier_autonomous_grid(*_random_multiplier_fixture(gen), xi)
         vals = np.concatenate([[0.0], sym])
         sup_lattice = float(np.max(np.abs(vals)))
-        for p in ps:
-            res = norm_lower_bound_search(vals.reshape(shape), p, trials=4, refine_steps=4, seed=seed + i)
+        for res in norm_lower_bound_search(vals.reshape(shape), ps, trials=4, refine_steps=4, seed=seed + i):
             if interval_case:
-                worst_interval = max(worst_interval, res.ratio - cpbB_bounds(p, b, bb).upper)
+                worst_interval = max(worst_interval, res.ratio - cpbB_bounds(res.p, b, bb).upper)
             else:
-                worst_gap = max(worst_gap, res.ratio - (p_star(p) - 1.0))
-                if p == 2.0:
+                worst_gap = max(worst_gap, res.ratio - (p_star(res.p) - 1.0))
+                if res.p == 2.0:
                     worst_p2 = max(worst_p2, res.ratio - sup_lattice)
     passed = worst_gap <= slack and worst_p2 <= p2_tol and worst_interval <= 1e-9
     return CheckResult(

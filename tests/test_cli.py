@@ -230,6 +230,84 @@ def test_norm_search_command(tmp_path):
     assert 0.5 < out["rows"][0]["lower_bound"] <= 1.0 + 1e-9
 
 
+NORM_SEARCH_CONFIG = {
+    "triple": {"diffusion": [[1.0, 0.0], [0.0, 1.0]], "atoms": [{"point": [0.3, -0.2], "mass": 0.5}]},
+    "amatrix": [[1.0, 0.0], [0.0, -1.0]],
+    "psi": [0.4],
+    "grid": 16,
+    "p": [1.5, 3.0],
+    "trials": 2,
+    "refine": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "change, pointer",
+    [
+        ({"p": [1.0]}, "config.p[0]"),
+        ({"p": [2.0, 0.5]}, "config.p[1]"),
+        ({"p": ["two"]}, "config.p[0]"),
+        ({"p": 2.0}, "config.p"),
+        ({"trials": 0}, "config.trials"),
+        ({"refine": -1}, "config.refine"),
+        ({"grid": 12}, "config.grid"),
+        ({"grid": 1}, "config.grid"),
+        ({"band": "wide"}, "config.band"),
+        ({"band": 0}, "config.band"),
+    ],
+)
+def test_norm_search_input_errors_exit_2_with_a_pointer(tmp_path, capsys, change, pointer):
+    from levymult import cli
+
+    cfg = tmp_path / "ns.json"
+    cfg.write_text(json.dumps({**NORM_SEARCH_CONFIG, **change}))
+    assert cli.main(["norm-search", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"config error at '{pointer}'" in captured.err
+    assert captured.out == ""
+
+
+def test_norm_search_rows_follow_the_p_list(tmp_path, capsys):
+    from levymult import cli
+
+    cfg = tmp_path / "ns.json"
+    cfg.write_text(json.dumps({**NORM_SEARCH_CONFIG, "p": [3.0, 1.5, 3.0]}))
+    assert cli.main(["norm-search", "--config", str(cfg)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["p"] for row in rows] == [3.0, 1.5, 3.0]
+    assert rows[0]["lower_bound"] == rows[2]["lower_bound"]
+
+
+def test_symbol_group_subordination_parses_bernstein_once(tmp_path, capsys, monkeypatch):
+    from levymult import cli
+
+    parsed = []
+    original = cli._bernstein
+
+    def counted(*args, **kwargs):
+        parsed.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_bernstein", counted)
+    cfg = tmp_path / "sub.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "group": "t2",
+                "cutoff": 2,
+                "kind": "subordination",
+                "psi": [0.7],
+                "atoms": [{"angle": [0.5, -1.1], "mass": 0.9}],
+                "bernstein": {"c": 0.1, "atoms": [{"y": 0.5, "mass": 1.2}]},
+            }
+        )
+    )
+    assert cli.main(["symbol-group", "--config", str(cfg)]) == 0
+    symbols = json.loads(capsys.readouterr().out)["symbols"]
+    assert len(symbols) == 25
+    assert len(parsed) == 1
+
+
 SIMULATE_CONFIG = {
     "group": "t1",
     "c": 0.4,

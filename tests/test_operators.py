@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from levymult import operators as ops
 from levymult import rng as rngmod
-from levymult.euclid import riesz2_symbol_rn
+from levymult.euclid import multiplier_autonomous_grid, riesz2_symbol_rn
 from levymult.groups import dual_enumerate, pw_inverse, random_band_limited
 from levymult.levy import LevyMeasureRn, LevyTriple
 from levymult.operators import (
@@ -144,28 +147,28 @@ def test_plancherel_residual_grid_and_groups():
 
 
 def test_norm_search_identity_and_constant():
-    res = norm_lower_bound_search(symbol_on_lattice(lambda xi: np.ones(len(xi)), (16, 16)), 3.0, trials=3, refine_steps=3, seed=1)
+    res = norm_lower_bound_search(symbol_on_lattice(lambda xi: np.ones(len(xi)), (16, 16)), [3.0], trials=3, refine_steps=3, seed=1)[0]
     assert abs(res.ratio - 1.0) < 1e-9
-    res2 = norm_lower_bound_search(symbol_on_lattice(lambda xi: np.full(len(xi), 0.7 + 0.0j), (16, 16)), 2.0, trials=3, refine_steps=3, seed=1)
+    res2 = norm_lower_bound_search(symbol_on_lattice(lambda xi: np.full(len(xi), 0.7 + 0.0j), (16, 16)), [2.0], trials=3, refine_steps=3, seed=1)[0]
     assert abs(res2.ratio - 0.7) < 1e-9
 
 
 def test_norm_search_riesz_p2_approaches_but_never_exceeds_one():
     res = norm_lower_bound_search(
         symbol_on_lattice(lambda xi: riesz2_symbol_rn(np.diag([1.0, -1.0]), xi), (32, 32)),
-        2.0,
+        [2.0],
         trials=6,
         refine_steps=6,
         seed=2,
-    )
+    )[0]
     assert res.ratio <= 1.0 + 1e-9
     assert res.ratio > 0.9
 
 
 def test_norm_search_deterministic():
     m = symbol_on_lattice(lambda xi: riesz2_symbol_rn(np.diag([1.0, -1.0]), xi), (16, 16))
-    a = norm_lower_bound_search(m, 1.5, trials=3, refine_steps=2, seed=42)
-    b = norm_lower_bound_search(m, 1.5, trials=3, refine_steps=2, seed=42)
+    a = norm_lower_bound_search(m, [1.5], trials=3, refine_steps=2, seed=42)[0]
+    b = norm_lower_bound_search(m, [1.5], trials=3, refine_steps=2, seed=42)[0]
     assert a.ratio == b.ratio
     assert np.array_equal(a.witness.values, b.witness.values)
 
@@ -184,6 +187,10 @@ def test_frequency_lattice_scaling():
     lat = frequency_lattice(f)
     assert lat[1, 0, 0] == pytest.approx(0.5)  # index 1 on a period-2 axis
     assert lat[0, 1, 1] == pytest.approx(1.0)
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 def _callable_search(m, shape, p, trials, refine_steps, seed):
@@ -212,9 +219,139 @@ def _callable_search(m, shape, p, trials, refine_steps, seed):
 def test_norm_search_on_values_matches_the_callable_route_bitwise(p):
     m = lambda xi: riesz2_symbol_rn(np.array([[1.0, 0.4], [0.4, -0.6]]), xi)
     ratio, witness = _callable_search(m, (16, 16), p, trials=3, refine_steps=3, seed=9)
-    res = norm_lower_bound_search(symbol_on_lattice(m, (16, 16)), p, trials=3, refine_steps=3, seed=9)
+    res = norm_lower_bound_search(symbol_on_lattice(m, (16, 16)), [p], trials=3, refine_steps=3, seed=9)[0]
     assert res.ratio == ratio
-    assert np.array_equal(res.witness.values, witness.values)
+    # the duality maps are |y|^{p-2} y here, |y|^{p-1} e^{i arg y} there: witnesses move by ulps
+    assert _max_rel(res.witness.values, witness.values) <= 1e-12
+
+
+def _per_pair_search(values, p, trials, refine_steps, seed):
+    """The search one p and one trial at a time, with lp_norm, for reference."""
+    shape = values.shape
+    band = max(1, min(min(shape) // 4, (min(shape) - 2) // 2))
+    q = p / (p - 1.0)
+    best_ratio, best = -np.inf, None
+    for trial in range(trials):
+        gen = rngmod.stream(seed, rngmod.SEARCH, trial)
+        x = GridFunction.from_coeffs(ops._band_coeffs(shape, band, gen))
+        for _ in range(refine_steps + 1):
+            nx = lp_norm(x, p)
+            if nx == 0.0:
+                break
+            y = GridFunction(np.fft.fftn(values * x.coeffs()))
+            ratio = lp_norm(y, p) / nx
+            if ratio > best_ratio:
+                best_ratio, best = ratio, x
+            dual = np.abs(y.values) ** (p - 1.0) * np.exp(1j * np.angle(y.values))
+            zv = np.fft.fftn(np.conj(values) * np.fft.ifftn(dual))
+            xv = np.abs(zv) ** (q - 1.0) * np.exp(1j * np.angle(zv))
+            scale = np.max(np.abs(xv))
+            if scale == 0.0 or not np.all(np.isfinite(xv)):
+                break
+            x = GridFunction(xv / scale)
+    if best is None:
+        raise ValueError("all trial functions degenerated to zero norm")
+    return best_ratio, best
+
+
+SEARCH_PS = (1.5, 2.0, 3.0, 4.0)
+
+
+def _search_symbols():
+    """A Riesz symbol, an atoms fixture with complex psi and a criterion-3 central symbol on 16^2."""
+    from levymult import verify
+
+    shape = (16, 16)
+    xi = verify._nonzero_lattice(shape)
+    riesz = symbol_on_lattice(lambda k: riesz2_symbol_rn(np.array([[1.0, 0.4], [0.4, -0.6]]), k), shape)
+    gen = rngmod.stream(3, rngmod.SPEC_DRAW, 0)
+    amat = verify._random_bounded_matrix(gen, 2)
+    atoms = tuple((gen.standard_normal(2), float(gen.uniform(0.2, 1.5))) for _ in range(3))
+    psi = gen.uniform(-0.9, 0.9, size=3) * np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, size=3))
+    atoms_sym = multiplier_autonomous_grid(amat, psi, np.zeros((2, 2)), LevyMeasureRn(dim=2, atoms=atoms), xi)
+    assert np.max(np.abs(atoms_sym.imag)) > 1e-3
+    central = verify._central_lattice_symbol(rngmod.stream(20242, rngmod.SPEC_DRAW, 240), xi)
+    return {
+        "riesz": riesz,
+        "atoms": np.concatenate([[0.0], atoms_sym]).reshape(shape),
+        "central": np.concatenate([[0.0], central]).reshape(shape),
+    }
+
+
+@pytest.mark.parametrize("name", ["riesz", "atoms", "central"])
+def test_stacked_search_matches_the_per_pair_loop(name):
+    values = _search_symbols()[name]
+    results = norm_lower_bound_search(values, SEARCH_PS, trials=4, refine_steps=4, seed=11)
+    assert [res.p for res in results] == list(SEARCH_PS)
+    for res in results:
+        ratio, witness = _per_pair_search(values, res.p, 4, 4, 11)
+        assert res.ratio == pytest.approx(ratio, rel=1e-12, abs=0.0)
+        assert _max_rel(res.witness.values, witness.values) <= 1e-12
+
+
+def test_stacked_search_of_the_zero_symbol_is_zero_without_warnings():
+    values = np.zeros((16, 16), dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = norm_lower_bound_search(values, SEARCH_PS, trials=3, refine_steps=3, seed=5)
+    for res in results:
+        ratio, witness = _per_pair_search(values, res.p, 3, 3, 5)
+        assert res.ratio == ratio == 0.0
+        assert _max_rel(res.witness.values, witness.values) <= 1e-12
+
+
+def test_a_zero_start_is_masked_while_the_other_trials_run(monkeypatch):
+    zero_state = str(rngmod.stream(5, rngmod.SEARCH, 1).bit_generator.state)
+    original = ops._band_coeffs
+
+    def band_coeffs(shape, band, gen):
+        is_zero = str(gen.bit_generator.state) == zero_state  # the start of trial 1
+        out = original(shape, band, gen)
+        return np.zeros_like(out) if is_zero else out
+
+    monkeypatch.setattr(ops, "_band_coeffs", band_coeffs)
+    assert not ops._band_coeffs((16, 16), 4, rngmod.stream(5, rngmod.SEARCH, 1)).any()
+    values = _search_symbols()["riesz"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = norm_lower_bound_search(values, SEARCH_PS, trials=3, refine_steps=3, seed=5)
+    for res in results:
+        ratio, witness = _per_pair_search(values, res.p, 3, 3, 5)
+        assert res.ratio == pytest.approx(ratio, rel=1e-12, abs=0.0)
+        assert res.ratio > 0.5
+        assert _max_rel(res.witness.values, witness.values) <= 1e-12
+
+
+def test_one_p_matches_the_same_p_in_a_stack():
+    values = _search_symbols()["atoms"]
+    stacked = norm_lower_bound_search(values, SEARCH_PS, trials=4, refine_steps=4, seed=2)
+    for res in stacked:
+        alone = norm_lower_bound_search(values, [res.p], trials=4, refine_steps=4, seed=2)[0]
+        assert alone.ratio == pytest.approx(res.ratio, rel=1e-12, abs=0.0)
+        assert _max_rel(alone.witness.values, res.witness.values) <= 1e-12
+
+
+def test_search_blocks_split_the_pairs_without_moving_results(monkeypatch):
+    values = _search_symbols()["central"]
+    whole = norm_lower_bound_search(values, SEARCH_PS, trials=3, refine_steps=3, seed=4)
+    monkeypatch.setattr(ops, "SEARCH_BYTES", 5 * 16 * values.size)  # blocks of 5 rows: 12 pairs in 3
+    split = norm_lower_bound_search(values, SEARCH_PS, trials=3, refine_steps=3, seed=4)
+    for a, b in zip(whole, split):
+        assert a.ratio == pytest.approx(b.ratio, rel=1e-12, abs=0.0)
+        assert _max_rel(a.witness.values, b.witness.values) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, np.inf, np.nan])
+def test_search_rejects_p_outside_the_open_interval(p, monkeypatch):
+    monkeypatch.setattr(ops, "_band_coeffs", None)  # no trial may start
+    with pytest.raises(ValueError, match="p must lie"):
+        norm_lower_bound_search(np.ones((8, 8)), [2.0, p], trials=2, refine_steps=1)
+
+
+def test_search_with_no_trials_or_steps_still_reports_degeneration():
+    for trials, steps in ((0, 2), (2, -1)):
+        with pytest.raises(ValueError, match="degenerated"):
+            norm_lower_bound_search(np.ones((8, 8)), [2.0], trials=trials, refine_steps=steps)
 
 
 def test_cli_norm_search_evaluates_the_multiplier_once(tmp_path, monkeypatch, capsys):
