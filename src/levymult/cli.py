@@ -135,7 +135,7 @@ def _radial_density(obj, pointer: str) -> RadialDensity:
     )
 
 
-def _levy_triple(obj, pointer: str = "triple") -> LevyTriple:
+def _levy_triple(obj, pointer: str) -> LevyTriple:
     _require_keys(obj, {"drift", "diffusion", "atoms", "density"}, pointer)
     a = _matrix(obj.get("diffusion", [[0.0]]), f"{pointer}.diffusion").real
     n = a.shape[0]
@@ -151,7 +151,7 @@ def _levy_triple(obj, pointer: str = "triple") -> LevyTriple:
     return LevyTriple(drift=drift, diffusion=a, nu=nu)
 
 
-def _bernstein(obj, pointer: str = "bernstein") -> BernsteinSpec:
+def _bernstein(obj, pointer: str) -> BernsteinSpec:
     _require_keys(obj, {"c", "atoms", "density"}, pointer)
     atoms = []
     for i, atom in enumerate(obj.get("atoms", [])):
@@ -312,7 +312,7 @@ def cmd_dual(args) -> int:
 def cmd_symbol(args) -> int:
     config = _load_config(args.config)
     _require_keys(config, {"triple", "xi"}, "config")
-    triple = _levy_triple(config.get("triple", {}))
+    triple = _levy_triple(config.get("triple", {}), "config.triple")
     rows = []
     for xi in config.get("xi", []):
         re, im = eval_symbol(triple, np.asarray(xi, dtype=float))
@@ -332,7 +332,7 @@ def _multiplier_from_config(config):
         {"triple", "amatrix", "aprofile", "psi", "mode", "xi", "grid", "a_bound", "psi_bound"},
         "config",
     )
-    triple = _levy_triple(config.get("triple", {}))
+    triple = _levy_triple(config.get("triple", {}), "config.triple")
     amatrix = None
     aprofile = None
     if config.get("aprofile") is not None:
@@ -434,7 +434,7 @@ def cmd_symbol_group(args) -> int:
         _emit(payload, args)
         return 0
     shared = _shared_group_symbol(kind, config, "config", dual)
-    bernstein = _bernstein(config.get("bernstein", {})) if kind == "subordination" else None
+    bernstein = _bernstein(config.get("bernstein", {}), "config.bernstein") if kind == "subordination" else None
     entries = []
     for pi in dual:
         try:

@@ -6,7 +6,8 @@ closed ratio of quadratic-plus-jump forms (unscaled frequency convention);
 uses the 2*pi-scaled convention, so that for constant data
 ``multiplier_time_dependent(spec, triple, xi) == multiplier_autonomous(..., 2*pi*xi)``.
 
-Every jump sum sum_q w_q (1 - cos(xi . y_q)) is ``levy.oneminus_cos_sums``.
+Every jump sum sum_q w_q (1 - cos(xi . y_q)) is ``levy.oneminus_cos_sums``,
+and every density sum, psi-weighted ones included, is ``levy.refined_sum``.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import numpy as np
 
 from .gammafn import gamma
 from .levy import (
-    REFINE_RTOL,
     LevyMeasureRn,
     LevyTriple,
-    QuadratureError,
     factor_diffusion,
     oneminus_cos_sums,
+    refined_sum,
     symbol_grid,
 )
 from .linalg import operator_norm
@@ -70,17 +70,15 @@ def multiplier_autonomous_grid(
         sums = oneminus_cos_sums(xi, nu.atom_points, masses, masses * _psi_at(psi, nu.atom_points))
         den, num = den + sums[0], num + sums[1]
     if nu.density is not None:
-        pts_c, w_c = nu._quad_coarse
-        pts_f, w_f = nu._quad_fine
-        (den_c,) = oneminus_cos_sums(xi, pts_c, w_c)
-        fine_weights = [w_f] if psi is None else [w_f, w_f * _psi_at(psi, pts_f)]
-        fine = oneminus_cos_sums(xi, pts_f, *fine_weights)
-        den_f = fine[0]
-        if np.any(np.abs(den_f - den_c) > REFINE_RTOL * (1.0 + np.abs(den_f))):
-            raise QuadratureError("jump-part quadrature did not stabilise on refinement")
-        den = den + den_f
+
+        def jump_sums(pts, w):
+            weights = [w] if psi is None else [w, w * _psi_at(psi, pts)]
+            return np.array(oneminus_cos_sums(xi, pts, *weights))
+
+        sums = refined_sum(nu.quadratures, jump_sums)
+        den = den + sums[0].real
         if psi is not None:
-            num = num + fine[1]
+            num = num + sums[1]
     if np.any(den <= 0.0):
         raise ValueError("zero-symbol frequency: denominator vanishes (xi = 0 or degenerate data)")
     return (num + 0.0j) / den
@@ -157,6 +155,9 @@ def _const_time_integral(rate: float) -> float:
     return 1.0 / (-2.0 * rate)
 
 
+BOUND_SLACK = 1e-12  # absolute slack of ``MultiplierSpec.validate`` over the declared bounds
+
+
 @dataclass(frozen=True)
 class MultiplierSpec:
     """A transform pair (A, psi) with declared norm bounds.
@@ -178,21 +179,21 @@ class MultiplierSpec:
         if self.amatrix is not None:
             object.__setattr__(self, "amatrix", np.atleast_2d(np.asarray(self.amatrix)))
 
-    def validate(self, nu: LevyMeasureRn, slack: float = 1e-12) -> None:
-        """Check measured sups against the declared bounds (atoms + sample grid)."""
+    def validate(self, nu: LevyMeasureRn) -> None:
+        """Check measured sups against the declared bounds (atoms + sample grid), up to ``BOUND_SLACK``."""
         if self.amatrix is not None:
             measured = operator_norm(self.amatrix)
         else:
             measured = self.aprofile.sup_norm
-        if measured > self.a_bound + slack:
+        if measured > self.a_bound + BOUND_SLACK:
             raise ValueError(f"declared |A| bound {self.a_bound} exceeded: measured {measured}")
         sup_psi = 0.0
         if len(nu.atoms):
             sup_psi = float(np.max(np.abs(_psi_at(self.psi, nu.atom_points))))
         if nu.density is not None and self.psi is not None:
-            pts, _ = nu._quad_coarse
+            pts, _ = nu.quadratures[0]
             sup_psi = max(sup_psi, float(np.max(np.abs(_psi_at(self.psi, pts)))))
-        if sup_psi > self.psi_bound + slack:
+        if sup_psi > self.psi_bound + BOUND_SLACK:
             raise ValueError(f"declared |psi| bound {self.psi_bound} exceeded: measured {sup_psi}")
 
 
@@ -223,7 +224,6 @@ def multiplier_time_dependent(spec: MultiplierSpec, triple: LevyTriple, xi) -> c
         (sums,) = oneminus_cos_sums(2.0 * np.pi * xi, nu.atom_points, nu.atom_masses * _psi_at(spec.psi, nu.atom_points))
         m2 += 2.0 * sums[0] * time_factor
     if nu.density is not None and spec.psi is not None:
-        pts, w = nu._quad_fine
-        (sums,) = oneminus_cos_sums(2.0 * np.pi * xi, pts, w * _psi_at(spec.psi, pts))
-        m2 += 2.0 * sums[0] * time_factor
+        jump_sums = lambda pts, w: oneminus_cos_sums(2.0 * np.pi * xi, pts, w * _psi_at(spec.psi, pts))[0]
+        m2 += 2.0 * refined_sum(nu.quadratures, jump_sums)[0] * time_factor
     return complex(m1 + m2)

@@ -482,19 +482,13 @@ def heat_coeffs(coeffs: PeterWeylCoeffs, t: float) -> PeterWeylCoeffs:
     )
 
 
-def random_band_limited(
-    group: str,
-    cutoff,
-    rng: np.random.Generator,
-    real: bool = False,
-    scale: float = 1.0,
-) -> PeterWeylCoeffs:
+def random_band_limited(group: str, cutoff, rng: np.random.Generator, real: bool = False) -> PeterWeylCoeffs:
     """Random coefficient table; with real=True the synthesised function is real."""
     dual = dual_enumerate(group, cutoff)
     blocks = {}
     for pi in dual:
         z = rng.standard_normal((pi.dim, pi.dim)) + 1j * rng.standard_normal((pi.dim, pi.dim))
-        blocks[pi.label] = scale * z / np.sqrt(2.0 * pi.dim)
+        blocks[pi.label] = z / np.sqrt(2.0 * pi.dim)
     coeffs = PeterWeylCoeffs(group, cutoff, blocks)
     if not real:
         return coeffs

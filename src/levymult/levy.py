@@ -14,6 +14,9 @@ Every jump sum sum_q w_q (1 - cos(xi . y_q)), here and in ``euclid``, is
 1 - cos rounds to 0, with half-angle sines taken once per distinct
 coordinate value on lattices (``_separable_sums``) and per frequency
 elsewhere (``_direct_sums``).
+
+Every density sum, here and in ``euclid``, is ``refined_sum`` over the
+density's coarse and fine ``quadratures``, each built once per density.
 """
 
 from __future__ import annotations
@@ -35,6 +38,21 @@ PSD_TOL = 1e-12
 
 class QuadratureError(RuntimeError):
     """Successive quadrature refinements disagreed beyond tolerance."""
+
+
+def refined_sum(quadratures, evaluate: Callable, offset=0.0):
+    """evaluate(points, weights) on the fine of a density's (coarse, fine) ``quadratures``.
+
+    Each value is refused with ``QuadratureError`` where its coarse/fine gap
+    |Re| + |Im| exceeds REFINE_RTOL (1 + |offset + fine|); ``offset`` is
+    what the sum is added to in the result (zero: the sum alone sets the scale).
+    """
+    coarse, fine = (np.asarray(evaluate(*quad)) for quad in quadratures)
+    gap = np.abs(fine.real - coarse.real) + np.abs(fine.imag - coarse.imag)
+    tol = REFINE_RTOL * (1.0 + np.abs(offset + fine))
+    if np.any(gap > tol):
+        raise QuadratureError(f"density quadrature did not stabilise: gap up to {np.max(gap / tol):.3g} x tolerance")
+    return fine
 
 
 def _log_gl_nodes(inner: float, outer: float, per_decade: int):
@@ -134,12 +152,11 @@ class LevyMeasureRn:
         return np.array([m for _, m in self.atoms])
 
     @cached_property
-    def _quad_coarse(self):
-        return self.density.points_weights(self.dim, refine=1) if self.density else None
-
-    @cached_property
-    def _quad_fine(self):
-        return self.density.points_weights(self.dim, refine=2) if self.density else None
+    def quadratures(self):
+        """Density (points (q, dim), weights) at ``nodes`` and 2 x ``nodes`` per decade; None without one."""
+        if self.density is None:
+            return None
+        return tuple(self.density.points_weights(self.dim, refine=refine) for refine in (1, 2))
 
     def integrate(self, g: Callable[[np.ndarray], np.ndarray]):
         """Integrate g over the measure; refinement disagreement raises.
@@ -151,15 +168,7 @@ class LevyMeasureRn:
         if len(self.atoms):
             total += np.sum(self.atom_masses * np.asarray(g(self.atom_points)))
         if self.density is not None:
-            pts_c, w_c = self._quad_coarse
-            pts_f, w_f = self._quad_fine
-            coarse = np.sum(w_c * np.asarray(g(pts_c)))
-            fine = np.sum(w_f * np.asarray(g(pts_f)))
-            if abs(fine - coarse) > REFINE_RTOL * (1.0 + abs(fine)):
-                raise QuadratureError(
-                    f"density quadrature did not stabilise: coarse={coarse!r} fine={fine!r}"
-                )
-            total += fine
+            total += refined_sum(self.quadratures, lambda pts, w: np.sum(w * np.asarray(g(pts))))
         if abs(total.imag) == 0.0:
             return total.real
         return total
@@ -232,7 +241,7 @@ def pure_gaussian(a, drift=None) -> LevyTriple:
     return LevyTriple(drift=b, diffusion=a, nu=LevyMeasureRn(dim=n))
 
 
-def factor_diffusion(a, tol: float = PSD_TOL) -> np.ndarray:
+def factor_diffusion(a) -> np.ndarray:
     """Matrix Lambda with Lambda Lambda^T = 2a, for symmetric PSD a.
 
     Diagonal pivoting makes rank-deficient input acceptable; the factor is
@@ -241,9 +250,9 @@ def factor_diffusion(a, tol: float = PSD_TOL) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     n = a.shape[0]
     scale = 1.0 + float(np.max(np.abs(a))) if a.size else 1.0
-    if np.max(np.abs(a - a.T)) > tol * scale:
+    if np.max(np.abs(a - a.T)) > PSD_TOL * scale:
         raise ValueError("diffusion matrix is not symmetric")
-    lam, _, rank = pivoted_cholesky(2.0 * a, tol=tol)
+    lam, _, rank = pivoted_cholesky(2.0 * a, tol=PSD_TOL)
     out = np.zeros((n, n))
     out[:, :rank] = lam
     resid = np.max(np.abs(out @ out.T - 2.0 * a)) if n else 0.0
@@ -341,22 +350,21 @@ def symbol_grid(triple: LevyTriple, xi: np.ndarray):
 
     def jump_part(points, weights):
         small = np.sum(points * points, axis=1) <= 1.0
-        odd = np.empty(len(xi))
+        out = np.empty(len(xi), dtype=complex)
+        out.real = -oneminus_cos_sums(xi, points, weights)[0]
         block = max(1, TABLE_BYTES // (8 * len(points)))
         for lo in range(0, len(xi), block):
             phase = xi[lo : lo + block] @ points.T
-            odd[lo : lo + block] = (np.sin(phase) - np.where(small, phase, 0.0)) @ weights
-        return -oneminus_cos_sums(xi, points, weights)[0], odd
+            out.imag[lo : lo + block] = (np.sin(phase) - np.where(small, phase, 0.0)) @ weights
+        return out
 
     if len(nu.atoms):
-        atom_re, atom_im = jump_part(nu.atom_points, nu.atom_masses)
-        re, im = re + atom_re, im + atom_im
+        atom = jump_part(nu.atom_points, nu.atom_masses)
+        re, im = re + atom.real, im + atom.imag
     if nu.density is not None:
-        re_c, im_c = jump_part(*nu._quad_coarse)
-        re_f, im_f = jump_part(*nu._quad_fine)
-        re, im = re + re_f, im + im_f
-        if np.any(np.abs(re_f - re_c) + np.abs(im_f - im_c) > REFINE_RTOL * (1.0 + np.abs(re) + np.abs(im))):
-            raise QuadratureError("exponent quadrature did not stabilise on refinement")
+        # checked against the whole exponent: the gap scale is 1 + |rho|
+        dens = refined_sum(nu.quadratures, jump_part, offset=re + 1j * im)
+        re, im = re + dens.real, im + dens.imag
     return np.minimum(re, 0.0), im
 
 
@@ -379,9 +387,11 @@ class PositiveDensity:
         if not (0.0 < self.inner < self.outer):
             raise ValueError("need 0 < inner < outer")
 
-    def points_weights(self, refine: int = 1):
-        y, w = _log_gl_nodes(self.inner, self.outer, self.nodes * refine)
-        return y, w * self.profile(y)
+    @cached_property
+    def quadratures(self):
+        """(nodes, weights with the density values) at ``nodes`` and 2 x ``nodes`` per decade."""
+        pairs = (_log_gl_nodes(self.inner, self.outer, self.nodes * refine) for refine in (1, 2))
+        return tuple((y, w * self.profile(y)) for y, w in pairs)
 
 
 @dataclass(frozen=True)
@@ -422,13 +432,7 @@ def bernstein_eval(spec: BernsteinSpec, u):
     if spec.atoms:
         out = out + (-np.expm1(-np.outer(uu, spec.atom_y))) @ spec.atom_masses
     if spec.density is not None:
-        y_c, w_c = spec.density.points_weights(refine=1)
-        y_f, w_f = spec.density.points_weights(refine=2)
-        coarse = (-np.expm1(-np.outer(uu, y_c))) @ w_c
-        fine = (-np.expm1(-np.outer(uu, y_f))) @ w_f
-        if np.any(np.abs(fine - coarse) > REFINE_RTOL * (1.0 + np.abs(fine))):
-            raise QuadratureError("Bernstein quadrature did not stabilise on refinement")
-        out = out + fine
+        out = out + refined_sum(spec.density.quadratures, lambda y, w: (-np.expm1(-np.outer(uu, y))) @ w)
     return float(out[0]) if scalar else out
 
 
@@ -441,7 +445,7 @@ def bernstein_atoms(spec: BernsteinSpec) -> BernsteinSpec:
     """
     if spec.density is None:
         return spec
-    y, w = spec.density.points_weights(refine=1)
+    y, w = spec.density.quadratures[0]
     keep = w > 0.0
     extra = tuple((float(yy), float(ww)) for yy, ww in zip(y[keep], w[keep]))
     return BernsteinSpec(c=spec.c, atoms=spec.atoms + extra, density=None)

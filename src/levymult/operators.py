@@ -47,8 +47,8 @@ class GridFunction:
         return np.fft.ifftn(self.values)
 
     @classmethod
-    def from_coeffs(cls, coeffs: np.ndarray, period: tuple = ()) -> "GridFunction":
-        return cls(np.fft.fftn(np.asarray(coeffs, dtype=complex)), period)
+    def from_coeffs(cls, coeffs: np.ndarray) -> "GridFunction":
+        return cls(np.fft.fftn(np.asarray(coeffs, dtype=complex)))
 
 
 def frequency_lattice(f: GridFunction) -> np.ndarray:
@@ -173,7 +173,6 @@ def norm_lower_bound_search(
     refine_steps: int = 6,
     seed: int = 0,
     band: Optional[int] = None,
-    period: tuple = (),
 ) -> list:
     """Largest found ratio |S f|_p / |f|_p over random band-limited f: one ``SearchResult`` per p in ps.
 
@@ -208,7 +207,7 @@ def norm_lower_bound_search(
                 best[j] = (ratio, x)
     if any(x is None for _, x in best):
         raise ValueError("all trial functions degenerated to zero norm")
-    witnesses = [GridFunction(x.copy(), period) for _, x in best]
+    witnesses = [GridFunction(x.copy()) for _, x in best]
     return [SearchResult(float(r), w, p, trials, refine_steps) for p, (r, _), w in zip(ps, best, witnesses)]
 
 

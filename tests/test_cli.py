@@ -364,6 +364,27 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert "cutofff" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, config, pointer",
+    [
+        ("symbol", {"triple": {"atoms": [{"point": [0.5], "mass": 1.0, "bogus": 1}]}, "xi": [[1.0]]}, "config.triple.atoms[0].bogus"),
+        ("multiplier", {"triple": {"bogus": 1}, "xi": [[1.0]]}, "config.triple.bogus"),
+        (
+            "symbol-group",
+            {"group": "t1", "cutoff": 2, "kind": "subordination", "psi": [0.5], "bernstein": {"c": 1.0, "bogus": 1}},
+            "config.bernstein.bogus",
+        ),
+    ],
+)
+def test_unknown_nested_key_points_into_the_config(tmp_path, capsys, command, config, pointer):
+    from levymult import cli
+
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert f"config error at '{pointer}': unknown key" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path):
     proc = run_cli("symbol", "--config", str(tmp_path / "nope.json"), check=False)
     assert proc.returncode == 2

@@ -210,16 +210,16 @@ def _grid_route(xi, pts, wmat):
 
 def _kernel_case(case):
     if case == "lattice-density":
-        pts, w = LevyMeasureRn(dim=2, density=_criterion1_density())._quad_coarse
+        pts, w = LevyMeasureRn(dim=2, density=_criterion1_density()).quadratures[0]
         return _nonzero_lattice(64), pts, w
     if case == "dim1-density":
-        pts, w = LevyMeasureRn(dim=1, density=_criterion1_density(0.7))._quad_fine
+        pts, w = LevyMeasureRn(dim=1, density=_criterion1_density(0.7)).quadratures[1]
         xi = np.arange(-32.0, 32.0)
         return xi[xi != 0.0][:, None], pts, w
     if case == "complex-modulator":
-        pts, w = LevyMeasureRn(dim=2, density=_criterion1_density(0.9))._quad_coarse
+        pts, w = LevyMeasureRn(dim=2, density=_criterion1_density(0.9)).quadratures[0]
         return _nonzero_lattice(16), pts, w * 0.8 * np.exp(1j * (pts[:, 0] - 2.0 * pts[:, 1]))
-    pts, w = LevyMeasureRn(dim=2, density=_criterion1_density())._quad_coarse
+    pts, w = LevyMeasureRn(dim=2, density=_criterion1_density()).quadratures[0]
     return rngmod.stream(3, rngmod.SPEC_DRAW).standard_normal((7, 2)) * 5.0, pts, w
 
 
@@ -249,7 +249,7 @@ def test_small_frequencies_keep_a_positive_denominator(scale):
     zero = np.zeros((2, 2))
     atom = LevyMeasureRn(dim=2, atoms=(((0.3, 0.1), 1.0),))
     dens = LevyMeasureRn(dim=2, density=_criterion1_density())
-    for nu, (pts, w) in ((atom, (atom.atom_points, atom.atom_masses)), (dens, dens._quad_fine)):
+    for nu, (pts, w) in ((atom, (atom.atom_points, atom.atom_masses)), (dens, dens.quadratures[1])):
         (den,) = oneminus_cos_sums(xi, pts, w)
         ref = _half_angle_reference(xi, pts, w)
         assert np.all(ref > 0.0)
@@ -271,14 +271,14 @@ def test_time_dependent_multiplier_at_small_frequencies(scale):
 def test_small_frequencies_on_a_scaled_lattice():
     xi = _nonzero_lattice(64) * 1e-9
     nu = LevyMeasureRn(dim=2, density=_criterion1_density())
-    pts, w = nu._quad_coarse
+    pts, w = nu.quadratures[0]
     assert _lattice_factors(0.5 * xi, len(pts)) is not None  # the grid route runs
     (den,) = oneminus_cos_sums(xi, pts, w)
     ref = _half_angle_reference(xi, pts, w)
     assert np.max(np.abs(den - ref) / ref) <= 1e-12
     zero = np.zeros((2, 2))
     m = multiplier_autonomous_grid(zero, lambda y: 0.5 + 0.25 * np.tanh(y[:, 0]), zero, nu, xi)
-    pts_f, w_f = nu._quad_fine
+    pts_f, w_f = nu.quadratures[1]
     expected = _half_angle_reference(xi, pts_f, w_f * (0.5 + 0.25 * np.tanh(pts_f[:, 0])))
     expected = expected / _half_angle_reference(xi, pts_f, w_f)
     assert np.max(np.abs(m - expected) / np.abs(expected)) <= 1e-12

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from levymult.euclid import MultiplierSpec, multiplier_autonomous_grid, multiplier_time_dependent
 from levymult.levy import (
     BernsteinSpec,
     LevyMeasureRn,
     LevyTriple,
     PositiveDensity,
+    QuadratureError,
     RadialDensity,
     bernstein_atoms,
     bernstein_eval,
@@ -132,6 +134,67 @@ def test_underresolved_quadrature_raises_diagnostic():
     triple = LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=nu)
     with pytest.raises(QuadratureError):
         eval_symbol(triple, [40.0])
+
+
+def _underresolved_radial(dim):
+    # eight nodes per decade cannot track the density's sin(300 r) out to r = 30
+    dens = RadialDensity(profile=lambda r, u: r**-1.5 * (1.0 + np.sin(300.0 * r)), inner=1e-2, outer=30.0, nodes=8)
+    return LevyMeasureRn(dim=dim, density=dens)
+
+
+def _resolved_density_with_oscillating_psi():
+    # the density itself passes refinement; psi(y) = cos(5000 |y|) is what the coarse rule misses
+    dens = RadialDensity(profile=lambda r, u: 55.0 * np.exp(-r) / r, inner=0.06, outer=0.45, nodes=72)
+    psi = lambda y: np.cos(5000.0 * np.linalg.norm(y, axis=1))
+    return LevyMeasureRn(dim=2, density=dens), psi
+
+
+def _consumer_case(case):
+    """A call that sums an under-resolved density: the refinement rule must refuse it."""
+    eye = np.eye(2)
+    if case == "integrate":
+        return lambda: validate_levy_measure(_underresolved_radial(1))
+    if case == "eval_symbol":
+        return lambda: eval_symbol(LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=_underresolved_radial(1)), [2.0])
+    if case.startswith("autonomous") or case.startswith("time"):
+        if case.endswith("callable-psi"):
+            nu, psi = _resolved_density_with_oscillating_psi()
+        else:
+            nu, psi = _underresolved_radial(2), 0.5
+        if case.startswith("autonomous"):
+            return lambda: multiplier_autonomous_grid(eye, psi, eye, nu, np.array([[3.0, 4.0], [1.0, -2.0]]))
+        spec = MultiplierSpec(a_bound=1.0, psi_bound=1.0, amatrix=eye, psi=psi)
+        triple = LevyTriple(drift=[0.0, 0.0], diffusion=eye, nu=nu)
+        return lambda: multiplier_time_dependent(spec, triple, np.array([3.0, 4.0]) / (2.0 * np.pi))
+    dens = PositiveDensity(profile=lambda y: y**-1.5 * (1.0 + np.sin(300.0 * y)), inner=1e-2, outer=30.0, nodes=8)
+    return lambda: bernstein_eval(BernsteinSpec(density=dens), [0.5, 2.0])
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["integrate", "eval_symbol", "autonomous", "autonomous-callable-psi", "time", "time-callable-psi", "bernstein"],
+)
+def test_every_density_sum_is_refused_when_refinement_disagrees(case):
+    call = _consumer_case(case)
+    if case == "integrate":  # report-style: the refusal is carried as a warning
+        report = call()
+        assert not report.passed and report.estimate == np.inf
+        assert any("did not stabilise" in w for w in report.warnings)
+    else:
+        with pytest.raises(QuadratureError, match="did not stabilise"):
+            call()
+
+
+def test_density_quadratures_are_built_once_and_keep_their_node_counts():
+    nu = LevyMeasureRn(dim=1, density=RadialDensity(profile=lambda r, u: r**-1.5, inner=1e-2, outer=10.0, nodes=16))
+    coarse, fine = nu.quadratures
+    assert nu.quadratures is nu.quadratures
+    assert len(fine[0]) == 2 * len(coarse[0]) == 2 * 2 * 3 * 16  # two directions, three decades
+    dens = PositiveDensity(profile=lambda y: y**-1.5, inner=1e-2, outer=10.0, nodes=16)
+    (y_c, _), (y_f, _) = dens.quadratures
+    assert dens.quadratures is dens.quadratures
+    assert len(y_f) == 2 * len(y_c) == 2 * 3 * 16
+    assert LevyMeasureRn(dim=1).quadratures is None
 
 
 def test_atom_at_origin_rejected():

@@ -68,6 +68,27 @@ def test_subordination_t1_closed_form():
         assert out[0, 0] == pytest.approx((1.0 - np.cos(k * theta0)) / k**2, abs=1e-13)
 
 
+def test_subordination_over_a_dual_builds_the_bernstein_quadrature_once(monkeypatch):
+    from levymult import levy
+
+    builds = []
+    original = levy._log_gl_nodes
+
+    def counted(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(levy, "_log_gl_nodes", counted)
+    density = levy.PositiveDensity(profile=lambda y: y**-1.5 / (2.0 * np.sqrt(np.pi)), inner=1e-4, outer=1e3, nodes=24)
+    h = BernsteinSpec(c=0.1, density=density)
+    nu = GroupLevyMeasure("t2", ((np.array([0.5, -1.1]), 0.9),))
+    dual = [pi for pi in dual_enumerate("t2", 3) if pi.casimir > 0.0]
+    for pi in dual:
+        subordination_symbol(np.array([0.7]), h, nu, pi)
+    assert len(dual) == 48
+    assert len(builds) == 2  # the coarse and the fine rule, once each
+
+
 def test_subordination_zero_psi():
     nu = GroupLevyMeasure("t1", ((np.array([0.5]), 2.0),))
     out = subordination_symbol(0.0, BernsteinSpec(c=1.0), nu, torus_irrep("t1", 2))
