@@ -266,21 +266,59 @@ def su2_irrep_batch(pi: Irrep, gs: np.ndarray) -> np.ndarray:
     return _wigner_d(pi.dim - 1, *_su2_euler(np.asarray(gs, dtype=complex)))
 
 
+@lru_cache(maxsize=4096)
+def _torus_labels(labels: tuple):
+    """Torus labels as rows k, and their separable tables; read-only arrays.
+
+    The tables exist when the labels have fewer distinct coordinate values u,
+    counted over the axes, than there are labels (a full T^2 box has 2c + 1
+    per axis against (2c + 1)^2 labels).  They hold the axis of each u, the
+    values u, their number on each axis, and the column of each label in
+    the row-major product of the axes (None when the labels are that
+    product, in order).
+    """
+    k = np.array(labels, dtype=float).reshape(len(labels), -1)
+    sizes = tuple(len(set(col)) for col in k.T.tolist())
+    if sum(sizes) >= len(labels):
+        k.flags.writeable = False
+        return k, None
+    values, where = zip(*(np.unique(col, return_inverse=True) for col in k.T))
+    axis = np.repeat(np.arange(len(sizes)), sizes)
+    values = np.concatenate(values)
+    cols = np.ravel_multi_index(where, sizes)
+    cols = None if np.array_equal(cols, np.arange(len(labels))) else cols
+    for a in (k, axis, values, cols):
+        if a is not None:
+            a.flags.writeable = False
+    return k, (axis, values, sizes, cols)
+
+
 def irrep_stack_batch(irreps, gs) -> np.ndarray:
     """pi(g) for a stack of equal-dimension irreps at a batch of elements.
 
     ``gs`` holds angle vectors (m, n) on the tori and 2x2 matrices
     (m, 2, 2) on SU(2); the result has shape (m, len(irreps), d, d).
+
+    Torus characters e^{i k . theta} are separable: e^{i theta_a u} is
+    taken once for each distinct value u of each coordinate axis a of the
+    labels, and a label's character is read from the row-major product of
+    these per-axis tables (on T^2, e^{i theta_1 k_1} e^{i theta_2 k_2}).
+    Labels with no fewer distinct values than labels (one label, a sparse
+    set, any T^1 stack without repeats) take the exponential of k . theta
+    directly.  On T^1 either way gives exactly np.exp(1j * theta * k).
     """
     if irreps[0].group in (T1, T2):
-        # labels are the frequency vectors k.  The phase k . theta is taken as
-        # a complex product: acceptance details are compared bitwise across
-        # versions, and a real product rounds differently.  Multiplying by 1j
-        # after the product, not before, keeps the complex exp off a slow
-        # path that directly follows a BLAS call (about 10x on AVX-512 Xeons).
-        theta = np.atleast_2d(np.asarray(gs, dtype=complex))
-        k = np.array([pi.label for pi in irreps], dtype=float).reshape(len(irreps), -1)
-        return np.exp(1j * (theta @ k.T))[:, :, None, None]
+        theta = np.atleast_2d(np.asarray(gs, dtype=float))
+        k, tables = _torus_labels(tuple(pi.label for pi in irreps))
+        if tables is None:
+            return np.exp(1j * (theta @ k.T))[:, :, None, None]
+        axis, values, sizes, cols = tables
+        chars = np.exp(1j * (theta[:, axis] * values))
+        if len(sizes) == 2:
+            chars = (chars[:, : sizes[0], None] * chars[:, None, sizes[0] :]).reshape(len(theta), -1)
+        if cols is not None:
+            chars = chars[:, cols]
+        return chars[:, :, None, None]
     gs = np.asarray(gs, dtype=complex)
     return np.stack([su2_irrep_batch(pi, gs) for pi in irreps], axis=1)
 

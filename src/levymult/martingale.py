@@ -381,10 +381,10 @@ def ensemble_chunks(spec: GroupProcessSpec, ctx: _TransformContext, paths: int, 
     *haar_key, i) unless haar_start is False, in which case all paths start
     at the identity.  The chunk size is ``ctx.paths_per_chunk``.
     """
-    key = (seed, rngmod.HAAR, *haar_key)
+    key = (rngmod.HAAR, *haar_key)
     for idx in chunk_paths(paths, ctx.paths_per_chunk):
         if haar_start:
-            sigmas = np.array([haar_sample(spec.group, rngmod.stream(*key, i), 1)[0] for i in idx])
+            sigmas = np.array([haar_sample(spec.group, gen, 1)[0] for gen in rngmod.streams(seed, key, idx)])
         else:
             sigmas = np.array([identity_element(spec.group)] * len(idx))
         yield idx, simulate_paths(spec, idx), sigmas

@@ -161,20 +161,28 @@ class PathRecord:
         return self.owner * self.spec.n_steps + self.steps(slice(None))
 
 
-def _compound_poisson(gen: np.random.Generator, masses: np.ndarray, horizon: float):
-    """Sorted event times on [0, horizon] at total rate sum(masses), and the atom of each event."""
+def _compound_poisson(gens, masses: np.ndarray, horizon: float):
+    """For each generator: sorted event times on [0, horizon] at total rate
+    sum(masses), and the atom of each event.
+
+    The atoms are drawn as ``Generator.choice(p=masses / sum(masses))``
+    draws them, from the cdf of p, without its per-call argument checks.
+    """
     lam = float(np.sum(masses))
-    count = int(gen.poisson(lam * horizon))
-    times = np.sort(gen.uniform(0.0, horizon, size=count))
-    marks = gen.choice(len(masses), size=count, p=masses / lam)
-    return times, marks
+    cdf = np.cumsum(masses / lam)
+    cdf /= cdf[-1]
+    for gen in gens:
+        count = int(gen.poisson(lam * horizon))
+        times = np.sort(gen.uniform(0.0, horizon, size=count))
+        yield times, cdf.searchsorted(gen.random(count), side="right")
 
 
-def _draw_events(spec: GroupProcessSpec, index: int):
+def _draw_events(spec: GroupProcessSpec, indices) -> list:
+    """(event times, atoms) of each path, from its own jump stream."""
     masses = np.array([m for _, m in spec.jumps.atoms])
     if masses.size == 0:
-        return np.zeros(0), np.zeros(0, dtype=int)
-    return _compound_poisson(rngmod.stream(spec.seed, rngmod.JUMPS, index), masses, spec.horizon)
+        return [(np.zeros(0), np.zeros(0, dtype=int))] * len(indices)
+    return list(_compound_poisson(rngmod.streams(spec.seed, (rngmod.JUMPS,), indices), masses, spec.horizon))
 
 
 def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
@@ -185,7 +193,7 @@ def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
     """
     indices = np.atleast_1d(np.asarray(indices, dtype=int))
     n_paths, k_steps = len(indices), spec.n_steps
-    events = [_draw_events(spec, i) for i in indices]
+    events = _draw_events(spec, indices)
     counts = np.array([len(t) for t, _ in events], dtype=int)
     offsets = np.zeros(n_paths + 1, dtype=int)
     np.cumsum(k_steps + 1 + counts, out=offsets[1:])
@@ -204,8 +212,8 @@ def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
     # path p's segments are rows offsets[p] - p .. offsets[p + 1] - p - 1
     seg_start = offsets - np.arange(n_paths + 1)
     db = np.empty((seg_start[-1], group_dim(spec.group)))
-    for i, a, b in zip(indices, seg_start[:-1], seg_start[1:]):
-        rngmod.stream(spec.seed, rngmod.BROWNIAN, i).standard_normal(out=db[a:b])
+    for gen, a, b in zip(rngmod.streams(spec.seed, (rngmod.BROWNIAN,), indices), seg_start[:-1], seg_start[1:]):
+        gen.standard_normal(out=db[a:b])
     path = PathRecord(spec, indices, offsets, times, kinds, marks, db)
     db *= np.sqrt(path.ds)[:, None]
     return path
@@ -366,12 +374,10 @@ def simulate_subordinator(
     if abs(k * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be an integer number of steps")
     grid = np.arange(k + 1) * dt
-    values = np.empty((paths, k + 1))
-    for p in range(paths):
-        base = spec.c * grid
-        if spec.atoms:
-            t_ev, marks = _compound_poisson(rngmod.stream(seed, rngmod.SUBORDINATOR, p), spec.atom_masses, horizon)
+    values = np.tile(spec.c * grid, (paths, 1))
+    if spec.atoms:
+        gens = rngmod.streams(seed, (rngmod.SUBORDINATOR,), np.arange(paths))
+        for p, (t_ev, marks) in enumerate(_compound_poisson(gens, spec.atom_masses, horizon)):
             cum = np.concatenate([[0.0], np.cumsum(spec.atom_y[marks])])
-            base = base + cum[np.searchsorted(t_ev, grid, side="right")]
-        values[p] = base
+            values[p] += cum[np.searchsorted(t_ev, grid, side="right")]
     return SubordinatorEnsemble(grid, values, spec)

@@ -14,7 +14,6 @@ from levymult.gammafn import gamma
 from levymult.levy import (
     LevyMeasureRn,
     LevyTriple,
-    QuadratureError,
     RadialDensity,
     _direct_sums,
     _lattice_factors,
@@ -283,12 +282,3 @@ def test_small_frequencies_on_a_scaled_lattice():
     expected = expected / _half_angle_reference(xi, pts_f, w_f)
     assert np.max(np.abs(m - expected) / np.abs(expected)) <= 1e-12
 
-
-def test_underresolved_density_raises_on_the_lattice():
-    # eight nodes per decade cannot track cos(xi . y) out to |y| = 30 at |xi| ~ 40
-    dens = RadialDensity(profile=lambda r, u: r**-1.5, inner=1e-2, outer=30.0, nodes=8)
-    nu = LevyMeasureRn(dim=2, density=dens)
-    eye = np.eye(2)
-    for xi in (np.array([[40.0, 0.0]]), 5.0 * _nonzero_lattice(16)):
-        with pytest.raises(QuadratureError):
-            multiplier_autonomous_grid(eye, 0.5, eye, nu, xi)

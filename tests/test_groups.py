@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
+from levymult import groups as groupsmod
 from levymult import rng as rngmod
 from levymult.groups import (
     GroupLevyMeasure,
@@ -11,6 +12,7 @@ from levymult.groups import (
     haar_sample,
     heat_coeffs,
     irrep_evaluate,
+    irrep_stack_batch,
     plancherel_pairing,
     pw_forward,
     pw_inverse,
@@ -88,6 +90,41 @@ def test_torus_evaluation():
     pi = torus_irrep("t1", 2)
     assert irrep_evaluate(pi, [np.pi])[0, 0] == pytest.approx(np.exp(2j * np.pi))
     assert irrep_evaluate(pi, [0.0])[0, 0] == 1.0
+
+
+_BOX = [(k1, k2) for k1 in range(-3, 4) for k2 in range(-3, 4)]
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        _BOX,
+        [_BOX[i] for i in np.random.default_rng(1).permutation(len(_BOX))],
+        [(0, 0), (7, -3), (-5, 11)],
+        [(2, -1)],
+        [(0, 1), (0, -2), (0, 1)],  # one value on the first axis, a repeated label
+    ],
+    ids=["box", "shuffled-box", "sparse", "one-label", "repeats"],
+)
+def test_t2_characters_match_the_exponential_of_the_phase(labels):
+    theta = haar_sample("t2", rngmod.stream(8, 1), 400)
+    chars = irrep_stack_batch([torus_irrep("t2", k) for k in labels], theta)
+    assert chars.shape == (400, len(labels), 1, 1)
+    assert np.max(np.abs(chars[:, :, 0, 0] - np.exp(1j * theta @ np.array(labels, dtype=float).T))) <= 1e-14
+
+
+@pytest.mark.parametrize("labels", [[-3, 5, -1, 0, 2], [4, -4, 4, 0, -7, 0]], ids=["distinct", "repeats"])
+def test_t1_characters_are_exactly_the_exponential(labels):
+    theta = haar_sample("t1", rngmod.stream(8, 2), 300)
+    chars = irrep_stack_batch([torus_irrep("t1", k) for k in labels], theta)
+    assert chars[:, :, 0, 0].tobytes() == np.exp(1j * (theta * np.array(labels, dtype=float))).tobytes()
+
+
+def test_cached_label_data_is_read_only():
+    for labels in (tuple(_BOX), tuple(_BOX[::-1]), ((0, 0), (7, -3), (-5, 11)), (3, -1, 3)):
+        k, tables = groupsmod._torus_labels(labels)
+        arrays = [k] + [a for a in tables or () if isinstance(a, np.ndarray)]
+        assert not any(a.flags.writeable for a in arrays)
 
 
 def test_su2_exp_pi_x3():

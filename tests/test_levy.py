@@ -124,22 +124,22 @@ def test_validate_divergent_density_schedule():
     ).passed
 
 
-def test_underresolved_quadrature_raises_diagnostic():
-    from levymult.levy import QuadratureError
-
-    # eight nodes per decade cannot track cos(40 y) out to y = 30: the
-    # refinement pass disagrees and the evaluation refuses to return
-    dens = RadialDensity(profile=lambda r, u: r**-1.5, inner=1e-2, outer=30.0, nodes=8)
-    nu = LevyMeasureRn(dim=1, density=dens)
-    triple = LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=nu)
-    with pytest.raises(QuadratureError):
-        eval_symbol(triple, [40.0])
-
-
 def _underresolved_radial(dim):
     # eight nodes per decade cannot track the density's sin(300 r) out to r = 30
     dens = RadialDensity(profile=lambda r, u: r**-1.5 * (1.0 + np.sin(300.0 * r)), inner=1e-2, outer=30.0, nodes=8)
     return LevyMeasureRn(dim=dim, density=dens)
+
+
+def _smooth_radial(dim):
+    # a smooth density, but eight nodes per decade cannot track cos(xi . y)
+    # out to |y| = 30 at |xi| ~ 40
+    return LevyMeasureRn(dim=dim, density=RadialDensity(profile=lambda r, u: r**-1.5, inner=1e-2, outer=30.0, nodes=8))
+
+
+def _nonzero_lattice(n):
+    k = np.fft.fftfreq(n) * n
+    xi = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
+    return xi[np.any(xi != 0.0, axis=1)]
 
 
 def _resolved_density_with_oscillating_psi():
@@ -156,6 +156,11 @@ def _consumer_case(case):
         return lambda: validate_levy_measure(_underresolved_radial(1))
     if case == "eval_symbol":
         return lambda: eval_symbol(LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=_underresolved_radial(1)), [2.0])
+    if case == "smooth-eval_symbol":
+        return lambda: eval_symbol(LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=_smooth_radial(1)), [40.0])
+    if case in ("smooth-autonomous", "smooth-lattice"):
+        xi = 5.0 * _nonzero_lattice(16) if case == "smooth-lattice" else np.array([[40.0, 0.0]])
+        return lambda: multiplier_autonomous_grid(eye, 0.5, eye, _smooth_radial(2), xi)
     if case.startswith("autonomous") or case.startswith("time"):
         if case.endswith("callable-psi"):
             nu, psi = _resolved_density_with_oscillating_psi()
@@ -172,7 +177,18 @@ def _consumer_case(case):
 
 @pytest.mark.parametrize(
     "case",
-    ["integrate", "eval_symbol", "autonomous", "autonomous-callable-psi", "time", "time-callable-psi", "bernstein"],
+    [
+        "integrate",
+        "eval_symbol",
+        "smooth-eval_symbol",
+        "autonomous",
+        "autonomous-callable-psi",
+        "smooth-autonomous",
+        "smooth-lattice",
+        "time",
+        "time-callable-psi",
+        "bernstein",
+    ],
 )
 def test_every_density_sum_is_refused_when_refinement_disagrees(case):
     call = _consumer_case(case)

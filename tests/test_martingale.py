@@ -483,7 +483,7 @@ def _events_on_grid_times(spec, monkeypatch):
         times = np.array([0.0, grid[2], grid[3] + 0.25 * dt, grid[3] + 0.25 * dt, grid[5] + 0.1 * index * dt])
         return times, np.arange(len(times)) % len(spec.jumps.atoms)
 
-    monkeypatch.setattr(simmod, "_draw_events", events)
+    monkeypatch.setattr(simmod, "_draw_events", lambda spec, indices: [events(spec, i) for i in indices])
 
 
 @pytest.mark.parametrize("name", ["t2-drift", "su2"])

@@ -136,9 +136,21 @@ BATCH_SPECS = {
 }
 
 
-def reference_path(spec, index):
+def reference_events(spec, index):
+    """A path's event times and atoms from its own jump stream, atoms by Generator.choice."""
+    masses = np.array([m for _, m in spec.jumps.atoms])
+    if masses.size == 0:
+        return np.zeros(0), np.zeros(0, dtype=int)
+    gen = rngmod.stream(spec.seed, rngmod.JUMPS, index)
+    lam = float(np.sum(masses))
+    count = int(gen.poisson(lam * spec.horizon))
+    times = np.sort(gen.uniform(0.0, spec.horizon, size=count))
+    return times, gen.choice(len(masses), size=count, p=masses / lam)
+
+
+def reference_path(spec, index, events=reference_events):
     """(times, kinds, states) of one path, segment by segment from its draws."""
-    ev_t, ev_m = simmod._draw_events(spec, index)
+    ev_t, ev_m = events(spec, index)
     times = np.concatenate([spec.grid_times, ev_t])
     kinds = np.concatenate([np.zeros(spec.n_steps + 1, dtype=int), np.ones(len(ev_t), dtype=int)])
     marks = np.concatenate([np.full(spec.n_steps + 1, -1), ev_m])
@@ -161,12 +173,12 @@ def reference_path(spec, index):
     return times, kinds, np.array(states)
 
 
-def _check_against_reference(spec, paths):
+def _check_against_reference(spec, paths, events=reference_events):
     batch = simulate_paths(spec, np.arange(paths))
     finals = ensemble_final_states(spec, paths)
     for p in range(paths):
         rows = slice(batch.offsets[p], batch.offsets[p + 1])
-        times, kinds, states = reference_path(spec, p)
+        times, kinds, states = reference_path(spec, p, events)
         assert np.array_equal(batch.times[rows], times)
         assert np.array_equal(batch.kinds[rows], kinds)
         assert np.max(np.abs(batch.states[rows] - states)) <= 1e-12
@@ -195,8 +207,8 @@ def test_events_exactly_on_grid_times(name, monkeypatch):
         times = times[index % 2 :] + [0.0, 0.0, 0.0, 0.0, (index + 1) * 0.01 * dt][index % 2 :]
         return times, np.arange(len(times)) % len(spec.jumps.atoms)
 
-    monkeypatch.setattr(simmod, "_draw_events", events)
-    batch = _check_against_reference(spec, 3)
+    monkeypatch.setattr(simmod, "_draw_events", lambda spec, indices: [events(spec, i) for i in indices])
+    batch = _check_against_reference(spec, 3, events)
     on_grid = batch.event_rows[np.isin(batch.times[batch.event_rows], grid)]
     assert len(on_grid) and np.all(batch.kinds[on_grid - 1] == 0)  # the grid node comes first
 
@@ -214,6 +226,23 @@ def test_path_does_not_depend_on_its_chunk(name, monkeypatch):
     finals = ensemble_final_states(spec, 7)
     monkeypatch.setattr(simmod, "CHUNK_BYTES", 1)
     assert np.max(np.abs(ensemble_final_states(spec, 7) - finals)) <= 1e-12
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3, 4])
+def test_compound_poisson_atoms_are_generator_choice_draws(atoms):
+    masses = np.array([1.0, 0.3, 2.5, 0.7][:atoms])
+    lam = float(np.sum(masses))
+    counts = set()
+    for i in range(150):
+        horizon = (i % 8) * 1.6 / lam  # mean event counts 0 to 11.2
+        gen, ref = rngmod.stream(9, atoms, i), rngmod.stream(9, atoms, i)
+        ((times, marks),) = simmod._compound_poisson([gen], masses, horizon)
+        count = int(ref.poisson(lam * horizon))
+        assert np.array_equal(times, np.sort(ref.uniform(0.0, horizon, size=count)))
+        assert np.array_equal(marks, ref.choice(atoms, size=count, p=masses / lam))
+        assert gen.random(3).tobytes() == ref.random(3).tobytes()  # and so are the draws that follow
+        counts.add(count)
+    assert counts >= set(range(13))
 
 
 # -- subordinators -------------------------------------------------------------
