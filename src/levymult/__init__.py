@@ -21,7 +21,6 @@ from .constants import (
 from .euclid import (
     ImaginaryPowerProfile,
     MultiplierSpec,
-    multiplier_autonomous,
     multiplier_autonomous_grid,
     multiplier_time_dependent,
     riesz2_symbol_rn,
@@ -40,7 +39,6 @@ from .groups import (
     get_irrep,
     haar_sample,
     heat_coeffs,
-    irrep_evaluate,
     plancherel_pairing,
     pw_forward,
     pw_inverse,
@@ -57,10 +55,7 @@ from .levy import (
     RadialDensity,
     bernstein_atoms,
     bernstein_eval,
-    eval_symbol,
     factor_diffusion,
-    pure_gaussian,
-    validate_levy_measure,
 )
 from .martingale import (
     CharReport,
@@ -87,7 +82,6 @@ from .operators import (
     lp_norm,
     norm_lower_bound_search,
     plancherel_residual,
-    semigroup_symbol,
     symbol_on_lattice,
 )
 from .simulate import (

@@ -31,6 +31,7 @@ from .groups import (
     GroupLevyMeasure,
     PeterWeylCoeffs,
     dual_enumerate,
+    heat_coeffs,
     su2_exp,
 )
 from .levy import (
@@ -40,7 +41,7 @@ from .levy import (
     PositiveDensity,
     QuadratureError,
     RadialDensity,
-    eval_symbol,
+    symbol_grid,
 )
 from .martingale import (
     TransformEnsemble,
@@ -192,6 +193,14 @@ def _group_measure(group: str, obj, pointer: str) -> GroupLevyMeasure:
     return GroupLevyMeasure(group, tuple(atoms))
 
 
+def _frequencies(rows, dim: int) -> np.ndarray:
+    """``config.xi`` as an array of rows of ``dim`` numbers; a flat list of numbers when dim is 1."""
+    try:
+        return np.array(rows, dtype=float).reshape(len(rows), dim)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("config.xi", f"expected rows of {dim} numbers: {exc}")
+
+
 def _psi(obj):
     if obj is None:
         return None
@@ -294,7 +303,10 @@ def cmd_constants(args) -> int:
 
 def cmd_dual(args) -> int:
     cutoff = float(args.cutoff) if args.group == "su2" else int(args.cutoff)
-    irreps = dual_enumerate(args.group, cutoff)
+    try:
+        irreps = dual_enumerate(args.group, cutoff)
+    except ValueError as exc:
+        raise ConfigError("--cutoff", str(exc))
     rows = [
         {
             "label": _label_json(pi.label),
@@ -313,10 +325,9 @@ def cmd_symbol(args) -> int:
     config = _load_config(args.config)
     _require_keys(config, {"triple", "xi"}, "config")
     triple = _levy_triple(config.get("triple", {}), "config.triple")
-    rows = []
-    for xi in config.get("xi", []):
-        re, im = eval_symbol(triple, np.asarray(xi, dtype=float))
-        rows.append(tuple(float(x) for x in xi) + (re, im))
+    xis = _frequencies(config.get("xi", []), triple.dim)
+    re, im = symbol_grid(triple, xis)
+    rows = [tuple(float(x) for x in xi) + (float(r), float(i)) for xi, r, i in zip(xis, re, im)]
     header = tuple(f"xi{i+1}" for i in range(triple.dim)) + ("re", "im")
     payload = {
         "meta": _meta(args, config),
@@ -368,7 +379,7 @@ def cmd_multiplier(args) -> int:
     if mode == "autonomous" and aprofile is not None:
         raise ConfigError("config.mode", "autonomous mode needs a constant matrix")
     if config.get("xi") is not None:
-        xis = np.array(config["xi"], dtype=float).reshape(len(config["xi"]), triple.dim)
+        xis = _frequencies(config["xi"], triple.dim)
     else:
         grid = config.get("grid", {})
         _require_keys(grid, {"n", "halfwidth"}, "config.grid")
@@ -381,7 +392,7 @@ def cmd_multiplier(args) -> int:
         vals = multiplier_autonomous_grid(amatrix, psi, triple.diffusion, triple.nu, xis)
     else:
         spec = MultiplierSpec(a_bound=np.inf, psi_bound=np.inf, amatrix=amatrix, aprofile=aprofile, psi=psi)
-        vals = [multiplier_time_dependent(spec, triple, xi) for xi in xis]
+        vals = multiplier_time_dependent(spec, triple, xis)
     rows = [tuple(float(x) for x in xi) + (float(val.real), float(val.imag)) for xi, val in zip(xis, vals)]
     header = tuple(f"xi{i+1}" for i in range(triple.dim)) + ("re_m", "im_m")
     payload = {"meta": _meta(args, config), "rows": [dict(zip(header, r)) for r in rows]}
@@ -470,12 +481,14 @@ def cmd_apply(args) -> int:
     dual = dual_enumerate(sym_cfg["group"], sym_cfg["cutoff"])
     shared = _shared_group_symbol(kind, sym_cfg, "config.symbol", dual)
     if shared is not None:
-        table = symbol_table(dual, shared, trivial=sym_cfg.get("trivial", 0.0))
+        out = apply_symbol_coeffs(symbol_table(dual, shared, trivial=sym_cfg.get("trivial", 0.0)), coeffs)
     elif kind == "heat":
-        table = {pi.label: np.exp(-float(sym_cfg.get("gamma", 1.0)) * pi.casimir) * np.eye(pi.dim) for pi in dual}
+        try:
+            out = heat_coeffs(coeffs, float(sym_cfg.get("gamma", 1.0)))
+        except ValueError as exc:
+            raise ConfigError("config.symbol.gamma", str(exc))
     else:
         raise ConfigError("config.symbol.kind", f"unknown symbol kind {kind!r}")
-    out = apply_symbol_coeffs(table, coeffs)
     payload = {
         "meta": _meta(args, config),
         "group": out.group,
@@ -553,7 +566,7 @@ def cmd_simulate(args) -> int:
     coeffs = _coeff_table(config.get("f", {}), "config.f")
     amatrix = _matrix(config["amatrix"], "config.amatrix") if config.get("amatrix") is not None else None
     psi = _psi(config.get("psi"))
-    paths = int(config.get("paths", 100))
+    paths = _int_at_least(config, "paths", 100, 1)
     sigma_mode = config.get("sigma", "haar")
     if sigma_mode not in ("haar", "identity"):
         raise ConfigError("config.sigma", f"expected 'haar' or 'identity', got {sigma_mode!r}")

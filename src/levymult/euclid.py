@@ -1,13 +1,15 @@
 """Frequency multipliers on R^n built from Levy data and a transform pair (A, psi).
 
-Two evaluation routes are provided.  ``multiplier_autonomous`` is the
-closed ratio of quadratic-plus-jump forms (unscaled frequency convention);
+Two evaluation routes are provided, each over an array of frequencies
+(m, n).  ``multiplier_autonomous_grid`` is the closed ratio of
+quadratic-plus-jump forms (unscaled frequency convention);
 ``multiplier_time_dependent`` integrates the semigroup decay in time and
 uses the 2*pi-scaled convention, so that for constant data
-``multiplier_time_dependent(spec, triple, xi) == multiplier_autonomous(..., 2*pi*xi)``.
+``multiplier_time_dependent(spec, triple, xi) == multiplier_autonomous_grid(..., 2*pi*xi)``.
 
-Every jump sum sum_q w_q (1 - cos(xi . y_q)) is ``levy.oneminus_cos_sums``,
-and every density sum, psi-weighted ones included, is ``levy.refined_sum``.
+Every jump sum sum_q w_q (1 - cos(xi . y_q)) is one ``levy.oneminus_cos_sums``
+call over all rows, and every density sum, psi-weighted ones included, is
+``levy.refined_sum``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from .gammafn import gamma
 from .levy import (
+    TABLE_BYTES,
     LevyMeasureRn,
     LevyTriple,
     factor_diffusion,
@@ -84,21 +87,14 @@ def multiplier_autonomous_grid(
     return (num + 0.0j) / den
 
 
-def multiplier_autonomous(amatrix, psi: PsiLike, a, nu: LevyMeasureRn, xi) -> complex:
-    """Autonomous multiplier at a single frequency."""
-    out = multiplier_autonomous_grid(amatrix, psi, a, nu, np.atleast_2d(np.asarray(xi, float)))
-    return complex(out[0])
-
-
-def riesz2_symbol_rn(c, xi):
-    """Quadratic-form symbol sum_jk C_jk xi_j xi_k / |xi|^2 (second-order Riesz)."""
+def riesz2_symbol_rn(c, xi) -> np.ndarray:
+    """Quadratic-form symbol sum_jk C_jk xi_j xi_k / |xi|^2 (second-order Riesz) on an array of frequencies (m, n)."""
     c = np.atleast_2d(np.asarray(c))
     pts = np.atleast_2d(np.asarray(xi, dtype=float))
     norms = np.einsum("mi,mi->m", pts, pts)
     if np.any(norms == 0.0):
         raise ValueError("Riesz symbol is undefined at xi = 0")
-    vals = np.einsum("ij,mi,mj->m", c, pts, pts) / norms
-    return complex(vals[0]) if np.asarray(xi).ndim == 1 else vals
+    return np.einsum("ij,mi,mj->m", c, pts, pts) / norms
 
 
 @dataclass(frozen=True)
@@ -129,30 +125,29 @@ def gamma_one_plus_i(g: float) -> complex:
 TIME_NODES = 4096
 
 
-def profile_time_integral(profile: Callable, rate: float) -> complex:
-    """int_0^infty profile(s) * exp(2 s rate) ds for rate < 0.
+def profile_time_integral(profile: Callable, rate) -> np.ndarray:
+    """int_0^infty profile(s) * exp(2 s rate) ds for each entry of an array of rates < 0.
 
-    Log-time trapezoid rule.  The substitution keeps oscillatory profiles
-    like (2s)^{i*gamma} band-limited in the integration variable, where a
-    fixed-interval rule in exp(2 s rate) would pile unbounded oscillation
-    near the endpoint.
+    Log-time trapezoid rule, one row of ``TIME_NODES`` nodes per rate, in
+    blocks of rows of about ``TABLE_BYTES``.  The substitution keeps
+    oscillatory profiles like (2s)^{i*gamma} band-limited in the
+    integration variable, where a fixed-interval rule in exp(2 s rate)
+    would pile unbounded oscillation near the endpoint.
     """
-    if not rate < 0.0:
+    rate = np.asarray(rate, dtype=float)
+    if not np.all(rate < 0.0):
         raise ValueError("non-integrable time profile: decay rate must be negative")
-    s_scale = 1.0 / (2.0 * abs(rate))
-    v0 = np.log(s_scale) - 36.0
-    v1 = np.log(s_scale) + np.log(50.0)
-    v = np.linspace(v0, v1, TIME_NODES)
-    s = np.exp(v)
-    f = np.asarray(profile(s), dtype=complex) * np.exp(2.0 * s * rate) * s
-    return complex(np.trapezoid(f, v))
-
-
-def _const_time_integral(rate: float) -> float:
-    """int_0^infty exp(2 s rate) ds = 1 / (-2 rate)."""
-    if not rate < 0.0:
-        raise ValueError("non-integrable time profile: decay rate must be negative")
-    return 1.0 / (-2.0 * rate)
+    out = np.empty(rate.size, dtype=complex)
+    block = max(1, TABLE_BYTES // (16 * TIME_NODES))
+    for lo in range(0, rate.size, block):
+        r = rate.reshape(-1)[lo : lo + block]
+        log_scale = np.log(1.0 / (2.0 * np.abs(r)))
+        # contiguous rows, so that each row sums as a single rate's would
+        v = np.ascontiguousarray(np.linspace(log_scale - 36.0, log_scale + np.log(50.0), TIME_NODES, axis=1))
+        s = np.exp(v)
+        f = np.asarray(profile(s), dtype=complex) * np.exp(2.0 * s * r[:, None]) * s
+        out[lo : lo + block] = np.trapezoid(f, v, axis=1)
+    return out.reshape(rate.shape)
 
 
 BOUND_SLACK = 1e-12  # absolute slack of ``MultiplierSpec.validate`` over the declared bounds
@@ -164,7 +159,7 @@ class MultiplierSpec:
 
     ``amatrix`` is a constant complex matrix, or ``aprofile`` a catalog
     time profile (exclusive).  ``psi`` follows the conventions of
-    ``multiplier_autonomous``: scalar, per-atom table, or callable.
+    ``multiplier_autonomous_grid``: scalar, per-atom table, or callable.
     """
 
     a_bound: float
@@ -197,33 +192,30 @@ class MultiplierSpec:
             raise ValueError(f"declared |psi| bound {self.psi_bound} exceeded: measured {sup_psi}")
 
 
-def multiplier_time_dependent(spec: MultiplierSpec, triple: LevyTriple, xi) -> complex:
-    """Multiplier from the time-integrated form, 2*pi-scaled frequency convention.
+def multiplier_time_dependent(spec: MultiplierSpec, triple: LevyTriple, xi: np.ndarray) -> np.ndarray:
+    """Multiplier from the time-integrated form on an array of frequencies (m, n), 2*pi-scaled convention.
 
     m(xi) = 4 pi^2 int [A(s) L^T xi . L^T xi] e^{2 s Re rho(2 pi xi)} ds
           + 2 int int e^{2 s Re rho(2 pi xi)} (1 - cos(2 pi xi . y)) psi(y) ds nu(dy)
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    re, _ = symbol_grid(triple, 2.0 * np.pi * xi[None, :])
-    rate = float(re[0])
-    if rate == 0.0:
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    rate, _ = symbol_grid(triple, 2.0 * np.pi * xi)
+    if np.any(rate == 0.0):
         raise ValueError("non-integrable time profile: Re rho(2 pi xi) = 0")
-    lam = factor_diffusion(triple.diffusion)
-    u = lam.T @ xi
+    u = xi @ factor_diffusion(triple.diffusion)  # rows are L^T xi
+    time_factor = 1.0 / (-2.0 * rate)  # int_0^infty e^{2 s rate} ds
 
     if spec.amatrix is not None:
-        quad = complex(u @ (np.asarray(spec.amatrix) @ u))
-        m1 = 4.0 * np.pi**2 * quad * _const_time_integral(rate)
+        m1 = 4.0 * np.pi**2 * np.einsum("mi,ij,mj->m", u, spec.amatrix, u) * time_factor
     else:
-        m1 = 4.0 * np.pi**2 * float(u @ u) * profile_time_integral(spec.aprofile, rate)
+        m1 = 4.0 * np.pi**2 * np.einsum("mi,mi->m", u, u) * profile_time_integral(spec.aprofile, rate)
 
-    m2 = 0.0 + 0.0j
+    m2 = np.zeros(len(xi), dtype=complex)
     nu = triple.nu
-    time_factor = _const_time_integral(rate)
     if len(nu.atoms):
         (sums,) = oneminus_cos_sums(2.0 * np.pi * xi, nu.atom_points, nu.atom_masses * _psi_at(spec.psi, nu.atom_points))
-        m2 += 2.0 * sums[0] * time_factor
+        m2 += 2.0 * sums * time_factor
     if nu.density is not None and spec.psi is not None:
         jump_sums = lambda pts, w: oneminus_cos_sums(2.0 * np.pi * xi, pts, w * _psi_at(spec.psi, pts))[0]
-        m2 += 2.0 * refined_sum(nu.quadratures, jump_sums)[0] * time_factor
-    return complex(m1 + m2)
+        m2 += 2.0 * refined_sum(nu.quadratures, jump_sums) * time_factor
+    return m1 + m2

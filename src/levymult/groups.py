@@ -323,18 +323,6 @@ def irrep_stack_batch(irreps, gs) -> np.ndarray:
     return np.stack([su2_irrep_batch(pi, gs) for pi in irreps], axis=1)
 
 
-def irrep_evaluate_batch(pi: Irrep, gs) -> np.ndarray:
-    return irrep_stack_batch([pi], gs)[:, 0]
-
-
-def irrep_evaluate(pi: Irrep, g) -> np.ndarray:
-    """pi(g) as a unitary d x d matrix."""
-    g = np.asarray(g)
-    if pi.group == SU2 and g.shape != (2, 2):
-        raise ValueError("SU(2) elements are 2x2 matrices")
-    return irrep_evaluate_batch(pi, g[None])[0]
-
-
 # ---------------------------------------------------------------------------
 # quadrature grids
 
@@ -400,6 +388,14 @@ class PeterWeylCoeffs:
     def labels(self):
         return sorted(self.blocks.keys())
 
+    def stacks(self) -> list:
+        """(irreps, blocks (L, d, d)) for each irrep dimension d, labels in sorted order."""
+        by_dim = {}
+        for label in self.labels():
+            pi = get_irrep(self.group, label)
+            by_dim.setdefault(pi.dim, []).append((pi, self.blocks[label]))
+        return [([pi for pi, _ in st], np.array([b for _, b in st], dtype=complex)) for st in by_dim.values()]
+
     def map_blocks(self, fn: Callable[[Label, np.ndarray], np.ndarray]) -> "PeterWeylCoeffs":
         return PeterWeylCoeffs(
             self.group, self.cutoff, {k: np.asarray(fn(k, v)) for k, v in self.blocks.items()}
@@ -455,8 +451,8 @@ def pw_forward(
     dual = dual_enumerate(group, cutoff)
     if group == SU2:
         return PeterWeylCoeffs(group, cutoff, _su2_grid_analysis(wf, grid, dual))
-    blocks = {pi.label: np.einsum("q,qba->ab", wf, irrep_evaluate_batch(pi, grid.points).conj()) for pi in dual}
-    return PeterWeylCoeffs(group, cutoff, blocks)
+    chars = wf @ irrep_stack_batch(dual, grid.points)[:, :, 0, 0].conj()
+    return PeterWeylCoeffs(group, cutoff, {pi.label: chars[i].reshape(1, 1) for i, pi in enumerate(dual)})
 
 
 def pw_inverse(coeffs: PeterWeylCoeffs, points=None, grid: Optional[GroupQuadrature] = None):
@@ -472,9 +468,8 @@ def pw_inverse(coeffs: PeterWeylCoeffs, points=None, grid: Optional[GroupQuadrat
     else:
         pts = np.asarray(points, dtype=complex).reshape(-1, 2, 2)
     out = np.zeros(len(pts), dtype=complex)
-    for label, block in coeffs.blocks.items():
-        pi = get_irrep(coeffs.group, label)
-        out += pi.dim * np.einsum("ab,qba->q", block, irrep_evaluate_batch(pi, pts))
+    for irreps, blocks in coeffs.stacks():
+        out += irreps[0].dim * np.einsum("lab,qlba->q", blocks, irrep_stack_batch(irreps, pts))
     return out
 
 

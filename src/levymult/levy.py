@@ -1,4 +1,4 @@
-"""Levy characteristics on R^n: exponents, measure checks, Bernstein functions.
+"""Levy characteristics on R^n: exponents and Bernstein functions.
 
 A jump measure is kept in a desk-friendly form: a finite list of atoms
 plus an optional truncated density with an explicit inner cutoff.
@@ -9,8 +9,9 @@ Drift convention: the drift vector is the *given* drift after small-jump
 compensation over the unit ball.  Comparing against texts that compensate
 differently requires translating the drift accordingly.
 
-Every jump sum sum_q w_q (1 - cos(xi . y_q)), here and in ``euclid``, is
-``oneminus_cos_sums``: 2 sum_q w_q sin^2(xi . y_q / 2), exact where
+Every jump sum sum_q w_q (1 - cos(xi . y_q)), in ``symbol_grid`` and in
+both ``euclid`` multiplier routes, is ``oneminus_cos_sums`` over a whole
+array of frequencies: 2 sum_q w_q sin^2(xi . y_q / 2), exact where
 1 - cos rounds to 0, with half-angle sines taken once per distinct
 coordinate value on lattices (``_separable_sums``) and per frequency
 elsewhere (``_direct_sums``).
@@ -158,52 +159,6 @@ class LevyMeasureRn:
             return None
         return tuple(self.density.points_weights(self.dim, refine=refine) for refine in (1, 2))
 
-    def integrate(self, g: Callable[[np.ndarray], np.ndarray]):
-        """Integrate g over the measure; refinement disagreement raises.
-
-        g maps an array of points (q, dim) to values (q,) and must be
-        bounded on the truncated support.
-        """
-        total = complex(0.0)
-        if len(self.atoms):
-            total += np.sum(self.atom_masses * np.asarray(g(self.atom_points)))
-        if self.density is not None:
-            total += refined_sum(self.quadratures, lambda pts, w: np.sum(w * np.asarray(g(pts))))
-        if abs(total.imag) == 0.0:
-            return total.real
-        return total
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    """Outcome of the integrability check for a jump measure."""
-
-    estimate: float
-    passed: bool
-    cap: float
-    warnings: tuple = ()
-
-
-def validate_levy_measure(nu: LevyMeasureRn, cap: float = 1e9) -> MeasureReport:
-    """Quadrature estimate of the jump-measure integrability integral.
-
-    Estimates the integral of |y|^2/(1+|y|^2) against nu and flags it
-    against ``cap``.  Report-style: never raises for a divergent-looking
-    measure, the flag carries the verdict.
-    """
-    warnings = []
-    try:
-        est = float(
-            nu.integrate(lambda y: np.sum(y * y, axis=1) / (1.0 + np.sum(y * y, axis=1)))
-        )
-    except QuadratureError as exc:
-        est = np.inf
-        warnings.append(str(exc))
-    passed = np.isfinite(est) and est <= cap
-    if not passed and np.isfinite(est):
-        warnings.append(f"integrability estimate {est:.3e} exceeds cap {cap:.3e}")
-    return MeasureReport(estimate=est, passed=bool(passed), cap=cap, warnings=tuple(warnings))
-
 
 @dataclass(frozen=True)
 class LevyTriple:
@@ -232,13 +187,6 @@ class LevyTriple:
     @property
     def dim(self) -> int:
         return self.nu.dim
-
-
-def pure_gaussian(a, drift=None) -> LevyTriple:
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    n = a.shape[0]
-    b = np.zeros(n) if drift is None else drift
-    return LevyTriple(drift=b, diffusion=a, nu=LevyMeasureRn(dim=n))
 
 
 def factor_diffusion(a) -> np.ndarray:
@@ -306,7 +254,7 @@ def _lattice_factors(half: np.ndarray, n_nodes: int):
 def _direct_sums(half: np.ndarray, pts: np.ndarray, wmat: np.ndarray) -> np.ndarray:
     """2 sum_q w_q sin^2(h . y_q) for each row h of half, shape (len(half), weights)."""
     out = np.zeros((len(half), wmat.shape[1]))
-    block = max(1, TABLE_BYTES // (8 * len(half)))
+    block = max(1, TABLE_BYTES // (8 * max(1, len(half))))
     for lo in range(0, len(pts), block):
         s = np.sin(half @ pts[lo : lo + block].T)
         out += (s * s) @ wmat[lo : lo + block]
@@ -366,12 +314,6 @@ def symbol_grid(triple: LevyTriple, xi: np.ndarray):
         dens = refined_sum(nu.quadratures, jump_part, offset=re + 1j * im)
         re, im = re + dens.real, im + dens.imag
     return np.minimum(re, 0.0), im
-
-
-def eval_symbol(triple: LevyTriple, xi) -> tuple[float, float]:
-    """Levy exponent at a single frequency, as (real part, imaginary part)."""
-    re, im = symbol_grid(triple, np.atleast_2d(np.asarray(xi, dtype=float)))
-    return float(re[0]), float(im[0])
 
 
 @dataclass(frozen=True)

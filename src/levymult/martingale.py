@@ -40,7 +40,6 @@ from .groups import (
     group_dim,
     haar_sample,
     identity_element,
-    irrep_evaluate_batch,
     irrep_stack_batch,
     multiply,
 )
@@ -212,14 +211,7 @@ class _TransformContext:
         self.spec = spec
         self.dim = group_dim(spec.group)
         self.masses = np.array([m for _, m in spec.jumps.atoms], dtype=float)
-        by_dim = {}
-        for label in f.labels():
-            pi = get_irrep(spec.group, label)
-            by_dim.setdefault(pi.dim, []).append((pi, f.blocks[label]))
-        self.stacks = [
-            _IrrepStack(spec, [pi for pi, _ in blocks], np.array([fb for _, fb in blocks], dtype=complex))
-            for blocks in by_dim.values()
-        ]
+        self.stacks = [_IrrepStack(spec, irreps, blocks) for irreps, blocks in f.stacks()]
         # a path takes a row per node, per event (its pre-jump state) and,
         # with atoms, per segment (the compensator); rows are complex
         events = spec.jumps.total_mass * spec.horizon
@@ -384,7 +376,7 @@ def ensemble_chunks(spec: GroupProcessSpec, ctx: _TransformContext, paths: int, 
     key = (rngmod.HAAR, *haar_key)
     for idx in chunk_paths(paths, ctx.paths_per_chunk):
         if haar_start:
-            sigmas = np.array([haar_sample(spec.group, gen, 1)[0] for gen in rngmod.streams(seed, key, idx)])
+            sigmas = np.array(rngmod.streams(seed, key, idx, lambda gen, _: haar_sample(spec.group, gen, 1)[0]))
         else:
             sigmas = np.array([identity_element(spec.group)] * len(idx))
         yield idx, simulate_paths(spec, idx), sigmas
@@ -497,7 +489,7 @@ def empirical_char(states: np.ndarray, pi) -> tuple:
     stderr is entrywise: std of the complex entries over paths divided by
     sqrt(paths).
     """
-    reps = irrep_evaluate_batch(pi, states)
+    reps = irrep_stack_batch([pi], states)[:, 0]
     mean = reps.mean(axis=0)
     n = reps.shape[0]
     var = np.var(reps.real, axis=0) + np.var(reps.imag, axis=0)

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import rng as rngmod
 from .groups import PeterWeylCoeffs, plancherel_pairing, quadrature_grid, pw_inverse
-from .levy import LevyTriple, symbol_grid
 
 
 @dataclass
@@ -130,16 +129,6 @@ def plancherel_residual(f, g, grid=None) -> float:
     gv = pw_inverse(g, grid=grid)
     space = complex(np.sum(grid.weights * fv * np.conj(gv)))
     return abs(space - plancherel_pairing(f, g))
-
-
-def semigroup_symbol(triple: LevyTriple, t: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Symbol e^{t rho(-2 pi xi)} of the transition semigroup on the grid."""
-
-    def m(xi: np.ndarray) -> np.ndarray:
-        re, im = symbol_grid(triple, -2.0 * np.pi * np.atleast_2d(xi))
-        return np.exp(t * (re + 1j * im))
-
-    return m
 
 
 SEARCH_BYTES = 1 << 20  # size of one stack of (p, trial) grids in the norm search

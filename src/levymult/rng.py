@@ -8,10 +8,10 @@ regardless of scheduling.
 
 ``stream`` opens one stream and is the reference.  ``streams`` opens the
 streams of a chunk of paths, keyed (master seed, *prefix, i), in one batch
-with the same draws: numpy's ``SeedSequence`` mixes the last key word
-(the path index) into a pool that the earlier words fix, so that pool is
-mixed once per (seed, prefix), and only the last round and the key hash
-run per path, on arrays over the chunk.
+and passes each to a draw callback, with the same draws: numpy's
+``SeedSequence`` mixes the last key word (the path index) into a pool that
+the earlier words fix, so that pool is mixed once per (seed, prefix), and
+only the last round and the key hash run per path, on arrays over the chunk.
 """
 
 from __future__ import annotations
@@ -84,12 +84,13 @@ def _prefix_pool(entropy: int, spawn_key: tuple):
     return pool, *runs
 
 
-def streams(master_seed: int, prefix, indices):
-    """For each i in ``indices``, the stream ``stream(master_seed, *prefix, i)``.
+def streams(master_seed: int, prefix, indices, draw) -> list:
+    """[draw(gen, k)] for the k-th index i of ``indices``, gen the stream ``stream(master_seed, *prefix, i)``.
 
-    One generator is re-keyed for every index, so a yielded stream is only
-    valid until the next one is taken.  Indices must lie in [0, 2**32): a
-    larger one is two key words, which this batch does not mix.
+    One generator is re-keyed for every index, so it is handed only to
+    ``draw``, which must finish with it before the next index.  Indices
+    must lie in [0, 2**32): a larger one is two key words, which this
+    batch does not mix.
     """
     idx = np.asarray(indices, dtype=np.int64).reshape(-1, 1)
     words = idx.ravel().tolist()
@@ -108,13 +109,14 @@ def streams(master_seed: int, prefix, indices):
     x ^= x >> np.uint32(16)
     keys = x.astype("<u4", copy=False).view("<u8").tolist()
     if not keys:
-        return
+        return []
     bitgen = np.random.Philox(_PhiloxKey(keys[0]))
     gen = np.random.Generator(bitgen)
     # a freshly keyed Philox (zero counter, empty buffer) to re-key
     state = bitgen.state if len(keys) > 1 else None
-    yield gen
-    for key in keys[1:]:
+    out = [draw(gen, 0)]
+    for k, key in enumerate(keys[1:], 1):
         state["state"]["key"] = key
         bitgen.state = state
-        yield gen
+        out.append(draw(gen, k))
+    return out

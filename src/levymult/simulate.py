@@ -144,10 +144,6 @@ class PathRecord:
     def event_rows(self) -> np.ndarray:
         return np.flatnonzero(self.kinds == 1)
 
-    @property
-    def n_events(self) -> int:
-        return len(self.event_rows)
-
     def steps(self, rows) -> np.ndarray:
         """Grid step [t_k, t_{k+1}) holding each of the given nodes; an event
         exactly at a grid time follows the diffusion up to it, so it opens
@@ -161,9 +157,9 @@ class PathRecord:
         return self.owner * self.spec.n_steps + self.steps(slice(None))
 
 
-def _compound_poisson(gens, masses: np.ndarray, horizon: float):
-    """For each generator: sorted event times on [0, horizon] at total rate
-    sum(masses), and the atom of each event.
+def _compound_poisson(masses: np.ndarray, horizon: float):
+    """The ``rng.streams`` draw of sorted event times on [0, horizon] at total
+    rate sum(masses), and the atom of each event.
 
     The atoms are drawn as ``Generator.choice(p=masses / sum(masses))``
     draws them, from the cdf of p, without its per-call argument checks.
@@ -171,10 +167,13 @@ def _compound_poisson(gens, masses: np.ndarray, horizon: float):
     lam = float(np.sum(masses))
     cdf = np.cumsum(masses / lam)
     cdf /= cdf[-1]
-    for gen in gens:
+
+    def draw(gen, _):
         count = int(gen.poisson(lam * horizon))
         times = np.sort(gen.uniform(0.0, horizon, size=count))
-        yield times, cdf.searchsorted(gen.random(count), side="right")
+        return times, cdf.searchsorted(gen.random(count), side="right")
+
+    return draw
 
 
 def _draw_events(spec: GroupProcessSpec, indices) -> list:
@@ -182,7 +181,7 @@ def _draw_events(spec: GroupProcessSpec, indices) -> list:
     masses = np.array([m for _, m in spec.jumps.atoms])
     if masses.size == 0:
         return [(np.zeros(0), np.zeros(0, dtype=int))] * len(indices)
-    return list(_compound_poisson(rngmod.streams(spec.seed, (rngmod.JUMPS,), indices), masses, spec.horizon))
+    return rngmod.streams(spec.seed, (rngmod.JUMPS,), indices, _compound_poisson(masses, spec.horizon))
 
 
 def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
@@ -212,8 +211,9 @@ def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
     # path p's segments are rows offsets[p] - p .. offsets[p + 1] - p - 1
     seg_start = offsets - np.arange(n_paths + 1)
     db = np.empty((seg_start[-1], group_dim(spec.group)))
-    for gen, a, b in zip(rngmod.streams(spec.seed, (rngmod.BROWNIAN,), indices), seg_start[:-1], seg_start[1:]):
-        gen.standard_normal(out=db[a:b])
+    rngmod.streams(
+        spec.seed, (rngmod.BROWNIAN,), indices, lambda gen, p: gen.standard_normal(out=db[seg_start[p] : seg_start[p + 1]])
+    )
     path = PathRecord(spec, indices, offsets, times, kinds, marks, db)
     db *= np.sqrt(path.ds)[:, None]
     return path
@@ -376,8 +376,8 @@ def simulate_subordinator(
     grid = np.arange(k + 1) * dt
     values = np.tile(spec.c * grid, (paths, 1))
     if spec.atoms:
-        gens = rngmod.streams(seed, (rngmod.SUBORDINATOR,), np.arange(paths))
-        for p, (t_ev, marks) in enumerate(_compound_poisson(gens, spec.atom_masses, horizon)):
+        events = rngmod.streams(seed, (rngmod.SUBORDINATOR,), np.arange(paths), _compound_poisson(spec.atom_masses, horizon))
+        for p, (t_ev, marks) in enumerate(events):
             cum = np.concatenate([[0.0], np.cumsum(spec.atom_y[marks])])
             values[p] += cum[np.searchsorted(t_ev, grid, side="right")]
     return SubordinatorEnsemble(grid, values, spec)

@@ -385,6 +385,53 @@ def test_unknown_nested_key_points_into_the_config(tmp_path, capsys, command, co
     assert f"config error at '{pointer}': unknown key" in capsys.readouterr().err
 
 
+R2 = {"diffusion": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "argv, config, pointer",
+    [
+        (["symbol"], {"triple": R2, "xi": [[1.0, 2.0, 3.0]]}, "config.xi"),
+        (["multiplier"], {"triple": R2, "amatrix": [[1.0, 0.0], [0.0, 0.0]], "xi": [[1.0, 2.0, 3.0]]}, "config.xi"),
+        (["multiplier"], {"triple": R2, "amatrix": [[1.0, 0.0], [0.0, 0.0]], "mode": "time", "xi": [[1.0, 2.0, 3.0]]}, "config.xi"),
+        (["simulate"], {**SIMULATE_CONFIG, "paths": -3}, "config.paths"),
+        (["dual", "--group", "t1", "--cutoff", "0.2"], None, "--cutoff"),
+        (["dual", "--group", "su2", "--cutoff", "0.2"], None, "--cutoff"),
+    ],
+)
+def test_bad_input_exits_2_with_a_pointer(tmp_path, capsys, argv, config, pointer):
+    from levymult import cli
+
+    if config is not None:
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), *argv]) == 2
+    assert f"config error at '{pointer}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+ONE_ATOM = {"diffusion": [[1.0]], "atoms": [{"point": [0.5], "mass": 1.0}]}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("symbol", {"triple": ONE_ATOM, "xi": []}),
+        ("multiplier", {"triple": ONE_ATOM, "amatrix": [[1.0]], "xi": []}),
+        ("multiplier", {"triple": ONE_ATOM, "amatrix": [[1.0]], "mode": "time", "xi": []}),
+    ],
+)
+def test_empty_frequency_list_gives_no_rows(tmp_path, capsys, command, config):
+    from levymult import cli
+
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == []
+
+
 def test_missing_config_exits_2(tmp_path):
     proc = run_cli("symbol", "--config", str(tmp_path / "nope.json"), check=False)
     assert proc.returncode == 2

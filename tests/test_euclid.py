@@ -4,7 +4,6 @@ import pytest
 from levymult.euclid import (
     ImaginaryPowerProfile,
     MultiplierSpec,
-    multiplier_autonomous,
     multiplier_autonomous_grid,
     multiplier_time_dependent,
     profile_time_integral,
@@ -19,7 +18,6 @@ from levymult.levy import (
     _lattice_factors,
     _separable_sums,
     oneminus_cos_sums,
-    pure_gaussian,
 )
 from levymult import rng as rngmod
 
@@ -27,9 +25,8 @@ from levymult import rng as rngmod
 def test_gaussian_quadratic_ratio():
     a_mat = np.diag([1.0, 0.0])
     nu = LevyMeasureRn(dim=2)
-    for xi in ([1.0, 0.0], [0.3, -1.1], [2.0, 2.0]):
-        xi = np.asarray(xi)
-        m = multiplier_autonomous(a_mat, None, np.eye(2), nu, xi)
+    xis = np.array([[1.0, 0.0], [0.3, -1.1], [2.0, 2.0]])
+    for xi, m in zip(xis, multiplier_autonomous_grid(a_mat, None, np.eye(2), nu, xis)):
         assert m == pytest.approx(xi[0] ** 2 / (xi @ xi), abs=1e-14)
 
 
@@ -38,22 +35,20 @@ def test_identity_pair_gives_one():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((2, 2))
     a = m @ m.T
-    for xi in ([1.0, 0.2], [0.5, -2.0]):
-        val = multiplier_autonomous(np.eye(2), 1.0, a, nu, np.asarray(xi))
+    for val in multiplier_autonomous_grid(np.eye(2), 1.0, a, nu, np.array([[1.0, 0.2], [0.5, -2.0]])):
         assert val == pytest.approx(1.0, abs=1e-13)
 
 
 def test_half_jump_indicator():
     nu = LevyMeasureRn(dim=1, atoms=(((1.0,), 1.0), ((-1.0,), 1.0)))
     psi = lambda pts: (pts[:, 0] > 0).astype(float)
-    for xi in (0.9, 2.2, -0.4):
-        val = multiplier_autonomous(np.zeros((1, 1)), psi, np.zeros((1, 1)), nu, [xi])
+    for val in multiplier_autonomous_grid(np.zeros((1, 1)), psi, np.zeros((1, 1)), nu, [[0.9], [2.2], [-0.4]]):
         assert val == pytest.approx(0.5, abs=1e-14)
 
 
 def test_zero_frequency_rejected():
     with pytest.raises(ValueError, match="zero-symbol"):
-        multiplier_autonomous(np.eye(2), None, np.eye(2), LevyMeasureRn(dim=2), [0.0, 0.0])
+        multiplier_autonomous_grid(np.eye(2), None, np.eye(2), LevyMeasureRn(dim=2), [[0.0, 0.0]])
 
 
 def test_riesz2_symbol_examples():
@@ -81,10 +76,10 @@ def test_time_dependent_matches_autonomous_closed_form():
     triple = LevyTriple(drift=[0.0, 0.0], diffusion=a, nu=nu)
     spec = MultiplierSpec(a_bound=1.0, psi_bound=1.0, amatrix=amat, psi=psi)
     spec.validate(nu)
-    for _ in range(20):
-        xi = rng.standard_normal(2) * 2.0
-        via_time = multiplier_time_dependent(spec, triple, xi)
-        closed = multiplier_autonomous(amat, psi, a, nu, 2.0 * np.pi * xi)
+    xi = rng.standard_normal((20, 2)) * 2.0
+    for via_time, closed in zip(
+        multiplier_time_dependent(spec, triple, xi), multiplier_autonomous_grid(amat, psi, a, nu, 2.0 * np.pi * xi)
+    ):
         assert via_time == pytest.approx(closed, abs=1e-8)
 
 
@@ -97,28 +92,28 @@ def test_imaginary_power_time_integral_matches_power():
 
 
 def test_imaginary_power_multiplier_has_unit_modulus():
-    triple = pure_gaussian(np.eye(2))
+    triple = LevyTriple(drift=np.zeros(2), diffusion=np.eye(2), nu=LevyMeasureRn(dim=2))
     prof = ImaginaryPowerProfile(0.5)
     spec = MultiplierSpec(a_bound=prof.sup_norm, psi_bound=0.0, aprofile=prof)
-    for xi in ([0.5, 0.0], [1.0, 2.0], [-0.3, 0.4]):
-        xi = np.asarray(xi)
-        m = multiplier_time_dependent(spec, triple, xi)
+    xis = np.array([[0.5, 0.0], [1.0, 2.0], [-0.3, 0.4]])
+    for xi, m in zip(xis, multiplier_time_dependent(spec, triple, xis)):
         kappa = 4.0 * np.pi**2 * float(xi @ xi)
         assert m == pytest.approx(np.exp(-0.5j * np.log(kappa)), abs=1e-8)
         assert abs(m) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_zero_pair_gives_zero():
-    triple = pure_gaussian(np.eye(2))
+    triple = LevyTriple(drift=np.zeros(2), diffusion=np.eye(2), nu=LevyMeasureRn(dim=2))
     spec = MultiplierSpec(a_bound=0.0, psi_bound=0.0, amatrix=np.zeros((2, 2)))
-    assert multiplier_time_dependent(spec, triple, [1.0, 1.0]) == 0.0
+    (m,) = multiplier_time_dependent(spec, triple, [[1.0, 1.0]])
+    assert m == 0.0
 
 
 def test_time_profile_requires_decay():
     triple = LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=LevyMeasureRn(dim=1))
     spec = MultiplierSpec(a_bound=1.0, psi_bound=0.0, amatrix=np.eye(1))
     with pytest.raises(ValueError, match="non-integrable"):
-        multiplier_time_dependent(spec, triple, [1.0])
+        multiplier_time_dependent(spec, triple, [[1.0]])
 
 
 def test_profile_sup_norm():
@@ -264,7 +259,8 @@ def test_time_dependent_multiplier_at_small_frequencies(scale):
     spec = MultiplierSpec(a_bound=1.0, psi_bound=1.0, amatrix=zero, psi=0.5)
     for nu in (LevyMeasureRn(dim=2, atoms=(((0.3, 0.1), 1.0),)), LevyMeasureRn(dim=2, density=_criterion1_density())):
         triple = LevyTriple(drift=[0.0, 0.0], diffusion=zero, nu=nu)
-        assert multiplier_time_dependent(spec, triple, [scale, 0.0]) == pytest.approx(0.5, rel=1e-12)
+        (m,) = multiplier_time_dependent(spec, triple, [[scale, 0.0]])
+        assert m == pytest.approx(0.5, rel=1e-12)
 
 
 def test_small_frequencies_on_a_scaled_lattice():

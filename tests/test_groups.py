@@ -11,7 +11,6 @@ from levymult.groups import (
     dual_enumerate,
     haar_sample,
     heat_coeffs,
-    irrep_evaluate,
     irrep_stack_batch,
     plancherel_pairing,
     pw_forward,
@@ -88,8 +87,8 @@ def test_casimir_detects_broken_generators():
 
 def test_torus_evaluation():
     pi = torus_irrep("t1", 2)
-    assert irrep_evaluate(pi, [np.pi])[0, 0] == pytest.approx(np.exp(2j * np.pi))
-    assert irrep_evaluate(pi, [0.0])[0, 0] == 1.0
+    assert irrep_stack_batch([pi], [[np.pi]])[0, 0, 0, 0] == pytest.approx(np.exp(2j * np.pi))
+    assert irrep_stack_batch([pi], [[0.0]])[0, 0, 0, 0] == 1.0
 
 
 _BOX = [(k1, k2) for k1 in range(-3, 4) for k2 in range(-3, 4)]
@@ -128,14 +127,14 @@ def test_cached_label_data_is_read_only():
 
 
 def test_su2_exp_pi_x3():
-    rep = irrep_evaluate(su2_irrep(0.5), su2_exp([0.0, 0.0, np.pi]))
+    rep = irrep_stack_batch([su2_irrep(0.5)], [su2_exp([0.0, 0.0, np.pi])])[0, 0]
     assert np.allclose(rep, np.diag([np.exp(0.5j * np.pi), np.exp(-0.5j * np.pi)]), atol=1e-12)
 
 
 def test_identity_evaluates_to_identity():
     for pi in (torus_irrep("t2", (1, -2)), su2_irrep(1.5)):
         g = np.zeros(2) if pi.group == "t2" else np.eye(2, dtype=complex)
-        assert np.allclose(irrep_evaluate(pi, g), np.eye(pi.dim), atol=1e-14)
+        assert np.allclose(irrep_stack_batch([pi], [g])[0, 0], np.eye(pi.dim), atol=1e-14)
 
 
 def _rep_by_expm(pi, v):
@@ -151,7 +150,7 @@ def test_su2_evaluation_matches_matrix_exponential(j):
     rng = np.random.default_rng(17)
     for _ in range(8):
         v = rng.standard_normal(3) * rng.uniform(0.1, 2.5)
-        lhs = irrep_evaluate(pi, su2_exp(v))
+        lhs = irrep_stack_batch([pi], [su2_exp(v)])[0, 0]
         rhs = _rep_by_expm(pi, v)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -211,7 +210,7 @@ def test_su2_batch_homomorphism_and_unitarity():
 def test_su2_center_evaluation():
     # -I maps to (-1)^{2j} I in spin j
     for j, sign in ((0.5, -1.0), (1.0, 1.0), (1.5, -1.0)):
-        rep = irrep_evaluate(su2_irrep(j), -np.eye(2))
+        rep = irrep_stack_batch([su2_irrep(j)], [-np.eye(2)])[0, 0]
         assert np.allclose(rep, sign * np.eye(int(2 * j + 1)), atol=1e-12)
 
 

@@ -13,11 +13,8 @@ from levymult.levy import (
     RadialDensity,
     bernstein_atoms,
     bernstein_eval,
-    eval_symbol,
     factor_diffusion,
-    pure_gaussian,
     symbol_grid,
-    validate_levy_measure,
 )
 from levymult.linalg import NotPositiveSemidefinite
 
@@ -26,8 +23,8 @@ from levymult.linalg import NotPositiveSemidefinite
 
 
 def test_pure_gaussian_symbol():
-    triple = pure_gaussian(np.eye(2))
-    re, im = eval_symbol(triple, [1.0, 2.0])
+    triple = LevyTriple(drift=np.zeros(2), diffusion=np.eye(2), nu=LevyMeasureRn(dim=2))
+    (re,), (im,) = symbol_grid(triple, [[1.0, 2.0]])
     assert re == pytest.approx(-5.0, abs=1e-14)
     assert im == 0.0
 
@@ -36,7 +33,7 @@ def test_symmetric_atoms_cancel_imaginary_part():
     nu = LevyMeasureRn(dim=1, atoms=(((1.0,), 1.0), ((-1.0,), 1.0)))
     triple = LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=nu)
     for xi in (0.3, 0.7, 2.0):
-        re, im = eval_symbol(triple, [xi])
+        (re,), (im,) = symbol_grid(triple, [[xi]])
         assert re == pytest.approx(2.0 * (np.cos(xi) - 1.0), abs=1e-14)
         assert im == 0.0
 
@@ -46,7 +43,7 @@ def test_density_symbol_against_adaptive_quadrature():
     dens = RadialDensity(profile=lambda r, u: r ** (-1 - alpha), inner=eps, outer=outer, nodes=768)
     nu = LevyMeasureRn(dim=1, density=dens)
     triple = LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=nu)
-    re, im = eval_symbol(triple, [1.0])
+    (re,), (im,) = symbol_grid(triple, [[1.0]])
     oracle = 0.0
     for a, b in ((eps, 1.0), (1.0, 10.0), (10.0, 100.0), (100.0, outer)):
         oracle += 2.0 * quad(lambda y: (np.cos(y) - 1.0) * y ** (-1 - alpha), a, b, limit=2000)[0]
@@ -55,8 +52,8 @@ def test_density_symbol_against_adaptive_quadrature():
 
 
 def test_drift_enters_imaginary_part_only():
-    triple = pure_gaussian(np.eye(2), drift=[0.5, -1.0])
-    re, im = eval_symbol(triple, [2.0, 1.0])
+    triple = LevyTriple(drift=[0.5, -1.0], diffusion=np.eye(2), nu=LevyMeasureRn(dim=2))
+    (re,), (im,) = symbol_grid(triple, [[2.0, 1.0]])
     assert re == pytest.approx(-5.0)
     assert im == pytest.approx(0.5 * 2.0 - 1.0)
 
@@ -64,7 +61,7 @@ def test_drift_enters_imaginary_part_only():
 def test_compensator_indicator_only_inside_unit_ball():
     nu = LevyMeasureRn(dim=1, atoms=(((0.5,), 1.0), ((2.0,), 1.0)))
     triple = LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=nu)
-    _, im = eval_symbol(triple, [1.0])
+    _, (im,) = symbol_grid(triple, [[1.0]])
     assert im == pytest.approx((np.sin(0.5) - 0.5) + np.sin(2.0), abs=1e-14)
 
 
@@ -77,8 +74,7 @@ def test_compensator_indicator_only_inside_unit_ball():
 def test_real_part_nonpositive_and_even(xi, point, mass):
     nu = LevyMeasureRn(dim=1, atoms=(((point,), mass),))
     triple = LevyTriple(drift=[0.3], diffusion=[[0.4]], nu=nu)
-    re_p, _ = eval_symbol(triple, [xi])
-    re_m, _ = eval_symbol(triple, [-xi])
+    (re_p, re_m), _ = symbol_grid(triple, [[xi], [-xi]])
     assert re_p <= 0.0
     assert re_p == pytest.approx(re_m, abs=1e-12)
 
@@ -89,39 +85,8 @@ def test_symbol_grid_vectorises():
     pts = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
     re, im = symbol_grid(triple, pts)
     for row, r, i in zip(pts, re, im):
-        rr, ii = eval_symbol(triple, row)
+        (rr,), (ii,) = symbol_grid(triple, [row])
         assert (rr, ii) == (pytest.approx(r), pytest.approx(i))
-
-
-# -- measure validation -------------------------------------------------------
-
-
-def test_validate_empty_measure():
-    report = validate_levy_measure(LevyMeasureRn(dim=1))
-    assert report.passed and report.estimate == 0.0
-
-
-def test_validate_single_atom_closed_form():
-    report = validate_levy_measure(LevyMeasureRn(dim=1, atoms=(((1.0,), 5.0),)))
-    assert report.estimate == pytest.approx(2.5)
-    assert report.passed
-
-
-def test_validate_divergent_density_schedule():
-    # |y|^{-3} in 1D: the integrability integrand behaves like 1/y near 0,
-    # so estimates must grow without bound as the inner cutoff shrinks
-    estimates = []
-    for eps in (1e-2, 1e-4, 1e-6, 1e-8):
-        dens = RadialDensity(profile=lambda r, u: r**-3.0, inner=eps, outer=10.0, nodes=64)
-        report = validate_levy_measure(LevyMeasureRn(dim=1, density=dens), cap=25.0)
-        estimates.append(report.estimate)
-    assert all(b > a + 3.0 for a, b in zip(estimates, estimates[1:]))
-    assert not validate_levy_measure(
-        LevyMeasureRn(
-            dim=1, density=RadialDensity(profile=lambda r, u: r**-3.0, inner=1e-8, outer=10.0, nodes=64)
-        ),
-        cap=25.0,
-    ).passed
 
 
 def _underresolved_radial(dim):
@@ -152,12 +117,10 @@ def _resolved_density_with_oscillating_psi():
 def _consumer_case(case):
     """A call that sums an under-resolved density: the refinement rule must refuse it."""
     eye = np.eye(2)
-    if case == "integrate":
-        return lambda: validate_levy_measure(_underresolved_radial(1))
     if case == "eval_symbol":
-        return lambda: eval_symbol(LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=_underresolved_radial(1)), [2.0])
+        return lambda: symbol_grid(LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=_underresolved_radial(1)), [[2.0]])
     if case == "smooth-eval_symbol":
-        return lambda: eval_symbol(LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=_smooth_radial(1)), [40.0])
+        return lambda: symbol_grid(LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=_smooth_radial(1)), [[40.0]])
     if case in ("smooth-autonomous", "smooth-lattice"):
         xi = 5.0 * _nonzero_lattice(16) if case == "smooth-lattice" else np.array([[40.0, 0.0]])
         return lambda: multiplier_autonomous_grid(eye, 0.5, eye, _smooth_radial(2), xi)
@@ -170,7 +133,7 @@ def _consumer_case(case):
             return lambda: multiplier_autonomous_grid(eye, psi, eye, nu, np.array([[3.0, 4.0], [1.0, -2.0]]))
         spec = MultiplierSpec(a_bound=1.0, psi_bound=1.0, amatrix=eye, psi=psi)
         triple = LevyTriple(drift=[0.0, 0.0], diffusion=eye, nu=nu)
-        return lambda: multiplier_time_dependent(spec, triple, np.array([3.0, 4.0]) / (2.0 * np.pi))
+        return lambda: multiplier_time_dependent(spec, triple, np.array([[3.0, 4.0]]) / (2.0 * np.pi))
     dens = PositiveDensity(profile=lambda y: y**-1.5 * (1.0 + np.sin(300.0 * y)), inner=1e-2, outer=30.0, nodes=8)
     return lambda: bernstein_eval(BernsteinSpec(density=dens), [0.5, 2.0])
 
@@ -178,7 +141,6 @@ def _consumer_case(case):
 @pytest.mark.parametrize(
     "case",
     [
-        "integrate",
         "eval_symbol",
         "smooth-eval_symbol",
         "autonomous",
@@ -191,14 +153,8 @@ def _consumer_case(case):
     ],
 )
 def test_every_density_sum_is_refused_when_refinement_disagrees(case):
-    call = _consumer_case(case)
-    if case == "integrate":  # report-style: the refusal is carried as a warning
-        report = call()
-        assert not report.passed and report.estimate == np.inf
-        assert any("did not stabilise" in w for w in report.warnings)
-    else:
-        with pytest.raises(QuadratureError, match="did not stabilise"):
-            call()
+    with pytest.raises(QuadratureError, match="did not stabilise"):
+        _consumer_case(case)()
 
 
 def test_density_quadratures_are_built_once_and_keep_their_node_counts():

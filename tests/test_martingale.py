@@ -130,7 +130,7 @@ def test_pure_jump_representation_is_exact(group):
     ctx = transform_context(spec, f)
     for i in range(5):
         path = simulate_path(spec, i)
-        assert path.n_events > 0
+        assert len(path.event_rows) > 0
         sigmas = haar_sample(group, rngmod.stream(6, rngmod.HAAR, i), 1)
         tr = ctx.transcript(path, None, np.array([0.3, -0.8]), sigmas)
         assert tr.repr_gap <= 1e-12

@@ -17,29 +17,43 @@ def first_draws(gen) -> bytes:
     )
 
 
+def draw_first(gen, _):
+    return first_draws(gen)
+
+
 @pytest.mark.parametrize("seed,prefix", list(itertools.product(SEEDS, PREFIXES)))
 def test_batch_opener_matches_the_reference_stream(seed, prefix):
-    for i, gen in zip(INDICES, rngmod.streams(seed, prefix, INDICES)):
-        assert first_draws(gen) == first_draws(rngmod.stream(seed, *prefix, i))
+    for i, draws in zip(INDICES, rngmod.streams(seed, prefix, INDICES, draw_first)):
+        assert draws == first_draws(rngmod.stream(seed, *prefix, i))
     # a chunk of one
     for i in INDICES:
-        (gen,) = rngmod.streams(seed, prefix, [i])
-        assert first_draws(gen) == first_draws(rngmod.stream(seed, *prefix, i))
+        (draws,) = rngmod.streams(seed, prefix, [i], draw_first)
+        assert draws == first_draws(rngmod.stream(seed, *prefix, i))
 
 
 def test_two_openers_used_in_turn():
-    a = rngmod.streams(20249, (rngmod.JUMPS,), range(5))
-    b = rngmod.streams(20249, (rngmod.BROWNIAN,), range(5))
-    for i, (ga, gb) in enumerate(zip(a, b)):
-        assert first_draws(ga) == first_draws(rngmod.stream(20249, rngmod.JUMPS, i))
-        assert first_draws(gb) == first_draws(rngmod.stream(20249, rngmod.BROWNIAN, i))
+    def jumps_around_brownian(gen, k):
+        head = gen.random(2).tobytes()
+        (brownian,) = rngmod.streams(20249, (rngmod.BROWNIAN,), [k], draw_first)
+        return head + first_draws(gen), brownian
+
+    for i, (ja, gb) in enumerate(rngmod.streams(20249, (rngmod.JUMPS,), range(5), jumps_around_brownian)):
+        ref = rngmod.stream(20249, rngmod.JUMPS, i)
+        assert ja == ref.random(2).tobytes() + first_draws(ref)
+        assert gb == first_draws(rngmod.stream(20249, rngmod.BROWNIAN, i))
+
+
+def test_the_draw_gets_each_position_in_turn():
+    positions = rngmod.streams(20249, (rngmod.JUMPS,), [7, 3, 3, 0], lambda gen, k: (k, first_draws(gen)))
+    assert [k for k, _ in positions] == [0, 1, 2, 3]
+    assert [d for _, d in positions] == [first_draws(rngmod.stream(20249, rngmod.JUMPS, i)) for i in (7, 3, 3, 0)]
 
 
 @pytest.mark.parametrize("index", [2**32, 2**40, -1])
 def test_index_outside_one_key_word_is_refused(index):
     with pytest.raises(ValueError, match="2\\*\\*32"):
-        list(rngmod.streams(3, (rngmod.JUMPS,), [0, index]))
+        rngmod.streams(3, (rngmod.JUMPS,), [0, index], draw_first)
 
 
 def test_no_indices_open_no_stream():
-    assert list(rngmod.streams(3, (rngmod.JUMPS,), [])) == []
+    assert rngmod.streams(3, (rngmod.JUMPS,), [], draw_first) == []

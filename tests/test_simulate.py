@@ -58,7 +58,7 @@ def test_poisson_event_count_law():
     lam, horizon = 1.5, 2.0
     nu = GroupLevyMeasure("t1", ((np.array([2.0]), lam),))
     spec = GroupProcessSpec("t1", 0.0, nu, horizon, 0.25, seed=5)
-    counts = np.array([simulate_path(spec, i).n_events for i in range(3000)])
+    counts = np.array([len(simulate_path(spec, i).event_rows) for i in range(3000)])
     mean = counts.mean()
     z = (mean - lam * horizon) / np.sqrt(lam * horizon / len(counts))
     assert abs(z) < 3.0
@@ -236,7 +236,7 @@ def test_compound_poisson_atoms_are_generator_choice_draws(atoms):
     for i in range(150):
         horizon = (i % 8) * 1.6 / lam  # mean event counts 0 to 11.2
         gen, ref = rngmod.stream(9, atoms, i), rngmod.stream(9, atoms, i)
-        ((times, marks),) = simmod._compound_poisson([gen], masses, horizon)
+        times, marks = simmod._compound_poisson(masses, horizon)(gen, 0)
         count = int(ref.poisson(lam * horizon))
         assert np.array_equal(times, np.sort(ref.uniform(0.0, horizon, size=count)))
         assert np.array_equal(marks, ref.choice(atoms, size=count, p=masses / lam))

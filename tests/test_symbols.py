@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from levymult.euclid import ImaginaryPowerProfile
-from levymult.groups import GroupLevyMeasure, dual_enumerate, irrep_evaluate, su2_exp, su2_irrep, torus_irrep
+from levymult.groups import GroupLevyMeasure, dual_enumerate, irrep_stack_batch, su2_exp, su2_irrep, torus_irrep
 from levymult.levy import BernsteinSpec, bernstein_eval
 from levymult.symbols import (
     central_alpha,
@@ -96,14 +96,12 @@ def test_subordination_zero_psi():
 
 
 def test_subordination_su2_direct_assembly():
-    from levymult.groups import irrep_evaluate
-
     tau = su2_exp([0.4, -0.7, 0.9])
     nu = GroupLevyMeasure("su2", ((tau, 1.3),))
     h = BernsteinSpec(c=0.0, atoms=((1.0, 1.0),))  # h(u) = 1 - e^{-u}
     pi = su2_irrep(0.5)
     out = subordination_symbol(np.array([0.8]), h, nu, pi)
-    rep = irrep_evaluate(pi, tau)
+    rep = irrep_stack_batch([pi], [tau])[0, 0]
     manual = 1.3 * 0.8 * (2 * np.eye(2) - rep - rep.conj().T)
     manual /= 2.0 * (1.0 - np.exp(-0.75))
     assert np.max(np.abs(out - manual)) < 1e-12
@@ -164,7 +162,7 @@ def test_central_multiplier_requires_decay():
 
 def _central_multiplier_reference(amat, psi, c, nu, pi, alpha=None):
     """The central-process symbol of one irrep, atom by atom from its definition."""
-    reps = [irrep_evaluate(pi, tau) for tau, _ in nu.atoms]
+    reps = [irrep_stack_batch([pi], [tau])[0, 0] for tau, _ in nu.atoms]
     if alpha is None:
         alpha = -c * pi.casimir + sum(m * (np.trace(r) / pi.dim - 1.0) for (_, m), r in zip(nu.atoms, reps))
     grad = sum(amat[j, i] * pi.generators[i] @ pi.generators[j] for i in range(len(amat)) for j in range(len(amat)))
