@@ -201,11 +201,13 @@ def _frequencies(rows, dim: int) -> np.ndarray:
         raise ConfigError("config.xi", f"expected rows of {dim} numbers: {exc}")
 
 
-def _psi(obj):
-    if obj is None:
-        return None
-    if isinstance(obj, (int, float)):
-        return float(obj)
+def _psi(obj, n_atoms):
+    """``config.psi``: None, a number, or a list of one number per atom (no list where n_atoms is None)."""
+    if obj is None or isinstance(obj, (int, float)):
+        return obj if obj is None else float(obj)
+    if n_atoms is None or np.shape(obj) != (n_atoms,):
+        want = "a number (a density takes no list)" if n_atoms is None else f"a number or one per atom ({n_atoms})"
+        raise ConfigError("config.psi", f"expected {want}, got {obj!r}")
     return np.asarray(obj, dtype=float)
 
 
@@ -354,7 +356,7 @@ def _multiplier_from_config(config):
         aprofile = ImaginaryPowerProfile(float(prof.get("gamma", 0.5)))
     else:
         amatrix = _matrix(config.get("amatrix", np.zeros((triple.dim, triple.dim))), "config.amatrix")
-    psi = _psi(config.get("psi"))
+    psi = _psi(config.get("psi"), None if triple.nu.density is not None else len(triple.nu.atoms))
     if config.get("a_bound") is not None or config.get("psi_bound") is not None:
         spec = MultiplierSpec(
             a_bound=float(config.get("a_bound", np.inf)),
@@ -437,7 +439,8 @@ def cmd_symbol_group(args) -> int:
     kind = config.get("kind", "riesz2")
     dual = dual_enumerate(group, cutoff)
     nu = _group_measure(group, config.get("atoms"), "config.atoms")
-    psi = _psi(config.get("psi"))
+    bernstein = _bernstein(config.get("bernstein", {}), "config.bernstein") if kind == "subordination" else None
+    psi = _psi(config.get("psi"), len(nu.atoms))
     payload = {"meta": _meta(args, config), "kind": kind}
     if kind == "central":
         payload["symbols"], payload["alpha"] = _central_group_symbols(config, dual, nu, psi)
@@ -445,7 +448,6 @@ def cmd_symbol_group(args) -> int:
         _emit(payload, args)
         return 0
     shared = _shared_group_symbol(kind, config, "config", dual)
-    bernstein = _bernstein(config.get("bernstein", {}), "config.bernstein") if kind == "subordination" else None
     entries = []
     for pi in dual:
         try:
@@ -565,7 +567,7 @@ def cmd_simulate(args) -> int:
     )
     coeffs = _coeff_table(config.get("f", {}), "config.f")
     amatrix = _matrix(config["amatrix"], "config.amatrix") if config.get("amatrix") is not None else None
-    psi = _psi(config.get("psi"))
+    psi = _psi(config.get("psi"), len(spec.jumps.atoms))
     paths = _int_at_least(config, "paths", 100, 1)
     sigma_mode = config.get("sigma", "haar")
     if sigma_mode not in ("haar", "identity"):

@@ -108,27 +108,21 @@ def su2_exp_batch(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _su2_quaternion(g: np.ndarray):
-    """(a, b) of the Frobenius projection of 2x2 matrices onto [[a, b], [-conj(b), conj(a)]]."""
-    return (g[..., 0, 0] + g[..., 1, 1].conj()) / 2.0, (g[..., 0, 1] - g[..., 1, 0].conj()) / 2.0
-
-
-def _su2_matrix(a, b) -> np.ndarray:
+def su2_matrix(a, b) -> np.ndarray:
     """The matrices [[a, b], [-conj(b), conj(a)]]."""
     return np.stack([a, b, -np.conj(b), np.conj(a)], axis=-1).reshape(np.shape(a) + (2, 2))
 
 
-def su2_renormalise(g: np.ndarray):
-    """Project near-unitary 2x2 matrices back to SU(2) via their quaternion.
+def su2_renormalise(rows: np.ndarray):
+    """Project near-unit first rows (a, b) = rows[0], rows[1] of ``su2_matrix`` elements back onto SU(2).
 
-    Returns (projected, residual) where residual is the largest correction.
+    Returns (projected rows, residual) where residual is the largest correction.
     """
-    g = np.asarray(g, dtype=complex)
-    a, b = _su2_quaternion(g)
+    rows = np.asarray(rows, dtype=complex)
+    a, b = rows
     norm = np.sqrt(a.real**2 + b.imag**2 + b.real**2 + a.imag**2)
-    out = _su2_matrix(a / norm, b / norm)
-    residual = float(np.max(np.abs(out - g))) if g.size else 0.0
-    return out, residual
+    out = rows / norm
+    return out, float(np.max(np.abs(out - rows))) if rows.size else 0.0
 
 
 def haar_sample(group: str, rng: np.random.Generator, size: int):
@@ -137,7 +131,7 @@ def haar_sample(group: str, rng: np.random.Generator, size: int):
         return rng.uniform(0.0, 2.0 * np.pi, size=(size, group_dim(group)))
     q = rng.standard_normal(size=(size, 4))
     q /= np.linalg.norm(q, axis=1)[:, None]
-    return _su2_matrix(q[:, 0] + 1j * q[:, 3], q[:, 2] + 1j * q[:, 1])
+    return su2_matrix(q[:, 0] + 1j * q[:, 3], q[:, 2] + 1j * q[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +227,8 @@ def _su2_euler(g: np.ndarray):
     Read off a = cos(beta/2) e^{i(alpha+gamma)/2} and b = sin(beta/2) e^{i(alpha-gamma)/2}: beta = 2 atan2(|b|, |a|)
     stays accurate near +-I, and a phase left undefined at beta = 0 or pi is 0, where d(beta) vanishes under it.
     """
-    a, b = _su2_quaternion(g)
+    # (a, b) of the Frobenius projection of g onto [[a, b], [-conj(b), conj(a)]]
+    a, b = (g[..., 0, 0] + g[..., 1, 1].conj()) / 2.0, (g[..., 0, 1] - g[..., 1, 0].conj()) / 2.0
     half_sum, half_diff = np.angle(a), np.angle(b)
     return half_sum + half_diff, 2.0 * np.arctan2(np.abs(b), np.abs(a)), half_sum - half_diff
 
@@ -555,8 +550,8 @@ class GroupLevyMeasure:
                 cleaned.append((t, float(mass)))
             else:
                 g = np.asarray(tau, dtype=complex)
-                if g.shape != (2, 2):
-                    raise ValueError("SU(2) atom must be a 2x2 matrix")
+                if g.shape != (2, 2) or np.max(np.abs(g @ g.conj().T - np.eye(2))) + abs(np.linalg.det(g) - 1) > 1e-9:
+                    raise ValueError("SU(2) atom must be a unitary 2x2 matrix of determinant 1")
                 if np.max(np.abs(g - np.eye(2))) < 1e-12:
                     raise ValueError("atom at the identity is not allowed")
                 cleaned.append((g, float(mass)))

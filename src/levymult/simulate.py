@@ -10,7 +10,8 @@ other paths are simulated.
 
 Paths are simulated in chunks laid out in flat node arrays (a single path
 is a chunk of one): torus states are running sums, and SU(2) states are
-advanced by one loop over the grid steps for the whole chunk.
+advanced by one loop over the grid steps for the whole chunk as first rows
+(a, b) of [[a, b], [-conj(b), conj(a)]], expanded to matrices once per chunk.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .groups import (
     GroupLevyMeasure,
     group_dim,
     su2_exp_batch,
-    su2_product,
+    su2_matrix,
     su2_renormalise,
 )
 from .levy import BernsteinSpec
@@ -237,15 +238,24 @@ def _torus_states(path: PathRecord):
     return path
 
 
+def _row_product(g: np.ndarray, m: np.ndarray, out, tmp) -> np.ndarray:
+    """First rows (2, paths) of g m for first rows g and matrices m (2, 2, paths): row 0 of
+    ``su2_product``, into ``out`` with ``tmp`` as scratch (None allocates)."""
+    out = np.multiply(g[:1], m[0], out=out)
+    out += np.multiply(g[1:], m[1], out=tmp)
+    return out
+
+
 def _su2_evolve(path: PathRecord, record: bool) -> np.ndarray:
     """Evolve every path of the layout on SU(2) at once; returns the final states.
 
     One loop runs over the grid steps.  A step multiplies each state by the
     exponential of its last diffusion substep; before that, the substeps
     ending at events (sorted by step and rank within the step) are applied
-    to the paths that have them, each followed by its jump.  States are
-    projected back onto the group every ``RENORM_STEPS`` steps and at the
-    horizon.  With ``record`` the state at every node is kept as well.
+    to the paths that have them, each followed by its jump.  States, first
+    rows (``_row_product``), are projected back onto the group every
+    ``RENORM_STEPS`` steps and at the horizon.  With ``record`` the state at
+    every node is kept as well.
     """
     spec = path.spec
     k_steps, n_paths = spec.n_steps, len(path.indices)
@@ -268,40 +278,40 @@ def _su2_evolve(path: PathRecord, record: bool) -> np.ndarray:
     for rows in np.split(order, cuts) if len(order) else ():
         groups.setdefault(int(ev_step[rows[0]]), []).append(rows)
     if diffuse:
-        ev_rot = su2_exp_batch(scale * path.db[to_event])
-    atom_mats = np.array([tau for tau, _ in spec.jumps.atoms], dtype=complex).reshape(-1, 2, 2)
-    g = np.tile(np.eye(2, dtype=complex), (n_paths, 1, 1))
+        ev_rot = su2_exp_batch(scale * path.db[to_event]).transpose(1, 2, 0)
+    atom_mats = np.array([tau for tau, _ in spec.jumps.atoms], dtype=complex).reshape(-1, 2, 2).transpose(1, 2, 0)
+    g = np.zeros((2, n_paths), dtype=complex) + [[1.0], [0.0]]
+    tmp = np.empty_like(g)
     if record:
-        states = np.empty((len(path.times), 2, 2), dtype=complex)
-        states[grid_nodes[:, 0]] = g
+        states = np.empty((len(path.times), 2), dtype=complex)
         prestates = np.empty_like(states)
-    residual = 0.0
+    block = np.empty((min(RENORM_STEPS, k_steps) + 1, 2, n_paths), dtype=complex)  # grid nodes k0..k1
     for k0 in range(0, k_steps, RENORM_STEPS):
         k1 = min(k0 + RENORM_STEPS, k_steps)
+        block[0] = g
         if diffuse:
             rot = su2_exp_batch(scale * path.db[to_grid[k0:k1].reshape(-1)]).reshape(k1 - k0, n_paths, 2, 2)
         for k in range(k0, k1):
+            g = block[k - k0].copy() if k in groups else block[k - k0]
             for rows in groups.get(k, ()):
                 who, nodes = ev_owner[rows], ev_nodes[rows]
-                pre = su2_product(g[who], ev_rot[rows]) if diffuse else g[who]
-                g[who] = su2_product(pre, atom_mats[path.marks[nodes]])
+                pre = _row_product(g[:, who], ev_rot[..., rows], None, None) if diffuse else g[:, who]
+                g[:, who] = _row_product(pre, atom_mats[..., path.marks[nodes]], None, None)
                 if record:
-                    prestates[nodes] = pre
-                    states[nodes] = g[who]
+                    prestates[nodes] = pre.T
+                    states[nodes] = g[:, who].T
             if diffuse:
-                g = su2_product(g, rot[k - k0])
-            if record and k + 1 < k1:
-                states[grid_nodes[:, k + 1]] = g
-        g, res = su2_renormalise(g)
-        residual = max(residual, res)
+                _row_product(g, rot[k - k0].transpose(1, 2, 0), block[k - k0 + 1], tmp)
+            else:
+                block[k - k0 + 1] = g
+        g, res = su2_renormalise(block[k1 - k0])
+        path.unitarity_residual = max(path.unitarity_residual, res)
         if record:
-            states[grid_nodes[:, k1]] = g
-    path.unitarity_residual = residual
+            block[k1 - k0], nodes = g, grid_nodes[:, k0 : k1 + 1].T
+            states[nodes] = prestates[nodes] = block[: k1 - k0 + 1].transpose(0, 2, 1)
     if record:
-        grid = grid_nodes.reshape(-1)
-        prestates[grid] = states[grid]
-        path.states, path.prestates = states, prestates
-    return g
+        path.states, path.prestates = (su2_matrix(*r.T) for r in (states, prestates))
+    return su2_matrix(*g)
 
 
 def simulate_paths(spec: GroupProcessSpec, indices) -> PathRecord:
@@ -337,7 +347,9 @@ def ensemble_final_states(spec: GroupProcessSpec, paths: int) -> np.ndarray:
     agrees with ``simulate_path(spec, p)``.
     """
     d = group_dim(spec.group)
-    # the widest table of a chunk holds each segment's normals (d floats)
+    # the budget counts each segment's normals (8 d bytes a node), but on criterion 10's central
+    # SU(2) spec 49 B a node stay live after _layout and the evolve adds 37 B a node at its peak
+    # (tracemalloc): a chunk peaks at about 3.6 budgets
     per_chunk = paths_per_chunk(CHUNK_BYTES, 8 * d * (spec.n_steps + 1 + spec.jumps.total_mass * spec.horizon))
     if spec.group == SU2:
         out = np.empty((paths, 2, 2), dtype=complex)

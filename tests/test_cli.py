@@ -397,6 +397,10 @@ R2 = {"diffusion": [[1.0, 0.0], [0.0, 1.0]]}
         (["simulate"], {**SIMULATE_CONFIG, "paths": -3}, "config.paths"),
         (["dual", "--group", "t1", "--cutoff", "0.2"], None, "--cutoff"),
         (["dual", "--group", "su2", "--cutoff", "0.2"], None, "--cutoff"),
+        # a psi list with one value per atom, against two atoms or one
+        (["multiplier"], {"triple": {**R2, "atoms": [{"point": [0.5, 0.0], "mass": 1.0}] * 2}, "psi": [0.5], "xi": [[1.0, 2.0]]}, "config.psi"),
+        (["simulate"], {**SIMULATE_CONFIG, "psi": [0.5, 0.5]}, "config.psi"),
+        (["symbol-group"], {"group": "su2", "cutoff": 1, "kind": "central", "psi": [0.5, 0.5], "atoms": [{"axis_angle": [0.0, 0.0, 3.0]}]}, "config.psi"),
     ],
 )
 def test_bad_input_exits_2_with_a_pointer(tmp_path, capsys, argv, config, pointer):

@@ -20,6 +20,7 @@ from levymult.groups import (
     su2_exp,
     su2_irrep,
     su2_irrep_batch,
+    su2_matrix,
     su2_renormalise,
     torus_irrep,
 )
@@ -216,10 +217,10 @@ def test_su2_center_evaluation():
 
 def test_su2_renormalise_projects():
     g = haar_sample("su2", rngmod.stream(4, 1), 4)
-    noisy = g + 1e-8 * (np.ones((4, 2, 2)) + 0.5j)
+    noisy = g[:, 0].T + 1e-8 * (np.ones((2, 4)) + 0.5j)  # first rows
     out, resid = su2_renormalise(noisy)
     assert resid < 1e-7
-    for u in out:
+    for u in su2_matrix(*out):
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-14
 
 
@@ -394,6 +395,9 @@ def test_group_measure_validation():
         GroupLevyMeasure("t1", ((np.zeros(1), 1.0),))
     with pytest.raises(ValueError, match="identity"):
         GroupLevyMeasure("su2", ((np.eye(2), 1.0),))
+    for not_su2 in (np.diag([1.0, -1.0]), 2.0 * su2_exp([0.3, 0.1, 0.2]), np.ones(3)):
+        with pytest.raises(ValueError, match="SU\\(2\\) atom"):
+            GroupLevyMeasure("su2", ((not_su2, 1.0),))
     with pytest.raises(ValueError, match="mass"):
         GroupLevyMeasure("t1", ((np.array([1.0]), -1.0),))
     nu = GroupLevyMeasure("t1", ((np.array([2 * np.pi + 0.3]), 1.5),))

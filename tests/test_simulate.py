@@ -3,7 +3,7 @@ import pytest
 
 from levymult import rng as rngmod
 from levymult import simulate as simmod
-from levymult.groups import GroupLevyMeasure, su2_exp
+from levymult.groups import GroupLevyMeasure, su2_exp, su2_exp_batch, su2_product
 from levymult.levy import BernsteinSpec, PositiveDensity, bernstein_atoms, bernstein_eval
 from levymult.simulate import (
     GroupProcessSpec,
@@ -196,19 +196,20 @@ def test_batched_paths_match_a_per_segment_reference(name):
         assert len(np.unique(cells)) < len(cells)
 
 
+def grid_time_events(spec, index):
+    """Events at t = 0, on a grid time, two at one time inside a step and two more in one step."""
+    grid, dt = spec.grid_times, spec.dt
+    times = np.array([0.0, grid[2], grid[3] + 0.25 * dt, grid[3] + 0.25 * dt, grid[3] + 0.5 * dt])
+    times = times[index % 2 :] + [0.0, 0.0, 0.0, 0.0, (index + 1) * 0.01 * dt][index % 2 :]
+    return times, np.arange(len(times)) % len(spec.jumps.atoms)
+
+
 @pytest.mark.parametrize("name", ["t2-drift", "su2"])
 def test_events_exactly_on_grid_times(name, monkeypatch):
     spec = BATCH_SPECS[name]
-    grid, dt = spec.grid_times, spec.dt
-
-    def events(spec, index):
-        # at t = 0, on a grid time, two at one time inside a step, two more in one step
-        times = np.array([0.0, grid[2], grid[3] + 0.25 * dt, grid[3] + 0.25 * dt, grid[3] + 0.5 * dt])
-        times = times[index % 2 :] + [0.0, 0.0, 0.0, 0.0, (index + 1) * 0.01 * dt][index % 2 :]
-        return times, np.arange(len(times)) % len(spec.jumps.atoms)
-
-    monkeypatch.setattr(simmod, "_draw_events", lambda spec, indices: [events(spec, i) for i in indices])
-    batch = _check_against_reference(spec, 3, events)
+    grid = spec.grid_times
+    monkeypatch.setattr(simmod, "_draw_events", lambda spec, indices: [grid_time_events(spec, i) for i in indices])
+    batch = _check_against_reference(spec, 3, grid_time_events)
     on_grid = batch.event_rows[np.isin(batch.times[batch.event_rows], grid)]
     assert len(on_grid) and np.all(batch.kinds[on_grid - 1] == 0)  # the grid node comes first
 
@@ -226,6 +227,65 @@ def test_path_does_not_depend_on_its_chunk(name, monkeypatch):
     finals = ensemble_final_states(spec, 7)
     monkeypatch.setattr(simmod, "CHUNK_BYTES", 1)
     assert np.max(np.abs(ensemble_final_states(spec, 7) - finals)) <= 1e-12
+
+
+def matrix_loop_path(spec, indices):
+    """The chunk's SU(2) paths evolved as 2x2 matrices, on the library's layout.
+
+    Every path starts at the identity and takes its nodes in order: the
+    substep ending at a node and then the jump there, each by ``su2_product``;
+    the quaternion projection every ``RENORM_STEPS`` grid steps and at the
+    horizon.  States are stacks of one, so every operation runs on arrays.
+    """
+    path = simmod._layout(spec, indices)
+    rot = su2_exp_batch(np.sqrt(2.0 * spec.c) * path.db) if spec.c > 0.0 else None
+    atoms = np.array([tau for tau, _ in spec.jumps.atoms], dtype=complex).reshape(-1, 2, 2)
+    path.states = np.empty((len(path.times), 2, 2), dtype=complex)
+    path.prestates = np.empty_like(path.states)
+    for p in range(len(path.indices)):
+        g, k = np.eye(2, dtype=complex)[None], 0
+        path.states[path.offsets[p]] = path.prestates[path.offsets[p]] = g[0]
+        for i in range(path.offsets[p] + 1, path.offsets[p + 1]):
+            g = su2_product(g, rot[i - 1 - p]) if rot is not None else g
+            path.prestates[i] = g[0]
+            if path.kinds[i]:
+                g = su2_product(g, atoms[path.marks[i]])
+            else:
+                k += 1
+                if k % simmod.RENORM_STEPS == 0 or k == spec.n_steps:
+                    a = (g[:, 0, 0] + g[:, 1, 1].conj()) / 2.0
+                    b = (g[:, 0, 1] - g[:, 1, 0].conj()) / 2.0
+                    norm = np.sqrt(a.real**2 + b.imag**2 + b.real**2 + a.imag**2)
+                    a, b = a / norm, b / norm
+                    projected = np.stack([a, b, -np.conj(b), np.conj(a)], axis=-1).reshape(1, 2, 2)
+                    path.unitarity_residual = max(path.unitarity_residual, float(np.max(np.abs(projected - g))))
+                    g = path.prestates[i] = projected
+            path.states[i] = g[0]
+    return path
+
+
+@pytest.mark.parametrize("chunk", ["whole", "one"])
+@pytest.mark.parametrize("name", ["su2", "su2-c0", "su2-no-jumps", "su2-grid-time-events"])
+def test_su2_first_rows_match_the_matrix_loop(name, chunk, monkeypatch):
+    spec = BATCH_SPECS[name.replace("-grid-time-events", "")]
+    if name.endswith("-grid-time-events"):
+        monkeypatch.setattr(simmod, "_draw_events", lambda spec, indices: [grid_time_events(spec, i) for i in indices])
+    ref = matrix_loop_path(spec, np.arange(7))
+    if name == "su2":  # some grid step of some path holds two or more events
+        cells = ref.cells[ref.event_rows]
+        assert len(np.unique(cells)) < len(cells)
+    if chunk == "one":
+        monkeypatch.setattr(simmod, "CHUNK_BYTES", 1)
+        for p in range(7):
+            lone, rows = simulate_paths(spec, [p]), slice(ref.offsets[p], ref.offsets[p + 1])
+            assert np.array_equal(lone.states, ref.states[rows])
+            assert np.array_equal(lone.prestates, ref.prestates[rows])
+    else:
+        batch = simulate_paths(spec, np.arange(7))
+        assert np.array_equal(batch.states, ref.states)
+        assert np.array_equal(batch.prestates, ref.prestates)
+        assert batch.unitarity_residual == ref.unitarity_residual
+    assert np.array_equal(ensemble_final_states(spec, 7), ref.states[ref.end_rows])
 
 
 @pytest.mark.parametrize("atoms", [1, 2, 3, 4])
