@@ -96,10 +96,11 @@ from .simulate import (
 from .symbols import (
     central_alpha,
     central_multiplier,
+    central_symbols,
     generator_matrix,
-    laplace_type_symbol,
-    riesz2_symbol_group,
-    subordination_symbol,
+    laplace_symbols,
+    stack_rows,
+    subordination_symbols,
     symbol_table,
 )
 

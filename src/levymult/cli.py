@@ -31,6 +31,7 @@ from .groups import (
     GroupLevyMeasure,
     PeterWeylCoeffs,
     dual_enumerate,
+    group_dim,
     heat_coeffs,
     su2_exp,
 )
@@ -43,6 +44,7 @@ from .levy import (
     RadialDensity,
     symbol_grid,
 )
+from .linalg import pair_matrix
 from .martingale import (
     TransformEnsemble,
     check_differential_subordination,
@@ -52,14 +54,7 @@ from .martingale import (
 )
 from .operators import apply_symbol_coeffs, norm_lower_bound_search, symbol_on_lattice
 from .simulate import GroupProcessSpec
-from .symbols import (
-    UNDEFINED,
-    central_symbols,
-    laplace_type_symbol,
-    riesz2_symbol_group,
-    subordination_symbol,
-    symbol_table,
-)
+from .symbols import UNDEFINED, central_symbols, laplace_symbols, stack_rows, subordination_symbols
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -113,6 +108,15 @@ def _matrix(obj, pointer: str) -> np.ndarray:
         return np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(pointer, f"not a matrix: {exc}")
+
+
+def _pair_matrix(obj, pointer: str, n: int) -> np.ndarray:
+    """A transform-pair matrix of the config (``linalg.pair_matrix``): absent is zero, else n x n."""
+    mat = None if obj is None else _matrix(obj, pointer)
+    try:
+        return pair_matrix(mat, n)
+    except ValueError as exc:
+        raise ConfigError(pointer, str(exc))
 
 
 def _radial_density(obj, pointer: str) -> RadialDensity:
@@ -355,7 +359,7 @@ def _multiplier_from_config(config):
             raise ConfigError("config.aprofile.type", "unknown profile")
         aprofile = ImaginaryPowerProfile(float(prof.get("gamma", 0.5)))
     else:
-        amatrix = _matrix(config.get("amatrix", np.zeros((triple.dim, triple.dim))), "config.amatrix")
+        amatrix = _pair_matrix(config.get("amatrix"), "config.amatrix", triple.dim)
     psi = _psi(config.get("psi"), None if triple.nu.density is not None else len(triple.nu.atoms))
     if config.get("a_bound") is not None or config.get("psi_bound") is not None:
         spec = MultiplierSpec(
@@ -402,29 +406,28 @@ def cmd_multiplier(args) -> int:
     return 0
 
 
-def _shared_group_symbol(kind: str, cfg: dict, pointer: str, dual):
-    """pi -> symbol block for the kinds both group commands take (riesz2, laplace), else None."""
+def _stacked_symbol(kind: str, cfg: dict, pointer: str, group: str):
+    """stack -> (blocks, defined) for the kinds both group commands take (riesz2, laplace)."""
     if kind == "riesz2":
-        cmat = _matrix(cfg.get("cmatrix", np.eye(len(dual[0].generators))), f"{pointer}.cmatrix")
-        return lambda pi: riesz2_symbol_group(cmat, pi)
+        n = group_dim(group)
+        cmat = _pair_matrix(cfg.get("cmatrix", np.eye(n)), f"{pointer}.cmatrix", n)
+        empty = GroupLevyMeasure(group)
+        return lambda stack: central_symbols(cmat, None, 1.0, empty, stack, None)[:2]
     if kind == "laplace":
         profile = ImaginaryPowerProfile(float(cfg.get("gamma", 0.5)))
-        return lambda pi: laplace_type_symbol(profile, pi)
-    return None
+        return lambda stack: laplace_symbols(profile, stack)
+    raise ConfigError(f"{pointer}.kind", f"unknown symbol kind {kind!r}")
 
 
-def _central_group_symbols(config: dict, dual, nu: GroupLevyMeasure, psi):
-    """``symbol-group`` entries of kind central and every irrep's exponent, one stacked evaluation
-    per irrep dimension; every mode where the multiplier is undefined is ``skipped``."""
-    cmat = _matrix(config["cmatrix"], "config.cmatrix") if config.get("cmatrix") is not None else None
-    by_label = {}
-    for dim in {pi.dim for pi in dual}:
-        stack = [pi for pi in dual if pi.dim == dim]
-        mats, alphas, defined = central_symbols(cmat, psi, float(config.get("c", 1.0)), nu, stack, None)
-        for pi, mat, alpha, ok in zip(stack, mats, alphas, defined):
-            entry = {"dim": pi.dim, "matrix": _complex_matrix_json(mat)} if ok else {"skipped": UNDEFINED}
-            by_label[pi.label] = ({"label": _label_json(pi.label), **entry}, [float(alpha.real), float(alpha.imag)])
-    return [by_label[pi.label][0] for pi in dual], [by_label[pi.label][1] for pi in dual]
+#: ``symbol-group``'s reason to skip an undefined mode: every central one (Re alpha = 0) and the
+#: trivial irrep of each other kind; a subordination symbol is also undefined where h(kappa) = 0
+SKIPPED = {
+    "central": UNDEFINED,
+    "riesz2": "Riesz symbol undefined on constants (trivial representation)",
+    "laplace": "Laplace-transform-type symbol undefined on the trivial representation",
+    "subordination": "subordination symbol undefined on the trivial representation",
+}
+H_ZERO = "h(kappa) = 0: subordination symbol undefined"
 
 
 def cmd_symbol_group(args) -> int:
@@ -441,31 +444,22 @@ def cmd_symbol_group(args) -> int:
     nu = _group_measure(group, config.get("atoms"), "config.atoms")
     bernstein = _bernstein(config.get("bernstein", {}), "config.bernstein") if kind == "subordination" else None
     psi = _psi(config.get("psi"), len(nu.atoms))
-    payload = {"meta": _meta(args, config), "kind": kind}
     if kind == "central":
-        payload["symbols"], payload["alpha"] = _central_group_symbols(config, dual, nu, psi)
+        cmat = _pair_matrix(config.get("cmatrix"), "config.cmatrix", group_dim(group))
+        symbol = lambda stack: central_symbols(cmat, psi, float(config.get("c", 1.0)), nu, stack, None)
+    elif kind == "subordination":
+        symbol = lambda stack: subordination_symbols(psi, bernstein, nu, stack)
+    else:
+        symbol = _stacked_symbol(kind, config, "config", group)
+    rows = stack_rows(dual, symbol)
+    payload = {"meta": _meta(args, config), "kind": kind, "symbols": []}
+    for pi, (block, defined, *_) in zip(dual, rows):
+        skipped = H_ZERO if kind == "subordination" and pi.casimir > 0.0 else SKIPPED[kind]
+        entry = {"dim": pi.dim, "matrix": _complex_matrix_json(block)} if defined else {"skipped": skipped}
+        payload["symbols"].append({"label": _label_json(pi.label), **entry})
+    if kind == "central":
+        payload["alpha"] = [[float(alpha.real), float(alpha.imag)] for _, _, alpha in rows]
         payload["central_measure"] = nu.is_central()
-        _emit(payload, args)
-        return 0
-    shared = _shared_group_symbol(kind, config, "config", dual)
-    entries = []
-    for pi in dual:
-        try:
-            if shared is not None:
-                mat = shared(pi)
-            elif kind == "subordination":
-                mat = subordination_symbol(psi, bernstein, nu, pi)
-            else:
-                raise ConfigError("config.kind", f"unknown symbol kind {kind!r}")
-        except ValueError as exc:
-            if pi.casimir == 0.0:
-                entries.append({"label": _label_json(pi.label), "skipped": str(exc)})
-                continue
-            raise
-        entries.append(
-            {"label": _label_json(pi.label), "dim": pi.dim, "matrix": _complex_matrix_json(mat)}
-        )
-    payload["symbols"] = entries
     _emit(payload, args)
     return 0
 
@@ -480,17 +474,20 @@ def cmd_apply(args) -> int:
 
     kind = sym_cfg.get("kind", "riesz2")
     _require_keys(sym_cfg, {"group", "cutoff", "kind", "cmatrix", "gamma", "trivial"}, "config.symbol")
-    dual = dual_enumerate(sym_cfg["group"], sym_cfg["cutoff"])
-    shared = _shared_group_symbol(kind, sym_cfg, "config.symbol", dual)
-    if shared is not None:
-        out = apply_symbol_coeffs(symbol_table(dual, shared, trivial=sym_cfg.get("trivial", 0.0)), coeffs)
-    elif kind == "heat":
+    if kind == "heat":
         try:
             out = heat_coeffs(coeffs, float(sym_cfg.get("gamma", 1.0)))
         except ValueError as exc:
             raise ConfigError("config.symbol.gamma", str(exc))
     else:
-        raise ConfigError("config.symbol.kind", f"unknown symbol kind {kind!r}")
+        dual = dual_enumerate(sym_cfg["group"], sym_cfg["cutoff"])
+        symbol = _stacked_symbol(kind, sym_cfg, "config.symbol", sym_cfg["group"])
+        trivial = sym_cfg.get("trivial", 0.0)
+        if isinstance(trivial, bool) or not isinstance(trivial, (int, float)):
+            raise ConfigError("config.symbol.trivial", f"expected a number, got {trivial!r}")
+        rows = zip(dual, stack_rows(dual, symbol))
+        table = {pi.label: blk if ok else complex(trivial) * np.eye(pi.dim, dtype=complex) for pi, (blk, ok) in rows}
+        out = apply_symbol_coeffs(table, coeffs)
     payload = {
         "meta": _meta(args, config),
         "group": out.group,
@@ -566,7 +563,7 @@ def cmd_simulate(args) -> int:
         drift=tuple(config.get("drift", ()) or ()),
     )
     coeffs = _coeff_table(config.get("f", {}), "config.f")
-    amatrix = _matrix(config["amatrix"], "config.amatrix") if config.get("amatrix") is not None else None
+    amatrix = _pair_matrix(config.get("amatrix"), "config.amatrix", group_dim(group))
     psi = _psi(config.get("psi"), len(spec.jumps.atoms))
     paths = _int_at_least(config, "paths", 100, 1)
     sigma_mode = config.get("sigma", "haar")

@@ -21,7 +21,6 @@ import numpy as np
 
 from .gammafn import gamma
 from .levy import (
-    TABLE_BYTES,
     LevyMeasureRn,
     LevyTriple,
     factor_diffusion,
@@ -29,7 +28,7 @@ from .levy import (
     refined_sum,
     symbol_grid,
 )
-from .linalg import operator_norm
+from .linalg import blocks, operator_norm, pair_matrix
 
 PsiLike = Union[None, float, complex, np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
@@ -63,7 +62,7 @@ def multiplier_autonomous_grid(
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    amatrix = np.atleast_2d(np.asarray(amatrix)) if amatrix is not None else np.zeros(a.shape)
+    amatrix = pair_matrix(amatrix, len(a))
     u = xi @ factor_diffusion(a)  # rows are L^T xi
     num = 0.5 * np.einsum("mi,ij,mj->m", u, amatrix, u)
     den = np.einsum("mi,ij,mj->m", xi, a, xi)
@@ -129,7 +128,7 @@ def profile_time_integral(profile: Callable, rate) -> np.ndarray:
     """int_0^infty profile(s) * exp(2 s rate) ds for each entry of an array of rates < 0.
 
     Log-time trapezoid rule, one row of ``TIME_NODES`` nodes per rate, in
-    blocks of rows of about ``TABLE_BYTES``.  The substitution keeps
+    ``linalg.blocks`` of rows.  The substitution keeps
     oscillatory profiles like (2s)^{i*gamma} band-limited in the
     integration variable, where a fixed-interval rule in exp(2 s rate)
     would pile unbounded oscillation near the endpoint.
@@ -138,15 +137,14 @@ def profile_time_integral(profile: Callable, rate) -> np.ndarray:
     if not np.all(rate < 0.0):
         raise ValueError("non-integrable time profile: decay rate must be negative")
     out = np.empty(rate.size, dtype=complex)
-    block = max(1, TABLE_BYTES // (16 * TIME_NODES))
-    for lo in range(0, rate.size, block):
-        r = rate.reshape(-1)[lo : lo + block]
+    for rows in blocks(rate.size, 16 * TIME_NODES):
+        r = rate.reshape(-1)[rows]
         log_scale = np.log(1.0 / (2.0 * np.abs(r)))
         # contiguous rows, so that each row sums as a single rate's would
         v = np.ascontiguousarray(np.linspace(log_scale - 36.0, log_scale + np.log(50.0), TIME_NODES, axis=1))
         s = np.exp(v)
         f = np.asarray(profile(s), dtype=complex) * np.exp(2.0 * s * r[:, None]) * s
-        out[lo : lo + block] = np.trapezoid(f, v, axis=1)
+        out[rows] = np.trapezoid(f, v, axis=1)
     return out.reshape(rate.shape)
 
 
@@ -206,7 +204,7 @@ def multiplier_time_dependent(spec: MultiplierSpec, triple: LevyTriple, xi: np.n
     time_factor = 1.0 / (-2.0 * rate)  # int_0^infty e^{2 s rate} ds
 
     if spec.amatrix is not None:
-        m1 = 4.0 * np.pi**2 * np.einsum("mi,ij,mj->m", u, spec.amatrix, u) * time_factor
+        m1 = 4.0 * np.pi**2 * np.einsum("mi,ij,mj->m", u, pair_matrix(spec.amatrix, triple.dim), u) * time_factor
     else:
         m1 = 4.0 * np.pi**2 * np.einsum("mi,mi->m", u, u) * profile_time_integral(spec.aprofile, rate)
 

@@ -212,6 +212,14 @@ def get_irrep(group: str, label) -> Irrep:
     return torus_irrep(group, label)
 
 
+def dim_stacks(irreps) -> list:
+    """The irreps in stacks of equal dimension, stacks in order of first appearance, each in the given order."""
+    by_dim = {}
+    for pi in irreps:
+        by_dim.setdefault(pi.dim, []).append(pi)
+    return list(by_dim.values())
+
+
 def casimir_eigenvalue(pi: Irrep) -> float:
     """Casimir eigenvalue recovered from the generators, with a scalarity check."""
     s = sum(g @ g for g in pi.generators)
@@ -384,12 +392,9 @@ class PeterWeylCoeffs:
         return sorted(self.blocks.keys())
 
     def stacks(self) -> list:
-        """(irreps, blocks (L, d, d)) for each irrep dimension d, labels in sorted order."""
-        by_dim = {}
-        for label in self.labels():
-            pi = get_irrep(self.group, label)
-            by_dim.setdefault(pi.dim, []).append((pi, self.blocks[label]))
-        return [([pi for pi, _ in st], np.array([b for _, b in st], dtype=complex)) for st in by_dim.values()]
+        """(irreps, blocks (L, d, d)) for each ``dim_stacks`` stack of the labels in sorted order."""
+        stacks = dim_stacks([get_irrep(self.group, label) for label in self.labels()])
+        return [(st, np.array([self.blocks[pi.label] for pi in st], dtype=complex)) for st in stacks]
 
     def map_blocks(self, fn: Callable[[Label, np.ndarray], np.ndarray]) -> "PeterWeylCoeffs":
         return PeterWeylCoeffs(

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import NotPositiveSemidefinite, pivoted_cholesky
+from .linalg import NotPositiveSemidefinite, blocks, pivoted_cholesky
 
 #: relative tolerance for agreement of the coarse and refined quadratures
 REFINE_RTOL = 1e-8
@@ -209,9 +209,6 @@ def factor_diffusion(a) -> np.ndarray:
     return out
 
 
-TABLE_BYTES = 1 << 20  # size of each node-blocked sine/cosine table
-
-
 def oneminus_cos_sums(xi: np.ndarray, pts: np.ndarray, *weights) -> list:
     """[sum_q w_q (1 - cos(xi . y_q))] at each row of xi, one array per weight vector.
 
@@ -254,10 +251,9 @@ def _lattice_factors(half: np.ndarray, n_nodes: int):
 def _direct_sums(half: np.ndarray, pts: np.ndarray, wmat: np.ndarray) -> np.ndarray:
     """2 sum_q w_q sin^2(h . y_q) for each row h of half, shape (len(half), weights)."""
     out = np.zeros((len(half), wmat.shape[1]))
-    block = max(1, TABLE_BYTES // (8 * max(1, len(half))))
-    for lo in range(0, len(pts), block):
-        s = np.sin(half @ pts[lo : lo + block].T)
-        out += (s * s) @ wmat[lo : lo + block]
+    for nodes in blocks(len(pts), 8 * max(1, len(half))):
+        s = np.sin(half @ pts[nodes].T)
+        out += (s * s) @ wmat[nodes]
     return 2.0 * out
 
 
@@ -272,9 +268,8 @@ def _separable_sums(firsts, rests, pts: np.ndarray, wmat: np.ndarray) -> np.ndar
     """
     n_w, n_first, n_rest = wmat.shape[1], len(firsts), len(rests)
     grid = np.zeros((n_w * n_first, n_rest))
-    block = max(1, TABLE_BYTES // (24 * max(n_w * n_first, n_rest)))
-    for lo in range(0, len(pts), block):
-        y, w = pts[lo : lo + block], wmat[lo : lo + block]
+    for nodes in blocks(len(pts), 24 * max(n_w * n_first, n_rest)):
+        y, w = pts[nodes], wmat[nodes]
         a, b = np.multiply.outer(firsts, y[:, 0]), rests @ y[:, 1:].T
         sa, ca, sb, cb = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
         left = np.concatenate([sa * sa, sa * ca, ca * ca], axis=1)
@@ -300,10 +295,9 @@ def symbol_grid(triple: LevyTriple, xi: np.ndarray):
         small = np.sum(points * points, axis=1) <= 1.0
         out = np.empty(len(xi), dtype=complex)
         out.real = -oneminus_cos_sums(xi, points, weights)[0]
-        block = max(1, TABLE_BYTES // (8 * len(points)))
-        for lo in range(0, len(xi), block):
-            phase = xi[lo : lo + block] @ points.T
-            out.imag[lo : lo + block] = (np.sin(phase) - np.where(small, phase, 0.0)) @ weights
+        for rows in blocks(len(xi), 8 * len(points)):
+            phase = xi[rows] @ points.T
+            out.imag[rows] = (np.sin(phase) - np.where(small, phase, 0.0)) @ weights
         return out
 
     if len(nu.atoms):

@@ -1,4 +1,4 @@
-"""Small dense linear-algebra helpers shared across the package."""
+"""Small dense linear-algebra helpers and the memory budget shared across the package."""
 
 from __future__ import annotations
 
@@ -7,6 +7,25 @@ import numpy as np
 
 class NotPositiveSemidefinite(ValueError):
     pass
+
+
+#: batched work (path chunks, sine tables, time-integral rows, norm-search grids) is split into
+#: blocks of about this many bytes: larger blocks gain little speed and raise the peak resident memory
+BLOCK_BYTES = 1 << 20
+
+
+def blocks(n: int, item_bytes: float):
+    """Consecutive slices covering range(n), of as many items as fit ``BLOCK_BYTES`` at item_bytes each (at least one)."""
+    size = max(1, int(BLOCK_BYTES // item_bytes))
+    return (slice(lo, min(lo + size, n)) for lo in range(0, n, size))
+
+
+def pair_matrix(amatrix, n: int) -> np.ndarray:
+    """The n x n matrix A of a transform pair (A, psi); None is zero."""
+    a = np.zeros((n, n)) if amatrix is None else np.atleast_2d(np.asarray(amatrix))
+    if a.shape != (n, n):
+        raise ValueError(f"transform-pair matrix must be {n}x{n}, got shape {a.shape}")
+    return a
 
 
 def operator_norm(a) -> float:

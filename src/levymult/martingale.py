@@ -27,6 +27,7 @@ the transform, step by step as a transcript would.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,10 +44,9 @@ from .groups import (
     irrep_stack_batch,
     multiply,
 )
-from .linalg import expm
-from .simulate import CHUNK_BYTES, GroupProcessSpec, PathRecord, chunk_paths, paths_per_chunk
-from .simulate import ensemble_final_states, simulate_paths
-from .symbols import central_alpha, central_symbols, generator_blocks, generator_matrix, psi_values
+from .linalg import blocks, expm, pair_matrix
+from .simulate import GroupProcessSpec, PathRecord, ensemble_final_states, simulate_paths
+from .symbols import central_symbols, generator_blocks, psi_values, stack_rows
 
 #: generator blocks whose eigenvector matrix is worse conditioned than this
 #: are exponentiated directly instead of through their eigendecomposition
@@ -194,10 +194,6 @@ class _IrrepStack:
         return (end.reshape(phi.shape) @ phi).reshape(m, n_blocks, dim * dim)
 
 
-def _pair_matrix(amatrix, n: int) -> np.ndarray:
-    return np.zeros((n, n)) if amatrix is None else np.atleast_2d(amatrix)
-
-
 class _TransformContext:
     """The irrep stacks of f under one process spec; see ``_IrrepStack``.
 
@@ -211,13 +207,13 @@ class _TransformContext:
         self.spec = spec
         self.dim = group_dim(spec.group)
         self.masses = np.array([m for _, m in spec.jumps.atoms], dtype=float)
-        self.stacks = [_IrrepStack(spec, irreps, blocks) for irreps, blocks in f.stacks()]
+        self.stacks = [_IrrepStack(spec, irreps, fblocks) for irreps, fblocks in f.stacks()]
         # a path takes a row per node, per event (its pre-jump state) and,
         # with atoms, per segment (the compensator); rows are complex
         events = spec.jumps.total_mass * spec.horizon
         rows = (spec.n_steps + 1 + events) * (2 if len(self.masses) else 1) + events
-        width = max(st.h.shape[0] for st in self.stacks)
-        self.paths_per_chunk = paths_per_chunk(CHUNK_BYTES, 16 * width * rows)
+        self.path_bytes = 16 * max(st.h.shape[0] for st in self.stacks) * rows
+        self.paths_per_chunk = next(blocks(sys.maxsize, self.path_bytes)).stop  # as ``ensemble_chunks`` splits
 
     def horizon_values(self, elements) -> np.ndarray:
         """f at a batch of elements: M_T of the paths that end there."""
@@ -288,7 +284,7 @@ class _TransformContext:
         quadratic variations.  Summation follows ``transcript`` step by step.
         """
         m_node, grad, dp_ev, comp_atom = self._values(path, sigmas)
-        inc, _, _ = self._increments(path, grad, dp_ev, comp_atom, _pair_matrix(amatrix, self.dim), psi)
+        inc, _, _ = self._increments(path, grad, dp_ev, comp_atom, pair_matrix(amatrix, self.dim), psi)
         return m_node[path.offsets[:-1]], m_node[path.end_rows], np.cumsum(inc, axis=1)[:, -1]
 
     def transcript(self, path: PathRecord, amatrix, psi, sigmas) -> MartingaleTranscript:
@@ -296,7 +292,7 @@ class _TransformContext:
         n_paths, k_steps = len(path.indices), self.spec.n_steps
         m_node, grad, dp_ev, comp_atom = self._values(path, sigmas)
         repr_inc, v, _ = self._increments(path, grad, dp_ev, comp_atom, np.eye(self.dim), 1.0)
-        tr_inc, va, jump_t = self._increments(path, grad, dp_ev, comp_atom, _pair_matrix(amatrix, self.dim), psi)
+        tr_inc, va, jump_t = self._increments(path, grad, dp_ev, comp_atom, pair_matrix(amatrix, self.dim), psi)
         seg, ev_rows, ds = path.segment_rows, path.event_rows, path.ds
         seg_cells, ev_cells = path.cells[seg], path.cells[ev_rows]
 
@@ -371,10 +367,11 @@ def ensemble_chunks(spec: GroupProcessSpec, ctx: _TransformContext, paths: int, 
 
     Path i's start is a Haar sample from its own stream (seed, HAAR,
     *haar_key, i) unless haar_start is False, in which case all paths start
-    at the identity.  The chunk size is ``ctx.paths_per_chunk``.
+    at the identity.  Chunks are ``linalg.blocks`` at ``ctx.path_bytes`` a path.
     """
     key = (rngmod.HAAR, *haar_key)
-    for idx in chunk_paths(paths, ctx.paths_per_chunk):
+    for chunk in blocks(paths, ctx.path_bytes):
+        idx = np.arange(chunk.start, chunk.stop)
         if haar_start:
             sigmas = np.array(rngmod.streams(seed, key, idx, lambda gen, _: haar_sample(spec.group, gen, 1)[0]))
         else:
@@ -447,7 +444,7 @@ def projection_deterministic(
     if not pairs:
         return 0.0j
     pis = [get_irrep(spec.group, k) for k, _ in pairs]
-    m, alpha, _ = central_symbols(amatrix, psi, spec.c, spec.jumps, pis, None)
+    m, _, alpha = central_symbols(amatrix, psi, spec.c, spec.jumps, pis, None)
     fg = np.array([f.blocks[k][0, 0] * gb[0, 0] for k, gb in pairs])
     return complex(-np.sum(m[:, 0, 0] * np.expm1(2.0 * spec.horizon * alpha.real) * fg))
 
@@ -527,10 +524,10 @@ def central_char_report(spec: GroupProcessSpec, pis, paths: int) -> list:
     t = spec.horizon
     central = spec.jumps.is_central()
     out = []
-    for pi in pis:
+    for pi, (gen,) in zip(pis, stack_rows(pis, lambda stack: (generator_blocks(spec.c, spec.jumps, stack),))):
         mean, stderr = empirical_char(states, pi)
-        alpha = central_alpha(spec.c, spec.jumps, pi)
+        alpha = complex(np.trace(gen) / pi.dim)  # the normalised trace, as in ``central_symbols``
         scalar = np.exp(t * alpha) * np.eye(pi.dim)
-        matrix = expm(t * generator_matrix(spec.c, spec.jumps, pi))
+        matrix = expm(t * gen)
         out.append(CharReport(pi.label, mean, stderr, alpha, scalar, matrix, central))
     return out

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .groups import PeterWeylCoeffs, plancherel_pairing, quadrature_grid, pw_inverse
+from .linalg import blocks
 
 
 @dataclass
@@ -131,9 +132,6 @@ def plancherel_residual(f, g, grid=None) -> float:
     return abs(space - plancherel_pairing(f, g))
 
 
-SEARCH_BYTES = 1 << 20  # size of one stack of (p, trial) grids in the norm search
-
-
 @dataclass
 class SearchResult:
     """Lower bound on an operator p-norm with the witness that attains it."""
@@ -169,8 +167,8 @@ def norm_lower_bound_search(
     (``symbol_on_lattice``); the grid shape is ``values.shape``.  Trial starts,
     drawn from (seed, SEARCH, trial) and shared by every p, are refined by
     Boyd's nonlinear power iteration through the adjoint (conjugate symbol).
-    Every (p, trial) pair is one row of a stack of grids, as many rows per FFT
-    batch as fit ``SEARCH_BYTES``; a row stops alone.  Each p gets its best
+    Every (p, trial) pair is one row of a stack of grids, one FFT batch per
+    ``linalg.blocks`` block of rows; a row stops alone.  Each p gets its best
     ratio in trial-major, step-minor order (ties to the first) and the iterate
     attaining it: a lower bound on the operator norm, deterministic per seed.
     """
@@ -183,10 +181,9 @@ def norm_lower_bound_search(
         band = min(shape) // 4
     band = max(1, min(band, (min(shape) - 2) // 2))
     pairs = [(j, t) for j in range(len(ps)) for t in range(trials)]  # p-major: each p's trials in order
-    per_block = max(1, SEARCH_BYTES // (16 * values.size))
     best = [(-np.inf, None)] * len(ps)
-    for lo in range(0, len(pairs), per_block):
-        block = pairs[lo : lo + per_block]
+    for rows in blocks(len(pairs), 16 * values.size):
+        block = pairs[rows]
         drawn, row_trial = np.unique([t for _, t in block], return_inverse=True)
         coeffs = [_band_coeffs(shape, band, rngmod.stream(seed, rngmod.SEARCH, int(t))) for t in drawn]
         starts = np.fft.fftn(coeffs, axes=tuple(range(1, 1 + len(shape))))[row_trial]

@@ -30,6 +30,7 @@ from .groups import (
     su2_renormalise,
 )
 from .levy import BernsteinSpec
+from .linalg import blocks
 
 
 @dataclass(frozen=True)
@@ -76,11 +77,6 @@ class GroupProcessSpec:
     def grid_times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
 
-
-#: ensembles are simulated and evaluated in chunks of paths sized so that no
-#: batched table exceeds about this many bytes (larger chunks gain little speed
-#: and raise the peak resident memory)
-CHUNK_BYTES = 1 << 20
 
 #: SU(2) states are projected back onto the group after every this many grid steps
 RENORM_STEPS = 32
@@ -329,38 +325,27 @@ def simulate_path(spec: GroupProcessSpec, index: int) -> PathRecord:
     return simulate_paths(spec, [index])
 
 
-def paths_per_chunk(budget: int, bytes_per_path: float) -> int:
-    """Paths per chunk: as many as fit ``budget`` bytes at bytes_per_path each, and at least one."""
-    return max(1, int(budget // bytes_per_path))
-
-
-def chunk_paths(paths: int, per_chunk: int):
-    """Consecutive index ranges covering 0..paths-1, at most per_chunk long."""
-    return [np.arange(s, min(s + per_chunk, paths)) for s in range(0, paths, per_chunk)]
-
-
 def ensemble_final_states(spec: GroupProcessSpec, paths: int) -> np.ndarray:
     """phi(horizon) for all path indices, started at the identity.
 
-    Paths are simulated in chunks, with the same draws and layout as
-    ``simulate_paths``; on SU(2) only the final states are kept.  Path p
+    Paths are simulated in chunks (``linalg.blocks``), with the same draws and
+    layout as ``simulate_paths``; on SU(2) only the final states are kept.  Path p
     agrees with ``simulate_path(spec, p)``.
     """
     d = group_dim(spec.group)
     # the budget counts each segment's normals (8 d bytes a node), but on criterion 10's central
     # SU(2) spec 49 B a node stay live after _layout and the evolve adds 37 B a node at its peak
     # (tracemalloc): a chunk peaks at about 3.6 budgets
-    per_chunk = paths_per_chunk(CHUNK_BYTES, 8 * d * (spec.n_steps + 1 + spec.jumps.total_mass * spec.horizon))
     if spec.group == SU2:
         out = np.empty((paths, 2, 2), dtype=complex)
     else:
         out = np.empty((paths, d))
-    for idx in chunk_paths(paths, per_chunk):
-        path = _layout(spec, idx)
+    for chunk in blocks(paths, 8 * d * (spec.n_steps + 1 + spec.jumps.total_mass * spec.horizon)):
+        path = _layout(spec, np.arange(chunk.start, chunk.stop))
         if spec.group == SU2:
-            out[idx] = _su2_evolve(path, record=False)
+            out[chunk] = _su2_evolve(path, record=False)
         else:
-            out[idx] = _torus_states(path).states[path.end_rows]
+            out[chunk] = _torus_states(path).states[path.end_rows]
     return out
 
 

@@ -1,31 +1,34 @@
-"""Multiplier symbols on compact groups.
+"""Multiplier symbols on compact groups, each evaluated on a stack of equal-dimension irreps.
 
-All symbols act on coefficient tables by left block multiplication.
-Second-order Riesz transforms, Laplace-transform-type profiles
-(including imaginary powers of the Laplacian), subordination symbols,
-and the general symbol of a transform pair over a central process.
+Every symbol returns blocks (L, d, d), acting on coefficient tables by left
+block multiplication, and the mask (L,) of the modes where it is defined
+(zero blocks elsewhere): the symbol of a transform pair over a central
+process with its exponents (second-order Riesz transforms are its case
+c = 1 without jumps), Laplace-transform-type profiles (including imaginary
+powers of the Laplacian) and subordination symbols.  ``stack_rows``
+evaluates one once per dimension stack of a dual.  The one-irrep views and
+``symbol_table`` serve callers outside the library.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .euclid import ImaginaryPowerProfile, profile_time_integral, psi_values
-from .groups import GroupLevyMeasure, Irrep, irrep_stack_batch
+from .groups import GroupLevyMeasure, Irrep, dim_stacks, irrep_stack_batch
 from .levy import BernsteinSpec, bernstein_eval
+from .linalg import pair_matrix
 
 
-def riesz2_symbol_group(c, pi: Irrep) -> np.ndarray:
-    """Second-order Riesz symbol -(1/kappa) sum_{ij} C_{ji} dpi(X_i) dpi(X_j)."""
-    if pi.casimir <= 0.0:
-        raise ValueError("Riesz symbol undefined on constants (trivial representation)")
-    c = np.atleast_2d(np.asarray(c))
-    n = len(pi.generators)
-    if c.shape != (n, n):
-        raise ValueError(f"coefficient matrix must be {n}x{n}")
-    return -_gradient_sums(c, [pi])[0] / pi.casimir
+def stack_rows(irreps, evaluate) -> list:
+    """evaluate(stack) once per ``dim_stacks`` stack of irreps, read back as one tuple of outputs
+    (block, defined, ...) per irrep, in the order of irreps."""
+    rows = {}
+    for stack in dim_stacks(irreps):
+        rows.update(zip([pi.label for pi in stack], zip(*evaluate(stack))))
+    return [rows[pi.label] for pi in irreps]
 
 
 def _atom_reps(nu: GroupLevyMeasure, irreps):
@@ -50,59 +53,43 @@ def _jump_sums(psi, nu: GroupLevyMeasure, reps, shape) -> np.ndarray:
     return total
 
 
-ProfileLike = Union[np.ndarray, ImaginaryPowerProfile]
+def laplace_symbols(profile, irreps):
+    """int_0^infty 2 kappa e^{-2 s kappa} A(s) ds on a stack of equal-dimension irreps: (blocks, defined).
 
-
-def laplace_type_symbol(profile: ProfileLike, pi: Irrep) -> np.ndarray:
-    """int_0^infty 2 kappa e^{-2 s kappa} A(s) ds.
-
-    For a constant matrix the exponential density integrates to one, so
-    the symbol is A itself; for the imaginary-power profile the result,
-    kappa^{-i gamma} I, is evaluated by quadrature.
+    Undefined on the trivial irrep.  For a constant matrix A the exponential
+    density integrates to one, so the symbol is A itself; for the
+    imaginary-power profile the result, kappa^{-i gamma} I, is evaluated
+    by quadrature, one ``profile_time_integral`` call for the stack.
     """
-    kappa = pi.casimir
-    if kappa <= 0.0:
-        raise ValueError("Laplace-transform-type symbol undefined on the trivial representation")
-    if isinstance(profile, ImaginaryPowerProfile):
-        val = 2.0 * kappa * profile_time_integral(profile, -kappa)
-        return val * np.eye(pi.dim)
-    # constant profile: with u = e^{-2 s kappa} the integral is int_0^1 A du = A
-    return np.atleast_2d(np.asarray(profile)).astype(complex)
+    kappa = np.array([pi.casimir for pi in irreps])
+    defined = kappa > 0.0
+    if not isinstance(profile, ImaginaryPowerProfile):
+        # constant profile: with u = e^{-2 s kappa} the integral is int_0^1 A du = A
+        return np.where(defined[:, None, None], np.atleast_2d(np.asarray(profile)).astype(complex), 0.0), defined
+    val = np.zeros(len(irreps), dtype=complex)
+    val[defined] = 2.0 * kappa[defined] * profile_time_integral(profile, -kappa[defined])
+    return val[:, None, None] * np.eye(irreps[0].dim), defined
 
 
-def subordination_symbol(
-    psi, h: BernsteinSpec, nu: GroupLevyMeasure, pi: Irrep
-) -> np.ndarray:
-    """(1/(2 h(kappa))) int (2I - pi(tau) - pi(tau)^*) psi(tau) nu(dtau)."""
-    if pi.casimir <= 0.0:
-        raise ValueError("subordination symbol undefined on the trivial representation")
-    hk = float(bernstein_eval(h, pi.casimir))
-    if hk == 0.0:
-        raise ValueError("h(kappa) = 0: subordination symbol undefined")
-    return _jump_sums(psi, nu, _atom_reps(nu, [pi]), (1, pi.dim, pi.dim))[0] / (2.0 * hk)
+def subordination_symbols(psi, h: BernsteinSpec, nu: GroupLevyMeasure, irreps):
+    """(1/(2 h(kappa))) int (2I - pi(tau) - pi(tau)^*) psi(tau) nu(dtau) on a stack of equal-dimension irreps:
+    (blocks, defined), undefined on the trivial irrep and where h(kappa) = 0 (h evaluated once for the stack)."""
+    kappa = np.array([pi.casimir for pi in irreps])
+    hk = np.zeros(len(irreps))
+    hk[kappa > 0.0] = bernstein_eval(h, kappa[kappa > 0.0])
+    defined = hk != 0.0
+    dim = irreps[0].dim
+    sums = _jump_sums(psi, nu, _atom_reps(nu, irreps), (len(irreps), dim, dim))
+    return sums / (2.0 * np.where(defined, hk, np.inf))[:, None, None], defined
 
 
-def _central_alphas(c: float, nu: GroupLevyMeasure, irreps, reps) -> np.ndarray:
-    """``central_alpha`` of a stack of equal-dimension irreps from their ``_atom_reps``, (L,)."""
+def generator_blocks(c: float, nu: GroupLevyMeasure, irreps, reps=None) -> np.ndarray:
+    """Generator blocks -c kappa I + int (pi(tau) - I) d nu of equal-dimension irreps (L, d, d), from ``reps`` if given."""
     if c < 0.0:
         raise ValueError("diffusion coefficient must be nonnegative")
-    alpha = -c * np.array([pi.casimir for pi in irreps]) + 0.0j
-    for (_, mass), rep in zip(nu.atoms, reps):
-        alpha += mass * (np.trace(rep, axis1=-2, axis2=-1) / irreps[0].dim - 1.0)
-    return alpha
-
-
-def central_alpha(c: float, nu: GroupLevyMeasure, pi: Irrep) -> complex:
-    """Exponent alpha_pi = -c kappa + int (normalised character - 1) d nu."""
-    return complex(_central_alphas(c, nu, [pi], _atom_reps(nu, [pi]))[0])
-
-
-def generator_blocks(c: float, nu: GroupLevyMeasure, irreps) -> np.ndarray:
-    """Generator blocks -c kappa I + int (pi(tau) - I) d nu of equal-dimension irreps, (L, d, d)."""
     eye = np.eye(irreps[0].dim)
-    kappa = np.array([pi.casimir for pi in irreps])
-    out = -c * kappa[:, None, None] * eye.astype(complex)
-    for (_, mass), rep in zip(nu.atoms, _atom_reps(nu, irreps)):
+    out = -c * np.array([pi.casimir for pi in irreps])[:, None, None] * eye.astype(complex)
+    for (_, mass), rep in zip(nu.atoms, _atom_reps(nu, irreps) if reps is None else reps):
         out += mass * (rep - eye)
     return out
 
@@ -112,6 +99,11 @@ def generator_matrix(c: float, nu: GroupLevyMeasure, pi: Irrep) -> np.ndarray:
     return generator_blocks(c, nu, [pi])[0]
 
 
+def central_alpha(c: float, nu: GroupLevyMeasure, pi: Irrep) -> complex:
+    """Exponent alpha_pi = -c kappa + int (normalised character - 1) d nu, the generator block's normalised trace."""
+    return complex(np.trace(generator_matrix(c, nu, pi)) / pi.dim)
+
+
 #: a mode is undefined where Re alpha >= -UNDEFINED_RTOL (c kappa + total jump mass), zero up to
 #: rounding: the trivial irrep, and with c = 0 every irrep on which all atoms act trivially
 UNDEFINED_RTOL = 1e-12
@@ -119,32 +111,31 @@ UNDEFINED = "Re alpha = 0: multiplier undefined"
 
 
 def central_symbols(amatrix, psi, c: float, nu: GroupLevyMeasure, irreps, alpha):
-    """``central_multiplier`` and ``central_alpha`` of a stack of equal-dimension irreps.
+    """Symbols of the transform pair (A, psi) over a central process on a stack of equal-dimension
+    irreps: (blocks (L, d, d), defined (L,), exponents (L,)).
 
-    ``alpha`` is None (the exponents of (c, nu)) or holds one value per
-    irrep.  Returns the multipliers (L, d, d), the exponents (L,) and the
-    mask (L,) of the modes where the multiplier is defined; undefined modes
-    get zero blocks.  Each atom's pi(tau) is evaluated once.
+    m(pi) = (c/Re alpha) sum_{ij} A_{ji} dpi(X_i) dpi(X_j)
+          - (1/(2 Re alpha)) int (2I - pi - pi^*) psi d nu
+
+    The diffusion coefficient multiplies the gradient term because the
+    transform acts on the sqrt(2c)-scaled gradients; this is what keeps
+    |m| <= |A| v |psi| for every c (at c = 1 without jumps it is the
+    second-order Riesz symbol).  ``alpha`` is None, for the exponents of
+    (c, nu) (the normalised traces of ``generator_blocks``), or holds one
+    value per irrep; pass -h(kappa) to realise the subordinated-diffusion
+    special case, whose own jump measure is not finite-atomic.  Each atom's
+    pi(tau) is evaluated once.
     """
     reps = _atom_reps(nu, irreps)
     if alpha is None:
-        alpha = _central_alphas(c, nu, irreps, reps)
+        alpha = np.trace(generator_blocks(c, nu, irreps, reps), axis1=1, axis2=2) / irreps[0].dim
     alpha = np.broadcast_to(alpha, (len(irreps),)).astype(complex)
-    kappa = np.array([pi.casimir for pi in irreps])
-    defined = alpha.real < -UNDEFINED_RTOL * (c * kappa + nu.total_mass)
-    re_alpha = np.where(defined, alpha.real, np.inf)  # zero blocks at undefined modes
-    a = np.zeros((0, 0)) if amatrix is None else np.atleast_2d(np.asarray(amatrix))
-    out = _gradient_sums(a, irreps) * (c / re_alpha)[:, None, None]
-    return out - _jump_sums(psi, nu, reps, out.shape) / (2.0 * re_alpha)[:, None, None], alpha, defined
-
-
-def central_multipliers(amatrix, psi, c: float, nu: GroupLevyMeasure, irreps, alpha=None) -> np.ndarray:
-    """``central_multiplier`` of a stack of equal-dimension irreps, (L, d, d); ``alpha`` may hold one
-    value per irrep.  Raises on an undefined mode."""
-    out, _, defined = central_symbols(amatrix, psi, c, nu, irreps, alpha)
-    if not defined.all():
-        raise ValueError(UNDEFINED)
-    return out
+    defined = alpha.real < -UNDEFINED_RTOL * (c * np.array([pi.casimir for pi in irreps]) + nu.total_mass)
+    re_alpha = np.where(defined, alpha.real, np.inf)[:, None, None]  # zero blocks at undefined modes
+    out = _gradient_sums(pair_matrix(amatrix, len(irreps[0].generators)), irreps) * (c / re_alpha)
+    if nu.atoms:  # without atoms the zero jump term is left out: subtracting it would turn -0 entries into +0
+        out = out - _jump_sums(psi, nu, reps, out.shape) / (2.0 * re_alpha)
+    return out, defined, alpha
 
 
 def central_multiplier(
@@ -155,19 +146,11 @@ def central_multiplier(
     pi: Irrep,
     alpha: Optional[complex] = None,
 ) -> np.ndarray:
-    """Symbol of the transform pair (A, psi) over a central process.
-
-    m(pi) = (c/Re alpha) sum_{ij} A_{ji} dpi(X_i) dpi(X_j)
-          - (1/(2 Re alpha)) int (2I - pi - pi^*) psi d nu
-
-    The diffusion coefficient multiplies the gradient term because the
-    transform acts on the sqrt(2c)-scaled gradients; this is what keeps
-    |m| <= |A| v |psi| for every c (at c = 1 it reduces to the
-    second-order Riesz symbol).  ``alpha`` overrides the exponent; pass
-    -h(kappa) to realise the subordinated-diffusion special case, whose
-    own jump measure is not finite-atomic.
-    """
-    return central_multipliers(amatrix, psi, c, nu, [pi], alpha)[0]
+    """``central_symbols`` of one irrep; raises ValueError where it is undefined."""
+    (block,), (ok,), _ = central_symbols(amatrix, psi, c, nu, [pi], alpha)
+    if not ok:
+        raise ValueError(UNDEFINED)
+    return block
 
 
 def symbol_table(dual, fn, trivial=None) -> dict:

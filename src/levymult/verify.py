@@ -58,14 +58,7 @@ from .operators import (
     plancherel_residual,
 )
 from .simulate import GroupProcessSpec, simulate_subordinator
-from .symbols import (
-    central_multiplier,
-    central_multipliers,
-    laplace_type_symbol,
-    riesz2_symbol_group,
-    subordination_symbol,
-    symbol_table,
-)
+from .symbols import central_symbols, laplace_symbols, subordination_symbols
 
 
 @dataclass
@@ -179,12 +172,14 @@ def check_riesz_equivalence(grid=64, cutoff=5, seed=20241, rtol=1e-10) -> CheckR
     for _ in range(3):
         m = gen.standard_normal((2, 2))
         cs.append((m + m.T) / 2.0)
+    dual, empty = dual_enumerate(T2, cutoff), GroupLevyMeasure(T2)
     for c in cs:
         coeffs = random_band_limited(T2, cutoff, gen)
         values = pw_inverse(coeffs, points).reshape(grid, grid)
         gf = GridFunction(values)
         via_grid = apply_symbol_grid(lambda xi, c=c: riesz2_symbol_rn(c, xi), gf)
-        table = symbol_table(dual_enumerate(T2, cutoff), lambda pi, c=c: riesz2_symbol_group(c, pi), trivial=0.0)
+        # second-order Riesz: the central symbol at c = 1 without jumps (one stack), zero on constants
+        table = dict(zip([pi.label for pi in dual], central_symbols(c, None, 1.0, empty, dual, None)[0]))
         via_coeffs = pw_inverse(apply_symbol_coeffs(table, coeffs), points).reshape(grid, grid)
         scale = float(np.max(np.abs(values))) or 1.0
         worst = max(worst, float(np.max(np.abs(via_grid.values - via_coeffs)) / scale))
@@ -208,7 +203,7 @@ def _central_lattice_symbol(gen, xi):
     nu = _random_group_measure(gen, T2)
     psi = gen.uniform(-0.999, 0.999, size=len(nu.atoms))
     pis = [torus_irrep(T2, (int(round(k[0])), int(round(k[1])))) for k in xi]
-    return central_multipliers(amat, psi, c, nu, pis)[:, 0, 0]
+    return central_symbols(amat, psi, c, nu, pis, None)[0][:, 0, 0]
 
 
 def check_norm_search(
@@ -311,13 +306,12 @@ def check_imaginary_power(
 ) -> CheckResult:
     """Quadrature of the imaginary-power profile against kappa^{-i gamma}."""
     worst = 0.0
-    for kap in kappas:
-        k = int(round(np.sqrt(kap)))
-        pi = get_irrep(T1, k)
-        for g in gammas:
-            out = laplace_type_symbol(ImaginaryPowerProfile(g), pi)
+    pis = [get_irrep(T1, int(round(np.sqrt(kap)))) for kap in kappas]
+    for g in gammas:
+        out, _ = laplace_symbols(ImaginaryPowerProfile(g), pis)
+        for kap, block in zip(kappas, out):
             expect = np.exp(-1j * g * np.log(kap))
-            worst = max(worst, float(np.max(np.abs(out - expect * np.eye(1)))))
+            worst = max(worst, float(np.max(np.abs(block - expect * np.eye(1)))))
     worst_pref = 0.0
     for p in (1.5, 2.0, 3.0):
         for g in gammas:
@@ -512,10 +506,8 @@ def check_subordination(paths=10000, seed=20248, symbol_tol=1e-10) -> CheckResul
         ),
     ]
     for _, nu, pi, psi in cases:
-        direct = subordination_symbol(psi, hb, nu, pi)
-        via_central = central_multiplier(
-            None, psi, 0.0, nu, pi, alpha=-float(bernstein_eval(hb, pi.casimir))
-        )
+        direct, _ = subordination_symbols(psi, hb, nu, [pi])
+        via_central, _, _ = central_symbols(None, psi, 0.0, nu, [pi], -bernstein_eval(hb, np.array([pi.casimir])))
         worst_sym = max(worst_sym, float(np.max(np.abs(direct - via_central))))
     passed = worst_z <= 3.0 and worst_sym <= symbol_tol
     return CheckResult(

@@ -172,6 +172,44 @@ def test_symbol_group_central_skips_every_undefined_mode(config, undefined, tmp_
     assert len(out["alpha"]) == len(out["symbols"])
 
 
+SU2_ATOM = [{"axis_angle": [0.6, 0.3, 1.1], "mass": 0.9}]
+TRIVIAL = {
+    "riesz2": "Riesz symbol undefined on constants (trivial representation)",
+    "laplace": "Laplace-transform-type symbol undefined on the trivial representation",
+    "subordination": "subordination symbol undefined on the trivial representation",
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"group": "t1", "cutoff": 2, "kind": "riesz2"},
+        {"group": "t2", "cutoff": 2, "kind": "riesz2", "cmatrix": [[0.6, 0.2], [-0.1, -0.5]]},
+        {"group": "su2", "cutoff": 1.5, "kind": "riesz2"},
+        {"group": "t2", "cutoff": 2, "kind": "laplace", "gamma": 0.7},
+        {"group": "su2", "cutoff": 1.5, "kind": "laplace"},
+        {"group": "su2", "cutoff": 1.5, "kind": "subordination", "psi": 0.5, "atoms": SU2_ATOM, "bernstein": {"c": 0.2}},
+        # h = 0: undefined on every mode
+        {"group": "t1", "cutoff": 2, "kind": "subordination", "psi": 0.5, "atoms": [{"angle": [1.3]}], "bernstein": {}},
+        {"group": "su2", "cutoff": 1.5, "kind": "subordination", "psi": 0.5, "atoms": SU2_ATOM, "bernstein": {}},
+    ],
+)
+def test_symbol_group_skips_the_undefined_modes_of_every_kind(config, tmp_path, capsys):
+    from levymult.groups import dual_enumerate
+
+    out = _symbol_group_in_process(tmp_path, config, capsys)
+    h_zero = config.get("bernstein") == {}
+    dual = dual_enumerate(config["group"], config["cutoff"])
+    assert len(out["symbols"]) == len(dual)
+    for pi, entry in zip(dual, out["symbols"]):
+        if pi.casimir == 0.0:
+            assert entry["skipped"] == TRIVIAL[config["kind"]]
+        elif h_zero:
+            assert entry["skipped"] == "h(kappa) = 0: subordination symbol undefined"
+        else:
+            assert entry["dim"] == pi.dim and np.all(np.isfinite(np.array(entry["matrix"])))
+
+
 def test_multiplier_autonomous_profile_exits_2_without_frequencies(tmp_path):
     cfg = tmp_path / "mult.json"
     cfg.write_text(
@@ -386,6 +424,7 @@ def test_unknown_nested_key_points_into_the_config(tmp_path, capsys, command, co
 
 
 R2 = {"diffusion": [[1.0, 0.0], [0.0, 1.0]]}
+APPLY_T1 = {"group": "t1", "cutoff": 1, "blocks": [{"label": 0, "matrix": [[1.0]]}, {"label": 1, "matrix": [[0.5]]}]}
 
 
 @pytest.mark.parametrize(
@@ -401,6 +440,14 @@ R2 = {"diffusion": [[1.0, 0.0], [0.0, 1.0]]}
         (["multiplier"], {"triple": {**R2, "atoms": [{"point": [0.5, 0.0], "mass": 1.0}] * 2}, "psi": [0.5], "xi": [[1.0, 2.0]]}, "config.psi"),
         (["simulate"], {**SIMULATE_CONFIG, "psi": [0.5, 0.5]}, "config.psi"),
         (["symbol-group"], {"group": "su2", "cutoff": 1, "kind": "central", "psi": [0.5, 0.5], "atoms": [{"axis_angle": [0.0, 0.0, 3.0]}]}, "config.psi"),
+        # transform-pair matrices that are not n x n for the group or R^n
+        (["symbol-group"], {"group": "t2", "cutoff": 2, "kind": "riesz2", "cmatrix": np.eye(3).tolist()}, "config.cmatrix"),
+        (["symbol-group"], {"group": "t2", "cutoff": 2, "kind": "central", "cmatrix": np.eye(3).tolist()}, "config.cmatrix"),
+        (["symbol-group"], {"group": "t2", "cutoff": 2, "kind": "central", "cmatrix": [[1.0]]}, "config.cmatrix"),
+        (["apply"], {"coeffs": APPLY_T1, "symbol": {"kind": "riesz2", "cmatrix": np.eye(2).tolist()}}, "config.symbol.cmatrix"),
+        (["simulate"], {**SIMULATE_CONFIG, "group": "t2", "atoms": [], "f": {"group": "t2", "cutoff": 1, "blocks": []}}, "config.amatrix"),
+        (["multiplier"], {"triple": R2, "amatrix": [[1.0]], "xi": [[1.0, 0.5]]}, "config.amatrix"),
+        (["apply"], {"coeffs": APPLY_T1, "symbol": {"kind": "laplace", "trivial": None}}, "config.symbol.trivial"),
     ],
 )
 def test_bad_input_exits_2_with_a_pointer(tmp_path, capsys, argv, config, pointer):

@@ -22,6 +22,18 @@ from levymult.levy import (
 from levymult import rng as rngmod
 
 
+def test_transform_pair_matrix_must_be_n_by_n():
+    # a 1x1 A on R^2 used to broadcast to the all-ones matrix
+    triple = LevyTriple(drift=np.zeros(2), diffusion=np.eye(2), nu=LevyMeasureRn(dim=2))
+    xi = np.array([[1.0, 0.5]])
+    for amat in (np.eye(1), np.eye(3)):
+        with pytest.raises(ValueError, match="transform-pair matrix must be 2x2"):
+            multiplier_autonomous_grid(amat, None, np.eye(2), triple.nu, xi)
+        spec = MultiplierSpec(a_bound=np.inf, psi_bound=np.inf, amatrix=amat)
+        with pytest.raises(ValueError, match="transform-pair matrix must be 2x2"):
+            multiplier_time_dependent(spec, triple, xi)
+
+
 def test_gaussian_quadratic_ratio():
     a_mat = np.diag([1.0, 0.0])
     nu = LevyMeasureRn(dim=2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from levymult import martingale as martmod
+from levymult import linalg
 from levymult import rng as rngmod
 from levymult import simulate as simmod
 from levymult.groups import (
@@ -75,6 +76,19 @@ def test_transcript_needs_one_start_per_path(torus_setup):
     for sigmas in (np.array([[0.4]]), np.array([0.4, 0.5]), np.zeros((2, 2))):
         with pytest.raises(ValueError, match="one start element per path"):
             ctx.transcript(path, None, 0.0, sigmas)
+
+
+def test_transform_pair_matrix_must_match_the_group_dimension():
+    nu = GroupLevyMeasure("t2", ((np.array([0.4, -1.1]), 0.8),))
+    spec = GroupProcessSpec("t2", 0.3, nu, 0.25, 1 / 16, seed=5)
+    f = random_band_limited("t2", 1, rngmod.stream(3, 2), real=True)
+    ctx = transform_context(spec, f)
+    path = simmod.simulate_paths(spec, [0])
+    for amat in (np.eye(1), np.eye(3)):
+        with pytest.raises(ValueError, match="transform-pair matrix must be 2x2"):
+            ctx.transcript(path, amat, 0.5, np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="transform-pair matrix must be 2x2"):
+            ctx.final_values(path, np.zeros((1, 2)), amat, 0.5)
 
 
 def test_quadratic_variations_nondecreasing(torus_setup):
@@ -451,7 +465,7 @@ def test_batched_final_values_match_transcripts(name, monkeypatch):
     for got, col in ((ens.m_initial, 0), (ens.x_final, 1), (ens.y_final, 2)):
         assert _close(got, ref[:, col])
     # more than one chunk: one path per chunk
-    monkeypatch.setattr(martmod, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)
     assert transform_context(spec, f).paths_per_chunk == 1
     split = simulate_transform_ensemble(spec, f, amat, psi, 7, seed=99)
     assert _close(split.y_final, ens.y_final) and _close(split.x_final, ens.x_final)

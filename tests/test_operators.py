@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from levymult import linalg
 from levymult import operators as ops
 from levymult import rng as rngmod
 from levymult.euclid import multiplier_autonomous_grid, riesz2_symbol_rn
-from levymult.groups import dual_enumerate, pw_inverse, random_band_limited
+from levymult.groups import GroupLevyMeasure, dual_enumerate, pw_inverse, random_band_limited
 from levymult.levy import LevyMeasureRn, LevyTriple, symbol_grid
 from levymult.operators import (
     GridFunction,
@@ -19,7 +20,7 @@ from levymult.operators import (
     plancherel_residual,
     symbol_on_lattice,
 )
-from levymult.symbols import riesz2_symbol_group, symbol_table
+from levymult.symbols import central_symbols
 
 
 def _wave(grid=16):
@@ -111,7 +112,9 @@ def test_grid_and_coefficient_routes_agree_on_t2():
     values = pw_inverse(coeffs, pts).reshape(grid, grid)
     c = np.array([[0.6, 0.2], [0.2, -0.8]])
     via_grid = apply_symbol_grid(lambda xi: riesz2_symbol_rn(c, xi), GridFunction(values))
-    table = symbol_table(dual_enumerate("t2", cutoff), lambda pi: riesz2_symbol_group(c, pi), trivial=0.0)
+    # second-order Riesz: the central symbol at c = 1 without jumps, a zero block on constants
+    dual = dual_enumerate("t2", cutoff)
+    table = dict(zip([pi.label for pi in dual], central_symbols(c, None, 1.0, GroupLevyMeasure("t2"), dual, None)[0]))
     via_coeffs = pw_inverse(apply_symbol_coeffs(table, coeffs), pts).reshape(grid, grid)
     assert np.max(np.abs(via_grid.values - via_coeffs)) < 1e-10 * np.max(np.abs(values))
 
@@ -341,7 +344,7 @@ def test_one_p_matches_the_same_p_in_a_stack():
 def test_search_blocks_split_the_pairs_without_moving_results(monkeypatch):
     values = _search_symbols()["central"]
     whole = norm_lower_bound_search(values, SEARCH_PS, trials=3, refine_steps=3, seed=4)
-    monkeypatch.setattr(ops, "SEARCH_BYTES", 5 * 16 * values.size)  # blocks of 5 rows: 12 pairs in 3
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 5 * 16 * values.size)  # blocks of 5 rows: 12 pairs in 3
     split = norm_lower_bound_search(values, SEARCH_PS, trials=3, refine_steps=3, seed=4)
     for a, b in zip(whole, split):
         assert a.ratio == pytest.approx(b.ratio, rel=1e-12, abs=0.0)

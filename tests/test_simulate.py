@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from levymult import linalg
 from levymult import rng as rngmod
 from levymult import simulate as simmod
 from levymult.groups import GroupLevyMeasure, su2_exp, su2_exp_batch, su2_product
@@ -225,7 +226,7 @@ def test_path_does_not_depend_on_its_chunk(name, monkeypatch):
         assert np.max(np.abs(mine - whole.states[whole.offsets[q] : whole.offsets[q + 1]])) <= 1e-12
     # an ensemble spanning several chunks gives the same final states
     finals = ensemble_final_states(spec, 7)
-    monkeypatch.setattr(simmod, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)
     assert np.max(np.abs(ensemble_final_states(spec, 7) - finals)) <= 1e-12
 
 
@@ -275,7 +276,7 @@ def test_su2_first_rows_match_the_matrix_loop(name, chunk, monkeypatch):
         cells = ref.cells[ref.event_rows]
         assert len(np.unique(cells)) < len(cells)
     if chunk == "one":
-        monkeypatch.setattr(simmod, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)
         for p in range(7):
             lone, rows = simulate_paths(spec, [p]), slice(ref.offsets[p], ref.offsets[p + 1])
             assert np.array_equal(lone.states, ref.states[rows])
