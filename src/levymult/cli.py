@@ -526,14 +526,7 @@ def cmd_norm_search(args) -> int:
         if isinstance(p, bool) or not isinstance(p, (int, float)) or not 1.0 < p < np.inf:
             raise ConfigError(f"config.p[{i}]", f"expected an exponent in (1, infinity), got {p!r}")
 
-    def m(pts):
-        vals = np.zeros(len(pts), dtype=complex)
-        nonzero = np.any(pts != 0.0, axis=1)
-        vals[nonzero] = multiplier_autonomous_grid(
-            amatrix, psi, triple.diffusion, triple.nu, pts[nonzero]
-        )
-        return vals
-
+    m = lambda xi: multiplier_autonomous_grid(amatrix, psi, triple.diffusion, triple.nu, xi)
     values = symbol_on_lattice(m, (n,) * triple.dim)
     results = norm_lower_bound_search(
         values, ps, trials=trials, refine_steps=refine, seed=args.seed, band=band

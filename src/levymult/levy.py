@@ -28,13 +28,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import NotPositiveSemidefinite, blocks, pivoted_cholesky
+from .linalg import PSD_TOL, NotPositiveSemidefinite, blocks, pivoted_cholesky
 
 #: relative tolerance for agreement of the coarse and refined quadratures
 REFINE_RTOL = 1e-8
-
-#: eigenvalue tolerance below which a diffusion matrix is rejected as not PSD
-PSD_TOL = 1e-12
 
 
 class QuadratureError(RuntimeError):
@@ -200,7 +197,7 @@ def factor_diffusion(a) -> np.ndarray:
     scale = 1.0 + float(np.max(np.abs(a))) if a.size else 1.0
     if np.max(np.abs(a - a.T)) > PSD_TOL * scale:
         raise ValueError("diffusion matrix is not symmetric")
-    lam, _, rank = pivoted_cholesky(2.0 * a, tol=PSD_TOL)
+    lam, _, rank = pivoted_cholesky(2.0 * a)
     out = np.zeros((n, n))
     out[:, :rank] = lam
     resid = np.max(np.abs(out @ out.T - 2.0 * a)) if n else 0.0

@@ -13,6 +13,9 @@ class NotPositiveSemidefinite(ValueError):
 #: blocks of about this many bytes: larger blocks gain little speed and raise the peak resident memory
 BLOCK_BYTES = 1 << 20
 
+#: relative tolerance of the PSD tests: asymmetry, negative eigenvalues and Cholesky pivots
+PSD_TOL = 1e-12
+
 
 def blocks(n: int, item_bytes: float):
     """Consecutive slices covering range(n), of as many items as fit ``BLOCK_BYTES`` at item_bytes each (at least one)."""
@@ -34,12 +37,12 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def pivoted_cholesky(m: np.ndarray, tol: float = 1e-12):
+def pivoted_cholesky(m: np.ndarray):
     """Diagonally pivoted Cholesky factorisation of a symmetric PSD matrix.
 
     Returns L (n x rank, lower triangular up to the pivot order) and the
     pivot index list, with m[piv][:, piv] = L L^T.  Rank-deficient input
-    is accepted; a residual diagonal below -tol*scale raises.
+    is accepted; a residual diagonal below -PSD_TOL*scale raises.
     """
     m = np.array(m, dtype=float)
     n = m.shape[0]
@@ -57,8 +60,8 @@ def pivoted_cholesky(m: np.ndarray, tol: float = 1e-12):
             l[[k, j], :] = l[[j, k], :]
             piv[k], piv[j] = piv[j], piv[k]
         d = m[k, k]
-        if d <= tol * scale:
-            if d < -tol * scale:
+        if d <= PSD_TOL * scale:
+            if d < -PSD_TOL * scale:
                 raise NotPositiveSemidefinite(
                     f"pivot {d:.3e} below tolerance; matrix is not PSD"
                 )
@@ -71,7 +74,7 @@ def pivoted_cholesky(m: np.ndarray, tol: float = 1e-12):
             l[k + 1 :, k] = col
             m[k + 1 :, k + 1 :] -= np.outer(col, col)
             # residual negative mass beyond rounding means the input was not PSD
-            if np.min(np.diag(m)[k + 1 :]) < -10 * tol * scale:
+            if np.min(np.diag(m)[k + 1 :]) < -10 * PSD_TOL * scale:
                 raise NotPositiveSemidefinite("negative Schur complement; matrix is not PSD")
     # un-permute the rows so that Lambda Lambda^T = m_original
     out = np.zeros((n, rank))

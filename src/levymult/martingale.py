@@ -27,7 +27,6 @@ the transform, step by step as a transcript would.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -213,7 +212,6 @@ class _TransformContext:
         events = spec.jumps.total_mass * spec.horizon
         rows = (spec.n_steps + 1 + events) * (2 if len(self.masses) else 1) + events
         self.path_bytes = 16 * max(st.h.shape[0] for st in self.stacks) * rows
-        self.paths_per_chunk = next(blocks(sys.maxsize, self.path_bytes)).stop  # as ``ensemble_chunks`` splits
 
     def horizon_values(self, elements) -> np.ndarray:
         """f at a batch of elements: M_T of the paths that end there."""

@@ -1,8 +1,8 @@
 """Applying multiplier symbols on periodic grids and coefficient tables.
 
-Grid functions model the torus with the e^{+2 pi i xi . x} analysis
-convention: the FFT coefficient at lattice index k is the amplitude of
-the mode e^{-2 pi i k . x / period}.  Norms are taken against normalised
+Grid functions model the unit-period torus with the e^{+2 pi i xi . x}
+analysis convention: the FFT coefficient at lattice index k is the
+amplitude of the mode e^{-2 pi i k . x}.  Norms are taken against normalised
 (cell-average) weights so constants have norm |c| and grid Plancherel
 matches the group-side convention.
 """
@@ -21,17 +21,12 @@ from .linalg import blocks
 
 @dataclass
 class GridFunction:
-    """Complex samples on a periodic grid with power-of-two shape."""
+    """Complex samples on a unit-period grid with power-of-two shape."""
 
     values: np.ndarray
-    period: tuple = ()
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if not self.period:
-            self.period = (1.0,) * self.values.ndim
-        if len(self.period) != self.values.ndim:
-            raise ValueError("period must have one entry per axis")
         for n in self.values.shape:
             if n < 2 or (n & (n - 1)) != 0:
                 raise ValueError(f"grid axis length {n} is not a power of two")
@@ -43,61 +38,43 @@ class GridFunction:
         return self.values.shape
 
     def coeffs(self) -> np.ndarray:
-        """Coefficient of the mode e^{-2 pi i k.x/period} at lattice index k."""
+        """Coefficient of the mode e^{-2 pi i k.x} at lattice index k."""
         return np.fft.ifftn(self.values)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: np.ndarray) -> "GridFunction":
-        return cls(np.fft.fftn(np.asarray(coeffs, dtype=complex)))
 
 
 def frequency_lattice(f: GridFunction) -> np.ndarray:
-    """Physical frequencies xi on the lattice, shape dims + (ndim,)."""
-    axes = [
-        np.fft.fftfreq(n) * n / p for n, p in zip(f.dims, f.period)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    """The integer frequencies xi on the lattice, xi = 0 first, shape dims + (ndim,)."""
+    mesh = np.meshgrid(*[np.fft.fftfreq(n) * n for n in f.dims], indexing="ij")
     return np.stack(mesh, axis=-1)
 
 
-def symbol_on_lattice(
-    m: Callable[[np.ndarray], np.ndarray],
-    dims: tuple,
-    period: tuple = (),
-    zero_mode: float = 0.0,
-) -> np.ndarray:
+def symbol_on_lattice(m: Callable[[np.ndarray], np.ndarray], dims: tuple) -> np.ndarray:
     """m sampled on the frequency lattice of a grid of shape ``dims``.
 
-    ``m`` maps an array of frequency vectors (q, n) to complex values.
-    If m is not finite at xi = 0 (Riesz-type symbols), ``zero_mode`` is
-    used there; non-finite values elsewhere raise.
+    ``m`` maps an array of frequency vectors (q, n) to complex values.  It
+    is called once on the nonzero frequencies, where a non-finite value
+    raises, and once on xi = 0 alone: the zero mode is m(0) where that
+    evaluates, and 0 where m raises ValueError or ZeroDivisionError there
+    or is not finite (Riesz-type symbols).
     """
-    flat = frequency_lattice(GridFunction(np.zeros(dims), period)).reshape(-1, len(dims))
+    flat = frequency_lattice(GridFunction(np.zeros(dims))).reshape(-1, len(dims))
+    vals = np.empty(len(flat), dtype=complex)
+    vals[1:] = m(flat[1:])
+    if not np.all(np.isfinite(vals[1:])):
+        raise ValueError("symbol is not finite on the frequency lattice")
     with np.errstate(divide="ignore", invalid="ignore"):
         try:
-            vals = np.asarray(m(flat), dtype=complex)
+            vals[0] = np.asarray(m(flat[:1]), dtype=complex)[0]
         except (ZeroDivisionError, ValueError):
-            nonzero = np.any(flat != 0.0, axis=1)
-            vals = np.zeros(len(flat), dtype=complex)
-            vals[nonzero] = np.asarray(m(flat[nonzero]), dtype=complex)
-            vals[~nonzero] = np.nan
-    vals = vals.reshape(dims)
-    zero_index = (0,) * len(dims)
-    if not np.isfinite(vals[zero_index]):
-        vals[zero_index] = zero_mode
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("symbol is not finite on the frequency lattice")
-    return vals
+            vals[0] = 0.0
+    if not np.isfinite(vals[0]):
+        vals[0] = 0.0
+    return vals.reshape(dims)
 
 
-def apply_symbol_grid(
-    m: Callable[[np.ndarray], np.ndarray],
-    f: GridFunction,
-    zero_mode: float = 0.0,
-) -> GridFunction:
+def apply_symbol_grid(m: Callable[[np.ndarray], np.ndarray], f: GridFunction) -> GridFunction:
     """Inverse transform of m(xi) fhat(xi) on the grid (m as in ``symbol_on_lattice``)."""
-    values = symbol_on_lattice(m, f.dims, f.period, zero_mode)
-    return GridFunction(np.fft.fftn(values * f.coeffs()), f.period)
+    return GridFunction(np.fft.fftn(symbol_on_lattice(m, f.dims) * f.coeffs()))
 
 
 def apply_symbol_coeffs(symbol: dict, coeffs: PeterWeylCoeffs) -> PeterWeylCoeffs:

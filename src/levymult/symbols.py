@@ -12,8 +12,6 @@ evaluates one once per dimension stack of a dual.  The one-irrep views and
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .euclid import ImaginaryPowerProfile, profile_time_integral, psi_values
@@ -138,16 +136,9 @@ def central_symbols(amatrix, psi, c: float, nu: GroupLevyMeasure, irreps, alpha)
     return out, defined, alpha
 
 
-def central_multiplier(
-    amatrix,
-    psi,
-    c: float,
-    nu: GroupLevyMeasure,
-    pi: Irrep,
-    alpha: Optional[complex] = None,
-) -> np.ndarray:
-    """``central_symbols`` of one irrep; raises ValueError where it is undefined."""
-    (block,), (ok,), _ = central_symbols(amatrix, psi, c, nu, [pi], alpha)
+def central_multiplier(amatrix, psi, c: float, nu: GroupLevyMeasure, pi: Irrep) -> np.ndarray:
+    """``central_symbols`` of one irrep at its own exponent; raises ValueError where it is undefined."""
+    (block,), (ok,), _ = central_symbols(amatrix, psi, c, nu, [pi], None)
     if not ok:
         raise ValueError(UNDEFINED)
     return block

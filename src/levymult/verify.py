@@ -1,9 +1,11 @@
 """Quantitative verification suites for the package's guarantees.
 
-Each check returns a CheckResult with the measured numbers; the
-acceptance tests run them at their contractual sizes and tolerances,
-and the command-line ``verify`` subcommand runs them at configurable
-(smaller) sizes.  Everything is deterministic for a fixed seed.
+Each check returns a CheckResult with the measured numbers.  Its
+contractual grids, cutoffs, exponents and tolerances are the module
+constants below; a caller varies only its size (``paths``,
+``transcripts`` or ``n_specs``, which the command-line ``verify``
+subcommand sets) and its ``seed``.  The acceptance tests run every check
+at its defaults.  Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -59,6 +61,23 @@ from .operators import (
 )
 from .simulate import GroupProcessSpec, simulate_subordinator
 from .symbols import central_symbols, laplace_symbols, subordination_symbols
+
+# the contract of each criterion beyond its size and seed
+MULTIPLIER_GRID, MULTIPLIER_TOL = 64, 1e-9  # 1: lattice side, slack on |m| <= 1
+RIESZ_GRID, RIESZ_CUTOFF, RIESZ_RTOL = 64, 5, 1e-10  # 2
+SEARCH_INTERVAL_SPECS, SEARCH_GROUP_SPECS = 40, 12  # 3: cases after the n_specs random pairs
+SEARCH_PS, SEARCH_GRID = (1.5, 2.0, 3.0, 4.0), 32
+SEARCH_SLACK, SEARCH_P2_TOL = 3e-2, 1e-9  # over p* - 1, and over the lattice sup at p = 2
+PLANCHEREL_PAIRS, PLANCHEREL_TOL = 100, 1e-6  # 4: pairs per group
+CASIMIR_TORUS_CUTOFF, CASIMIR_SPIN_CUTOFF, CASIMIR_TOL = 16, 8.0, 1e-10  # 5
+POWER_KAPPAS, POWER_GAMMAS = (1.0, 4.0, 9.0), (0.5, 1.0)  # 6
+POWER_TOL, PREFACTOR_TOL = 1e-6, 1e-10
+INCREMENT_TOL = 1e-12  # 7: quadratic-variation increments
+BURKHOLDER_PS, BURKHOLDER_HORIZONS = (1.5, 2.0, 3.0), (0.5, 1.0, 2.0)  # 8
+PROJECTION_DT = 1 / 256  # 9
+ORACLE_TOL = 1e-8  # 10: scalar against matrix oracle
+SYMBOL_TOL = 1e-10  # 11: subordination against central symbol
+CONSTANTS_DRAWS = 10000  # 12: random (p, b, B)
 
 
 @dataclass
@@ -125,9 +144,9 @@ def _nonzero_lattice(shape):
     return flat[np.any(flat != 0.0, axis=1)]
 
 
-def check_multiplier_bound(n_specs=1000, grid=64, seed=20240, tol=1e-9) -> CheckResult:
+def check_multiplier_bound(n_specs=1000, seed=20240) -> CheckResult:
     """Autonomous multipliers with bounds <= 1 stay within 1 on the lattice."""
-    xi = _nonzero_lattice((grid, grid))
+    xi = _nonzero_lattice((MULTIPLIER_GRID, MULTIPLIER_GRID))
     worst = 0.0
     n_density = 0
     for i in range(n_specs):
@@ -156,13 +175,14 @@ def check_multiplier_bound(n_specs=1000, grid=64, seed=20240, tol=1e-9) -> Check
         worst = max(worst, float(np.max(np.abs(vals))))
     return CheckResult(
         "multiplier-bound",
-        worst <= 1.0 + tol,
-        {"max_abs": worst, "specs": n_specs, "grid": grid, "with_density": n_density},
+        worst <= 1.0 + MULTIPLIER_TOL,
+        {"max_abs": worst, "specs": n_specs, "grid": MULTIPLIER_GRID, "with_density": n_density},
     )
 
 
-def check_riesz_equivalence(grid=64, cutoff=5, seed=20241, rtol=1e-10) -> CheckResult:
+def check_riesz_equivalence(seed=20241) -> CheckResult:
     """Grid route and coefficient route agree for second-order Riesz on T^2."""
+    grid = RIESZ_GRID
     gen = rngmod.stream(seed, rngmod.SPEC_DRAW)
     worst = 0.0
     x = np.arange(grid) / grid
@@ -172,9 +192,9 @@ def check_riesz_equivalence(grid=64, cutoff=5, seed=20241, rtol=1e-10) -> CheckR
     for _ in range(3):
         m = gen.standard_normal((2, 2))
         cs.append((m + m.T) / 2.0)
-    dual, empty = dual_enumerate(T2, cutoff), GroupLevyMeasure(T2)
+    dual, empty = dual_enumerate(T2, RIESZ_CUTOFF), GroupLevyMeasure(T2)
     for c in cs:
-        coeffs = random_band_limited(T2, cutoff, gen)
+        coeffs = random_band_limited(T2, RIESZ_CUTOFF, gen)
         values = pw_inverse(coeffs, points).reshape(grid, grid)
         gf = GridFunction(values)
         via_grid = apply_symbol_grid(lambda xi, c=c: riesz2_symbol_rn(c, xi), gf)
@@ -188,7 +208,7 @@ def check_riesz_equivalence(grid=64, cutoff=5, seed=20241, rtol=1e-10) -> CheckR
     sym = riesz2_symbol_rn(np.diag([1.0, -1.0]), lat)
     explicit = (lat[:, 0] ** 2 - lat[:, 1] ** 2) / (lat[:, 0] ** 2 + lat[:, 1] ** 2)
     lattice_err = float(np.max(np.abs(sym - explicit)))
-    passed = worst <= rtol and lattice_err <= rtol
+    passed = worst <= RIESZ_RTOL and lattice_err <= RIESZ_RTOL
     return CheckResult(
         "riesz2-equivalence",
         passed,
@@ -206,23 +226,15 @@ def _central_lattice_symbol(gen, xi):
     return central_symbols(amat, psi, c, nu, pis, None)[0][:, 0, 0]
 
 
-def check_norm_search(
-    n_specs=200,
-    n_interval=40,
-    n_group=12,
-    ps=(1.5, 2.0, 3.0, 4.0),
-    grid=32,
-    seed=20242,
-    slack=3e-2,
-    p2_tol=1e-9,
-) -> CheckResult:
+def check_norm_search(n_specs=200, seed=20242) -> CheckResult:
     """Search lower bounds never exceed the sharp constants."""
-    shape = (grid, grid)
+    n_interval = SEARCH_INTERVAL_SPECS
+    shape = (SEARCH_GRID, SEARCH_GRID)
     xi = _nonzero_lattice(shape)  # every lattice frequency after xi = 0, which is first
     worst_gap = -np.inf
     worst_p2 = -np.inf
     worst_interval = -np.inf
-    for i in range(n_specs + n_interval + n_group):
+    for i in range(n_specs + n_interval + SEARCH_GROUP_SPECS):
         gen = rngmod.stream(seed, rngmod.SPEC_DRAW, i)
         interval_case = n_specs <= i < n_specs + n_interval
         if i >= n_specs + n_interval:
@@ -239,14 +251,14 @@ def check_norm_search(
             sym = multiplier_autonomous_grid(*_random_multiplier_fixture(gen), xi)
         vals = np.concatenate([[0.0], sym])
         sup_lattice = float(np.max(np.abs(vals)))
-        for res in norm_lower_bound_search(vals.reshape(shape), ps, trials=4, refine_steps=4, seed=seed + i):
+        for res in norm_lower_bound_search(vals.reshape(shape), SEARCH_PS, trials=4, refine_steps=4, seed=seed + i):
             if interval_case:
                 worst_interval = max(worst_interval, res.ratio - cpbB_bounds(res.p, b, bb).upper)
             else:
                 worst_gap = max(worst_gap, res.ratio - (p_star(res.p) - 1.0))
                 if res.p == 2.0:
                     worst_p2 = max(worst_p2, res.ratio - sup_lattice)
-    passed = worst_gap <= slack and worst_p2 <= p2_tol and worst_interval <= 1e-9
+    passed = worst_gap <= SEARCH_SLACK and worst_p2 <= SEARCH_P2_TOL and worst_interval <= 1e-9
     return CheckResult(
         "norm-search",
         passed,
@@ -254,32 +266,32 @@ def check_norm_search(
             "max_over_pstar": worst_gap,
             "max_over_lattice_p2": worst_p2,
             "max_over_interval_bound": worst_interval,
-            "specs": n_specs + n_interval + n_group,
+            "specs": n_specs + n_interval + SEARCH_GROUP_SPECS,
         },
     )
 
 
-def check_plancherel(pairs=100, seed=20243, tol=1e-6) -> CheckResult:
+def check_plancherel(seed=20243) -> CheckResult:
     """Space-side and coefficient-side pairings agree on all three groups."""
     worst = 0.0
     cutoffs = {T1: 8, T2: 4, SU2: 2.0}
     for gi, group in enumerate((T1, T2, SU2)):
         cutoff = cutoffs[group]
         grid = quadrature_grid(group, 2 * cutoff)
-        for i in range(pairs):
+        for i in range(PLANCHEREL_PAIRS):
             gen = rngmod.stream(seed, rngmod.SPEC_DRAW, gi, i)
             f = random_band_limited(group, cutoff, gen)
             g = random_band_limited(group, cutoff, gen)
             resid = plancherel_residual(f, g, grid=grid)
             worst = max(worst, resid / (f.l2_norm() * g.l2_norm()))
-    return CheckResult("plancherel", worst <= tol, {"max_rel_residual": worst, "pairs": pairs})
+    return CheckResult("plancherel", worst <= PLANCHEREL_TOL, {"max_rel_residual": worst, "pairs": PLANCHEREL_PAIRS})
 
 
-def check_casimir(torus_cutoff=16, spin_cutoff=8.0, tol=1e-10) -> CheckResult:
+def check_casimir() -> CheckResult:
     """Squared generators are scalar with the closed-form eigenvalue."""
     worst = 0.0
     fundamental = None
-    for group, cutoff in ((T1, torus_cutoff), (T2, torus_cutoff), (SU2, spin_cutoff)):
+    for group, cutoff in ((T1, CASIMIR_TORUS_CUTOFF), (T2, CASIMIR_TORUS_CUTOFF), (SU2, CASIMIR_SPIN_CUTOFF)):
         for pi in dual_enumerate(group, cutoff):
             kappa = casimir_eigenvalue(pi)  # raises if not scalar within 1e-10
             worst = max(worst, abs(kappa - pi.casimir))
@@ -293,7 +305,12 @@ def check_casimir(torus_cutoff=16, spin_cutoff=8.0, tol=1e-10) -> CheckResult:
     ]
     direct = sum((0.5j * s) @ (0.5j * s) for s in sigma)
     oracle = float(-np.trace(direct).real / 2.0)
-    passed = worst <= tol and fundamental is not None and abs(fundamental - oracle) <= tol and abs(oracle - 0.75) == 0.0
+    passed = (
+        worst <= CASIMIR_TOL
+        and fundamental is not None
+        and abs(fundamental - oracle) <= CASIMIR_TOL
+        and abs(oracle - 0.75) == 0.0
+    )
     return CheckResult(
         "casimir",
         passed,
@@ -301,24 +318,22 @@ def check_casimir(torus_cutoff=16, spin_cutoff=8.0, tol=1e-10) -> CheckResult:
     )
 
 
-def check_imaginary_power(
-    kappas=(1.0, 4.0, 9.0), gammas=(0.5, 1.0), tol=1e-6, prefactor_tol=1e-10
-) -> CheckResult:
+def check_imaginary_power() -> CheckResult:
     """Quadrature of the imaginary-power profile against kappa^{-i gamma}."""
     worst = 0.0
-    pis = [get_irrep(T1, int(round(np.sqrt(kap)))) for kap in kappas]
-    for g in gammas:
+    pis = [get_irrep(T1, int(round(np.sqrt(kap)))) for kap in POWER_KAPPAS]
+    for g in POWER_GAMMAS:
         out, _ = laplace_symbols(ImaginaryPowerProfile(g), pis)
-        for kap, block in zip(kappas, out):
+        for kap, block in zip(POWER_KAPPAS, out):
             expect = np.exp(-1j * g * np.log(kap))
             worst = max(worst, float(np.max(np.abs(block - expect * np.eye(1)))))
     worst_pref = 0.0
     for p in (1.5, 2.0, 3.0):
-        for g in gammas:
+        for g in POWER_GAMMAS:
             via_gamma = (p_star(p) - 1.0) / abs(gamma(1.0 - 1j * g))
             via_identity = (p_star(p) - 1.0) * np.sqrt(np.sinh(np.pi * g) / (np.pi * g))
             worst_pref = max(worst_pref, abs(via_gamma - via_identity))
-    passed = worst <= tol and worst_pref <= prefactor_tol
+    passed = worst <= POWER_TOL and worst_pref <= PREFACTOR_TOL
     return CheckResult(
         "imaginary-power",
         passed,
@@ -340,9 +355,7 @@ def _random_group_measure(gen, group) -> GroupLevyMeasure:
     return GroupLevyMeasure(group, tuple(atoms))
 
 
-def check_differential_subordination_sweep(
-    transcripts=10000, seed=20244, tol=1e-12
-) -> CheckResult:
+def check_differential_subordination_sweep(transcripts=10000, seed=20244) -> CheckResult:
     """Pathwise quadratic-variation domination over random transform pairs."""
     total = 0
     worst = -np.inf
@@ -385,7 +398,7 @@ def check_differential_subordination_sweep(
                 )
         total += per_batch
         batch += 1
-    passed = worst <= tol and worst_interval <= tol
+    passed = worst <= INCREMENT_TOL and worst_interval <= INCREMENT_TOL
     return CheckResult(
         "differential-subordination",
         passed,
@@ -393,9 +406,7 @@ def check_differential_subordination_sweep(
     )
 
 
-def check_burkholder(
-    paths=10000, ps=(1.5, 2.0, 3.0), horizons=(0.5, 1.0, 2.0), seed=20245
-) -> CheckResult:
+def check_burkholder(paths=10000, seed=20245) -> CheckResult:
     """Transform-to-martingale p-norm ratios against p* - 1."""
     jumps = GroupLevyMeasure(T1, ((np.array([2.0]), 1.2),))
     f = random_band_limited(T1, 3, rngmod.stream(seed, rngmod.SPEC_DRAW), real=True)
@@ -403,10 +414,10 @@ def check_burkholder(
     psi = -0.9
     margins = []
     passed = True
-    for horizon in horizons:
+    for horizon in BURKHOLDER_HORIZONS:
         spec = GroupProcessSpec(T1, 0.5, jumps, horizon, horizon / 256, seed=seed)
         ens = simulate_transform_ensemble(spec, f, amat, psi, paths)
-        for p in ps:
+        for p in BURKHOLDER_PS:
             ratio, se = empirical_burkholder(ens, p)
             bound = p_star(p) - 1.0
             ok = ratio <= bound * (1.0 + 3.0 * se / ratio)
@@ -439,12 +450,12 @@ def _projection_fixtures(seed):
     ]
 
 
-def check_projection(paths=10000, seed=20246, dt=1 / 256) -> CheckResult:
+def check_projection(paths=10000, seed=20246) -> CheckResult:
     """Monte Carlo pairing values against the finite-horizon spectral formula."""
     f, g, fixtures = _projection_fixtures(seed)
     worst_z = 0.0
     for fi, (name, amat, psi, c, jumps, horizon, drift) in enumerate(fixtures):
-        spec = GroupProcessSpec(T2, c, jumps, horizon, dt, seed=seed + 137 * fi, drift=drift)
+        spec = GroupProcessSpec(T2, c, jumps, horizon, PROJECTION_DT, seed=seed + 137 * fi, drift=drift)
         est = projection_mc_estimate(f, g, amat, psi, spec, paths)
         worst_z = max(worst_z, abs(est.mc_value - est.deterministic) / est.stderr)
     return CheckResult(
@@ -454,7 +465,7 @@ def check_projection(paths=10000, seed=20246, dt=1 / 256) -> CheckResult:
     )
 
 
-def check_central_char(paths=10000, seed=20247, oracle_tol=1e-8) -> CheckResult:
+def check_central_char(paths=10000, seed=20247) -> CheckResult:
     """Empirical transform of a central SU(2) process against both oracles."""
     jumps = GroupLevyMeasure(SU2, ((-np.eye(2), 0.8),))
     spec = GroupProcessSpec(SU2, 0.4, jumps, 0.75, 1 / 500, seed=seed)
@@ -462,7 +473,7 @@ def check_central_char(paths=10000, seed=20247, oracle_tol=1e-8) -> CheckResult:
     reports = central_char_report(spec, pis, paths)
     worst_sig = max(max(r.max_sigmas("scalar"), r.max_sigmas("matrix")) for r in reports)
     worst_oracle = max(float(np.max(np.abs(r.scalar_oracle - r.matrix_oracle))) for r in reports)
-    passed = worst_sig <= 3.0 and worst_oracle <= oracle_tol and all(r.is_central for r in reports)
+    passed = worst_sig <= 3.0 and worst_oracle <= ORACLE_TOL and all(r.is_central for r in reports)
     return CheckResult(
         "central-levy-khintchine",
         passed,
@@ -476,7 +487,7 @@ def _z_score(vals: np.ndarray, expect) -> float:
     return abs(float(np.mean(vals)) - expect) / se
 
 
-def check_subordination(paths=10000, seed=20248, symbol_tol=1e-10) -> CheckResult:
+def check_subordination(paths=10000, seed=20248) -> CheckResult:
     """Subordinator law against its Laplace exponent; symbol cross-checks."""
     density = PositiveDensity(
         profile=lambda y: y**-1.5 / (2.0 * np.sqrt(np.pi)), inner=1e-4, outer=1e3, nodes=24
@@ -509,7 +520,7 @@ def check_subordination(paths=10000, seed=20248, symbol_tol=1e-10) -> CheckResul
         direct, _ = subordination_symbols(psi, hb, nu, [pi])
         via_central, _, _ = central_symbols(None, psi, 0.0, nu, [pi], -bernstein_eval(hb, np.array([pi.casimir])))
         worst_sym = max(worst_sym, float(np.max(np.abs(direct - via_central))))
-    passed = worst_z <= 3.0 and worst_sym <= symbol_tol
+    passed = worst_z <= 3.0 and worst_sym <= SYMBOL_TOL
     return CheckResult(
         "subordination",
         passed,
@@ -517,7 +528,7 @@ def check_subordination(paths=10000, seed=20248, symbol_tol=1e-10) -> CheckResul
     )
 
 
-def check_constants(n_random=10000, seed=20249) -> CheckResult:
+def check_constants(seed=20249) -> CheckResult:
     """Closed-form constants and the interval sandwich."""
     values = {p: burkholder_constant(p) for p in (1.5, 2.0, 3.0, 4.0)}
     expect = {1.5: 2.0, 2.0: 1.0, 3.0: 2.0, 4.0: 3.0}
@@ -527,7 +538,7 @@ def check_constants(n_random=10000, seed=20249) -> CheckResult:
     gen = rngmod.stream(seed, rngmod.SPEC_DRAW)
     sandwich_ok = True
     duality_worst = 0.0
-    for _ in range(n_random):
+    for _ in range(CONSTANTS_DRAWS):
         p = float(gen.uniform(1.01, 8.0))
         b = float(gen.uniform(-3.0, 2.0))
         bb = float(gen.uniform(b + 1e-6, 3.0))

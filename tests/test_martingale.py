@@ -466,7 +466,7 @@ def test_batched_final_values_match_transcripts(name, monkeypatch):
         assert _close(got, ref[:, col])
     # more than one chunk: one path per chunk
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)
-    assert transform_context(spec, f).paths_per_chunk == 1
+    assert [s.stop - s.start for s in linalg.blocks(7, transform_context(spec, f).path_bytes)] == [1] * 7
     split = simulate_transform_ensemble(spec, f, amat, psi, 7, seed=99)
     assert _close(split.y_final, ens.y_final) and _close(split.x_final, ens.x_final)
 

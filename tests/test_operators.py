@@ -52,10 +52,39 @@ def test_zero_mode_defaults_to_zero_for_riesz():
     # the mean is annihilated, the wave survives
     assert np.mean(out.values) == pytest.approx(0.0, abs=1e-13)
     assert np.max(np.abs(out.values - np.cos(2 * np.pi * xx))) < 1e-12
-    out2 = apply_symbol_grid(
-        lambda xi: riesz2_symbol_rn(np.diag([1.0, -1.0]), xi), f, zero_mode=1.0
-    )
+    # a symbol that evaluates at xi = 0 keeps its value there
+    out2 = apply_symbol_grid(lambda xi: 1.0 + riesz2_symbol_rn(np.diag([1.0, -1.0]), xi + 0.5), f)
     assert np.mean(out2.values) == pytest.approx(2.0, abs=1e-13)
+
+
+def test_symbol_is_evaluated_once_and_alone_at_zero():
+    calls = []
+
+    def m(xi):
+        calls.append((len(xi), int(np.sum(np.all(xi == 0.0, axis=1)))))
+        return riesz2_symbol_rn(np.diag([1.0, -1.0]), xi)
+
+    vals = symbol_on_lattice(m, (8, 4))
+    # every nonzero frequency in one call, then xi = 0 alone, where the raise makes the mode 0
+    assert calls == [(31, 0), (1, 1)]
+    assert vals[0, 0] == 0.0
+    # a symbol that is 0/0 at xi = 0 without raising gets 0 there too
+    ratio = lambda xi: (xi[:, 0] ** 2 - xi[:, 1] ** 2) / np.sum(xi**2, axis=1)
+    other = symbol_on_lattice(ratio, (8, 4))
+    assert other[0, 0] == 0.0
+    assert np.max(np.abs(other - vals)) <= 1e-15
+
+
+def test_a_symbol_error_off_zero_is_raised_by_the_first_call():
+    calls = []
+
+    def m(xi):
+        calls.append(len(xi))
+        raise ValueError("bad symbol")
+
+    with pytest.raises(ValueError, match="bad symbol"):
+        symbol_on_lattice(m, (4, 4))
+    assert calls == [15]
 
 
 def test_nonfinite_symbol_rejected():
@@ -188,15 +217,14 @@ def test_grid_function_validation():
         GridFunction(np.zeros((6, 8)))
     with pytest.raises(ValueError, match="finite"):
         GridFunction(np.array([[np.inf, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="period"):
-        GridFunction(np.zeros((4, 4)), period=(1.0,))
 
 
 def test_frequency_lattice_scaling():
-    f = GridFunction(np.zeros((4, 4)), period=(2.0, 1.0))
-    lat = frequency_lattice(f)
-    assert lat[1, 0, 0] == pytest.approx(0.5)  # index 1 on a period-2 axis
-    assert lat[0, 1, 1] == pytest.approx(1.0)
+    # unit period: the signed integer index of every axis, xi = 0 first
+    lat = frequency_lattice(GridFunction(np.zeros((4, 2))))
+    assert lat.shape == (4, 2, 2)
+    assert lat[:, 0, 0].tolist() == [0.0, 1.0, -2.0, -1.0]
+    assert lat[0, :, 1].tolist() == [0.0, -1.0]
 
 
 def _max_rel(a, b):
@@ -211,7 +239,7 @@ def _callable_search(m, shape, p, trials, refine_steps, seed):
     best_ratio, best = -np.inf, None
     for trial in range(trials):
         gen = rngmod.stream(seed, rngmod.SEARCH, trial)
-        x = GridFunction.from_coeffs(_band_coeffs(shape, band, gen))
+        x = GridFunction(np.fft.fftn(_band_coeffs(shape, band, gen)))
         for _ in range(refine_steps + 1):
             nx = lp_norm(x, p)
             y = apply_symbol_grid(m, x)
@@ -243,7 +271,7 @@ def _per_pair_search(values, p, trials, refine_steps, seed):
     best_ratio, best = -np.inf, None
     for trial in range(trials):
         gen = rngmod.stream(seed, rngmod.SEARCH, trial)
-        x = GridFunction.from_coeffs(ops._band_coeffs(shape, band, gen))
+        x = GridFunction(np.fft.fftn(ops._band_coeffs(shape, band, gen)))
         for _ in range(refine_steps + 1):
             nx = lp_norm(x, p)
             if nx == 0.0:
@@ -393,6 +421,6 @@ def test_cli_norm_search_evaluates_the_multiplier_once(tmp_path, monkeypatch, ca
         )
     )
     assert cli.main(["--seed", "4", "norm-search", "--config", str(cfg)]) == 0
-    assert calls == [16 * 16 - 1]
+    assert calls == [16 * 16 - 1, 1]  # once on the nonzero frequencies, once on xi = 0 alone (where it raises)
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [row["p"] for row in rows] == [1.5, 2.0, 3.0]

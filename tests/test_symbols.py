@@ -163,9 +163,7 @@ def test_central_multiplier_subordination_specialisation():
     psi = np.array([0.7])
     for j in (0.5, 1.0):
         pi = su2_irrep(j)
-        via_central = central_multiplier(
-            None, psi, 0.0, nu, pi, alpha=-float(bernstein_eval(h, pi.casimir))
-        )
+        via_central = one(central_symbols(None, psi, 0.0, nu, [pi], -bernstein_eval(h, np.array([pi.casimir]))))
         direct = one(subordination_symbols(psi, h, nu, [pi]))
         assert np.max(np.abs(via_central - direct)) < 1e-10
 
