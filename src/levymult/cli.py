@@ -9,6 +9,7 @@ identical output bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gzip
 import hashlib
@@ -26,11 +27,13 @@ from .euclid import (
     MultiplierSpec,
     multiplier_autonomous_grid,
     multiplier_time_dependent,
+    psi_values,
 )
 from .groups import (
     GroupLevyMeasure,
     PeterWeylCoeffs,
     dual_enumerate,
+    get_irrep,
     group_dim,
     heat_coeffs,
     su2_exp,
@@ -64,6 +67,19 @@ class ConfigError(ValueError):
     def __init__(self, pointer: str, message: str):
         super().__init__(f"config error at '{pointer}': {message}")
         self.pointer = pointer
+
+
+@contextlib.contextmanager
+def _at(pointer: str):
+    """Library errors raised while the config section at ``pointer`` is read or built, as a ``ConfigError`` there.
+
+    A finer ``ConfigError``, ``LinAlgError`` (a numerical failure) and ``QuadratureError`` pass unchanged."""
+    try:
+        yield
+    except (ConfigError, np.linalg.LinAlgError):
+        raise
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(pointer, f"{type(exc).__name__}: {exc}") from exc
 
 
 def _require_keys(obj: dict, allowed, pointer: str):
@@ -104,19 +120,13 @@ def _matrix(obj, pointer: str) -> np.ndarray:
     if isinstance(obj, dict):
         _require_keys(obj, {"re", "im"}, pointer)
         return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj.get("im", 0.0), dtype=float)
-    try:
-        return np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(pointer, f"not a matrix: {exc}")
+    return np.asarray(obj, dtype=float)
 
 
 def _pair_matrix(obj, pointer: str, n: int) -> np.ndarray:
     """A transform-pair matrix of the config (``linalg.pair_matrix``): absent is zero, else n x n."""
-    mat = None if obj is None else _matrix(obj, pointer)
-    try:
-        return pair_matrix(mat, n)
-    except ValueError as exc:
-        raise ConfigError(pointer, str(exc))
+    with _at(pointer):
+        return pair_matrix(None if obj is None else _matrix(obj, pointer), n)
 
 
 def _radial_density(obj, pointer: str) -> RadialDensity:
@@ -141,98 +151,89 @@ def _radial_density(obj, pointer: str) -> RadialDensity:
 
 
 def _levy_triple(obj, pointer: str) -> LevyTriple:
-    _require_keys(obj, {"drift", "diffusion", "atoms", "density"}, pointer)
-    a = _matrix(obj.get("diffusion", [[0.0]]), f"{pointer}.diffusion").real
-    n = a.shape[0]
-    atoms = []
-    for i, atom in enumerate(obj.get("atoms", [])):
-        _require_keys(atom, {"point", "mass"}, f"{pointer}.atoms[{i}]")
-        atoms.append((np.asarray(atom["point"], dtype=float), float(atom["mass"])))
-    density = None
-    if obj.get("density") is not None:
-        density = _radial_density(obj["density"], f"{pointer}.density")
-    nu = LevyMeasureRn(dim=n, atoms=tuple(atoms), density=density)
-    drift = np.asarray(obj.get("drift", [0.0] * n), dtype=float)
-    return LevyTriple(drift=drift, diffusion=a, nu=nu)
+    with _at(pointer):
+        _require_keys(obj, {"drift", "diffusion", "atoms", "density"}, pointer)
+        a = _matrix(obj.get("diffusion", [[0.0]]), f"{pointer}.diffusion").real
+        n = len(a)
+        atoms = []
+        for i, atom in enumerate(obj.get("atoms", [])):
+            _require_keys(atom, {"point", "mass"}, f"{pointer}.atoms[{i}]")
+            atoms.append((atom["point"], atom["mass"]))
+        density = None
+        if obj.get("density") is not None:
+            density = _radial_density(obj["density"], f"{pointer}.density")
+        nu = LevyMeasureRn(dim=n, atoms=tuple(atoms), density=density)
+        return LevyTriple(drift=obj.get("drift", [0.0] * n), diffusion=a, nu=nu)
 
 
 def _bernstein(obj, pointer: str) -> BernsteinSpec:
-    _require_keys(obj, {"c", "atoms", "density"}, pointer)
-    atoms = []
-    for i, atom in enumerate(obj.get("atoms", [])):
-        _require_keys(atom, {"y", "mass"}, f"{pointer}.atoms[{i}]")
-        atoms.append((float(atom["y"]), float(atom["mass"])))
-    density = None
-    if obj.get("density") is not None:
-        dobj = obj["density"]
-        _require_keys(dobj, {"profile", "inner", "outer", "nodes"}, f"{pointer}.density")
-        prof = dobj.get("profile", {})
-        _require_keys(prof, {"type", "alpha"}, f"{pointer}.density.profile")
-        kind = prof.get("type")
-        if kind == "stable_half":
-            fn = lambda y: y**-1.5 / (2.0 * np.sqrt(np.pi))
-        elif kind == "power":
-            alpha = float(prof.get("alpha", 0.5))
-            fn = lambda y: y ** (-1.0 - alpha)
-        else:
-            raise ConfigError(f"{pointer}.density.profile.type", f"unknown profile {kind!r}")
-        density = PositiveDensity(
-            profile=fn,
-            inner=float(dobj.get("inner", 1e-6)),
-            outer=float(dobj.get("outer", 1e4)),
-            nodes=int(dobj.get("nodes", 32)),
-        )
-    return BernsteinSpec(c=float(obj.get("c", 0.0)), atoms=tuple(atoms), density=density)
+    with _at(pointer):
+        _require_keys(obj, {"c", "atoms", "density"}, pointer)
+        atoms = []
+        for i, atom in enumerate(obj.get("atoms", [])):
+            _require_keys(atom, {"y", "mass"}, f"{pointer}.atoms[{i}]")
+            atoms.append((atom["y"], atom["mass"]))
+        density = None
+        if obj.get("density") is not None:
+            dobj = obj["density"]
+            _require_keys(dobj, {"profile", "inner", "outer", "nodes"}, f"{pointer}.density")
+            prof = dobj.get("profile", {})
+            _require_keys(prof, {"type", "alpha"}, f"{pointer}.density.profile")
+            kind = prof.get("type")
+            if kind == "stable_half":
+                fn = lambda y: y**-1.5 / (2.0 * np.sqrt(np.pi))
+            elif kind == "power":
+                alpha = float(prof.get("alpha", 0.5))
+                fn = lambda y: y ** (-1.0 - alpha)
+            else:
+                raise ConfigError(f"{pointer}.density.profile.type", f"unknown profile {kind!r}")
+            density = PositiveDensity(
+                profile=fn,
+                inner=float(dobj.get("inner", 1e-6)),
+                outer=float(dobj.get("outer", 1e4)),
+                nodes=int(dobj.get("nodes", 32)),
+            )
+        return BernsteinSpec(c=float(obj.get("c", 0.0)), atoms=tuple(atoms), density=density)
 
 
 def _group_measure(group: str, obj, pointer: str) -> GroupLevyMeasure:
-    atoms = []
-    for i, atom in enumerate(obj or []):
-        _require_keys(atom, {"angle", "axis_angle", "mass"}, f"{pointer}[{i}]")
-        mass = float(atom.get("mass", 1.0))
-        if group in ("t1", "t2"):
-            atoms.append((np.asarray(atom["angle"], dtype=float), mass))
-        else:
-            atoms.append((su2_exp(np.asarray(atom["axis_angle"], dtype=float)), mass))
-    return GroupLevyMeasure(group, tuple(atoms))
+    with _at(pointer):
+        atoms = []
+        for i, atom in enumerate(obj or []):
+            _require_keys(atom, {"angle", "axis_angle", "mass"}, f"{pointer}[{i}]")
+            tau = atom["angle"] if group in ("t1", "t2") else su2_exp(atom["axis_angle"])
+            atoms.append((tau, atom.get("mass", 1.0)))
+        return GroupLevyMeasure(group, tuple(atoms))
 
 
 def _frequencies(rows, dim: int) -> np.ndarray:
     """``config.xi`` as an array of rows of ``dim`` numbers; a flat list of numbers when dim is 1."""
-    try:
+    with _at("config.xi"):
         return np.array(rows, dtype=float).reshape(len(rows), dim)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("config.xi", f"expected rows of {dim} numbers: {exc}")
 
 
 def _psi(obj, n_atoms):
-    """``config.psi``: None, a number, or a list of one number per atom (no list where n_atoms is None)."""
+    """``config.psi``: None, a number, or one number per atom (``euclid.psi_values``); no list with a density."""
     if obj is None or isinstance(obj, (int, float)):
         return obj if obj is None else float(obj)
-    if n_atoms is None or np.shape(obj) != (n_atoms,):
-        want = "a number (a density takes no list)" if n_atoms is None else f"a number or one per atom ({n_atoms})"
-        raise ConfigError("config.psi", f"expected {want}, got {obj!r}")
-    return np.asarray(obj, dtype=float)
+    if n_atoms is None:
+        raise ConfigError("config.psi", f"a density takes a number, not {obj!r}")
+    with _at("config.psi"):
+        return psi_values(obj, n_atoms)
 
 
 def _coeff_table(obj, pointer: str) -> PeterWeylCoeffs:
-    _require_keys(obj, {"group", "cutoff", "blocks"}, pointer)
-    group = obj["group"]
-    blocks = {}
-    for i, blk in enumerate(obj.get("blocks", [])):
-        _require_keys(blk, {"label", "matrix"}, f"{pointer}.blocks[{i}]")
-        label = blk["label"]
-        if group == "t2":
-            label = (int(label[0]), int(label[1]))
-        elif group == "t1":
-            label = int(label)
-        else:
-            label = float(label)
-        mat = np.asarray(blk["matrix"], dtype=float)
-        if mat.ndim == 3:  # entries as [re, im]
-            mat = mat[..., 0] + 1j * mat[..., 1]
-        blocks[label] = np.atleast_2d(mat)
-    return PeterWeylCoeffs(group, obj.get("cutoff", 0), blocks)
+    with _at(pointer):
+        _require_keys(obj, {"group", "cutoff", "blocks"}, pointer)
+        group = obj["group"]
+        blocks = {}
+        for i, blk in enumerate(obj.get("blocks", [])):
+            _require_keys(blk, {"label", "matrix"}, f"{pointer}.blocks[{i}]")
+            mat = np.asarray(blk["matrix"], dtype=float)
+            if mat.ndim == 3:  # entries as [re, im]
+                mat = mat[..., 0] + 1j * mat[..., 1]
+            blocks[get_irrep(group, blk["label"]).label] = np.atleast_2d(mat)
+        return PeterWeylCoeffs(group, obj.get("cutoff", 0), blocks)
 
 
 def _label_json(label):
@@ -308,11 +309,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    cutoff = float(args.cutoff) if args.group == "su2" else int(args.cutoff)
-    try:
-        irreps = dual_enumerate(args.group, cutoff)
-    except ValueError as exc:
-        raise ConfigError("--cutoff", str(exc))
+    with _at("--cutoff"):
+        irreps = dual_enumerate(args.group, args.cutoff)
     rows = [
         {
             "label": _label_json(pi.label),
@@ -343,62 +341,56 @@ def cmd_symbol(args) -> int:
     return 0
 
 
-def _multiplier_from_config(config):
+def _multiplier_spec(config):
+    """The triple and the ``MultiplierSpec`` of a multiplier config, validated; bounds not given are infinite."""
+    triple = _levy_triple(config.get("triple", {}), "config.triple")
+    aprofile = None
+    if config.get("aprofile") is not None:
+        prof = config["aprofile"]
+        with _at("config.aprofile"):
+            _require_keys(prof, {"type", "gamma"}, "config.aprofile")
+            if prof.get("type") != "imaginary_power":
+                raise ConfigError("config.aprofile.type", "unknown profile")
+            aprofile = ImaginaryPowerProfile(float(prof.get("gamma", 0.5)))
+    amatrix = None if aprofile is not None else _pair_matrix(config.get("amatrix"), "config.amatrix", triple.dim)
+    psi = _psi(config.get("psi"), None if triple.nu.density is not None else len(triple.nu.atoms))
+    with _at("config"):
+        spec = MultiplierSpec(config.get("a_bound", np.inf), config.get("psi_bound", np.inf), amatrix, aprofile, psi)
+        spec.validate(triple.nu)
+    return triple, spec
+
+
+def cmd_multiplier(args) -> int:
+    config = _load_config(args.config)
     _require_keys(
         config,
         {"triple", "amatrix", "aprofile", "psi", "mode", "xi", "grid", "a_bound", "psi_bound"},
         "config",
     )
-    triple = _levy_triple(config.get("triple", {}), "config.triple")
-    amatrix = None
-    aprofile = None
-    if config.get("aprofile") is not None:
-        prof = config["aprofile"]
-        _require_keys(prof, {"type", "gamma"}, "config.aprofile")
-        if prof.get("type") != "imaginary_power":
-            raise ConfigError("config.aprofile.type", "unknown profile")
-        aprofile = ImaginaryPowerProfile(float(prof.get("gamma", 0.5)))
-    else:
-        amatrix = _pair_matrix(config.get("amatrix"), "config.amatrix", triple.dim)
-    psi = _psi(config.get("psi"), None if triple.nu.density is not None else len(triple.nu.atoms))
-    if config.get("a_bound") is not None or config.get("psi_bound") is not None:
-        spec = MultiplierSpec(
-            a_bound=float(config.get("a_bound", np.inf)),
-            psi_bound=float(config.get("psi_bound", np.inf)),
-            amatrix=amatrix,
-            aprofile=aprofile,
-            psi=psi,
-        )
-        try:
-            spec.validate(triple.nu)
-        except ValueError as exc:
-            raise ConfigError("config.a_bound", str(exc))
-    return triple, amatrix, aprofile, psi
-
-
-def cmd_multiplier(args) -> int:
-    config = _load_config(args.config)
-    triple, amatrix, aprofile, psi = _multiplier_from_config(config)
+    triple, spec = _multiplier_spec(config)
     mode = config.get("mode", "autonomous")
     if mode not in ("autonomous", "time"):
         raise ConfigError("config.mode", "expected 'autonomous' or 'time'")
-    if mode == "autonomous" and aprofile is not None:
+    if mode == "autonomous" and spec.aprofile is not None:
         raise ConfigError("config.mode", "autonomous mode needs a constant matrix")
     if config.get("xi") is not None:
-        xis = _frequencies(config["xi"], triple.dim)
+        xis, where = _frequencies(config["xi"], triple.dim), "config.xi"
     else:
         grid = config.get("grid", {})
-        _require_keys(grid, {"n", "halfwidth"}, "config.grid")
-        n = int(grid.get("n", 16))
-        w = float(grid.get("halfwidth", 4.0))
+        with _at("config.grid"):
+            _require_keys(grid, {"n", "halfwidth"}, "config.grid")
+            n, w = int(grid.get("n", 16)), float(grid.get("halfwidth", 4.0))
+            if n < 1:
+                raise ConfigError("config.grid.n", f"expected at least 1 point, got {n}")
         axis = np.linspace(-w, w, n)
         xis = np.array(list(itertools.product(axis, repeat=triple.dim)))
-        xis = xis[np.any(xis != 0.0, axis=1)]
-    if mode == "autonomous":
-        vals = multiplier_autonomous_grid(amatrix, psi, triple.diffusion, triple.nu, xis)
-    else:
-        spec = MultiplierSpec(a_bound=np.inf, psi_bound=np.inf, amatrix=amatrix, aprofile=aprofile, psi=psi)
-        vals = multiplier_time_dependent(spec, triple, xis)
+        # xi = 0 is left out: the multiplier is undefined elsewhere only for degenerate data
+        xis, where = xis[np.any(xis != 0.0, axis=1)], "config.triple"
+    with _at(where):
+        if mode == "autonomous":
+            vals = multiplier_autonomous_grid(spec.amatrix, spec.psi, triple.diffusion, triple.nu, xis)
+        else:
+            vals = multiplier_time_dependent(spec, triple, xis)
     rows = [tuple(float(x) for x in xi) + (float(val.real), float(val.imag)) for xi, val in zip(xis, vals)]
     header = tuple(f"xi{i+1}" for i in range(triple.dim)) + ("re_m", "im_m")
     payload = {"meta": _meta(args, config), "rows": [dict(zip(header, r)) for r in rows]}
@@ -414,7 +406,8 @@ def _stacked_symbol(kind: str, cfg: dict, pointer: str, group: str):
         empty = GroupLevyMeasure(group)
         return lambda stack: central_symbols(cmat, None, 1.0, empty, stack, None)[:2]
     if kind == "laplace":
-        profile = ImaginaryPowerProfile(float(cfg.get("gamma", 0.5)))
+        with _at(f"{pointer}.gamma"):
+            profile = ImaginaryPowerProfile(float(cfg.get("gamma", 0.5)))
         return lambda stack: laplace_symbols(profile, stack)
     raise ConfigError(f"{pointer}.kind", f"unknown symbol kind {kind!r}")
 
@@ -438,20 +431,22 @@ def cmd_symbol_group(args) -> int:
         "config",
     )
     group = config.get("group", "t1")
-    cutoff = float(config.get("cutoff", 3))
+    with _at("config.cutoff"):
+        cutoff = float(config.get("cutoff", 3))
     kind = config.get("kind", "riesz2")
-    dual = dual_enumerate(group, cutoff)
+    with _at("config"):
+        dual = dual_enumerate(group, cutoff)
     nu = _group_measure(group, config.get("atoms"), "config.atoms")
     bernstein = _bernstein(config.get("bernstein", {}), "config.bernstein") if kind == "subordination" else None
     psi = _psi(config.get("psi"), len(nu.atoms))
     if kind == "central":
         cmat = _pair_matrix(config.get("cmatrix"), "config.cmatrix", group_dim(group))
-        symbol = lambda stack: central_symbols(cmat, psi, float(config.get("c", 1.0)), nu, stack, None)
+        with _at("config.c"):
+            rows = stack_rows(dual, lambda st: central_symbols(cmat, psi, float(config.get("c", 1.0)), nu, st, None))
     elif kind == "subordination":
-        symbol = lambda stack: subordination_symbols(psi, bernstein, nu, stack)
+        rows = stack_rows(dual, lambda stack: subordination_symbols(psi, bernstein, nu, stack))
     else:
-        symbol = _stacked_symbol(kind, config, "config", group)
-    rows = stack_rows(dual, symbol)
+        rows = stack_rows(dual, _stacked_symbol(kind, config, "config", group))
     payload = {"meta": _meta(args, config), "kind": kind, "symbols": []}
     for pi, (block, defined, *_) in zip(dual, rows):
         skipped = H_ZERO if kind == "subordination" and pi.casimir > 0.0 else SKIPPED[kind]
@@ -468,26 +463,24 @@ def cmd_apply(args) -> int:
     config = _load_config(args.config)
     _require_keys(config, {"coeffs", "symbol"}, "config")
     coeffs = _coeff_table(config.get("coeffs", {}), "config.coeffs")
-    sym_cfg = dict(config.get("symbol", {}))
-    sym_cfg.setdefault("group", coeffs.group)
-    sym_cfg.setdefault("cutoff", coeffs.cutoff)
-
-    kind = sym_cfg.get("kind", "riesz2")
+    sym_cfg = config.get("symbol", {})
     _require_keys(sym_cfg, {"group", "cutoff", "kind", "cmatrix", "gamma", "trivial"}, "config.symbol")
+    sym_cfg = {"group": coeffs.group, "cutoff": coeffs.cutoff, **sym_cfg}
+    kind = sym_cfg.get("kind", "riesz2")
     if kind == "heat":
-        try:
+        with _at("config.symbol.gamma"):
             out = heat_coeffs(coeffs, float(sym_cfg.get("gamma", 1.0)))
-        except ValueError as exc:
-            raise ConfigError("config.symbol.gamma", str(exc))
     else:
-        dual = dual_enumerate(sym_cfg["group"], sym_cfg["cutoff"])
+        with _at("config.symbol"):
+            dual = dual_enumerate(sym_cfg["group"], sym_cfg["cutoff"])
         symbol = _stacked_symbol(kind, sym_cfg, "config.symbol", sym_cfg["group"])
         trivial = sym_cfg.get("trivial", 0.0)
         if isinstance(trivial, bool) or not isinstance(trivial, (int, float)):
             raise ConfigError("config.symbol.trivial", f"expected a number, got {trivial!r}")
         rows = zip(dual, stack_rows(dual, symbol))
         table = {pi.label: blk if ok else complex(trivial) * np.eye(pi.dim, dtype=complex) for pi, (blk, ok) in rows}
-        out = apply_symbol_coeffs(table, coeffs)
+        with _at("config.coeffs"):
+            out = apply_symbol_coeffs(table, coeffs)
     payload = {
         "meta": _meta(args, config),
         "group": out.group,
@@ -508,10 +501,8 @@ def cmd_norm_search(args) -> int:
         {"triple", "amatrix", "aprofile", "psi", "grid", "p", "trials", "refine", "band"},
         "config",
     )
-    triple, amatrix, aprofile, psi = _multiplier_from_config(
-        {k: config.get(k) for k in ("triple", "amatrix", "aprofile", "psi")}
-    )
-    if aprofile is not None:
+    triple, spec = _multiplier_spec(config)
+    if spec.aprofile is not None:
         raise ConfigError("config.aprofile", "norm search uses autonomous multipliers")
     n = _int_at_least(config, "grid", 32, 2)
     if n & (n - 1):
@@ -526,8 +517,9 @@ def cmd_norm_search(args) -> int:
         if isinstance(p, bool) or not isinstance(p, (int, float)) or not 1.0 < p < np.inf:
             raise ConfigError(f"config.p[{i}]", f"expected an exponent in (1, infinity), got {p!r}")
 
-    m = lambda xi: multiplier_autonomous_grid(amatrix, psi, triple.diffusion, triple.nu, xi)
-    values = symbol_on_lattice(m, (n,) * triple.dim)
+    m = lambda xi: multiplier_autonomous_grid(spec.amatrix, spec.psi, triple.diffusion, triple.nu, xi)
+    with _at("config.triple"):  # symbol_on_lattice sets xi = 0 aside: only degenerate data fails
+        values = symbol_on_lattice(m, (n,) * triple.dim)
     results = norm_lower_bound_search(
         values, ps, trials=trials, refine_steps=refine, seed=args.seed, band=band
     )
@@ -546,15 +538,16 @@ def cmd_simulate(args) -> int:
         "config",
     )
     group = config.get("group", "t1")
-    spec = GroupProcessSpec(
-        group=group,
-        c=float(config.get("c", 0.5)),
-        jumps=_group_measure(group, config.get("atoms"), "config.atoms"),
-        horizon=float(config.get("horizon", 1.0)),
-        dt=float(config.get("dt", 1.0 / 64)),
-        seed=args.seed,
-        drift=tuple(config.get("drift", ()) or ()),
-    )
+    with _at("config"):
+        spec = GroupProcessSpec(
+            group=group,
+            c=float(config.get("c", 0.5)),
+            jumps=_group_measure(group, config.get("atoms"), "config.atoms"),
+            horizon=float(config.get("horizon", 1.0)),
+            dt=float(config.get("dt", 1.0 / 64)),
+            seed=args.seed,
+            drift=tuple(config.get("drift", ()) or ()),
+        )
     coeffs = _coeff_table(config.get("f", {}), "config.f")
     amatrix = _pair_matrix(config.get("amatrix"), "config.amatrix", group_dim(group))
     psi = _psi(config.get("psi"), len(spec.jumps.atoms))
@@ -562,7 +555,8 @@ def cmd_simulate(args) -> int:
     sigma_mode = config.get("sigma", "haar")
     if sigma_mode not in ("haar", "identity"):
         raise ConfigError("config.sigma", f"expected 'haar' or 'identity', got {sigma_mode!r}")
-    ctx = transform_context(spec, coeffs)
+    with _at("config.f"):
+        ctx = transform_context(spec, coeffs)
     out_path = args.out or "transcripts.jsonl.gz"
     summary = {"paths": paths, "max_violation": -np.inf, "max_repr_gap": 0.0}
     x_final = np.zeros(paths, dtype=complex)

@@ -61,6 +61,8 @@ def multiplier_autonomous_grid(
             / [ a xi . xi + int (1 - cos(xi.y)) nu(dy) ],   L L^T = 2a.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    if not np.all(np.any(xi != 0.0, axis=1)):  # the denominator is 0 there: refused before any work
+        raise ValueError("zero-symbol frequency: denominator vanishes at xi = 0")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     amatrix = pair_matrix(amatrix, len(a))
     u = xi @ factor_diffusion(a)  # rows are L^T xi
@@ -82,7 +84,7 @@ def multiplier_autonomous_grid(
         if psi is not None:
             num = num + sums[1]
     if np.any(den <= 0.0):
-        raise ValueError("zero-symbol frequency: denominator vanishes (xi = 0 or degenerate data)")
+        raise ValueError("zero-symbol frequency: denominator vanishes (degenerate data)")
     return (num + 0.0j) / den
 
 

@@ -187,9 +187,9 @@ def torus_irrep(group: str, label) -> Irrep:
 
 
 def dual_enumerate(group: str, cutoff) -> list:
-    """Irreps up to the cutoff: |k| (tori) or spin j (SU(2))."""
-    if cutoff < 0.5:
-        raise ValueError("cutoff must be at least 1 (or spin 1/2)")
+    """Irreps up to the cutoff: |k| <= int(cutoff), at least 1, on the tori; spin j on SU(2), cutoff at least 1/2."""
+    if group in (T1, T2) and int(cutoff) < 1 or group == SU2 and cutoff < 0.5:
+        raise ValueError(f"cutoff must be at least 1 on the tori and spin 1/2 on SU(2), got {cutoff!r}")
     if group == T1:
         c = int(cutoff)
         return [torus_irrep(T1, k) for k in range(-c, c + 1)]
@@ -305,14 +305,16 @@ def irrep_stack_batch(irreps, gs) -> np.ndarray:
     Torus characters e^{i k . theta} are separable: e^{i theta_a u} is
     taken once for each distinct value u of each coordinate axis a of the
     labels, and a label's character is read from the row-major product of
-    these per-axis tables (on T^2, e^{i theta_1 k_1} e^{i theta_2 k_2}).
-    Labels with no fewer distinct values than labels (one label, a sparse
-    set, any T^1 stack without repeats) take the exponential of k . theta
-    directly.  On T^1 either way gives exactly np.exp(1j * theta * k).
+    these per-axis tables.  Labels with no fewer distinct values than labels
+    (one label, a sparse set, a T^1 stack without repeats) take their factors
+    directly, the same bits: a T^2 character does not depend on its stack.
     """
     if irreps[0].group in (T1, T2):
         theta = np.atleast_2d(np.asarray(gs, dtype=float))
         k, tables = _torus_labels(tuple(pi.label for pi in irreps))
+        if tables is None and k.shape[1] == 2:
+            factors = np.exp(1j * (theta[:, None, :] * k))
+            return (factors[:, :, 0] * factors[:, :, 1])[:, :, None, None]
         if tables is None:
             return np.exp(1j * (theta @ k.T))[:, :, None, None]
         axis, values, sizes, cols = tables

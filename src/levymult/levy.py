@@ -98,8 +98,6 @@ class RadialDensity:
 
         ``refine`` scales the node counts; refine=2 is the refinement pass.
         """
-        if dim > 2:
-            raise ValueError("density quadrature supports dimensions 1 and 2 only")
         r, wr = _log_gl_nodes(self.inner, self.outer, self.nodes * refine)
         if dim == 1:
             dirs = np.array([[1.0], [-1.0]])
@@ -126,6 +124,8 @@ class LevyMeasureRn:
     density: Optional[RadialDensity] = None
 
     def __post_init__(self):
+        if self.density is not None and self.dim > 2:
+            raise ValueError("density quadrature supports dimensions 1 and 2 only")
         pts, masses = [], []
         for point, mass in self.atoms:
             p = np.atleast_1d(np.asarray(point, dtype=float))

@@ -66,18 +66,19 @@ from .symbols import central_symbols, laplace_symbols, subordination_symbols
 MULTIPLIER_GRID, MULTIPLIER_TOL = 64, 1e-9  # 1: lattice side, slack on |m| <= 1
 RIESZ_GRID, RIESZ_CUTOFF, RIESZ_RTOL = 64, 5, 1e-10  # 2
 SEARCH_INTERVAL_SPECS, SEARCH_GROUP_SPECS = 40, 12  # 3: cases after the n_specs random pairs
-SEARCH_PS, SEARCH_GRID = (1.5, 2.0, 3.0, 4.0), 32
-SEARCH_SLACK, SEARCH_P2_TOL = 3e-2, 1e-9  # over p* - 1, and over the lattice sup at p = 2
+SEARCH_PS, SEARCH_GRID, SEARCH_TRIALS, SEARCH_STEPS = (1.5, 2.0, 3.0, 4.0), 32, 4, 4
+SEARCH_SLACK, SEARCH_P2_TOL, SEARCH_INTERVAL_SLACK = 3e-2, 1e-9, 1e-9  # over p* - 1, p = 2 sup, interval bound
 PLANCHEREL_PAIRS, PLANCHEREL_TOL = 100, 1e-6  # 4: pairs per group
 CASIMIR_TORUS_CUTOFF, CASIMIR_SPIN_CUTOFF, CASIMIR_TOL = 16, 8.0, 1e-10  # 5
 POWER_KAPPAS, POWER_GAMMAS = (1.0, 4.0, 9.0), (0.5, 1.0)  # 6
 POWER_TOL, PREFACTOR_TOL = 1e-6, 1e-10
 INCREMENT_TOL = 1e-12  # 7: quadratic-variation increments
 BURKHOLDER_PS, BURKHOLDER_HORIZONS = (1.5, 2.0, 3.0), (0.5, 1.0, 2.0)  # 8
+SIGMAS = 3.0  # 8-11: Monte Carlo gates, in standard errors
 PROJECTION_DT = 1 / 256  # 9
 ORACLE_TOL = 1e-8  # 10: scalar against matrix oracle
 SYMBOL_TOL = 1e-10  # 11: subordination against central symbol
-CONSTANTS_DRAWS = 10000  # 12: random (p, b, B)
+CONSTANTS_DRAWS, CONSTANTS_TOL = 10000, 1e-12  # 12: random (p, b, B); sandwich slack and duality error
 
 
 @dataclass
@@ -249,16 +250,16 @@ def check_norm_search(n_specs=200, seed=20242) -> CheckResult:
             sym = multiplier_autonomous_grid(amat, np.zeros(0), a, LevyMeasureRn(dim=2), xi)
         else:
             sym = multiplier_autonomous_grid(*_random_multiplier_fixture(gen), xi)
-        vals = np.concatenate([[0.0], sym])
+        vals = np.concatenate([[0.0], sym]).reshape(shape)
         sup_lattice = float(np.max(np.abs(vals)))
-        for res in norm_lower_bound_search(vals.reshape(shape), SEARCH_PS, trials=4, refine_steps=4, seed=seed + i):
+        for res in norm_lower_bound_search(vals, SEARCH_PS, trials=SEARCH_TRIALS, refine_steps=SEARCH_STEPS, seed=seed + i):
             if interval_case:
                 worst_interval = max(worst_interval, res.ratio - cpbB_bounds(res.p, b, bb).upper)
             else:
                 worst_gap = max(worst_gap, res.ratio - (p_star(res.p) - 1.0))
                 if res.p == 2.0:
                     worst_p2 = max(worst_p2, res.ratio - sup_lattice)
-    passed = worst_gap <= SEARCH_SLACK and worst_p2 <= SEARCH_P2_TOL and worst_interval <= 1e-9
+    passed = worst_gap <= SEARCH_SLACK and worst_p2 <= SEARCH_P2_TOL and worst_interval <= SEARCH_INTERVAL_SLACK
     return CheckResult(
         "norm-search",
         passed,
@@ -420,9 +421,9 @@ def check_burkholder(paths=10000, seed=20245) -> CheckResult:
         for p in BURKHOLDER_PS:
             ratio, se = empirical_burkholder(ens, p)
             bound = p_star(p) - 1.0
-            ok = ratio <= bound * (1.0 + 3.0 * se / ratio)
-            passed = passed and ok and (p != 2.0 or ratio <= 1.0 + 3.0 * se)
-            margins.append(bound * (1 + 3 * se / ratio) - ratio)
+            ok = ratio <= bound * (1.0 + SIGMAS * se / ratio)
+            passed = passed and ok and (p != 2.0 or ratio <= 1.0 + SIGMAS * se)
+            margins.append(bound * (1 + SIGMAS * se / ratio) - ratio)
     return CheckResult(
         "burkholder",
         passed,
@@ -460,7 +461,7 @@ def check_projection(paths=10000, seed=20246) -> CheckResult:
         worst_z = max(worst_z, abs(est.mc_value - est.deterministic) / est.stderr)
     return CheckResult(
         "projection",
-        worst_z <= 3.0,
+        worst_z <= SIGMAS,
         {"max_z": worst_z, "fixtures": len(fixtures), "paths": paths},
     )
 
@@ -473,7 +474,7 @@ def check_central_char(paths=10000, seed=20247) -> CheckResult:
     reports = central_char_report(spec, pis, paths)
     worst_sig = max(max(r.max_sigmas("scalar"), r.max_sigmas("matrix")) for r in reports)
     worst_oracle = max(float(np.max(np.abs(r.scalar_oracle - r.matrix_oracle))) for r in reports)
-    passed = worst_sig <= 3.0 and worst_oracle <= ORACLE_TOL and all(r.is_central for r in reports)
+    passed = worst_sig <= SIGMAS and worst_oracle <= ORACLE_TOL and all(r.is_central for r in reports)
     return CheckResult(
         "central-levy-khintchine",
         passed,
@@ -520,7 +521,7 @@ def check_subordination(paths=10000, seed=20248) -> CheckResult:
         direct, _ = subordination_symbols(psi, hb, nu, [pi])
         via_central, _, _ = central_symbols(None, psi, 0.0, nu, [pi], -bernstein_eval(hb, np.array([pi.casimir])))
         worst_sym = max(worst_sym, float(np.max(np.abs(direct - via_central))))
-    passed = worst_z <= 3.0 and worst_sym <= SYMBOL_TOL
+    passed = worst_z <= SIGMAS and worst_sym <= SYMBOL_TOL
     return CheckResult(
         "subordination",
         passed,
@@ -543,11 +544,11 @@ def check_constants(seed=20249) -> CheckResult:
         b = float(gen.uniform(-3.0, 2.0))
         bb = float(gen.uniform(b + 1e-6, 3.0))
         bounds = cpbB_bounds(p, b, bb)
-        sandwich_ok = sandwich_ok and bounds.lower <= bounds.upper + 1e-12
+        sandwich_ok = sandwich_ok and bounds.lower <= bounds.upper + CONSTANTS_TOL
         duality_worst = max(
             duality_worst, abs(burkholder_constant(p) - burkholder_constant(p / (p - 1.0)))
         )
-    passed = exact_ok and collapse_ok and sandwich_ok and duality_worst <= 1e-12
+    passed = exact_ok and collapse_ok and sandwich_ok and duality_worst <= CONSTANTS_TOL
     return CheckResult(
         "constants",
         passed,

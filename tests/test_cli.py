@@ -2,6 +2,7 @@ import gzip
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,8 +424,11 @@ def test_unknown_nested_key_points_into_the_config(tmp_path, capsys, command, co
     assert f"config error at '{pointer}': unknown key" in capsys.readouterr().err
 
 
+R1 = {"diffusion": [[1.0]]}
 R2 = {"diffusion": [[1.0, 0.0], [0.0, 1.0]]}
 APPLY_T1 = {"group": "t1", "cutoff": 1, "blocks": [{"label": 0, "matrix": [[1.0]]}, {"label": 1, "matrix": [[0.5]]}]}
+DENSITY = {"profile": {"type": "power", "alpha": 1.2}, "inner": 1e-3, "outer": 10.0, "nodes": 16}
+SU2_SIMULATE = {**SIMULATE_CONFIG, "group": "su2", "atoms": [], "f": {"group": "su2", "cutoff": 0.5, "blocks": []}, "amatrix": None, "psi": None}
 
 
 @pytest.mark.parametrize(
@@ -448,6 +452,37 @@ APPLY_T1 = {"group": "t1", "cutoff": 1, "blocks": [{"label": 0, "matrix": [[1.0]
         (["simulate"], {**SIMULATE_CONFIG, "group": "t2", "atoms": [], "f": {"group": "t2", "cutoff": 1, "blocks": []}}, "config.amatrix"),
         (["multiplier"], {"triple": R2, "amatrix": [[1.0]], "xi": [[1.0, 0.5]]}, "config.amatrix"),
         (["apply"], {"coeffs": APPLY_T1, "symbol": {"kind": "laplace", "trivial": None}}, "config.symbol.trivial"),
+        # values the library refuses, each reported at the config section it was built from
+        (["symbol"], {"triple": {"diffusion": [[1.0, 0.5], [0.0, 1.0]]}, "xi": [[1.0, 0.0]]}, "config.triple"),
+        (["symbol"], {"triple": {"diffusion": [[1.0, 0.0], [0.0, -1.0]]}, "xi": [[1.0, 0.0]]}, "config.triple"),
+        (["symbol"], {"triple": {**R1, "drift": [0.0, 1.0]}, "xi": [[1.0]]}, "config.triple"),
+        (["symbol"], {"triple": {**R1, "atoms": [{"point": [0.0], "mass": 1.0}]}, "xi": [[1.0]]}, "config.triple"),
+        (["symbol"], {"triple": {**R1, "atoms": [{"mass": 1.0}]}, "xi": [[1.0]]}, "config.triple"),
+        (["symbol"], {"triple": {**R1, "density": {**DENSITY, "inner": 10.0, "outer": 1.0}}, "xi": [[1.0]]}, "config.triple"),
+        (["symbol"], {"triple": {**R1, "density": {**DENSITY, "nodes": 4}}, "xi": [[1.0]]}, "config.triple"),
+        (["symbol"], {"triple": {"diffusion": np.eye(3).tolist(), "density": DENSITY}, "xi": [[1.0, 0.0, 0.0]]}, "config.triple"),
+        (["simulate"], {**SIMULATE_CONFIG, "dt": 0}, "config"),
+        (["simulate"], {**SIMULATE_CONFIG, "dt": 0.3}, "config"),
+        (["simulate"], {**SIMULATE_CONFIG, "c": -0.1}, "config"),
+        (["simulate"], {**SIMULATE_CONFIG, "c": "x"}, "config"),
+        (["simulate"], {**SU2_SIMULATE, "drift": [0.1, 0.0, 0.0]}, "config"),
+        (["simulate"], {**SIMULATE_CONFIG, "atoms": [{"angle": [0.0], "mass": 1.0}]}, "config.atoms"),
+        (["simulate"], {**SIMULATE_CONFIG, "f": {"group": "t2", "cutoff": 1, "blocks": []}}, "config.f"),
+        (["symbol-group"], {"group": "t3", "cutoff": 2}, "config"),
+        (["symbol-group"], {"group": "t1", "cutoff": 0.7}, "config"),
+        (["symbol-group"], {"group": "t1", "cutoff": "x"}, "config.cutoff"),
+        (["symbol-group"], {"group": "t1", "cutoff": 2, "kind": "laplace", "gamma": "x"}, "config.gamma"),
+        (["symbol-group"], {"group": "t1", "cutoff": 2, "kind": "central", "c": -0.5}, "config.c"),
+        (["symbol-group"], {"group": "t1", "kind": "subordination", "psi": 0.5, "bernstein": {"c": -1.0}}, "config.bernstein"),
+        (
+            ["symbol-group"],
+            {"group": "t1", "kind": "subordination", "psi": 0.5, "bernstein": {"atoms": [{"y": 0.0, "mass": 1.0}]}},
+            "config.bernstein",
+        ),
+        (["multiplier"], {"triple": R1, "amatrix": [[1.0]], "grid": {"n": 0}}, "config.grid.n"),
+        (["multiplier"], {"triple": R1, "amatrix": [[1.0]], "xi": [[1.0], [0.0]]}, "config.xi"),
+        (["apply"], {"coeffs": {**APPLY_T1, "blocks": [{"label": 3, "matrix": [[0.5]]}]}, "symbol": {"kind": "riesz2"}}, "config.coeffs"),
+        (["norm-search"], {"triple": {"diffusion": [[1.0, 0.0], [0.0, 0.0]]}, "grid": 8, "trials": 1, "refine": 0}, "config.triple"),
     ],
 )
 def test_bad_input_exits_2_with_a_pointer(tmp_path, capsys, argv, config, pointer):
@@ -459,8 +494,47 @@ def test_bad_input_exits_2_with_a_pointer(tmp_path, capsys, argv, config, pointe
         argv = argv + ["--config", str(cfg)]
     out = tmp_path / "out"
     assert cli.main(["--out", str(out), *argv]) == 2
-    assert f"config error at '{pointer}'" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"config error at '{pointer}'" in captured.err
+    assert captured.out == ""
     assert not out.exists()
+
+
+def test_density_quadrature_that_does_not_stabilise_exits_3(tmp_path):
+    density = {"profile": {"type": "power", "alpha": 0.5}, "inner": 1e-3, "outer": 100.0, "nodes": 8}
+    cfg = tmp_path / "symbol.json"
+    cfg.write_text(json.dumps({"triple": {"diffusion": [[0.0]], "density": density}, "xi": [[40.0]]}))
+    proc = run_cli("symbol", "--config", str(cfg), check=False)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure: density quadrature did not stabilise")
+    assert proc.stdout == ""
+
+
+def _readme_config_sketches():
+    """(file name, config) of each sketch under "Config sketches" in the README, its `//` name line dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Config sketches", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    sketches = {}
+    for line in block.strip().splitlines():
+        if line.startswith("//"):
+            name = line[2:].strip()
+            sketches[name] = []
+        else:
+            sketches[name].append(line)
+    return [(name, json.loads("\n".join(lines))) for name, lines in sketches.items()]
+
+
+README_SKETCHES = _readme_config_sketches()
+README_COMMANDS = {"multiplier.json": "multiplier", "simulate.json": "simulate"}
+
+
+@pytest.mark.parametrize("name, config", README_SKETCHES, ids=[name for name, _ in README_SKETCHES])
+def test_readme_config_sketches_run(tmp_path, name, config):
+    from levymult import cli
+
+    cfg = tmp_path / name
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["--out", str(tmp_path / "out"), README_COMMANDS[name], "--config", str(cfg)]) == 0
 
 
 ONE_ATOM = {"diffusion": [[1.0]], "atoms": [{"point": [0.5], "mass": 1.0}]}

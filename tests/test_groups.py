@@ -29,6 +29,12 @@ from levymult.groups import (
 # -- duals ---------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("group, cutoff", [("t1", 0.7), ("t2", 0.99), ("t2", -1), ("su2", 0.2), ("t3", 2)])
+def test_dual_enumerate_refuses_a_cutoff_below_the_first_nontrivial_irrep(group, cutoff):
+    with pytest.raises(ValueError):
+        dual_enumerate(group, cutoff)
+
+
 def test_t2_dual_count_and_casimir():
     dual = dual_enumerate("t2", 1)
     assert len(dual) == 9
@@ -111,6 +117,16 @@ def test_t2_characters_match_the_exponential_of_the_phase(labels):
     chars = irrep_stack_batch([torus_irrep("t2", k) for k in labels], theta)
     assert chars.shape == (400, len(labels), 1, 1)
     assert np.max(np.abs(chars[:, :, 0, 0] - np.exp(1j * theta @ np.array(labels, dtype=float).T))) <= 1e-14
+
+
+def test_t2_characters_do_not_depend_on_the_stack():
+    theta = haar_sample("t2", rngmod.stream(8, 3), 500)
+    dual = dual_enumerate("t2", 3)
+    whole = irrep_stack_batch(dual, theta)
+    for i, pi in enumerate(dual):
+        assert irrep_stack_batch([pi], theta).tobytes() == whole[:, [i]].tobytes()
+    sparse = [5, 40, 12, 5, 27]
+    assert irrep_stack_batch([dual[i] for i in sparse], theta).tobytes() == whole[:, sparse].tobytes()
 
 
 @pytest.mark.parametrize("labels", [[-3, 5, -1, 0, 2], [4, -4, 4, 0, -7, 0]], ids=["distinct", "repeats"])

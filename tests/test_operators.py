@@ -424,3 +424,33 @@ def test_cli_norm_search_evaluates_the_multiplier_once(tmp_path, monkeypatch, ca
     assert calls == [16 * 16 - 1, 1]  # once on the nonzero frequencies, once on xi = 0 alone (where it raises)
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [row["p"] for row in rows] == [1.5, 2.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        {"diffusion": [[0.2, 0.0], [0.0, 0.1]], "atoms": [{"point": [0.3, -0.2], "mass": 0.5}]},
+        {
+            "diffusion": [[0.2, 0.0], [0.0, 0.1]],
+            "density": {"profile": {"type": "exp", "scale": 1.1}, "inner": 0.06, "outer": 0.45, "nodes": 24},
+        },
+    ],
+    ids=["atoms", "density"],
+)
+def test_cli_norm_search_factors_the_diffusion_once(tmp_path, monkeypatch, capsys, triple):
+    import json
+
+    from levymult import cli, euclid
+
+    calls = []
+    original = euclid.factor_diffusion
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(euclid, "factor_diffusion", counted)
+    cfg = tmp_path / "ns.json"
+    cfg.write_text(json.dumps({"triple": triple, "amatrix": [[0.5, 0.0], [0.0, -0.5]], "psi": 0.3, "grid": 8}))
+    assert cli.main(["norm-search", "--config", str(cfg)]) == 0
+    assert len(calls) == 1  # xi = 0 is refused before the diffusion is factored
