@@ -78,8 +78,16 @@ def _at(pointer: str):
         yield
     except (ConfigError, np.linalg.LinAlgError):
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, LookupError) as exc:
         raise ConfigError(pointer, f"{type(exc).__name__}: {exc}") from exc
+
+
+def _finite(text: str) -> float:
+    """A number of a config (standard JSON, RFC 8259) or a flag: NaN, +-infinity and overflowing literals are refused."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def _require_keys(obj: dict, allowed, pointer: str):
@@ -90,10 +98,11 @@ def _require_keys(obj: dict, allowed, pointer: str):
             raise ConfigError(f"{pointer}.{key}", "unknown key")
 
 
-def _int_at_least(config: dict, key: str, default: int, low: int) -> int:
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not low <= value < np.inf:
-        raise ConfigError(f"config.{key}", f"expected a number >= {low}, got {value!r}")
+def _int_at_least(obj: dict, key: str, default: int, low: int, pointer: str) -> int:
+    """``obj[key]`` (``default`` when absent), an integer of at least ``low``, or a ``ConfigError`` at ``pointer.key``."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 or value < low:
+        raise ConfigError(f"{pointer}.{key}", f"expected an integer >= {low}, got {value!r}")
     return int(value)
 
 
@@ -146,7 +155,7 @@ def _radial_density(obj, pointer: str) -> RadialDensity:
         profile=fn,
         inner=float(obj.get("inner", 1e-4)),
         outer=float(obj.get("outer", 1e3)),
-        nodes=int(obj.get("nodes", 96)),
+        nodes=_int_at_least(obj, "nodes", 96, 1, pointer),
     )
 
 
@@ -191,7 +200,7 @@ def _bernstein(obj, pointer: str) -> BernsteinSpec:
                 profile=fn,
                 inner=float(dobj.get("inner", 1e-6)),
                 outer=float(dobj.get("outer", 1e4)),
-                nodes=int(dobj.get("nodes", 32)),
+                nodes=_int_at_least(dobj, "nodes", 32, 1, f"{pointer}.density"),
             )
         return BernsteinSpec(c=float(obj.get("c", 0.0)), atoms=tuple(atoms), density=density)
 
@@ -249,10 +258,10 @@ def _complex_matrix_json(mat: np.ndarray):
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_finite, parse_constant=_finite)
     except FileNotFoundError:
         raise ConfigError(path, "config file not found")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(path, f"invalid JSON: {exc}")
 
 
@@ -294,7 +303,8 @@ def _fields_but_p(report) -> dict:
 
 
 def cmd_constants(args) -> int:
-    report = constant_report(args.p, args.b, args.B)
+    with _at("--p --b --B"):
+        report = constant_report(args.p, args.b, args.B)
     payload = {
         "meta": _meta(args, {"p": args.p, "b": args.b, "B": args.B}),
         "p": report.p,
@@ -379,9 +389,7 @@ def cmd_multiplier(args) -> int:
         grid = config.get("grid", {})
         with _at("config.grid"):
             _require_keys(grid, {"n", "halfwidth"}, "config.grid")
-            n, w = int(grid.get("n", 16)), float(grid.get("halfwidth", 4.0))
-            if n < 1:
-                raise ConfigError("config.grid.n", f"expected at least 1 point, got {n}")
+            n, w = _int_at_least(grid, "n", 16, 1, "config.grid"), float(grid.get("halfwidth", 4.0))
         axis = np.linspace(-w, w, n)
         xis = np.array(list(itertools.product(axis, repeat=triple.dim)))
         # xi = 0 is left out: the multiplier is undefined elsewhere only for degenerate data
@@ -504,12 +512,12 @@ def cmd_norm_search(args) -> int:
     triple, spec = _multiplier_spec(config)
     if spec.aprofile is not None:
         raise ConfigError("config.aprofile", "norm search uses autonomous multipliers")
-    n = _int_at_least(config, "grid", 32, 2)
+    n = _int_at_least(config, "grid", 32, 2, "config")
     if n & (n - 1):
         raise ConfigError("config.grid", f"{n} is not a power of two")
-    trials = _int_at_least(config, "trials", 8, 1)
-    refine = _int_at_least(config, "refine", 6, 0)
-    band = None if config.get("band") is None else _int_at_least(config, "band", None, 1)
+    trials = _int_at_least(config, "trials", 8, 1, "config")
+    refine = _int_at_least(config, "refine", 6, 0, "config")
+    band = None if config.get("band") is None else _int_at_least(config, "band", None, 1, "config")
     ps = config.get("p", [2.0])
     if not isinstance(ps, list):
         raise ConfigError("config.p", "expected a list of exponents")
@@ -551,7 +559,7 @@ def cmd_simulate(args) -> int:
     coeffs = _coeff_table(config.get("f", {}), "config.f")
     amatrix = _pair_matrix(config.get("amatrix"), "config.amatrix", group_dim(group))
     psi = _psi(config.get("psi"), len(spec.jumps.atoms))
-    paths = _int_at_least(config, "paths", 100, 1)
+    paths = _int_at_least(config, "paths", 100, 1, "config")
     sigma_mode = config.get("sigma", "haar")
     if sigma_mode not in ("haar", "identity"):
         raise ConfigError("config.sigma", f"expected 'haar' or 'identity', got {sigma_mode!r}")
@@ -644,14 +652,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="sharp-constant report")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--B", type=float, default=None)
+    p.add_argument("--p", type=_finite, required=True)
+    p.add_argument("--b", type=_finite, default=None)
+    p.add_argument("--B", type=_finite, default=None)
     p.set_defaults(fn=cmd_constants)
 
     p = sub.add_parser("dual", help="enumerate a unitary dual")
     p.add_argument("--group", choices=("t1", "t2", "su2"), required=True)
-    p.add_argument("--cutoff", type=float, required=True)
+    p.add_argument("--cutoff", type=_finite, required=True)
     p.set_defaults(fn=cmd_dual)
 
     for name, fn in (

@@ -178,16 +178,17 @@ def su2_irrep(j: float) -> Irrep:
 
 
 def torus_irrep(group: str, label) -> Irrep:
-    if group == T1:
-        k = int(label)
-        return Irrep(T1, k, 1, float(k * k), (np.array([[1j * k]]),))
-    k1, k2 = (int(label[0]), int(label[1]))
-    gens = (np.array([[1j * k1]]), np.array([[1j * k2]]))
-    return Irrep(T2, (k1, k2), 1, float(k1 * k1 + k2 * k2), gens)
+    """The character of a label of ``group_dim(group)`` integers: a number on T^1, a pair on T^2."""
+    given = (label,) if group == T1 else tuple(label)
+    ks = tuple(map(int, given))
+    if ks != given or len(ks) != group_dim(group):
+        raise ValueError(f"a {group} label is {group_dim(group)} integer(s), got {label!r}")
+    gens = tuple([np.array([[1j * k]]) for k in ks])
+    return Irrep(group, ks[0] if group == T1 else ks, 1, float(sum([k * k for k in ks])), gens)
 
 
 def dual_enumerate(group: str, cutoff) -> list:
-    """Irreps up to the cutoff: |k| <= int(cutoff), at least 1, on the tori; spin j on SU(2), cutoff at least 1/2."""
+    """Irreps up to the cutoff (>= 1 on the tori, >= 1/2 on SU(2)): |k| <= int(cutoff); spins j <= int(2 cutoff) / 2."""
     if group in (T1, T2) and int(cutoff) < 1 or group == SU2 and cutoff < 0.5:
         raise ValueError(f"cutoff must be at least 1 on the tori and spin 1/2 on SU(2), got {cutoff!r}")
     if group == T1:
@@ -201,7 +202,7 @@ def dual_enumerate(group: str, cutoff) -> list:
             for k2 in range(-c, c + 1)
         ]
     if group == SU2:
-        twice_max = int(round(2 * cutoff))
+        twice_max = int(2 * cutoff)
         return [su2_irrep(t / 2.0) for t in range(twice_max + 1)]
     raise ValueError(f"unknown group {group!r}")
 
@@ -390,6 +391,12 @@ class PeterWeylCoeffs:
     cutoff: float
     blocks: dict
 
+    def __post_init__(self):
+        for label, block in self.blocks.items():
+            d = 2 * label + 1 if self.group == SU2 else 1  # d_pi from the label: no Irrep per block
+            if np.shape(block) != (d, d):
+                raise ValueError(f"the block of {label!r} is {np.shape(block)}, not d_pi x d_pi = {d} x {d}")
+
     def labels(self):
         return sorted(self.blocks.keys())
 
@@ -405,9 +412,8 @@ class PeterWeylCoeffs:
 
     def l2_norm(self) -> float:
         total = 0.0
-        for label, block in self.blocks.items():
-            d = get_irrep(self.group, label).dim
-            total += d * float(np.sum(np.abs(block) ** 2))
+        for block in self.blocks.values():
+            total += len(block) * float(np.sum(np.abs(block) ** 2))
         return np.sqrt(total)
 
 
@@ -418,8 +424,7 @@ def plancherel_pairing(f: PeterWeylCoeffs, g: PeterWeylCoeffs) -> complex:
         gb = g.blocks.get(label)
         if gb is None:
             continue
-        d = get_irrep(f.group, label).dim
-        total += d * np.trace(fb @ gb.conj().T)
+        total += len(fb) * np.trace(fb @ gb.conj().T)
     return complex(total)
 
 
@@ -483,7 +488,7 @@ def _half_integer_phases(alpha, top: int) -> np.ndarray:
 def _su2_grid_synthesis(coeffs: PeterWeylCoeffs, grid: GroupQuadrature) -> np.ndarray:
     """f on the grid; exact evaluation of any table, whatever its spins and the grid's band."""
     alpha, beta, _, _, n_beta = grid.euler
-    spins = [(get_irrep(SU2, label).dim, np.asarray(block)) for label, block in coeffs.blocks.items()]
+    spins = [(len(block), np.asarray(block)) for block in coeffs.blocks.values()]
     top = max((d - 1 for d, _ in spins), default=0)
     table = np.zeros((2 * top + 1, n_beta, 2 * top + 1), dtype=complex)
     for d, block in spins:

@@ -319,6 +319,8 @@ class PositiveDensity:
     def __post_init__(self):
         if not (0.0 < self.inner < self.outer):
             raise ValueError("need 0 < inner < outer")
+        if self.nodes < 1:
+            raise ValueError("need at least 1 node per decade")
 
     @cached_property
     def quadratures(self):

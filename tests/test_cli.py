@@ -1,11 +1,15 @@
+import contextlib
 import gzip
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 RUN = [sys.executable, "-m", "levymult.cli"]
 
@@ -429,6 +433,12 @@ R2 = {"diffusion": [[1.0, 0.0], [0.0, 1.0]]}
 APPLY_T1 = {"group": "t1", "cutoff": 1, "blocks": [{"label": 0, "matrix": [[1.0]]}, {"label": 1, "matrix": [[0.5]]}]}
 DENSITY = {"profile": {"type": "power", "alpha": 1.2}, "inner": 1e-3, "outer": 10.0, "nodes": 16}
 SU2_SIMULATE = {**SIMULATE_CONFIG, "group": "su2", "atoms": [], "f": {"group": "su2", "cutoff": 0.5, "blocks": []}, "amatrix": None, "psi": None}
+APPLY_T2_COEFFS = {"group": "t2", "cutoff": 1, "blocks": [{"label": [1, 0], "matrix": [[1.0]]}, {"label": [0, 1], "matrix": [[2.0]]}]}
+BERNSTEIN_DENSITY = {"profile": {"type": "stable_half"}, "inner": 1e-3, "outer": 100.0, "nodes": 8}
+BERNSTEIN_DENSITY_CONFIG = {
+    "group": "su2", "cutoff": 1.5, "kind": "subordination", "psi": 0.5, "atoms": SU2_ATOM,
+    "bernstein": {"c": 0.1, "density": BERNSTEIN_DENSITY},
+}
 
 
 @pytest.mark.parametrize(
@@ -483,6 +493,21 @@ SU2_SIMULATE = {**SIMULATE_CONFIG, "group": "su2", "atoms": [], "f": {"group": "
         (["multiplier"], {"triple": R1, "amatrix": [[1.0]], "xi": [[1.0], [0.0]]}, "config.xi"),
         (["apply"], {"coeffs": {**APPLY_T1, "blocks": [{"label": 3, "matrix": [[0.5]]}]}, "symbol": {"kind": "riesz2"}}, "config.coeffs"),
         (["norm-search"], {"triple": {"diffusion": [[1.0, 0.0], [0.0, 0.0]]}, "grid": 8, "trials": 1, "refine": 0}, "config.triple"),
+        # torus labels of the wrong length, each a traceback or silently cut before
+        (["apply"], {"coeffs": {**APPLY_T2_COEFFS, "blocks": [{"label": [1], "matrix": [[1.0]]}]}, "symbol": {"kind": "riesz2"}}, "config.coeffs"),
+        (["apply"], {"coeffs": {**APPLY_T2_COEFFS, "blocks": [{"label": [1, 0, 0], "matrix": [[1.0]]}]}, "symbol": {"kind": "riesz2"}}, "config.coeffs"),
+        (["constants", "--p", "0.5"], None, "--p --b --B"),
+        (["constants", "--p", "3", "--b", "1", "--B", "-1"], None, "--p --b --B"),
+        # blocks that are not d_pi x d_pi
+        (["simulate"], {**SU2_SIMULATE, "f": {"group": "su2", "cutoff": 0.5, "blocks": [{"label": 0.5, "matrix": np.eye(2, 3).tolist()}]}}, "config.f"),
+        (["apply"], {"coeffs": {**APPLY_T1, "blocks": [{"label": 1, "matrix": [[0.5, 0.5]]}]}, "symbol": {"kind": "riesz2"}}, "config.coeffs"),
+        # integers that are not integers
+        (["apply"], {"coeffs": {**APPLY_T1, "blocks": [{"label": 1.5, "matrix": [[0.5]]}]}, "symbol": {"kind": "riesz2"}}, "config.coeffs"),
+        (["simulate"], {**SIMULATE_CONFIG, "paths": 2.5}, "config.paths"),
+        (["multiplier"], {"triple": R1, "amatrix": [[1.0]], "grid": {"n": 2.5}}, "config.grid.n"),
+        (["symbol"], {"triple": {**R1, "density": {**DENSITY, "nodes": 16.5}}, "xi": [[1.0]]}, "config.triple.density.nodes"),
+        (["symbol-group"], {**BERNSTEIN_DENSITY_CONFIG, "bernstein": {"density": {**BERNSTEIN_DENSITY, "nodes": 0}}}, "config.bernstein.density.nodes"),
+        (["symbol-group"], {**BERNSTEIN_DENSITY_CONFIG, "bernstein": {"density": {**BERNSTEIN_DENSITY, "nodes": 4.5}}}, "config.bernstein.density.nodes"),
     ],
 )
 def test_bad_input_exits_2_with_a_pointer(tmp_path, capsys, argv, config, pointer):
@@ -498,6 +523,56 @@ def test_bad_input_exits_2_with_a_pointer(tmp_path, capsys, argv, config, pointe
     assert f"config error at '{pointer}'" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["symbol"], '{"triple": {"diffusion": [[1.0]]}, "xi": [[NaN]]}'),
+        (["symbol"], '{"triple": {"diffusion": [[1.0]]}, "xi": [[-Infinity]]}'),
+        (["simulate"], json.dumps(SIMULATE_CONFIG).replace('"horizon": 0.5', '"horizon": Infinity')),
+        (["simulate"], json.dumps(SIMULATE_CONFIG).replace('"c": 0.4', '"c": 1e999')),
+    ],
+)
+def test_numbers_beyond_standard_json_exit_2_at_the_file(tmp_path, capsys, argv, text):
+    from levymult import cli
+
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), *argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"config error at '{cfg}': invalid JSON" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--p", "nan"],
+        ["constants", "--p", "3", "--b=-inf", "--B", "1"],
+        ["constants", "--p", "1e999"],
+        ["dual", "--group", "t1", "--cutoff", "nan"],
+        ["dual", "--group", "su2", "--cutoff", "inf"],
+    ],
+)
+def test_non_finite_flags_exit_2(capsys, argv):
+    from levymult import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: argument --" in captured.err
+    assert captured.out == ""
+
+
+def test_su2_dual_stops_at_the_largest_spin_within_the_cutoff(capsys):
+    from levymult import cli
+
+    assert cli.main(["dual", "--group", "su2", "--cutoff", "0.8"]) == 0
+    assert [r["label"] for r in json.loads(capsys.readouterr().out)["irreps"]] == [0.0, 0.5]
 
 
 def test_density_quadrature_that_does_not_stabilise_exits_3(tmp_path):
@@ -596,3 +671,113 @@ def test_verify_reports_the_seed_each_check_used(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["meta"]["seed"] == 0
     assert payload["results"][0]["seed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the exit contract, as a property of every input one mutation away from a valid one
+
+MUTATION_BASES = [
+    *((README_COMMANDS[name], config) for name, config in README_SKETCHES),
+    ("simulate", SIMULATE_CONFIG),
+    (
+        "simulate",
+        {**SU2_SIMULATE, "atoms": SU2_ATOM, "f": {"group": "su2", "cutoff": 0.5, "blocks": [{"label": 0.5, "matrix": [[0.5, 0.0], [0.0, 0.5]]}]}},
+    ),
+    ("norm-search", NORM_SEARCH_CONFIG),
+    *(("symbol-group", config) for config in CENTRAL_CONFIGS.values()),
+    ("symbol-group", BERNSTEIN_DENSITY_CONFIG),
+    ("symbol-group", {"group": "t2", "cutoff": 2, "kind": "laplace", "gamma": 0.7}),
+    ("multiplier", {"triple": ONE_ATOM, "aprofile": {"type": "imaginary_power", "gamma": 0.5}, "mode": "time", "xi": [[1.0], [-0.5]]}),
+    ("apply", {"coeffs": APPLY_T1, "symbol": {"kind": "riesz2"}}),
+    ("apply", {"coeffs": APPLY_T2_COEFFS, "symbol": {"kind": "riesz2", "cmatrix": [[1.0, 0.0], [0.0, -1.0]], "cutoff": 1}}),
+]
+FLAG_BASES = [
+    ["constants", "--p", "3"],
+    ["constants", "--p", "3", "--b", "-1", "--B", "1"],
+    ["dual", "--group", "t2", "--cutoff", "1"],
+    ["dual", "--group", "su2", "--cutoff", "2.5"],
+]
+OVERFLOW = "<a literal that overflows a double>"
+REPLACEMENTS = ["x", float("nan"), float("inf"), float("-inf"), 0, -1, [], {}, OVERFLOW]
+
+
+def _nodes(obj, path=()):
+    """(key path, value) of every value below the root of a JSON document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+def _replaced(obj, path, value):
+    copy = json.loads(json.dumps(obj))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return copy
+
+
+def _mutants(value):
+    """One value of every mutation kind: a string, NaN, +-infinity, 0, -1, [], {}, an overflowing literal,
+    the value plus 1/2, and a list with one element fewer or more."""
+    out = list(REPLACEMENTS)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        out.append(value + 0.5)
+    if isinstance(value, list) and value:
+        out += [value[:-1], value + value[-1:]]
+    return out
+
+
+def _config_mutants():
+    for command, config in MUTATION_BASES:
+        for path, value in _nodes(config):
+            for mutant in _mutants(value):
+                yield [command], json.dumps(_replaced(config, path, mutant)).replace(json.dumps(OVERFLOW), "1e999")
+
+
+def _flag_mutants():
+    for argv in FLAG_BASES:
+        for i in range(2, len(argv), 2):
+            values = ["x", "nan", "inf", "-inf", "0", "-1", "1e999"]
+            with contextlib.suppress(ValueError):
+                values.append(repr(float(argv[i]) + 0.5))
+            for value in values:  # --flag=value, so that argparse reads "-inf" as a value
+                yield argv[: i - 1] + [f"{argv[i - 1]}={value}"] + argv[i + 1 :], None
+
+
+CLI_MUTANTS = [*_config_mutants(), *_flag_mutants()]
+
+
+def _refuse(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+def _assert_exit_contract(argv, text):
+    """Exit 0, 2 or 3 and nothing else escapes; no output on 2 and 3; strict JSON on 0."""
+    from levymult import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is not None:
+            cfg = Path(tmp) / "config.json"
+            cfg.write_text(text)
+            argv = argv + ["--config", str(cfg)]
+        if argv[0] == "simulate":  # the transcripts go to --out, the summary to stdout
+            argv = ["--out", str(Path(tmp) / "tr.jsonl.gz"), *argv]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse
+                code = exc.code
+    assert code in (0, 2, 3), (argv, text, code)
+    if code:
+        assert out.getvalue() == "", (argv, text)
+    else:
+        json.loads(out.getvalue(), parse_constant=_refuse)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(st.sampled_from(CLI_MUTANTS))
+def test_every_input_one_mutation_from_a_valid_one_keeps_the_exit_contract(case):
+    _assert_exit_contract(*case)

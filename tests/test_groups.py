@@ -56,6 +56,32 @@ def test_su2_dual_dimensions():
     assert [pi.dim for pi in dual] == [1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("cutoff, top", [(0.8, 0.5), (1.2, 1.0), (1.49, 1.0), (1.5, 1.5), (2.99, 2.5)])
+def test_su2_dual_floors_twice_the_cutoff_as_the_tori_floor_theirs(cutoff, top):
+    assert dual_enumerate("su2", cutoff)[-1].label == top
+    assert dual_enumerate("t1", 2 * cutoff)[-1].label == int(2 * top)
+
+
+@pytest.mark.parametrize("group, label", [("t1", 1.5), ("t1", "1"), ("t1", (1,)), ("t2", (1,)), ("t2", (1, 2, 3)), ("t2", (1, 0.5)), ("t2", 1)])
+def test_torus_irrep_refuses_a_label_that_is_not_dim_integers(group, label):
+    with pytest.raises((ValueError, TypeError)):
+        torus_irrep(group, label)
+
+
+def test_torus_irrep_takes_integral_labels_of_any_number_type():
+    assert torus_irrep("t1", 2.0).label == 2 and torus_irrep("t1", np.int64(-3)).label == -3
+    assert torus_irrep("t2", [1.0, -2]).label == (1, -2)
+
+
+@pytest.mark.parametrize(
+    "group, blocks",
+    [("t1", {1: np.ones((1, 2))}), ("t2", {(1, 0): np.ones(1)}), ("su2", {0.5: np.eye(2, 3)}), ("su2", {1.0: np.eye(2)})],
+)
+def test_coefficient_table_refuses_a_block_that_is_not_d_by_d(group, blocks):
+    with pytest.raises(ValueError, match="not"):
+        PeterWeylCoeffs(group, 1, blocks)
+
+
 def test_su2_fundamental_casimir_by_matrix_arithmetic():
     sigma = [
         np.array([[0, 1], [1, 0]], dtype=complex),

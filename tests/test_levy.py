@@ -265,6 +265,12 @@ def test_bernstein_atoms_discretisation_matches_itself():
         assert bernstein_eval(disc, u) == pytest.approx(float(bernstein_eval(spec, u)), rel=1e-6)
 
 
+@pytest.mark.parametrize("nodes", [0, -2])
+def test_positive_density_refuses_fewer_than_one_node_when_built(nodes):
+    with pytest.raises(ValueError, match="at least 1 node"):
+        PositiveDensity(profile=lambda y: y**-1.5, inner=1e-3, outer=1e2, nodes=nodes)
+
+
 def test_bernstein_rejects_bad_atoms():
     with pytest.raises(ValueError):
         BernsteinSpec(c=0.0, atoms=((-1.0, 1.0),))
