@@ -90,6 +90,12 @@ def _finite(text: str) -> float:
     return value
 
 
+def _finite_int(text: str) -> int:
+    """An integer literal of a config, refused where ``_finite`` refuses it: one that overflows a double."""
+    _finite(text)
+    return int(text)
+
+
 def _require_keys(obj: dict, allowed, pointer: str):
     if not isinstance(obj, dict):
         raise ConfigError(pointer, "expected an object")
@@ -117,8 +123,16 @@ def _py(value):
     return value
 
 
+def _dumps(obj, **layout) -> str:
+    """``json.dumps`` with sorted keys; NaN and +-infinity, which standard JSON cannot hold, a numerical failure."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **layout)
+    except ValueError as exc:
+        raise FloatingPointError(f"non-finite result: {exc}") from exc
+
+
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _dumps(obj, separators=(",", ":"))
 
 
 def _config_hash(obj) -> str:
@@ -138,24 +152,32 @@ def _pair_matrix(obj, pointer: str, n: int) -> np.ndarray:
         return pair_matrix(None if obj is None else _matrix(obj, pointer), n)
 
 
-def _radial_density(obj, pointer: str) -> RadialDensity:
+#: the density profiles of a config section: type -> (its parameters with their defaults, profile of the parameters)
+RADIAL_PROFILES = {  # triple.density, a RadialDensity: profile(r, u) at radius r, direction u
+    "power": ({"alpha": 1.0}, lambda alpha: lambda r, u: r ** (-1.0 - alpha)),
+    "exp": ({"scale": 1.0}, lambda scale: lambda r, u: scale * np.exp(-r) / r),
+}
+BERNSTEIN_PROFILES = {  # bernstein.density, a PositiveDensity: profile(y)
+    "stable_half": ({}, lambda: lambda y: y**-1.5 / (2.0 * np.sqrt(np.pi))),
+    "power": ({"alpha": 0.5}, lambda alpha: lambda y: y ** (-1.0 - alpha)),
+}
+
+
+def _density(cls, obj, pointer: str, profiles: dict, inner: float, outer: float, nodes: int):
+    """The truncated density ``cls`` of the config section at ``pointer``, its profile one of ``profiles``;
+    ``inner``, ``outer`` and ``nodes`` (per decade) are the defaults of the keys of those names."""
     _require_keys(obj, {"profile", "inner", "outer", "nodes"}, pointer)
     prof = obj.get("profile", {})
-    _require_keys(prof, {"type", "alpha", "scale"}, f"{pointer}.profile")
+    _require_keys(prof, {"type"}.union(*(params for params, _ in profiles.values())), f"{pointer}.profile")
     kind = prof.get("type")
-    if kind == "power":
-        alpha = float(prof.get("alpha", 1.0))
-        fn = lambda r, u: r ** (-1.0 - alpha)
-    elif kind == "exp":
-        scale = float(prof.get("scale", 1.0))
-        fn = lambda r, u: scale * np.exp(-r) / r
-    else:
+    if kind not in list(profiles):  # compared, not hashed: a list or object type is an unknown profile too
         raise ConfigError(f"{pointer}.profile.type", f"unknown profile {kind!r}")
-    return RadialDensity(
-        profile=fn,
-        inner=float(obj.get("inner", 1e-4)),
-        outer=float(obj.get("outer", 1e3)),
-        nodes=_int_at_least(obj, "nodes", 96, 1, pointer),
+    params, profile = profiles[kind]
+    return cls(
+        profile=profile(**{key: float(prof.get(key, value)) for key, value in params.items()}),
+        inner=float(obj.get("inner", inner)),
+        outer=float(obj.get("outer", outer)),
+        nodes=_int_at_least(obj, "nodes", nodes, 1, pointer),
     )
 
 
@@ -170,7 +192,7 @@ def _levy_triple(obj, pointer: str) -> LevyTriple:
             atoms.append((atom["point"], atom["mass"]))
         density = None
         if obj.get("density") is not None:
-            density = _radial_density(obj["density"], f"{pointer}.density")
+            density = _density(RadialDensity, obj["density"], f"{pointer}.density", RADIAL_PROFILES, 1e-4, 1e3, 96)
         nu = LevyMeasureRn(dim=n, atoms=tuple(atoms), density=density)
         return LevyTriple(drift=obj.get("drift", [0.0] * n), diffusion=a, nu=nu)
 
@@ -184,24 +206,7 @@ def _bernstein(obj, pointer: str) -> BernsteinSpec:
             atoms.append((atom["y"], atom["mass"]))
         density = None
         if obj.get("density") is not None:
-            dobj = obj["density"]
-            _require_keys(dobj, {"profile", "inner", "outer", "nodes"}, f"{pointer}.density")
-            prof = dobj.get("profile", {})
-            _require_keys(prof, {"type", "alpha"}, f"{pointer}.density.profile")
-            kind = prof.get("type")
-            if kind == "stable_half":
-                fn = lambda y: y**-1.5 / (2.0 * np.sqrt(np.pi))
-            elif kind == "power":
-                alpha = float(prof.get("alpha", 0.5))
-                fn = lambda y: y ** (-1.0 - alpha)
-            else:
-                raise ConfigError(f"{pointer}.density.profile.type", f"unknown profile {kind!r}")
-            density = PositiveDensity(
-                profile=fn,
-                inner=float(dobj.get("inner", 1e-6)),
-                outer=float(dobj.get("outer", 1e4)),
-                nodes=_int_at_least(dobj, "nodes", 32, 1, f"{pointer}.density"),
-            )
+            density = _density(PositiveDensity, obj["density"], f"{pointer}.density", BERNSTEIN_PROFILES, 1e-6, 1e4, 32)
         return BernsteinSpec(c=float(obj.get("c", 0.0)), atoms=tuple(atoms), density=density)
 
 
@@ -255,14 +260,17 @@ def _complex_matrix_json(mat: np.ndarray):
     return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, keys) -> dict:
+    """The config file at ``path``, an object of no other keys than ``keys``."""
     try:
         with open(path) as fh:
-            return json.load(fh, parse_float=_finite, parse_constant=_finite)
+            config = json.load(fh, parse_float=_finite, parse_int=_finite_int, parse_constant=_finite)
     except FileNotFoundError:
         raise ConfigError(path, "config file not found")
     except ValueError as exc:
         raise ConfigError(path, f"invalid JSON: {exc}")
+    _require_keys(config, keys, "config")
+    return config
 
 
 def _render(payload: dict, args, csv_rows=None, csv_header=None) -> str:
@@ -272,7 +280,8 @@ def _render(payload: dict, args, csv_rows=None, csv_header=None) -> str:
     so every numeric table keeps its provenance.
     """
     if args.format != "csv" or csv_rows is None:
-        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        return _dumps(payload, indent=1) + "\n"
+    _dumps(csv_rows)  # the same refusal of NaN and +-infinity for every cell
     meta = payload.get("meta", {})
     lines = [f"# seed={meta.get('seed')} config_hash={meta.get('config_hash')}", ",".join(csv_header)]
     for row in csv_rows:
@@ -292,6 +301,11 @@ def _emit(payload: dict, args, csv_rows=None, csv_header=None) -> None:
 
 def _meta(args, config) -> dict:
     return {"seed": args.seed, "config_hash": _config_hash(config)}
+
+
+def _emit_rows(args, config, header: tuple, rows: list) -> None:
+    """``_emit`` of the rows, one object of ``header`` keys each under ``rows``, or as CSV."""
+    _emit({"meta": _meta(args, config), "rows": [dict(zip(header, row)) for row in rows]}, args, rows, header)
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +350,13 @@ def cmd_dual(args) -> int:
 
 
 def cmd_symbol(args) -> int:
-    config = _load_config(args.config)
-    _require_keys(config, {"triple", "xi"}, "config")
+    config = _load_config(args.config, {"triple", "xi"})
     triple = _levy_triple(config.get("triple", {}), "config.triple")
     xis = _frequencies(config.get("xi", []), triple.dim)
     re, im = symbol_grid(triple, xis)
     rows = [tuple(float(x) for x in xi) + (float(r), float(i)) for xi, r, i in zip(xis, re, im)]
     header = tuple(f"xi{i+1}" for i in range(triple.dim)) + ("re", "im")
-    payload = {
-        "meta": _meta(args, config),
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    _emit(payload, args, csv_rows=rows, csv_header=header)
+    _emit_rows(args, config, header, rows)
     return 0
 
 
@@ -371,11 +380,8 @@ def _multiplier_spec(config):
 
 
 def cmd_multiplier(args) -> int:
-    config = _load_config(args.config)
-    _require_keys(
-        config,
-        {"triple", "amatrix", "aprofile", "psi", "mode", "xi", "grid", "a_bound", "psi_bound"},
-        "config",
+    config = _load_config(
+        args.config, {"triple", "amatrix", "aprofile", "psi", "mode", "xi", "grid", "a_bound", "psi_bound"}
     )
     triple, spec = _multiplier_spec(config)
     mode = config.get("mode", "autonomous")
@@ -401,8 +407,7 @@ def cmd_multiplier(args) -> int:
             vals = multiplier_time_dependent(spec, triple, xis)
     rows = [tuple(float(x) for x in xi) + (float(val.real), float(val.imag)) for xi, val in zip(xis, vals)]
     header = tuple(f"xi{i+1}" for i in range(triple.dim)) + ("re_m", "im_m")
-    payload = {"meta": _meta(args, config), "rows": [dict(zip(header, r)) for r in rows]}
-    _emit(payload, args, csv_rows=rows, csv_header=header)
+    _emit_rows(args, config, header, rows)
     return 0
 
 
@@ -432,11 +437,8 @@ H_ZERO = "h(kappa) = 0: subordination symbol undefined"
 
 
 def cmd_symbol_group(args) -> int:
-    config = _load_config(args.config)
-    _require_keys(
-        config,
-        {"group", "cutoff", "kind", "cmatrix", "gamma", "psi", "c", "bernstein", "atoms"},
-        "config",
+    config = _load_config(
+        args.config, {"group", "cutoff", "kind", "cmatrix", "gamma", "psi", "c", "bernstein", "atoms"}
     )
     group = config.get("group", "t1")
     with _at("config.cutoff"):
@@ -468,8 +470,7 @@ def cmd_symbol_group(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    config = _load_config(args.config)
-    _require_keys(config, {"coeffs", "symbol"}, "config")
+    config = _load_config(args.config, {"coeffs", "symbol"})
     coeffs = _coeff_table(config.get("coeffs", {}), "config.coeffs")
     sym_cfg = config.get("symbol", {})
     _require_keys(sym_cfg, {"group", "cutoff", "kind", "cmatrix", "gamma", "trivial"}, "config.symbol")
@@ -503,11 +504,8 @@ def cmd_apply(args) -> int:
 
 
 def cmd_norm_search(args) -> int:
-    config = _load_config(args.config)
-    _require_keys(
-        config,
-        {"triple", "amatrix", "aprofile", "psi", "grid", "p", "trials", "refine", "band"},
-        "config",
+    config = _load_config(
+        args.config, {"triple", "amatrix", "aprofile", "psi", "grid", "p", "trials", "refine", "band"}
     )
     triple, spec = _multiplier_spec(config)
     if spec.aprofile is not None:
@@ -533,17 +531,13 @@ def cmd_norm_search(args) -> int:
     )
     rows = [(res.p, res.ratio, res.trials, res.refine_steps) for res in results]
     header = ("p", "lower_bound", "trials", "refine_steps")
-    payload = {"meta": _meta(args, config), "rows": [dict(zip(header, r)) for r in rows]}
-    _emit(payload, args, csv_rows=rows, csv_header=header)
+    _emit_rows(args, config, header, rows)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    _require_keys(
-        config,
-        {"group", "c", "drift", "atoms", "horizon", "dt", "paths", "f", "amatrix", "psi", "sigma"},
-        "config",
+    config = _load_config(
+        args.config, {"group", "c", "drift", "atoms", "horizon", "dt", "paths", "f", "amatrix", "psi", "sigma"}
     )
     group = config.get("group", "t1")
     with _at("config"):
@@ -692,7 +686,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(str(exc) + "\n")
         return EXIT_CONFIG
-    except (QuadratureError, np.linalg.LinAlgError) as exc:
+    except (QuadratureError, np.linalg.LinAlgError, FloatingPointError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERIC
 

@@ -78,9 +78,9 @@ class CpbBBounds:
     B: float
     lower: float
     upper: float
-    exact: Optional[float] = None
-    exact_kind: Optional[str] = None
-    open_value: bool = True
+    exact: Optional[float]
+    exact_kind: Optional[str]
+    open_value: bool
 
 
 def cpbB_bounds(p: float, b: float, B: float) -> CpbBBounds:
@@ -115,7 +115,7 @@ class ConstantReport:
     p_star: float
     burkholder: float
     choi: ChoiApprox
-    interval: Optional[CpbBBounds] = None
+    interval: Optional[CpbBBounds]
 
 
 def constant_report(p: float, b: Optional[float] = None, B: Optional[float] = None) -> ConstantReport:

@@ -85,7 +85,7 @@ class RadialDensity:
     profile: Callable[[np.ndarray, np.ndarray], np.ndarray]
     inner: float
     outer: float
-    nodes: int = 96
+    nodes: int
 
     def __post_init__(self):
         if not (0.0 < self.inner < self.outer):
@@ -93,7 +93,7 @@ class RadialDensity:
         if self.nodes < 8:
             raise ValueError("need at least 8 radial nodes")
 
-    def points_weights(self, dim: int, refine: int = 1):
+    def points_weights(self, dim: int, refine: int):
         """Quadrature points (q, dim) and weights, including the density values.
 
         ``refine`` scales the node counts; refine=2 is the refinement pass.
@@ -314,7 +314,7 @@ class PositiveDensity:
     profile: Callable[[np.ndarray], np.ndarray]
     inner: float
     outer: float
-    nodes: int = 128
+    nodes: int
 
     def __post_init__(self):
         if not (0.0 < self.inner < self.outer):

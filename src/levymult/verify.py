@@ -11,7 +11,7 @@ at its defaults.  Everything is deterministic for a fixed seed.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -85,7 +85,7 @@ CONSTANTS_DRAWS, CONSTANTS_TOL = 10000, 1e-12  # 12: random (p, b, B); sandwich 
 class CheckResult:
     name: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
     seed: Optional[int] = None  # set by run_checks; None for checks that draw nothing
 
     def line(self) -> str:

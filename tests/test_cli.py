@@ -439,6 +439,9 @@ BERNSTEIN_DENSITY_CONFIG = {
     "group": "su2", "cutoff": 1.5, "kind": "subordination", "psi": 0.5, "atoms": SU2_ATOM,
     "bernstein": {"c": 0.1, "density": BERNSTEIN_DENSITY},
 }
+# the profiles that no other config runs: the radial exp(-r)/r and the Bernstein power
+EXP_DENSITY = {"profile": {"type": "exp", "scale": 0.8}, "inner": 1e-3, "outer": 10.0, "nodes": 16}
+BERNSTEIN_POWER = {"profile": {"type": "power", "alpha": 0.7}, "inner": 1e-3, "outer": 100.0, "nodes": 8}
 
 
 @pytest.mark.parametrize(
@@ -532,6 +535,8 @@ def test_bad_input_exits_2_with_a_pointer(tmp_path, capsys, argv, config, pointe
         (["symbol"], '{"triple": {"diffusion": [[1.0]]}, "xi": [[-Infinity]]}'),
         (["simulate"], json.dumps(SIMULATE_CONFIG).replace('"horizon": 0.5', '"horizon": Infinity')),
         (["simulate"], json.dumps(SIMULATE_CONFIG).replace('"c": 0.4', '"c": 1e999')),
+        # an integer literal of 400 digits overflows a double as 1e999 does
+        (["multiplier"], '{"triple": {"diffusion": [[1.0]]}, "amatrix": [[%s]], "xi": [[1.0]]}' % ("9" * 400)),
     ],
 )
 def test_numbers_beyond_standard_json_exit_2_at_the_file(tmp_path, capsys, argv, text):
@@ -573,6 +578,28 @@ def test_su2_dual_stops_at_the_largest_spin_within_the_cutoff(capsys):
 
     assert cli.main(["dual", "--group", "su2", "--cutoff", "0.8"]) == 0
     assert [r["label"] for r in json.loads(capsys.readouterr().out)["irreps"]] == [0.0, 0.5]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        # A = 1e300 at xi = 1e10: the exponent is -infinity (the JSON or CSV output)
+        ("symbol", {"triple": {"diffusion": [[1e300]]}, "xi": [[1e10]]}),
+        # a pair matrix of 1e300 overflows the transform's quadratic variation (the transcripts) and the
+        # Burkholder ratio and its error (the summary)
+        ("simulate", {**SIMULATE_CONFIG, "amatrix": [[1e300]], "paths": 3, "horizon": 0.25, "dt": 0.125}),
+    ],
+)
+def test_non_finite_results_exit_3(tmp_path, fmt, command, config):
+    # in a subprocess: the overflow warnings are errors in a -W error::RuntimeWarning run
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    extra = ["--out", str(tmp_path / "tr.jsonl.gz")] if command == "simulate" else []
+    proc = run_cli("--format", fmt, *extra, command, "--config", str(cfg), check=False)
+    assert proc.returncode == 3
+    assert "numerical failure: non-finite result" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_density_quadrature_that_does_not_stabilise_exits_3(tmp_path):
@@ -686,6 +713,8 @@ MUTATION_BASES = [
     ("norm-search", NORM_SEARCH_CONFIG),
     *(("symbol-group", config) for config in CENTRAL_CONFIGS.values()),
     ("symbol-group", BERNSTEIN_DENSITY_CONFIG),
+    ("symbol-group", {**BERNSTEIN_DENSITY_CONFIG, "bernstein": {"c": 0.1, "density": BERNSTEIN_POWER}}),
+    ("symbol", {"triple": {**R1, "density": EXP_DENSITY}, "xi": [[1.0], [-2.5]]}),
     ("symbol-group", {"group": "t2", "cutoff": 2, "kind": "laplace", "gamma": 0.7}),
     ("multiplier", {"triple": ONE_ATOM, "aprofile": {"type": "imaginary_power", "gamma": 0.5}, "mode": "time", "xi": [[1.0], [-0.5]]}),
     ("apply", {"coeffs": APPLY_T1, "symbol": {"kind": "riesz2"}}),
@@ -697,8 +726,8 @@ FLAG_BASES = [
     ["dual", "--group", "t2", "--cutoff", "1"],
     ["dual", "--group", "su2", "--cutoff", "2.5"],
 ]
-OVERFLOW = "<a literal that overflows a double>"
-REPLACEMENTS = ["x", float("nan"), float("inf"), float("-inf"), 0, -1, [], {}, OVERFLOW]
+OVERFLOW = {"<a literal that overflows a double>": "1e999", "<an integer literal that overflows a double>": "9" * 400}
+REPLACEMENTS = ["x", float("nan"), float("inf"), float("-inf"), 0, -1, [], {}, *OVERFLOW]
 
 
 def _nodes(obj, path=()):
@@ -719,8 +748,8 @@ def _replaced(obj, path, value):
 
 
 def _mutants(value):
-    """One value of every mutation kind: a string, NaN, +-infinity, 0, -1, [], {}, an overflowing literal,
-    the value plus 1/2, and a list with one element fewer or more."""
+    """One value of every mutation kind: a string, NaN, +-infinity, 0, -1, [], {}, a float and an integer literal
+    that overflow a double, the value plus 1/2, and a list with one element fewer or more."""
     out = list(REPLACEMENTS)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         out.append(value + 0.5)
@@ -733,13 +762,16 @@ def _config_mutants():
     for command, config in MUTATION_BASES:
         for path, value in _nodes(config):
             for mutant in _mutants(value):
-                yield [command], json.dumps(_replaced(config, path, mutant)).replace(json.dumps(OVERFLOW), "1e999")
+                text = json.dumps(_replaced(config, path, mutant))
+                for placeholder, literal in OVERFLOW.items():
+                    text = text.replace(json.dumps(placeholder), literal)
+                yield [command], text
 
 
 def _flag_mutants():
     for argv in FLAG_BASES:
         for i in range(2, len(argv), 2):
-            values = ["x", "nan", "inf", "-inf", "0", "-1", "1e999"]
+            values = ["x", "nan", "inf", "-inf", "0", "-1", *OVERFLOW.values()]
             with contextlib.suppress(ValueError):
                 values.append(repr(float(argv[i]) + 0.5))
             for value in values:  # --flag=value, so that argparse reads "-inf" as a value
