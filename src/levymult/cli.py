@@ -16,6 +16,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -535,6 +536,20 @@ def cmd_norm_search(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A new binary file that replaces ``path`` when the block succeeds and is removed when it fails."""
+    part = f"{path}.{os.getpid()}.part"
+    raw = open(part, "xb")
+    try:
+        with raw:
+            yield raw
+        os.replace(part, path)
+    except BaseException:
+        os.remove(part)
+        raise
+
+
 def cmd_simulate(args) -> int:
     config = _load_config(
         args.config, {"group", "c", "drift", "atoms", "horizon", "dt", "paths", "f", "amatrix", "psi", "sigma"}
@@ -564,7 +579,7 @@ def cmd_simulate(args) -> int:
     x_final = np.zeros(paths, dtype=complex)
     y_final = np.zeros(paths, dtype=complex)
     # filename and mtime pinned so identical runs give identical bytes
-    with open(out_path, "wb") as raw, gzip.GzipFile(
+    with _replacing(out_path) as raw, gzip.GzipFile(
         filename="", fileobj=raw, mode="wb", mtime=0
     ) as gz, io.TextIOWrapper(gz, encoding="utf-8") as fh:
         for idx, path, sigmas in ensemble_chunks(spec, ctx, paths, args.seed, sigma_mode == "haar"):
@@ -586,15 +601,16 @@ def cmd_simulate(args) -> int:
                 record = {"path": int(i), "times": times, "violation": float(viol[row])}
                 record.update({key: values[row].tolist() for key, values in rows.items()})
                 fh.write(_canonical(record) + "\n")
-    ratio, stderr = (0.0, 0.0)
-    if paths >= 2 and np.any(np.abs(x_final) > 0.0):
-        ratio, stderr = empirical_burkholder(TransformEnsemble(x_final, y_final, x_final), 2.0)
-    summary["ratio_p2"] = ratio
-    summary["stderr_p2"] = stderr
-    payload = {"meta": _meta(args, config), "transcripts": out_path, **summary}
-    header = ("paths", "ratio_p2", "stderr_p2", "max_violation", "max_repr_gap")
+        ratio, stderr = (0.0, 0.0)
+        if paths >= 2 and np.any(np.abs(x_final) > 0.0):
+            ratio, stderr = empirical_burkholder(TransformEnsemble(x_final, y_final, x_final), 2.0)
+        summary["ratio_p2"] = ratio
+        summary["stderr_p2"] = stderr
+        payload = {"meta": _meta(args, config), "transcripts": out_path, **summary}
+        header = ("paths", "ratio_p2", "stderr_p2", "max_violation", "max_repr_gap")
+        text = _render(payload, args, [tuple(summary[k] for k in header)], header)
     # stdout, as --out names the transcripts file
-    sys.stdout.write(_render(payload, args, [tuple(summary[k] for k in header)], header))
+    sys.stdout.write(text)
     return 0
 
 

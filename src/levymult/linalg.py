@@ -9,9 +9,17 @@ class NotPositiveSemidefinite(ValueError):
     pass
 
 
-#: batched work (path chunks, sine tables, time-integral rows, norm-search grids) is split into
-#: blocks of about this many bytes: larger blocks gain little speed and raise the peak resident memory
+#: batched work (the node blocks of martingale values, final-state chunks, sine tables, time-integral
+#: rows, norm-search grids) is split into blocks of about this many bytes: larger blocks gain little speed
+#: and raise the peak resident memory
 BLOCK_BYTES = 1 << 20
+
+#: Monte Carlo path chunks (``martingale.ensemble_chunks``) take this many ``BLOCK_BYTES`` at a path's
+#: ``path_bytes``, which counts 240 B a node on criterion 9's T^2 fixtures.  Under tracemalloc a chunk of
+#: ``final_values`` takes 290 B a node plus about 1.5 ``BLOCK_BYTES`` of node blocks, and a ``transcript``
+#: 440 B a node: a final-values chunk peaks below 1.25 chunk budgets plus 2 ``BLOCK_BYTES`` (5.0 MiB at 50
+#: paths, against 5.75), a transcript chunk below 2 chunk budgets
+CHUNK_BLOCKS = 3
 
 #: relative tolerance of the PSD tests: asymmetry, negative eigenvalues and Cholesky pivots
 PSD_TOL = 1e-12

@@ -21,7 +21,14 @@ so domination by the transform bounds holds path by path in floats.
 
 Every Monte Carlo consumer evaluates chunks of paths (``ensemble_chunks``):
 a transcript has one row per path, and final-value ensembles accumulate only
-the transform, step by step as a transcript would.
+the transform, step by step as a transcript would.  Work runs on two levels.
+A path chunk is sized by the narrow arrays a path keeps per node (times,
+marks, Brownian increments, states and a few value columns: ``path_bytes``)
+against ``linalg.CHUNK_BLOCKS`` budgets.  Inside it, the wide (rows x labels)
+tables of decay, representation and their rows against the coefficient
+columns are built and reduced one node block of ``linalg.BLOCK_BYTES`` at a
+time.  A row's arithmetic does not depend on its chunk or block, so neither
+do a path's values, to the bit.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from .groups import (
     irrep_stack_batch,
     multiply,
 )
-from .linalg import blocks, expm, pair_matrix
+from .linalg import CHUNK_BLOCKS, blocks, expm, pair_matrix
 from .simulate import GroupProcessSpec, PathRecord, ensemble_final_states, simulate_paths
 from .symbols import central_symbols, generator_blocks, psi_values, stack_rows
 
@@ -207,21 +214,32 @@ class _TransformContext:
         self.dim = group_dim(spec.group)
         self.masses = np.array([m for _, m in spec.jumps.atoms], dtype=float)
         self.stacks = [_IrrepStack(spec, irreps, fblocks) for irreps, fblocks in f.stacks()]
-        # a path takes a row per node, per event (its pre-jump state) and,
-        # with atoms, per segment (the compensator); rows are complex
-        events = spec.jumps.total_mass * spec.horizon
-        rows = (spec.n_steps + 1 + events) * (2 if len(self.masses) else 1) + events
-        self.path_bytes = 16 * max(st.h.shape[0] for st in self.stacks) * rows
+        # a node block of _values holds decay, representation and their rows: three complex tables as wide as h
+        self.row_bytes = 48 * max(st.h.shape[0] for st in self.stacks)
+        # a path chunk counts the narrow arrays of a path's nodes: times, kinds, marks, db, owner, cells, src
+        # and the like (8 B a column each), states, pre-jump states and elements, and the complex at_nodes
+        # and at_starts columns
+        nodes = spec.n_steps + 1 + spec.jumps.total_mass * spec.horizon
+        element = identity_element(spec.group).nbytes
+        self.path_bytes = nodes * (8 * (6 + self.dim) + 3 * element + 32 * (1 + self.dim + len(self.masses)))
 
     def horizon_values(self, elements) -> np.ndarray:
         """f at a batch of elements: M_T of the paths that end there."""
         n = len(elements)
-        return sum(irrep_stack_batch(st.irreps, elements).reshape(n, -1) @ st.fvec for st in self.stacks)
+        # a row-wise sum: the last bits of a matrix-vector product depend on the row count
+        return sum(np.einsum("ij,j->i", irrep_stack_batch(st.irreps, elements).reshape(n, -1), st.fvec)
+                   for st in self.stacks)
 
     def _values(self, path: PathRecord, sigmas):
         """M and sqrt(2c) grad M at every node, the jump of M at every event,
         and each atom's compensator integral over every segment, for the
-        paths of ``path`` started at ``sigmas`` (one element per path)."""
+        paths of ``path`` started at ``sigmas`` (one element per path).
+
+        The wide (rows x labels) tables of each stack are built and reduced
+        one node block (``linalg.blocks`` at ``row_bytes`` a row) at a time.
+        A segment's compensator is reduced on the row of its start node, with
+        that node's representation.  Every row takes the arithmetic it takes
+        in the whole chunk at once."""
         spec = self.spec
         n = self.dim
         times = path.times
@@ -236,26 +254,38 @@ class _TransformContext:
         src = np.empty(len(elements), dtype=int)
         src[path.grid_rows] = np.tile(np.arange(spec.n_steps + 1), len(path.indices))
         src[ev_rows] = src[len(times) :] = spec.n_steps + 1 + np.arange(len(ev_rows))
+        at_nodes = np.zeros((len(elements), 1 + n + len(self.masses)), dtype=complex)
         if len(self.masses):
-            seg_steps = path.steps(seg)
-            # segments that are not whole grid steps
+            # each row's compensator over the segment that starts there, a whole grid step unless an event
+            # splits it; the rows that start no segment (path ends, pre-jump states) are dropped at the end
+            at_starts = np.zeros(at_nodes.shape, dtype=complex)
+            steps = np.minimum(src, spec.n_steps - 1)
             split = np.flatnonzero((path.kinds[seg] == 1) | (path.kinds[seg + 1] == 1))
-        at_nodes = at_segments = 0.0
+            split_rows = seg[split]
+            splits, split_at = slice(None), split_rows  # a chunk in one block
         for st in self.stacks:
-            decay = np.concatenate([st.grid_decay, st.decay(spec.horizon - times[ev_rows])])[src]
-            rep = irrep_stack_batch(st.irreps, elements)
-            at_nodes = at_nodes + _rows(decay, rep) @ st.h
+            table = np.concatenate([st.grid_decay, st.decay(spec.horizon - times[ev_rows])])
             if len(self.masses):
-                end_decay, rep_seg = decay[seg[split] + 1], rep[seg]
-                del decay, rep  # free the node tables before building the segment ones
-                integral = st.grid_integral[seg_steps]
-                integral[split] = st.decay_integral(end_decay, st.step_factor(path.ds[split]))
-                at_segments = at_segments + _rows(integral, rep_seg) @ st.h
+                split_integral = st.decay_integral(table[src[split_rows + 1]], st.step_factor(path.ds[split]))
+            for rows in blocks(len(elements), self.row_bytes):
+                # a one-row block is evaluated with a neighbouring row: a one-row matrix product takes
+                # BLAS's matrix-vector path, whose last bits differ
+                lo = min(rows.start, len(elements) - 2) if rows.stop - rows.start == 1 else rows.start
+                block, keep = slice(lo, max(rows.stop, lo + 2)), slice(rows.start - lo, rows.stop - lo)
+                if len(self.masses) and block.stop - block.start < len(elements):
+                    splits = slice(*split_rows.searchsorted((block.start, block.stop)))
+                    split_at = split_rows[splits] - block.start
+                rep = irrep_stack_batch(st.irreps, elements[block])
+                at_nodes[rows] += (_rows(table[src[block]], rep) @ st.h)[keep]
+                if len(self.masses):
+                    integral = st.grid_integral[steps[block]]
+                    integral[split_at] = split_integral[splits]
+                    at_starts[rows] += (_rows(integral, rep) @ st.h)[keep]
         at_events = at_nodes[len(times) :]
         m_node = at_nodes[: len(times), 0]
         grad = np.sqrt(2.0 * spec.c) * at_nodes[: len(times), 1 : 1 + n]
         dp_ev = at_events[np.arange(len(ev_rows)), 1 + n + path.marks[ev_rows]]
-        comp_atom = at_segments[:, 1 + n :] if len(self.masses) else None
+        comp_atom = at_starts[seg, 1 + n :] if len(self.masses) else None
         return m_node, grad, dp_ev, comp_atom
 
     def _increments(self, path: PathRecord, grad, dp_ev, comp_atom, a_use, psi_use):
@@ -365,10 +395,12 @@ def ensemble_chunks(spec: GroupProcessSpec, ctx: _TransformContext, paths: int, 
 
     Path i's start is a Haar sample from its own stream (seed, HAAR,
     *haar_key, i) unless haar_start is False, in which case all paths start
-    at the identity.  Chunks are ``linalg.blocks`` at ``ctx.path_bytes`` a path.
+    at the identity.  Chunks are ``linalg.blocks`` of ``CHUNK_BLOCKS`` budgets at
+    ``ctx.path_bytes`` a path, which counts the narrow per-node arrays only: the
+    wide tables are node blocks of ``_values`` (see ``linalg.CHUNK_BLOCKS``).
     """
     key = (rngmod.HAAR, *haar_key)
-    for chunk in blocks(paths, ctx.path_bytes):
+    for chunk in blocks(paths, ctx.path_bytes / CHUNK_BLOCKS):
         idx = np.arange(chunk.start, chunk.stop)
         if haar_start:
             sigmas = np.array(rngmod.streams(seed, key, idx, lambda gen, _: haar_sample(spec.group, gen, 1)[0]))

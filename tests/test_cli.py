@@ -602,6 +602,17 @@ def test_non_finite_results_exit_3(tmp_path, fmt, command, config):
     assert proc.stdout == ""
 
 
+def test_failed_simulate_leaves_the_out_file_as_it_was(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**SIMULATE_CONFIG, "amatrix": [[1e300]], "paths": 3, "horizon": 0.25, "dt": 0.125}))
+    out = tmp_path / "part.gz"
+    out.write_bytes(b"kept")
+    proc = run_cli("--out", str(out), "simulate", "--config", str(cfg), check=False)
+    assert proc.returncode == 3
+    assert out.read_bytes() == b"kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "part.gz"]
+
+
 def test_density_quadrature_that_does_not_stabilise_exits_3(tmp_path):
     density = {"profile": {"type": "power", "alpha": 0.5}, "inner": 1e-3, "outer": 100.0, "nodes": 8}
     cfg = tmp_path / "symbol.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from levymult import martingale as martmod
 from levymult import linalg
 from levymult import rng as rngmod
 from levymult import simulate as simmod
+from levymult import verify
 from levymult.groups import (
     GroupLevyMeasure,
     get_irrep,
@@ -553,3 +556,57 @@ def test_chunk_transcript_rows_match_single_paths(name, grid_events, monkeypatch
             assert got[row] == check_differential_subordination(one, bounds)[0]
         gaps.append(one.repr_gap)
     assert chunk.repr_gap == max(gaps)
+
+
+@pytest.mark.parametrize(
+    "name,grid_events", [("t1", False), ("t2-drift", False), ("t2-drift", True), ("t2-no-jumps", False), ("su2", False)]
+)
+def test_node_blocks_leave_every_bit_in_place(name, grid_events, monkeypatch):
+    # the wide tables of _values in blocks of 1, 2 and 3 rows give what one block per chunk gives
+    spec = FINAL_VALUE_SPECS[name]
+    if grid_events:
+        _events_on_grid_times(spec, monkeypatch)
+    f = random_band_limited(spec.group, 1.0 if spec.group == "su2" else 2, rngmod.stream(8, 6), real=True)
+    amat, psi = _transform_pair(spec)
+    ctx = transform_context(spec, f)
+    ((idx, path, sigmas),) = ensemble_chunks(spec, ctx, 9, seed=96)
+    assert len(path.times) + len(path.event_rows) <= linalg.BLOCK_BYTES // ctx.row_bytes  # one block
+    whole = ctx.transcript(path, amat, psi, sigmas)
+    finals = ctx.final_values(path, sigmas, amat, psi)
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", rows * ctx.row_bytes)
+        assert next(linalg.blocks(len(path.times), ctx.row_bytes)) == slice(0, rows)
+        blocked = ctx.transcript(path, amat, psi, sigmas)
+        for field in TRANSCRIPT_ROWS:
+            assert getattr(blocked, field).tobytes() == getattr(whole, field).tobytes(), (rows, field)
+        for got, want in zip(ctx.final_values(path, sigmas, amat, psi), finals):
+            assert got.tobytes() == want.tobytes(), rows
+
+
+@pytest.mark.parametrize("name", ["t2-drift", "t2-no-jumps"])
+def test_projection_estimate_does_not_depend_on_the_chunks(name, monkeypatch):
+    spec = FINAL_VALUE_SPECS[name]
+    gen = rngmod.stream(8, 7)
+    f, g = (random_band_limited(spec.group, 2, gen, real=True) for _ in "fg")
+    amat, psi = _transform_pair(spec)
+    chunked = projection_mc_estimate(f, g, amat, psi, spec, 64)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)  # chunks of one path
+    alone = projection_mc_estimate(f, g, amat, psi, spec, 64)
+    assert (alone.mc_value, alone.stderr) == (chunked.mc_value, chunked.stderr)
+
+
+def test_a_final_values_chunk_peaks_inside_its_budgets():
+    # criterion 9's "identity" fixture: the stated bound of the comment at linalg.CHUNK_BLOCKS
+    f, _, fixtures = verify._projection_fixtures(20246)
+    _, amat, psi, c, jumps, horizon, drift = fixtures[0]
+    spec = GroupProcessSpec("t2", c, jumps, horizon, verify.PROJECTION_DT, seed=20246, drift=drift)
+    ctx = transform_context(spec, f)
+    tracemalloc.start()
+    try:
+        idx, path, sigmas = next(ensemble_chunks(spec, ctx, 10**4, spec.seed))
+        ctx.final_values(path, sigmas, amat, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(idx) > 1
+    assert peak < (1.25 * linalg.CHUNK_BLOCKS + 2) * linalg.BLOCK_BYTES
