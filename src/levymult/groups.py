@@ -28,6 +28,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .linalg import matmul_rows
+
 T1 = "t1"
 T2 = "t2"
 SU2 = "su2"
@@ -93,19 +95,30 @@ def su2_exp(v) -> np.ndarray:
 
 
 def su2_exp_batch(v: np.ndarray) -> np.ndarray:
-    """Vectorised su2_exp for v of shape (m, 3)."""
+    """Vectorised su2_exp for v of shape (m, 3), shape (m, 2, 2).
+
+    The result is a view of a C-ordered (2, 2, m) array, entries first: its
+    ``transpose(1, 2, 0)`` has one contiguous row per entry.  sqrt, sin and cos
+    read and write contiguous 1-D arrays, as they did before that layout.
+    """
     v = np.asarray(v, dtype=float)
-    theta = np.sqrt(np.einsum("ij,ij->i", v, v))
+    theta = np.einsum("ij,ij->i", v, v)
+    np.sqrt(theta, out=theta)
     half = 0.5 * theta
-    # sin(theta/2) times the unit axis; zero, not undefined, at theta = 0
-    sv = v * (np.sin(half) / np.where(theta > 0.0, theta, 1.0))[:, None]
-    out = np.empty((len(v), 2, 2), dtype=complex)
+    # sin(theta/2) over theta scales the axis; zero, not undefined, at theta = 0
+    scale = np.sin(half)
+    theta[theta == 0.0] = 1.0
+    scale /= theta
+    out = np.empty((2, 2, len(v)), dtype=complex)
     re, im = out.real, out.imag
-    re[:, 0, 0] = re[:, 1, 1] = np.cos(half)
-    im[:, 0, 0], im[:, 1, 1] = sv[:, 2], -sv[:, 2]
-    re[:, 0, 1], re[:, 1, 0] = sv[:, 1], -sv[:, 1]
-    im[:, 0, 1] = im[:, 1, 0] = sv[:, 0]
-    return out
+    re[0, 0] = re[1, 1] = np.cos(half, out=half)
+    np.multiply(v[:, 2], scale, out=im[0, 0])
+    np.negative(im[0, 0], out=im[1, 1])
+    np.multiply(v[:, 1], scale, out=re[0, 1])
+    np.negative(re[0, 1], out=re[1, 0])
+    np.multiply(v[:, 0], scale, out=im[0, 1])
+    im[1, 0] = im[0, 1]
+    return out.transpose(2, 0, 1)
 
 
 def su2_matrix(a, b) -> np.ndarray:
@@ -250,9 +263,11 @@ def _j2_eigenbasis(twice_j: int):
 
 
 def _wigner_small_d(twice_j: int, beta) -> np.ndarray:
-    """d^j(beta) = e^{i beta J2} = e^{i beta w} @ K for an array of angles, shape beta.shape + (d, d); real."""
+    """d^j(beta) = e^{i beta J2} = e^{i beta w} @ K for an array of angles, shape beta.shape + (d, d); real.
+
+    Each angle's rows are the same whatever the number of angles (``matmul_rows``)."""
     w, k = _j2_eigenbasis(twice_j)
-    return (np.exp(1j * np.multiply.outer(beta, w)) @ k).real.reshape(np.shape(beta) + (twice_j + 1,) * 2)
+    return matmul_rows(np.exp(1j * np.multiply.outer(np.ravel(beta), w)), k).real.reshape(np.shape(beta) + (twice_j + 1,) * 2)
 
 
 def _wigner_d(twice_j: int, alpha, beta, gamma) -> np.ndarray:

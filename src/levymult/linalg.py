@@ -25,6 +25,17 @@ CHUNK_BLOCKS = 3
 PSD_TOL = 1e-12
 
 
+def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D a, each row rounded as it is in a product of many rows.
+
+    BLAS takes its matrix-vector path for a one-row a, whose last bits differ, so
+    a lone row is multiplied together with a copy of itself.
+    """
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
 def blocks(n: int, item_bytes: float):
     """Consecutive slices covering range(n), of as many items as fit ``BLOCK_BYTES`` at item_bytes each (at least one)."""
     size = max(1, int(BLOCK_BYTES // item_bytes))

@@ -50,7 +50,7 @@ from .groups import (
     irrep_stack_batch,
     multiply,
 )
-from .linalg import CHUNK_BLOCKS, blocks, expm, pair_matrix
+from .linalg import CHUNK_BLOCKS, blocks, expm, matmul_rows, pair_matrix
 from .simulate import GroupProcessSpec, PathRecord, ensemble_final_states, simulate_paths
 from .symbols import central_symbols, generator_blocks, psi_values, stack_rows
 
@@ -268,19 +268,15 @@ class _TransformContext:
             if len(self.masses):
                 split_integral = st.decay_integral(table[src[split_rows + 1]], st.step_factor(path.ds[split]))
             for rows in blocks(len(elements), self.row_bytes):
-                # a one-row block is evaluated with a neighbouring row: a one-row matrix product takes
-                # BLAS's matrix-vector path, whose last bits differ
-                lo = min(rows.start, len(elements) - 2) if rows.stop - rows.start == 1 else rows.start
-                block, keep = slice(lo, max(rows.stop, lo + 2)), slice(rows.start - lo, rows.stop - lo)
-                if len(self.masses) and block.stop - block.start < len(elements):
-                    splits = slice(*split_rows.searchsorted((block.start, block.stop)))
-                    split_at = split_rows[splits] - block.start
-                rep = irrep_stack_batch(st.irreps, elements[block])
-                at_nodes[rows] += (_rows(table[src[block]], rep) @ st.h)[keep]
+                if len(self.masses) and rows.stop - rows.start < len(elements):
+                    splits = slice(*split_rows.searchsorted((rows.start, rows.stop)))
+                    split_at = split_rows[splits] - rows.start
+                rep = irrep_stack_batch(st.irreps, elements[rows])
+                at_nodes[rows] += matmul_rows(_rows(table[src[rows]], rep), st.h)
                 if len(self.masses):
-                    integral = st.grid_integral[steps[block]]
+                    integral = st.grid_integral[steps[rows]]
                     integral[split_at] = split_integral[splits]
-                    at_starts[rows] += (_rows(integral, rep) @ st.h)[keep]
+                    at_starts[rows] += matmul_rows(_rows(integral, rep), st.h)
         at_events = at_nodes[len(times) :]
         m_node = at_nodes[: len(times), 0]
         grad = np.sqrt(2.0 * spec.c) * at_nodes[: len(times), 1 : 1 + n]

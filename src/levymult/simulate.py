@@ -12,6 +12,10 @@ Paths are simulated in chunks laid out in flat node arrays (a single path
 is a chunk of one): torus states are running sums, and SU(2) states are
 advanced by one loop over the grid steps for the whole chunk as first rows
 (a, b) of [[a, b], [-conj(b), conj(a)]], expanded to matrices once per chunk.
+The step exponentials are taken a block of steps at a time and kept entries
+first, so that each step multiplies contiguous (2, 2, paths) rows.  A path
+without events draws no event times or atoms.  Final-state ensembles keep
+one chunk's layout alive at a time.
 """
 
 from __future__ import annotations
@@ -123,10 +127,14 @@ class PathRecord:
         """The node that starts each segment."""
         return np.flatnonzero(self._starts())
 
+    def _lengths(self) -> np.ndarray:
+        """Length of each segment, a new array on every call (``ds`` keeps one)."""
+        return np.diff(self.times)[self._starts()[:-1]]
+
     @cached_property
     def ds(self) -> np.ndarray:
         """Length of each segment."""
-        return (self.times[1:] - self.times[:-1])[self._starts()[:-1]]
+        return self._lengths()
 
     @property
     def end_rows(self) -> np.ndarray:
@@ -154,6 +162,10 @@ class PathRecord:
         return self.owner * self.spec.n_steps + self.steps(slice(None))
 
 
+#: (event times, atoms) of a path without events
+_NO_EVENTS = (np.zeros(0), np.zeros(0, dtype=int))
+
+
 def _compound_poisson(masses: np.ndarray, horizon: float):
     """The ``rng.streams`` draw of sorted event times on [0, horizon] at total
     rate sum(masses), and the atom of each event.
@@ -167,6 +179,8 @@ def _compound_poisson(masses: np.ndarray, horizon: float):
 
     def draw(gen, _):
         count = int(gen.poisson(lam * horizon))
+        if not count:  # an empty draw takes nothing from the stream
+            return _NO_EVENTS
         times = np.sort(gen.uniform(0.0, horizon, size=count))
         return times, cdf.searchsorted(gen.random(count), side="right")
 
@@ -177,7 +191,7 @@ def _draw_events(spec: GroupProcessSpec, indices) -> list:
     """(event times, atoms) of each path, from its own jump stream."""
     masses = np.array([m for _, m in spec.jumps.atoms])
     if masses.size == 0:
-        return [(np.zeros(0), np.zeros(0, dtype=int))] * len(indices)
+        return [_NO_EVENTS] * len(indices)
     return rngmod.streams(spec.seed, (rngmod.JUMPS,), indices, _compound_poisson(masses, spec.horizon))
 
 
@@ -202,7 +216,7 @@ def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
     kinds[ev_rows] = 1
     times = np.empty(offsets[-1])
     times[ev_rows] = t_ev
-    times[kinds == 0] = np.tile(spec.grid_times, n_paths)
+    np.place(times, kinds == 0, spec.grid_times)  # every path's grid times, repeated in place
     marks = np.full(offsets[-1], -1)
     marks[ev_rows] = np.concatenate([m for _, m in events])
     # path p's segments are rows offsets[p] - p .. offsets[p + 1] - p - 1
@@ -212,7 +226,8 @@ def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
         spec.seed, (rngmod.BROWNIAN,), indices, lambda gen, p: gen.standard_normal(out=db[seg_start[p] : seg_start[p + 1]])
     )
     path = PathRecord(spec, indices, offsets, times, kinds, marks, db)
-    db *= np.sqrt(path.ds)[:, None]
+    root = path._lengths()  # not cached: an SU(2) evolve never reads ds
+    db *= np.sqrt(root, out=root)[:, None]
     return path
 
 
@@ -234,12 +249,12 @@ def _torus_states(path: PathRecord):
     return path
 
 
-def _row_product(g: np.ndarray, m: np.ndarray, out, tmp) -> np.ndarray:
+def _row_product(g: np.ndarray, m: np.ndarray, out, prod) -> np.ndarray:
     """First rows (2, paths) of g m for first rows g and matrices m (2, 2, paths): row 0 of
-    ``su2_product``, into ``out`` with ``tmp`` as scratch (None allocates)."""
-    out = np.multiply(g[:1], m[0], out=out)
-    out += np.multiply(g[1:], m[1], out=tmp)
-    return out
+    ``su2_product``, as g_i m_ij into ``prod`` (2, 2, paths) and their sum over i into ``out``
+    (None allocates)."""
+    prod = np.multiply(g[:, None], m, out=prod)
+    return np.add(prod[0], prod[1], out=out)
 
 
 def _su2_evolve(path: PathRecord, record: bool) -> np.ndarray:
@@ -248,10 +263,16 @@ def _su2_evolve(path: PathRecord, record: bool) -> np.ndarray:
     One loop runs over the grid steps.  A step multiplies each state by the
     exponential of its last diffusion substep; before that, the substeps
     ending at events (sorted by step and rank within the step) are applied
-    to the paths that have them, each followed by its jump.  States, first
-    rows (``_row_product``), are projected back onto the group every
-    ``RENORM_STEPS`` steps and at the horizon.  With ``record`` the state at
-    every node is kept as well.
+    to the paths that have them, each followed by its jump; a path without
+    events, which drew nothing after its event count, only takes the steps.
+    States, first rows (``_row_product``), are projected back onto the group
+    every ``RENORM_STEPS`` steps and at the horizon.  The step exponentials of
+    such a block of steps are taken at once from its increments, gathered in
+    (step, path) order into a reused buffer, and kept entries first
+    (``su2_exp_batch``): a step's matrices are contiguous (2, 2, paths) rows,
+    and the step is two ufunc calls on them.  ``ensemble_final_states`` keeps
+    one chunk's layout alive at a time.  With ``record`` the state at every
+    node is kept as well.
     """
     spec = path.spec
     k_steps, n_paths = spec.n_steps, len(path.indices)
@@ -260,44 +281,52 @@ def _su2_evolve(path: PathRecord, record: bool) -> np.ndarray:
     # segment j starts at node j + (its path's position): the one ending at
     # node i is segment i - 1 - (path of i)
     grid_nodes = path.grid_rows.reshape(n_paths, k_steps + 1)
-    to_grid = (grid_nodes[:, 1:] - 1 - np.arange(n_paths)[:, None]).T  # (step, path)
+    shift = 1 + np.arange(n_paths)
     ev_nodes = path.event_rows
     ev_owner = np.searchsorted(path.offsets, ev_nodes, side="right") - 1
-    to_event = ev_nodes - 1 - ev_owner
     ev_step = path.steps(ev_nodes)
     cell = ev_owner * k_steps + ev_step  # nondecreasing along the nodes
     rank = np.arange(len(cell)) - np.searchsorted(cell, cell)  # within its step
-    # events of one step and rank, each on its own path, are applied together
+    # the events in the order they are applied, by step and rank within the step; those of one
+    # step and rank, each on its own path, are applied together, as one slice of that order
     order = np.lexsort((ev_owner, rank, ev_step))
-    cuts = np.flatnonzero(np.diff(ev_step[order]) | np.diff(rank[order])) + 1
+    ev_nodes, ev_owner, ev_step, rank = ev_nodes[order], ev_owner[order], ev_step[order], rank[order]
+    firsts = np.flatnonzero(np.diff(ev_step, prepend=-1) | np.diff(rank, prepend=-1)).tolist()
     groups = {}
-    for rows in np.split(order, cuts) if len(order) else ():
-        groups.setdefault(int(ev_step[rows[0]]), []).append(rows)
+    for lo, hi in zip(firsts, firsts[1:] + [len(order)]):
+        groups.setdefault(int(ev_step[lo]), []).append(slice(lo, hi))
     if diffuse:
-        ev_rot = su2_exp_batch(scale * path.db[to_event]).transpose(1, 2, 0)
+        ev_rot = su2_exp_batch(scale * path.db[ev_nodes - 1 - ev_owner]).transpose(1, 2, 0)
     atom_mats = np.array([tau for tau, _ in spec.jumps.atoms], dtype=complex).reshape(-1, 2, 2).transpose(1, 2, 0)
+    ev_jump = atom_mats[..., path.marks[ev_nodes]]
     g = np.zeros((2, n_paths), dtype=complex) + [[1.0], [0.0]]
-    tmp = np.empty_like(g)
+    prod = np.empty((2, 2, n_paths), dtype=complex)
     if record:
         states = np.empty((len(path.times), 2), dtype=complex)
         prestates = np.empty_like(states)
-    block = np.empty((min(RENORM_STEPS, k_steps) + 1, 2, n_paths), dtype=complex)  # grid nodes k0..k1
+    width = min(RENORM_STEPS, k_steps)
+    block = np.empty((width + 1, 2, n_paths), dtype=complex)  # grid nodes k0..k1
+    to_grid = np.empty((width, n_paths), dtype=int)  # the segments ending at grid nodes k0 + 1..k1
+    incr = np.empty((width * n_paths, 3))
     for k0 in range(0, k_steps, RENORM_STEPS):
         k1 = min(k0 + RENORM_STEPS, k_steps)
-        block[0] = g
         if diffuse:
-            rot = su2_exp_batch(scale * path.db[to_grid[k0:k1].reshape(-1)]).reshape(k1 - k0, n_paths, 2, 2)
+            seg = np.subtract(grid_nodes[:, k0 + 1 : k1 + 1].T, shift, out=to_grid[: k1 - k0])
+            v = np.take(path.db, seg.reshape(-1), axis=0, out=incr[: seg.size], mode="clip")
+            v *= scale
+            rot = su2_exp_batch(v).transpose(1, 2, 0).reshape(2, 2, k1 - k0, n_paths).transpose(2, 0, 1, 3)
+        block[0] = g
         for k in range(k0, k1):
             g = block[k - k0].copy() if k in groups else block[k - k0]
             for rows in groups.get(k, ()):
                 who, nodes = ev_owner[rows], ev_nodes[rows]
                 pre = _row_product(g[:, who], ev_rot[..., rows], None, None) if diffuse else g[:, who]
-                g[:, who] = _row_product(pre, atom_mats[..., path.marks[nodes]], None, None)
+                g[:, who] = _row_product(pre, ev_jump[..., rows], None, None)
                 if record:
                     prestates[nodes] = pre.T
                     states[nodes] = g[:, who].T
             if diffuse:
-                _row_product(g, rot[k - k0].transpose(1, 2, 0), block[k - k0 + 1], tmp)
+                _row_product(g, rot[k - k0], block[k - k0 + 1], prod)
             else:
                 block[k - k0 + 1] = g
         g, res = su2_renormalise(block[k1 - k0])
@@ -329,24 +358,28 @@ def ensemble_final_states(spec: GroupProcessSpec, paths: int) -> np.ndarray:
     """phi(horizon) for all path indices, started at the identity.
 
     Paths are simulated in chunks (``linalg.blocks``), with the same draws and
-    layout as ``simulate_paths``; on SU(2) only the final states are kept.  Path p
-    agrees with ``simulate_path(spec, p)``.
+    layout as ``simulate_paths``; on SU(2) only the final states are kept.  One
+    chunk's layout is alive at a time: it is dropped before the next one is laid
+    out.  Path p agrees with ``simulate_path(spec, p)``, to the bit.
     """
     d = group_dim(spec.group)
-    # the budget counts each segment's normals (8 d bytes a node), but on criterion 10's central
-    # SU(2) spec 49 B a node stay live after _layout and the evolve adds 37 B a node at its peak
-    # (tracemalloc): a chunk peaks at about 3.6 budgets
+    # the budget counts each segment's normals (8 d bytes a node).  On criterion 10's central SU(2)
+    # spec (tracemalloc) a layout keeps 41 B a node and peaks at 59 B a node while it is laid out, and
+    # the evolve adds at most 27 B a node: a call peaks at 2.9 budgets (896 paths), below 3.25
     if spec.group == SU2:
         out = np.empty((paths, 2, 2), dtype=complex)
     else:
         out = np.empty((paths, d))
     for chunk in blocks(paths, 8 * d * (spec.n_steps + 1 + spec.jumps.total_mass * spec.horizon)):
-        path = _layout(spec, np.arange(chunk.start, chunk.stop))
-        if spec.group == SU2:
-            out[chunk] = _su2_evolve(path, record=False)
-        else:
-            out[chunk] = _torus_states(path).states[path.end_rows]
+        out[chunk] = _final_states(_layout(spec, np.arange(chunk.start, chunk.stop)))
     return out
+
+
+def _final_states(path: PathRecord) -> np.ndarray:
+    """The state at the horizon of each path of the layout."""
+    if path.spec.group == SU2:
+        return _su2_evolve(path, record=False)
+    return _torus_states(path).states[path.end_rows]
 
 
 @dataclass

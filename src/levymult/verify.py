@@ -466,10 +466,14 @@ def check_projection(paths=10000, seed=20246) -> CheckResult:
     )
 
 
+def _central_spec(seed) -> GroupProcessSpec:
+    """Criterion 10's central SU(2) process: diffusion and jumps by -I."""
+    return GroupProcessSpec(SU2, 0.4, GroupLevyMeasure(SU2, ((-np.eye(2), 0.8),)), 0.75, 1 / 500, seed=seed)
+
+
 def check_central_char(paths=10000, seed=20247) -> CheckResult:
     """Empirical transform of a central SU(2) process against both oracles."""
-    jumps = GroupLevyMeasure(SU2, ((-np.eye(2), 0.8),))
-    spec = GroupProcessSpec(SU2, 0.4, jumps, 0.75, 1 / 500, seed=seed)
+    spec = _central_spec(seed)
     pis = [get_irrep(SU2, j) for j in (0.5, 1.0, 1.5)]
     reports = central_char_report(spec, pis, paths)
     worst_sig = max(max(r.max_sigmas("scalar"), r.max_sigmas("matrix")) for r in reports)

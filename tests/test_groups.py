@@ -250,6 +250,17 @@ def test_su2_batch_homomorphism_and_unitarity():
             assert np.max(np.abs(u @ u.conj().T - np.eye(pi.dim))) < 1e-10
 
 
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0])
+def test_a_lone_su2_element_evaluates_as_in_a_batch(j):
+    # a one-row matrix product would take BLAS's matrix-vector path, which rounds differently
+    pi = su2_irrep(j)
+    gs = haar_sample("su2", rngmod.stream(4, 1), 9)
+    batch = su2_irrep_batch(pi, gs)
+    for i in range(len(gs)):
+        assert np.array_equal(su2_irrep_batch(pi, gs[i : i + 1])[0], batch[i]), i
+        assert np.array_equal(su2_irrep_batch(pi, gs[i]), batch[i]), i
+
+
 def test_su2_center_evaluation():
     # -I maps to (-1)^{2j} I in spin j
     for j, sign in ((0.5, -1.0), (1.0, 1.0), (1.5, -1.0)):

@@ -12,6 +12,7 @@ from levymult.groups import (
     GroupLevyMeasure,
     get_irrep,
     haar_sample,
+    multiply,
     random_band_limited,
     su2_exp,
 )
@@ -581,6 +582,20 @@ def test_node_blocks_leave_every_bit_in_place(name, grid_events, monkeypatch):
             assert getattr(blocked, field).tobytes() == getattr(whole, field).tobytes(), (rows, field)
         for got, want in zip(ctx.final_values(path, sigmas, amat, psi), finals):
             assert got.tobytes() == want.tobytes(), rows
+
+
+def test_su2_horizon_values_do_not_depend_on_the_chunks(monkeypatch):
+    # a chunk of one evaluates its lone end state as a larger chunk does
+    spec = FINAL_VALUE_SPECS["su2"]
+    ctx = transform_context(spec, random_band_limited("su2", 2.0, rngmod.stream(8, 8), real=True))
+
+    def values():
+        chunks = ensemble_chunks(spec, ctx, 9, seed=96)
+        return np.concatenate([ctx.horizon_values(multiply("su2", s, path.states[path.end_rows])) for _, path, s in chunks])
+
+    whole = values()
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)  # chunks of one path
+    assert values().tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("name", ["t2-drift", "t2-no-jumps"])

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from levymult import linalg
+from levymult import linalg, verify
 from levymult import rng as rngmod
 from levymult import simulate as simmod
 from levymult.groups import GroupLevyMeasure, su2_exp, su2_exp_batch, su2_product
@@ -223,11 +225,46 @@ def test_path_does_not_depend_on_its_chunk(name, monkeypatch):
         part = simulate_paths(spec, chunk)
         p, q = list(chunk).index(5), 5
         mine = part.states[part.offsets[p] : part.offsets[p + 1]]
-        assert np.max(np.abs(mine - whole.states[whole.offsets[q] : whole.offsets[q + 1]])) <= 1e-12
+        assert np.array_equal(mine, whole.states[whole.offsets[q] : whole.offsets[q + 1]])
     # an ensemble spanning several chunks gives the same final states
     finals = ensemble_final_states(spec, 7)
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)
-    assert np.max(np.abs(ensemble_final_states(spec, 7) - finals)) <= 1e-12
+    assert np.array_equal(ensemble_final_states(spec, 7), finals)
+
+
+def _chunk_sizes(monkeypatch) -> list:
+    """The path counts of the layouts laid out from now on."""
+    sizes, layout = [], simmod._layout
+    monkeypatch.setattr(simmod, "_layout", lambda spec, indices: sizes.append(len(indices)) or layout(spec, indices))
+    return sizes
+
+
+def test_central_final_states_do_not_depend_on_the_chunks(monkeypatch):
+    # criterion 10's spec at 9 paths: one chunk at the default budget, chunks of a few paths, chunks of one
+    spec = verify._central_spec(20247)
+    sizes = _chunk_sizes(monkeypatch)
+    finals = ensemble_final_states(spec, 9)
+    assert sizes == [9]
+    for budget, most in ((40_000, 4), (1, 1)):
+        sizes.clear()
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
+        assert np.array_equal(ensemble_final_states(spec, 9), finals), budget
+        assert max(sizes) == most and sum(sizes) == 9
+
+
+def test_a_central_ensemble_peaks_inside_its_budget(monkeypatch):
+    # criterion 10's spec at 896 paths, several chunks: the bound stated at ensemble_final_states
+    spec = verify._central_spec(20247)
+    ensemble_final_states(spec, 2)
+    sizes = _chunk_sizes(monkeypatch)
+    tracemalloc.start()
+    try:
+        ensemble_final_states(spec, 896)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) > 3
+    assert peak < 3.25 * linalg.BLOCK_BYTES
 
 
 def matrix_loop_path(spec, indices):
