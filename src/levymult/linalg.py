@@ -16,9 +16,9 @@ BLOCK_BYTES = 1 << 20
 
 #: Monte Carlo path chunks (``martingale.ensemble_chunks``) take this many ``BLOCK_BYTES`` at a path's
 #: ``path_bytes``, which counts 240 B a node on criterion 9's T^2 fixtures.  Under tracemalloc a chunk of
-#: ``final_values`` takes 290 B a node plus about 1.5 ``BLOCK_BYTES`` of node blocks, and a ``transcript``
-#: 440 B a node: a final-values chunk peaks below 1.25 chunk budgets plus 2 ``BLOCK_BYTES`` (5.0 MiB at 50
-#: paths, against 5.75), a transcript chunk below 2 chunk budgets
+#: ``final_values`` takes 205 B a node plus about 1.6 ``BLOCK_BYTES`` of node blocks, and a ``transcript``
+#: 356 B a node plus about 0.7: a final-values chunk peaks below 1.25 chunk budgets plus 2 ``BLOCK_BYTES``
+#: (4.1 MiB at 50 paths, against 5.75), a transcript chunk below 2 chunk budgets (5.0 MiB, against 6)
 CHUNK_BLOCKS = 3
 
 #: relative tolerance of the PSD tests: asymmetry, negative eigenvalues and Cholesky pivots

@@ -21,21 +21,24 @@ so domination by the transform bounds holds path by path in floats.
 
 Every Monte Carlo consumer evaluates chunks of paths (``ensemble_chunks``):
 a transcript has one row per path, and final-value ensembles accumulate only
-the transform, step by step as a transcript would.  Work runs on two levels.
-A path chunk is sized by the narrow arrays a path keeps per node (times,
-marks, Brownian increments, states and a few value columns: ``path_bytes``)
-against ``linalg.CHUNK_BLOCKS`` budgets.  Inside it, the wide (rows x labels)
-tables of decay, representation and their rows against the coefficient
-columns are built and reduced one node block of ``linalg.BLOCK_BYTES`` at a
-time.  A row's arithmetic does not depend on its chunk or block, so neither
-do a path's values, to the bit.
+the transform, step by step as a transcript would.  Every segment term
+(Brownian increment, length, A grad M, compensator, grid step) sits on the
+node where the segment starts, so the per-step sums run over all nodes at
+their cells; a path's last node starts no segment and adds exact zeros.
+
+Work runs on two levels.  A path chunk is sized by the narrow arrays a path
+keeps per node (times, marks, Brownian increments, states and a few value
+columns: ``path_bytes``) against ``linalg.CHUNK_BLOCKS`` budgets.  Inside
+it, the wide (rows x labels) tables of decay, representation and their rows
+against the coefficient columns are built and reduced one node block of
+``linalg.BLOCK_BYTES`` at a time.  A row's arithmetic does not depend on its
+chunk or block, so neither do a path's values, to the bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -162,8 +165,10 @@ class _IrrepStack:
         # grid nodes and whole grid steps are shared by every path; only
         # event nodes and the segments they split vary
         self.grid_decay = self.decay(spec.horizon - spec.grid_times)
+        # one row per grid node: the compensator over the step it starts, zero at the horizon
         lengths, step = np.unique(np.diff(spec.grid_times), return_inverse=True)
-        self.grid_integral = self.decay_integral(self.grid_decay[1:], self.step_factor(lengths)[step])
+        integral = self.decay_integral(self.grid_decay[1:], self.step_factor(lengths)[step])
+        self.grid_integral = np.concatenate([integral, np.zeros_like(integral[:1])])
 
     def decay(self, s: np.ndarray) -> np.ndarray:
         """Decay rows of e^{sL} at the remaining times s."""
@@ -216,9 +221,10 @@ class _TransformContext:
         self.stacks = [_IrrepStack(spec, irreps, fblocks) for irreps, fblocks in f.stacks()]
         # a node block of _values holds decay, representation and their rows: three complex tables as wide as h
         self.row_bytes = 48 * max(st.h.shape[0] for st in self.stacks)
-        # a path chunk counts the narrow arrays of a path's nodes: times, kinds, marks, db, owner, cells, src
-        # and the like (8 B a column each), states, pre-jump states and elements, and the complex at_nodes
-        # and at_starts columns
+        # a path chunk counts the narrow arrays of a path's nodes: times, marks, ds, owner, cells, src and the
+        # columns of db (8 B a column each), three group elements (states, start points, elements), and twice
+        # the complex at_nodes columns (at_nodes, then the atoms' compensators and the node terms taken from
+        # it); pre-jump states are kept at events only
         nodes = spec.n_steps + 1 + spec.jumps.total_mass * spec.horizon
         element = identity_element(spec.group).nbytes
         self.path_bytes = nodes * (8 * (6 + self.dim) + 3 * element + 32 * (1 + self.dim + len(self.masses)))
@@ -232,23 +238,24 @@ class _TransformContext:
 
     def _values(self, path: PathRecord, sigmas):
         """M and sqrt(2c) grad M at every node, the jump of M at every event,
-        and each atom's compensator integral over every segment, for the
-        paths of ``path`` started at ``sigmas`` (one element per path).
+        and each atom's compensator integral over the segment starting at
+        every node (zero at the last), for the paths of ``path`` started at
+        ``sigmas`` (one element per path).
 
         The wide (rows x labels) tables of each stack are built and reduced
         one node block (``linalg.blocks`` at ``row_bytes`` a row) at a time.
-        A segment's compensator is reduced on the row of its start node, with
-        that node's representation.  Every row takes the arithmetic it takes
-        in the whole chunk at once."""
+        A segment's compensator is reduced on the row of its node, with that
+        node's representation.  Every row takes the arithmetic it takes in
+        the whole chunk at once."""
         spec = self.spec
         n = self.dim
         times = path.times
-        ev_rows, seg = path.event_rows, path.segment_rows
+        ev_rows = path.event_rows
         owner = path.owner
         if np.shape(sigmas) != (len(path.indices),) + np.shape(identity_element(spec.group)):
             raise ValueError("need one start element per path")
         starts = np.asarray(sigmas)[np.concatenate([owner, owner[ev_rows]])]
-        elements = multiply(spec.group, starts, np.concatenate([path.states, path.prestates[ev_rows]]))
+        elements = multiply(spec.group, starts, np.concatenate([path.states, path.prestates]))
         # rows are the nodes, then the events again at their pre-jump states;
         # a grid node reads its row of the grid table, an event its own decay
         src = np.empty(len(elements), dtype=int)
@@ -257,16 +264,16 @@ class _TransformContext:
         at_nodes = np.zeros((len(elements), 1 + n + len(self.masses)), dtype=complex)
         if len(self.masses):
             # each row's compensator over the segment that starts there, a whole grid step unless an event
-            # splits it; the rows that start no segment (path ends, pre-jump states) are dropped at the end
-            at_starts = np.zeros(at_nodes.shape, dtype=complex)
-            steps = np.minimum(src, spec.n_steps - 1)
-            split = np.flatnonzero((path.kinds[seg] == 1) | (path.kinds[seg + 1] == 1))
-            split_rows = seg[split]
+            # splits it, and zero at a path's end; the pre-jump rows read zeros too and are dropped
+            at_starts = np.zeros((len(elements), len(self.masses)), dtype=complex)
+            steps = np.minimum(src, spec.n_steps)
+            event = path.marks >= 0
+            split_rows = np.flatnonzero(event[:-1] | event[1:])
             splits, split_at = slice(None), split_rows  # a chunk in one block
         for st in self.stacks:
             table = np.concatenate([st.grid_decay, st.decay(spec.horizon - times[ev_rows])])
             if len(self.masses):
-                split_integral = st.decay_integral(table[src[split_rows + 1]], st.step_factor(path.ds[split]))
+                split_integral = st.decay_integral(table[src[split_rows + 1]], st.step_factor(path.ds[split_rows]))
             for rows in blocks(len(elements), self.row_bytes):
                 if len(self.masses) and rows.stop - rows.start < len(elements):
                     splits = slice(*split_rows.searchsorted((rows.start, rows.stop)))
@@ -276,27 +283,26 @@ class _TransformContext:
                 if len(self.masses):
                     integral = st.grid_integral[steps[rows]]
                     integral[split_at] = split_integral[splits]
-                    at_starts[rows] += matmul_rows(_rows(integral, rep), st.h)
+                    at_starts[rows] += matmul_rows(_rows(integral, rep), st.h)[:, 1 + n :]
         at_events = at_nodes[len(times) :]
         m_node = at_nodes[: len(times), 0]
         grad = np.sqrt(2.0 * spec.c) * at_nodes[: len(times), 1 : 1 + n]
         dp_ev = at_events[np.arange(len(ev_rows)), 1 + n + path.marks[ev_rows]]
-        comp_atom = at_starts[seg, 1 + n :] if len(self.masses) else None
+        comp_atom = at_starts[: len(times)] if len(self.masses) else None
         return m_node, grad, dp_ev, comp_atom
 
     def _increments(self, path: PathRecord, grad, dp_ev, comp_atom, a_use, psi_use):
         """Per-step increments (paths, steps) of the transform by (A, psi):
         left-point Brownian sums, minus the compensator, plus the jumps.
-        Also returns the segment terms A grad M and the event terms psi dM."""
-        seg, ev_rows = path.segment_rows, path.event_rows
-        va = grad[seg] @ np.asarray(a_use, dtype=complex).T
+        Also returns the node terms A grad M and the event terms psi dM."""
+        ev_rows = path.event_rows
+        va = grad @ np.asarray(a_use, dtype=complex).T
         inc = np.zeros(len(path.indices) * self.spec.n_steps, dtype=complex)
-        seg_cells = path.cells[seg]
-        np.add.at(inc, seg_cells, np.einsum("sd,sd->s", va, path.db))
+        np.add.at(inc, path.cells, np.einsum("sd,sd->s", va, path.db))
         jump_t = np.zeros(0, dtype=complex)
         if len(self.masses):
             psi_vals = psi_values(psi_use, len(self.masses))
-            np.add.at(inc, seg_cells, -(comp_atom @ (self.masses * psi_vals)))
+            np.add.at(inc, path.cells, -(comp_atom @ (self.masses * psi_vals)))
             jump_t = psi_vals[path.marks[ev_rows]] * dp_ev
             np.add.at(inc, path.cells[ev_rows], jump_t)
         return inc.reshape(len(path.indices), -1), va, jump_t
@@ -317,12 +323,11 @@ class _TransformContext:
         m_node, grad, dp_ev, comp_atom = self._values(path, sigmas)
         repr_inc, v, _ = self._increments(path, grad, dp_ev, comp_atom, np.eye(self.dim), 1.0)
         tr_inc, va, jump_t = self._increments(path, grad, dp_ev, comp_atom, pair_matrix(amatrix, self.dim), psi)
-        seg, ev_rows, ds = path.segment_rows, path.event_rows, path.ds
-        seg_cells, ev_cells = path.cells[seg], path.cells[ev_rows]
+        ds, ev_cells = path.ds, path.cells[path.event_rows]
 
-        def per_step(seg_terms, ev_terms):
+        def per_step(node_terms, ev_terms):
             out = np.zeros(n_paths * k_steps)
-            np.add.at(out, seg_cells, seg_terms)
+            np.add.at(out, path.cells, node_terms)
             if len(self.masses):
                 np.add.at(out, ev_cells, ev_terms)
             return out.reshape(n_paths, k_steps)
@@ -405,23 +410,15 @@ def ensemble_chunks(spec: GroupProcessSpec, ctx: _TransformContext, paths: int, 
         yield idx, simulate_paths(spec, idx), sigmas
 
 
-def simulate_transform_ensemble(
-    spec: GroupProcessSpec,
-    f: PeterWeylCoeffs,
-    amatrix,
-    psi,
-    paths: int,
-    seed: Optional[int] = None,
-) -> TransformEnsemble:
+def simulate_transform_ensemble(spec: GroupProcessSpec, f: PeterWeylCoeffs, amatrix, psi, paths: int) -> TransformEnsemble:
     """Simulate paths in chunks and collect their final values.
 
-    Path i's values depend only on (spec.seed, seed, i) and start at a
-    Haar sample; see ``ensemble_chunks``.
+    Path i's values depend only on (spec.seed, i) and start at a Haar
+    sample; see ``ensemble_chunks``.
     """
-    seed = spec.seed if seed is None else seed
     ctx = transform_context(spec, f)
     x, y, m0 = (np.zeros(paths, dtype=complex) for _ in range(3))
-    for idx, path, sigmas in ensemble_chunks(spec, ctx, paths, seed):
+    for idx, path, sigmas in ensemble_chunks(spec, ctx, paths, spec.seed):
         m0[idx], x[idx], y[idx] = ctx.final_values(path, sigmas, amatrix, psi)
     return TransformEnsemble(x, y, m0)
 

@@ -9,13 +9,16 @@ by (seed, purpose, path index), so path i is the same no matter how many
 other paths are simulated.
 
 Paths are simulated in chunks laid out in flat node arrays (a single path
-is a chunk of one): torus states are running sums, and SU(2) states are
-advanced by one loop over the grid steps for the whole chunk as first rows
-(a, b) of [[a, b], [-conj(b), conj(a)]], expanded to matrices once per chunk.
-The step exponentials are taken a block of steps at a time and kept entries
-first, so that each step multiplies contiguous (2, 2, paths) rows.  A path
-without events draws no event times or atoms.  Final-state ensembles keep
-one chunk's layout alive at a time.
+is a chunk of one).  A segment lives on the node where it starts: its
+Brownian increment and length are that node's rows, and a path's last node
+holds zeros; pre-jump states are kept at events only.  Torus states are
+running sums, and SU(2) states are advanced by one loop over the grid steps
+for the whole chunk as first rows (a, b) of [[a, b], [-conj(b), conj(a)]],
+expanded to matrices once per chunk.  The step exponentials are taken a
+block of steps at a time and kept entries first, so that each step
+multiplies contiguous (2, 2, paths) rows.  A path without events draws no
+event times or atoms.  Final-state ensembles keep one chunk's layout alive
+at a time.
 """
 
 from __future__ import annotations
@@ -92,19 +95,19 @@ class PathRecord:
 
     The nodes of a path are ordered points in time; every grid time is a
     node, every jump is its own node (after the grid node when times
-    coincide).  Paths are laid out one after another in flat arrays: path
-    ``indices[p]`` owns nodes ``offsets[p]:offsets[p + 1]``.  ``states[i]``
-    is the state at node i after any event there; ``prestates[i]`` the
-    state just before it.  ``db`` holds the standard Brownian increments
-    over the segments (node i, node i + 1) inside each path, in node order
-    (see ``segment_rows``).
+    coincide) and has its atom in ``marks`` (-1 elsewhere).  Paths are laid
+    out one after another in flat arrays: path ``indices[p]`` owns nodes
+    ``offsets[p]:offsets[p + 1]``.  A segment lives on the node where it
+    starts: ``db[i]`` and ``ds[i]`` are the standard Brownian increment and
+    the length of the segment (node i, node i + 1), and zero at each path's
+    last node.  ``states[i]`` is the state at node i after any event there;
+    ``prestates[j]`` the state just before the event at ``event_rows[j]``.
     """
 
     spec: GroupProcessSpec
     indices: np.ndarray
     offsets: np.ndarray
     times: np.ndarray
-    kinds: np.ndarray  # 0 grid node, 1 event node
     marks: np.ndarray  # atom index at event nodes, -1 elsewhere
     db: np.ndarray
     states: np.ndarray = None
@@ -116,24 +119,15 @@ class PathRecord:
         """Position in ``indices`` of the path each node belongs to."""
         return np.repeat(np.arange(len(self.indices)), np.diff(self.offsets))
 
-    def _starts(self) -> np.ndarray:
-        """Mask of the nodes that start a segment: all but the last of each path."""
-        starts = np.ones(len(self.times), dtype=bool)
-        starts[self.offsets[1:] - 1] = False
-        return starts
-
-    @cached_property
-    def segment_rows(self) -> np.ndarray:
-        """The node that starts each segment."""
-        return np.flatnonzero(self._starts())
-
     def _lengths(self) -> np.ndarray:
-        """Length of each segment, a new array on every call (``ds`` keeps one)."""
-        return np.diff(self.times)[self._starts()[:-1]]
+        """Length of the segment starting at each node, a new array on every call (``ds`` keeps one)."""
+        ds = np.diff(self.times, append=self.spec.horizon)
+        ds[self.end_rows] = 0.0  # -horizon across a path boundary
+        return ds
 
     @cached_property
     def ds(self) -> np.ndarray:
-        """Length of each segment."""
+        """Length of the segment starting at each node."""
         return self._lengths()
 
     @property
@@ -143,11 +137,11 @@ class PathRecord:
 
     @cached_property
     def grid_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.kinds == 0)
+        return np.flatnonzero(self.marks < 0)
 
     @cached_property
     def event_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.kinds == 1)
+        return np.flatnonzero(self.marks >= 0)
 
     def steps(self, rows) -> np.ndarray:
         """Grid step [t_k, t_{k+1}) holding each of the given nodes; an event
@@ -212,20 +206,17 @@ def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
     # it (grid node first on a time tie) and the earlier events
     ev_owner = np.repeat(np.arange(n_paths), counts)
     ev_rows = ev_owner * (k_steps + 1) + np.arange(len(t_ev)) + np.searchsorted(spec.grid_times, t_ev, side="right")
-    kinds = np.zeros(offsets[-1], dtype=np.int8)
-    kinds[ev_rows] = 1
-    times = np.empty(offsets[-1])
-    times[ev_rows] = t_ev
-    np.place(times, kinds == 0, spec.grid_times)  # every path's grid times, repeated in place
     marks = np.full(offsets[-1], -1)
     marks[ev_rows] = np.concatenate([m for _, m in events])
-    # path p's segments are rows offsets[p] - p .. offsets[p + 1] - p - 1
-    seg_start = offsets - np.arange(n_paths + 1)
-    db = np.empty((seg_start[-1], group_dim(spec.group)))
+    times = np.empty(offsets[-1])
+    times[ev_rows] = t_ev
+    np.place(times, marks < 0, spec.grid_times)  # every path's grid times, repeated in place
+    # path p's segments start at its nodes but the last, which keeps zeros
+    db = np.zeros((offsets[-1], group_dim(spec.group)))
     rngmod.streams(
-        spec.seed, (rngmod.BROWNIAN,), indices, lambda gen, p: gen.standard_normal(out=db[seg_start[p] : seg_start[p + 1]])
+        spec.seed, (rngmod.BROWNIAN,), indices, lambda gen, p: gen.standard_normal(out=db[offsets[p] : offsets[p + 1] - 1])
     )
-    path = PathRecord(spec, indices, offsets, times, kinds, marks, db)
+    path = PathRecord(spec, indices, offsets, times, marks, db)
     root = path._lengths()  # not cached: an SU(2) evolve never reads ds
     db *= np.sqrt(root, out=root)[:, None]
     return path
@@ -234,18 +225,18 @@ def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
 def _torus_states(path: PathRecord):
     """Exact states: running sums of drift, diffusion and jump increments."""
     spec = path.spec
-    seg, ev_rows = path.segment_rows, path.event_rows
-    # per node: the drift and diffusion of the segment ending there, and its jump
+    ev_rows = path.event_rows
+    # per node: the drift and diffusion of the segment ending there (the one
+    # starting at the node before), and its jump
     incr = np.zeros((len(path.times), 2, group_dim(spec.group)))
-    incr[seg + 1, 0] = np.asarray(spec.drift) * path.ds[:, None] + np.sqrt(2.0 * spec.c) * path.db
+    incr[1:, 0] = (np.asarray(spec.drift) * path.ds[:, None] + np.sqrt(2.0 * spec.c) * path.db)[:-1]
     jumps = np.array([tau for tau, _ in spec.jumps.atoms]).reshape(-1, incr.shape[2])[path.marks[ev_rows]]
     incr[ev_rows, 1] = jumps
     # each path's own running sums: the same as if it were simulated alone
     for a, b in zip(path.offsets[:-1], path.offsets[1:]):
         incr[a:b].cumsum(axis=0, out=incr[a:b])
     path.states = incr[:, 0] + incr[:, 1]
-    path.prestates = path.states.copy()
-    path.prestates[ev_rows] -= jumps
+    path.prestates = path.states[ev_rows] - jumps
     return path
 
 
@@ -271,17 +262,16 @@ def _su2_evolve(path: PathRecord, record: bool) -> np.ndarray:
     (step, path) order into a reused buffer, and kept entries first
     (``su2_exp_batch``): a step's matrices are contiguous (2, 2, paths) rows,
     and the step is two ufunc calls on them.  ``ensemble_final_states`` keeps
-    one chunk's layout alive at a time.  With ``record`` the state at every
-    node is kept as well.
+    one chunk's layout alive at a time.  The substep ending at node i is the
+    segment on node i - 1.  With ``record`` the state at every node and the
+    pre-jump state at every event are kept as well.
     """
     spec = path.spec
     k_steps, n_paths = spec.n_steps, len(path.indices)
     diffuse = spec.c > 0.0
     scale = np.sqrt(2.0 * spec.c)
-    # segment j starts at node j + (its path's position): the one ending at
-    # node i is segment i - 1 - (path of i)
+    # the substep ending at node i is the segment on node i - 1
     grid_nodes = path.grid_rows.reshape(n_paths, k_steps + 1)
-    shift = 1 + np.arange(n_paths)
     ev_nodes = path.event_rows
     ev_owner = np.searchsorted(path.offsets, ev_nodes, side="right") - 1
     ev_step = path.steps(ev_nodes)
@@ -296,14 +286,14 @@ def _su2_evolve(path: PathRecord, record: bool) -> np.ndarray:
     for lo, hi in zip(firsts, firsts[1:] + [len(order)]):
         groups.setdefault(int(ev_step[lo]), []).append(slice(lo, hi))
     if diffuse:
-        ev_rot = su2_exp_batch(scale * path.db[ev_nodes - 1 - ev_owner]).transpose(1, 2, 0)
+        ev_rot = su2_exp_batch(scale * path.db[ev_nodes - 1]).transpose(1, 2, 0)
     atom_mats = np.array([tau for tau, _ in spec.jumps.atoms], dtype=complex).reshape(-1, 2, 2).transpose(1, 2, 0)
     ev_jump = atom_mats[..., path.marks[ev_nodes]]
     g = np.zeros((2, n_paths), dtype=complex) + [[1.0], [0.0]]
     prod = np.empty((2, 2, n_paths), dtype=complex)
     if record:
         states = np.empty((len(path.times), 2), dtype=complex)
-        prestates = np.empty_like(states)
+        prestates = np.empty((len(ev_nodes), 2), dtype=complex)  # in event_rows order
     width = min(RENORM_STEPS, k_steps)
     block = np.empty((width + 1, 2, n_paths), dtype=complex)  # grid nodes k0..k1
     to_grid = np.empty((width, n_paths), dtype=int)  # the segments ending at grid nodes k0 + 1..k1
@@ -311,7 +301,7 @@ def _su2_evolve(path: PathRecord, record: bool) -> np.ndarray:
     for k0 in range(0, k_steps, RENORM_STEPS):
         k1 = min(k0 + RENORM_STEPS, k_steps)
         if diffuse:
-            seg = np.subtract(grid_nodes[:, k0 + 1 : k1 + 1].T, shift, out=to_grid[: k1 - k0])
+            seg = np.subtract(grid_nodes[:, k0 + 1 : k1 + 1].T, 1, out=to_grid[: k1 - k0])
             v = np.take(path.db, seg.reshape(-1), axis=0, out=incr[: seg.size], mode="clip")
             v *= scale
             rot = su2_exp_batch(v).transpose(1, 2, 0).reshape(2, 2, k1 - k0, n_paths).transpose(2, 0, 1, 3)
@@ -323,7 +313,7 @@ def _su2_evolve(path: PathRecord, record: bool) -> np.ndarray:
                 pre = _row_product(g[:, who], ev_rot[..., rows], None, None) if diffuse else g[:, who]
                 g[:, who] = _row_product(pre, ev_jump[..., rows], None, None)
                 if record:
-                    prestates[nodes] = pre.T
+                    prestates[order[rows]] = pre.T
                     states[nodes] = g[:, who].T
             if diffuse:
                 _row_product(g, rot[k - k0], block[k - k0 + 1], prod)
@@ -332,8 +322,8 @@ def _su2_evolve(path: PathRecord, record: bool) -> np.ndarray:
         g, res = su2_renormalise(block[k1 - k0])
         path.unitarity_residual = max(path.unitarity_residual, res)
         if record:
-            block[k1 - k0], nodes = g, grid_nodes[:, k0 : k1 + 1].T
-            states[nodes] = prestates[nodes] = block[: k1 - k0 + 1].transpose(0, 2, 1)
+            block[k1 - k0] = g
+            states[grid_nodes[:, k0 : k1 + 1].T] = block[: k1 - k0 + 1].transpose(0, 2, 1)
     if record:
         path.states, path.prestates = (su2_matrix(*r.T) for r in (states, prestates))
     return su2_matrix(*g)
@@ -363,8 +353,8 @@ def ensemble_final_states(spec: GroupProcessSpec, paths: int) -> np.ndarray:
     out.  Path p agrees with ``simulate_path(spec, p)``, to the bit.
     """
     d = group_dim(spec.group)
-    # the budget counts each segment's normals (8 d bytes a node).  On criterion 10's central SU(2)
-    # spec (tracemalloc) a layout keeps 41 B a node and peaks at 59 B a node while it is laid out, and
+    # the budget counts each node's normals (8 d bytes a node).  On criterion 10's central SU(2)
+    # spec (tracemalloc) a layout keeps 40 B a node and peaks at 57 B a node while it is laid out, and
     # the evolve adds at most 27 B a node: a call peaks at 2.9 budgets (896 paths), below 3.25
     if spec.group == SU2:
         out = np.empty((paths, 2, 2), dtype=complex)

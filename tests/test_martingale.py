@@ -121,9 +121,9 @@ def test_pure_jump_qv_increments_recomputed_from_path():
         path = simulate_path(spec, i)
         tr = ctx.transcript(path, None, psi_val, sigma[None])
         jump_sq = 0.0
-        for row in np.flatnonzero(path.kinds == 1):
+        for row, prestate in zip(path.event_rows, path.prestates):
             s = path.times[row]
-            pre = sigma[0] + path.prestates[row, 0]
+            pre = sigma[0] + prestate[0]
             w = fhat * np.exp((spec.horizon - s) * alpha)
             dp = np.sum(w * np.exp(1j * kvec * pre) * (np.exp(1j * kvec * 1.7) - 1.0))
             jump_sq += abs(dp) ** 2
@@ -455,6 +455,13 @@ def _reference_final_values(spec, f, amat, psi, paths, seed, g=None):
     return np.array(rows)
 
 
+def _chunked_final_values(spec, f, amat, psi, paths, seed):
+    """(M_0, M_T, transform at T) of every path, chunk by chunk from ``ensemble_chunks``."""
+    ctx = transform_context(spec, f)
+    chunks = ensemble_chunks(spec, ctx, paths, seed)
+    return np.concatenate([ctx.final_values(path, sigmas, amat, psi) for _, path, sigmas in chunks], axis=1)
+
+
 def _close(a, b, rtol=1e-12):
     return np.max(np.abs(a - b), initial=0.0) <= rtol * max(1.0, np.max(np.abs(b), initial=0.0))
 
@@ -465,14 +472,14 @@ def test_batched_final_values_match_transcripts(name, monkeypatch):
     f = random_band_limited(spec.group, 1.0 if spec.group == "su2" else 2, rngmod.stream(8, 1), real=True)
     amat, psi = _transform_pair(spec)
     ref = _reference_final_values(spec, f, amat, psi, 7, seed=99)
-    ens = simulate_transform_ensemble(spec, f, amat, psi, 7, seed=99)
-    for got, col in ((ens.m_initial, 0), (ens.x_final, 1), (ens.y_final, 2)):
-        assert _close(got, ref[:, col])
+    ens = _chunked_final_values(spec, f, amat, psi, 7, seed=99)
+    for col in range(3):
+        assert _close(ens[col], ref[:, col])
     # more than one chunk: one path per chunk
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)
     assert [s.stop - s.start for s in linalg.blocks(7, transform_context(spec, f).path_bytes)] == [1] * 7
-    split = simulate_transform_ensemble(spec, f, amat, psi, 7, seed=99)
-    assert _close(split.y_final, ens.y_final) and _close(split.x_final, ens.x_final)
+    split = _chunked_final_values(spec, f, amat, psi, 7, seed=99)
+    assert _close(split[2], ens[2]) and _close(split[1], ens[1])
 
 
 @pytest.mark.parametrize("name", ["t1", "t1-c0", "t2-drift", "t2-no-jumps"])
@@ -511,8 +518,8 @@ def test_batched_final_values_with_events_on_grid_times(name, monkeypatch):
     f = random_band_limited(spec.group, 1.0 if spec.group == "su2" else 2, rngmod.stream(8, 3), real=True)
     amat, psi = _transform_pair(spec)
     ref = _reference_final_values(spec, f, amat, psi, 4, seed=98)
-    ens = simulate_transform_ensemble(spec, f, amat, psi, 4, seed=98)
-    assert _close(ens.y_final, ref[:, 2]) and _close(ens.x_final, ref[:, 1])
+    ens = _chunked_final_values(spec, f, amat, psi, 4, seed=98)
+    assert _close(ens[2], ref[:, 2]) and _close(ens[1], ref[:, 1])
 
 
 @pytest.mark.parametrize("name", ["t2-drift", "su2"])

@@ -67,7 +67,7 @@ def test_poisson_event_count_law():
     assert abs(z) < 3.0
     # exact event times lie strictly inside the horizon and are sorted per path
     path = simulate_path(spec, 1)
-    ev = path.times[path.kinds == 1]
+    ev = path.times[path.marks >= 0]
     assert np.all(np.diff(ev) >= 0.0)
     assert np.all((ev > 0.0) & (ev < horizon))
 
@@ -86,7 +86,7 @@ def test_jump_on_grid_tie_is_processed_after_the_grid_node():
     nu = GroupLevyMeasure("t1", ((np.array([1.0]), 1.0),))
     spec = GroupProcessSpec("t1", 0.0, nu, 1.0, 0.25, seed=3)
     path = simulate_path(spec, 0)
-    order = np.lexsort((path.kinds, path.times))
+    order = np.lexsort((path.marks >= 0, path.times))
     assert np.array_equal(order, np.arange(len(path.times)))
 
 
@@ -183,7 +183,7 @@ def _check_against_reference(spec, paths, events=reference_events):
         rows = slice(batch.offsets[p], batch.offsets[p + 1])
         times, kinds, states = reference_path(spec, p, events)
         assert np.array_equal(batch.times[rows], times)
-        assert np.array_equal(batch.kinds[rows], kinds)
+        assert np.array_equal(batch.marks[rows] >= 0, kinds)
         assert np.max(np.abs(batch.states[rows] - states)) <= 1e-12
         assert np.max(np.abs(finals[p] - states[-1])) <= 1e-12
     return batch
@@ -214,7 +214,28 @@ def test_events_exactly_on_grid_times(name, monkeypatch):
     monkeypatch.setattr(simmod, "_draw_events", lambda spec, indices: [grid_time_events(spec, i) for i in indices])
     batch = _check_against_reference(spec, 3, grid_time_events)
     on_grid = batch.event_rows[np.isin(batch.times[batch.event_rows], grid)]
-    assert len(on_grid) and np.all(batch.kinds[on_grid - 1] == 0)  # the grid node comes first
+    assert len(on_grid) and np.all(batch.marks[on_grid - 1] < 0)  # the grid node comes first
+
+
+@pytest.mark.parametrize("events", ["drawn", "grid-time"])
+@pytest.mark.parametrize("name", ["t1", "t2-drift", "su2"])
+def test_segments_live_on_their_start_nodes(name, events, monkeypatch):
+    # db and ds hold the segment starting at each node and zeros at each path's end; a pre-jump
+    # state is kept at each event only, and its jump takes it to the state there
+    spec = BATCH_SPECS[name]
+    if events == "grid-time":
+        monkeypatch.setattr(simmod, "_draw_events", lambda spec, indices: [grid_time_events(spec, i) for i in indices])
+    path = simulate_paths(spec, np.arange(5))
+    assert not hasattr(path, "kinds")
+    ends, ev = path.end_rows, path.event_rows
+    assert len(path.db) == len(path.ds) == len(path.times)
+    assert np.all(path.db[ends] == 0.0) and np.all(path.ds[ends] == 0.0)
+    starts = np.setdiff1d(np.arange(len(path.times)), ends)
+    assert np.array_equal(path.ds[starts], path.times[starts + 1] - path.times[starts])
+    assert len(ev) and len(path.prestates) == len(ev)
+    atoms = np.array([tau for tau, _ in spec.jumps.atoms])[path.marks[ev]]
+    after = path.prestates @ atoms if spec.group == "su2" else path.prestates + atoms
+    assert np.max(np.abs(after - path.states[ev])) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["t2-drift", "su2", "su2-c0"])
@@ -279,14 +300,14 @@ def matrix_loop_path(spec, indices):
     rot = su2_exp_batch(np.sqrt(2.0 * spec.c) * path.db) if spec.c > 0.0 else None
     atoms = np.array([tau for tau, _ in spec.jumps.atoms], dtype=complex).reshape(-1, 2, 2)
     path.states = np.empty((len(path.times), 2, 2), dtype=complex)
-    path.prestates = np.empty_like(path.states)
+    path.prestates = np.empty((len(path.event_rows), 2, 2), dtype=complex)
     for p in range(len(path.indices)):
         g, k = np.eye(2, dtype=complex)[None], 0
-        path.states[path.offsets[p]] = path.prestates[path.offsets[p]] = g[0]
+        path.states[path.offsets[p]] = g[0]
         for i in range(path.offsets[p] + 1, path.offsets[p + 1]):
-            g = su2_product(g, rot[i - 1 - p]) if rot is not None else g
-            path.prestates[i] = g[0]
-            if path.kinds[i]:
+            g = su2_product(g, rot[i - 1]) if rot is not None else g
+            if path.marks[i] >= 0:
+                path.prestates[np.searchsorted(path.event_rows, i)] = g[0]
                 g = su2_product(g, atoms[path.marks[i]])
             else:
                 k += 1
@@ -297,7 +318,7 @@ def matrix_loop_path(spec, indices):
                     a, b = a / norm, b / norm
                     projected = np.stack([a, b, -np.conj(b), np.conj(a)], axis=-1).reshape(1, 2, 2)
                     path.unitarity_residual = max(path.unitarity_residual, float(np.max(np.abs(projected - g))))
-                    g = path.prestates[i] = projected
+                    g = projected
             path.states[i] = g[0]
     return path
 
@@ -317,7 +338,7 @@ def test_su2_first_rows_match_the_matrix_loop(name, chunk, monkeypatch):
         for p in range(7):
             lone, rows = simulate_paths(spec, [p]), slice(ref.offsets[p], ref.offsets[p + 1])
             assert np.array_equal(lone.states, ref.states[rows])
-            assert np.array_equal(lone.prestates, ref.prestates[rows])
+            assert np.array_equal(lone.prestates, ref.prestates[ref.owner[ref.event_rows] == p])
     else:
         batch = simulate_paths(spec, np.arange(7))
         assert np.array_equal(batch.states, ref.states)
