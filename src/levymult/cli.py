@@ -603,7 +603,7 @@ def cmd_simulate(args) -> int:
                 fh.write(_canonical(record) + "\n")
         ratio, stderr = (0.0, 0.0)
         if paths >= 2 and np.any(np.abs(x_final) > 0.0):
-            ratio, stderr = empirical_burkholder(TransformEnsemble(x_final, y_final, x_final), 2.0)
+            ratio, stderr = empirical_burkholder(TransformEnsemble(x_final, y_final), 2.0)
         summary["ratio_p2"] = ratio
         summary["stderr_p2"] = stderr
         payload = {"meta": _meta(args, config), "transcripts": out_path, **summary}

@@ -10,9 +10,12 @@ Conventions fixed here and relied on everywhere else:
   the standard angular-momentum matrices, and the Casimir eigenvalue is
   j (j + 1).
 * Fourier coefficients are fhat(pi) = int f(s) pi(s)^* ds against the
-  normalised Haar measure, inverted by f(s) = sum d_pi tr(fhat(pi) pi(s)).
-  A left-invariant field X acts on coefficients by left multiplication
-  with d pi(X).
+  normalised Haar measure, inverted by f(s) = sum d_pi tr(fhat(pi) pi(s))
+  (``pw_inverse``, the one evaluator of f at points).  A left-invariant
+  field X acts on coefficients by left multiplication with d pi(X).
+* A d-torus takes one code path, driven by ``group_dim``: d-tuple labels
+  (an integer on T^1) in row-major order, grids of d uniform axes, and
+  irreps built once per label (cached, with read-only generators).
 * SU(2) irreps are evaluated as pi(g) = e^{i alpha J3} d(beta) e^{i gamma J3}
   from Euler angles, with d(beta) = e^{i beta J2} from a cached eigenbasis
   of J2, at points and in the separable transforms on Euler grids, where a
@@ -22,6 +25,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
@@ -41,7 +45,9 @@ Label = Union[int, tuple, float]
 
 
 def group_dim(group: str) -> int:
-    """Dimension of the Lie algebra (number of basis fields X_i)."""
+    """Dimension of the Lie algebra (number of basis fields X_i); ValueError for an unknown group."""
+    if group not in (T1, T2, SU2):
+        raise ValueError(f"unknown group {group!r}")
     return {T1: 1, T2: 2, SU2: 3}[group]
 
 
@@ -50,13 +56,10 @@ def group_dim(group: str) -> int:
 
 
 def identity_element(group: str):
-    if group == T1:
-        return np.zeros(1)
-    if group == T2:
-        return np.zeros(2)
+    """The zero angle vector of a d-torus, the 2x2 identity on SU(2)."""
     if group == SU2:
         return np.eye(2, dtype=complex)
-    raise ValueError(f"unknown group {group!r}")
+    return np.zeros(group_dim(group))
 
 
 def multiply(group: str, g, h):
@@ -196,28 +199,27 @@ def torus_irrep(group: str, label) -> Irrep:
     ks = tuple(map(int, given))
     if ks != given or len(ks) != group_dim(group):
         raise ValueError(f"a {group} label is {group_dim(group)} integer(s), got {label!r}")
+    return _torus_irrep(group, ks)
+
+
+@lru_cache(maxsize=4096)
+def _torus_irrep(group: str, ks: tuple) -> Irrep:
+    """The character of the integer tuple ks, built once; its generators are read-only."""
     gens = tuple([np.array([[1j * k]]) for k in ks])
+    for gen in gens:
+        gen.flags.writeable = False
     return Irrep(group, ks[0] if group == T1 else ks, 1, float(sum([k * k for k in ks])), gens)
 
 
 def dual_enumerate(group: str, cutoff) -> list:
-    """Irreps up to the cutoff (>= 1 on the tori, >= 1/2 on SU(2)): |k| <= int(cutoff); spins j <= int(2 cutoff) / 2."""
-    if group in (T1, T2) and int(cutoff) < 1 or group == SU2 and cutoff < 0.5:
+    """Irreps up to the cutoff (>= 1 on the tori, >= 1/2 on SU(2)): spins j <= int(2 cutoff) / 2; on a d-torus
+    the labels k with every |k_i| <= int(cutoff), row-major over the d axes."""
+    if group == SU2 and cutoff < 0.5 or group != SU2 and int(cutoff) < 1:
         raise ValueError(f"cutoff must be at least 1 on the tori and spin 1/2 on SU(2), got {cutoff!r}")
-    if group == T1:
-        c = int(cutoff)
-        return [torus_irrep(T1, k) for k in range(-c, c + 1)]
-    if group == T2:
-        c = int(cutoff)
-        return [
-            torus_irrep(T2, (k1, k2))
-            for k1 in range(-c, c + 1)
-            for k2 in range(-c, c + 1)
-        ]
     if group == SU2:
-        twice_max = int(2 * cutoff)
-        return [su2_irrep(t / 2.0) for t in range(twice_max + 1)]
-    raise ValueError(f"unknown group {group!r}")
+        return [su2_irrep(t / 2.0) for t in range(int(2 * cutoff) + 1)]
+    c = int(cutoff)
+    return [_torus_irrep(group, ks) for ks in itertools.product(range(-c, c + 1), repeat=group_dim(group))]
 
 
 def get_irrep(group: str, label) -> Irrep:
@@ -368,19 +370,13 @@ class GroupQuadrature:
 
 
 def quadrature_grid(group: str, band) -> GroupQuadrature:
-    if group in (T1, T2):
+    """int(ceil(band)) + 1 uniform angles on each axis of a d-torus, row-major; Euler angles on SU(2)."""
+    if group != SU2:
+        d = group_dim(group)
         m = int(np.ceil(band)) + 1
         theta = 2.0 * np.pi * np.arange(m) / m
-        if group == T1:
-            pts = theta[:, None]
-            w = np.full(m, 1.0 / m)
-        else:
-            a, b = np.meshgrid(theta, theta, indexing="ij")
-            pts = np.stack([a.ravel(), b.ravel()], axis=1)
-            w = np.full(m * m, 1.0 / (m * m))
-        return GroupQuadrature(group, float(band), pts, w)
-    if group != SU2:
-        raise ValueError(f"unknown group {group!r}")
+        pts = np.stack([a.ravel() for a in np.meshgrid(*[theta] * d, indexing="ij")], axis=1)
+        return GroupQuadrature(group, float(band), pts, np.full(m**d, 1.0 / m**d))
     twice_band = int(np.ceil(2 * band))
     n_ang = twice_band + 2 + (twice_band % 2)  # even
     n_beta = twice_band + 16
@@ -443,29 +439,18 @@ def plancherel_pairing(f: PeterWeylCoeffs, g: PeterWeylCoeffs) -> complex:
     return complex(total)
 
 
-def pw_forward(
-    f,
-    group: str,
-    cutoff,
-    band=None,
-    grid: Optional[GroupQuadrature] = None,
-) -> PeterWeylCoeffs:
-    """Peter-Weyl transform of a band-limited function.
+def pw_forward(f, group: str, cutoff, grid: Optional[GroupQuadrature] = None) -> PeterWeylCoeffs:
+    """Peter-Weyl transform of a function band-limited to the cutoff.
 
     ``f`` is either a callable on group elements (vectorised over the
     leading axis) or an array of samples aligned with ``grid.points``.
-    ``band`` declares the band limit of f (default: cutoff).  The grid
-    must resolve band + cutoff, otherwise the transform would alias.
+    The grid (default: the one of band 2 cutoff) must resolve 2 cutoff,
+    the band of f times a coefficient, otherwise the transform would alias.
     """
-    band = cutoff if band is None else band
-    if band > cutoff:
-        raise ValueError("aliasing: declared band exceeds the dual cutoff")
     if grid is None:
-        grid = quadrature_grid(group, band + cutoff)
-    if grid.band + 1e-9 < band + cutoff:
-        raise ValueError(
-            f"aliasing: grid resolves band {grid.band}, need {band + cutoff}"
-        )
+        grid = quadrature_grid(group, 2 * cutoff)
+    if grid.band + 1e-9 < 2 * cutoff:
+        raise ValueError(f"aliasing: grid resolves band {grid.band}, need {2 * cutoff}")
     values = np.asarray(f(grid.points) if callable(f) else f, dtype=complex)
     if values.shape != (len(grid.weights),):
         raise ValueError("sample array does not match the quadrature grid")
@@ -549,7 +534,7 @@ def random_band_limited(group: str, cutoff, rng: np.random.Generator, real: bool
         return coeffs
     grid = quadrature_grid(group, 2 * cutoff)
     vals = pw_inverse(coeffs, grid=grid).real.astype(complex)
-    return pw_forward(vals, group, cutoff, band=cutoff, grid=grid)
+    return pw_forward(vals, group, cutoff, grid=grid)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ the discretisation bias and is reported, not assumed zero.
 One engine serves T^1, T^2 and SU(2): the coefficient blocks of f are
 grouped into stacks of equal-dimension irreps (a torus is one stack of
 1x1 blocks, each SU(2) spin its own stack), and only the evaluation of
-irreps at group elements and left translation are group specific.
+irreps at group elements and left translation are group specific.  A
+stack evaluates its irreps at the atoms once, for the generator blocks and
+the jumps of M.  The pairing estimate reads g at end elements by ``pw_inverse``.
 
 Quadratic variations are accumulated termwise from the same increments,
 so domination by the transform bounds holds path by path in floats.
@@ -52,10 +54,11 @@ from .groups import (
     identity_element,
     irrep_stack_batch,
     multiply,
+    pw_inverse,
 )
 from .linalg import CHUNK_BLOCKS, blocks, expm, matmul_rows, pair_matrix
 from .simulate import GroupProcessSpec, PathRecord, ensemble_final_states, simulate_paths
-from .symbols import central_symbols, generator_blocks, psi_values, stack_rows
+from .symbols import atom_reps, central_symbols, generator_blocks, psi_values, stack_rows
 
 #: generator blocks whose eigenvector matrix is worse conditioned than this
 #: are exponentiated directly instead of through their eigendecomposition
@@ -140,13 +143,10 @@ class _IrrepStack:
         eye = np.eye(dim)
         gens = np.array([pi.generators for pi in irreps], dtype=complex)  # (L, n, d, d)
         self.drift = np.einsum("i,lixy->lxy", np.asarray(spec.drift), gens)
-        self.gmat = generator_blocks(spec.c, spec.jumps, irreps)
+        reps = atom_reps(spec.jumps, irreps)
+        self.gmat = generator_blocks(spec.c, spec.jumps, irreps, reps)
         self.lmat = self.drift + self.gmat
-        taus = [tau for tau, _ in spec.jumps.atoms]
-        if taus:
-            jumps = irrep_stack_batch(irreps, np.array(taus)).transpose(1, 0, 2, 3) - eye
-        else:
-            jumps = np.zeros((n_blocks, 0, dim, dim))
+        jumps = np.reshape(reps, (-1, n_blocks, dim, dim)).transpose(1, 0, 2, 3) - eye
         ops = np.concatenate([np.broadcast_to(eye, (n_blocks, 1, dim, dim)), gens, jumps], axis=1)
         w, p = np.linalg.eig(self.lmat)
         self.eig = bool(np.all(np.linalg.cond(p) < EIG_COND_MAX))
@@ -160,8 +160,6 @@ class _IrrepStack:
             p = pinv = np.broadcast_to(eye, self.lmat.shape)
         sub = "lbe,lqzb->lbezq" if self.eig else "lbe,lqzx->lxbezq"
         self.h = (dim * np.einsum(sub, pinv @ fblocks, ops @ p[:, None])).reshape(-1, ops.shape[1])
-        # d_pi tr(F pi(g)) = fvec . pi(g), the value at the horizon
-        self.fvec = (dim * fblocks.transpose(0, 2, 1)).reshape(-1)
         # grid nodes and whole grid steps are shared by every path; only
         # event nodes and the segments they split vary
         self.grid_decay = self.decay(spec.horizon - spec.grid_times)
@@ -229,13 +227,6 @@ class _TransformContext:
         element = identity_element(spec.group).nbytes
         self.path_bytes = nodes * (8 * (6 + self.dim) + 3 * element + 32 * (1 + self.dim + len(self.masses)))
 
-    def horizon_values(self, elements) -> np.ndarray:
-        """f at a batch of elements: M_T of the paths that end there."""
-        n = len(elements)
-        # a row-wise sum: the last bits of a matrix-vector product depend on the row count
-        return sum(np.einsum("ij,j->i", irrep_stack_batch(st.irreps, elements).reshape(n, -1), st.fvec)
-                   for st in self.stacks)
-
     def _values(self, path: PathRecord, sigmas):
         """M and sqrt(2c) grad M at every node, the jump of M at every event,
         and each atom's compensator integral over the segment starting at
@@ -269,20 +260,18 @@ class _TransformContext:
             steps = np.minimum(src, spec.n_steps)
             event = path.marks >= 0
             split_rows = np.flatnonzero(event[:-1] | event[1:])
-            splits, split_at = slice(None), split_rows  # a chunk in one block
         for st in self.stacks:
             table = np.concatenate([st.grid_decay, st.decay(spec.horizon - times[ev_rows])])
             if len(self.masses):
                 split_integral = st.decay_integral(table[src[split_rows + 1]], st.step_factor(path.ds[split_rows]))
             for rows in blocks(len(elements), self.row_bytes):
-                if len(self.masses) and rows.stop - rows.start < len(elements):
-                    splits = slice(*split_rows.searchsorted((rows.start, rows.stop)))
-                    split_at = split_rows[splits] - rows.start
                 rep = irrep_stack_batch(st.irreps, elements[rows])
                 at_nodes[rows] += matmul_rows(_rows(table[src[rows]], rep), st.h)
                 if len(self.masses):
+                    # the segments split by an event among this block's rows
+                    splits = slice(*split_rows.searchsorted((rows.start, rows.stop)))
                     integral = st.grid_integral[steps[rows]]
-                    integral[split_at] = split_integral[splits]
+                    integral[split_rows[splits] - rows.start] = split_integral[splits]
                     at_starts[rows] += matmul_rows(_rows(integral, rep), st.h)[:, 1 + n :]
         at_events = at_nodes[len(times) :]
         m_node = at_nodes[: len(times), 0]
@@ -388,7 +377,6 @@ class TransformEnsemble:
 
     x_final: np.ndarray
     y_final: np.ndarray
-    m_initial: np.ndarray
 
 
 def ensemble_chunks(spec: GroupProcessSpec, ctx: _TransformContext, paths: int, seed: int, haar_start=True, haar_key=()):
@@ -417,10 +405,10 @@ def simulate_transform_ensemble(spec: GroupProcessSpec, f: PeterWeylCoeffs, amat
     sample; see ``ensemble_chunks``.
     """
     ctx = transform_context(spec, f)
-    x, y, m0 = (np.zeros(paths, dtype=complex) for _ in range(3))
+    x, y = np.zeros(paths, dtype=complex), np.zeros(paths, dtype=complex)
     for idx, path, sigmas in ensemble_chunks(spec, ctx, paths, spec.seed):
-        m0[idx], x[idx], y[idx] = ctx.final_values(path, sigmas, amatrix, psi)
-    return TransformEnsemble(x, y, m0)
+        _, x[idx], y[idx] = ctx.final_values(path, sigmas, amatrix, psi)
+    return TransformEnsemble(x, y)
 
 
 def empirical_burkholder(ensemble: TransformEnsemble, p: float):
@@ -460,7 +448,7 @@ def projection_deterministic(
     """
     if spec.group == SU2:
         raise ValueError("deterministic projection values are computed on the tori")
-    if f.group != spec.group:
+    if f.group != spec.group or g.group != spec.group:
         raise ValueError("coefficient table group mismatch")
     pairs = [(k, g.blocks.get(tuple(-x for x in k) if isinstance(k, tuple) else -k)) for k in f.labels()]
     pairs = [(k, gb) for k, gb in pairs if gb is not None]
@@ -480,14 +468,14 @@ def projection_mc_estimate(
     spec: GroupProcessSpec,
     paths: int,
 ) -> ProjectionEstimate:
-    """Haar-and-path average of transform_f(T) * M_g(T) against its spectral value."""
-    ctx_f = transform_context(spec, f)
-    ctx_g = transform_context(spec, g)
-    vals = np.zeros(paths, dtype=complex)
-    for idx, path, sigmas in ensemble_chunks(spec, ctx_f, paths, spec.seed):
-        _, _, y = ctx_f.final_values(path, sigmas, amatrix, psi)
-        vals[idx] = y * ctx_g.horizon_values(multiply(spec.group, sigmas, path.states[path.end_rows]))
+    """Haar-and-path average of transform_f(T) * g(phi_T), g synthesised at the end elements (``pw_inverse``),
+    against its spectral value, which draws nothing and refuses SU(2) before any path is simulated."""
     det = projection_deterministic(f, g, amatrix, psi, spec)
+    ctx = transform_context(spec, f)
+    vals = np.zeros(paths, dtype=complex)
+    for idx, path, sigmas in ensemble_chunks(spec, ctx, paths, spec.seed):
+        _, _, y = ctx.final_values(path, sigmas, amatrix, psi)
+        vals[idx] = y * pw_inverse(g, points=multiply(spec.group, sigmas, path.states[path.end_rows]))
     mc = complex(np.mean(vals))
     stderr = float(np.std(vals.real, ddof=1) / np.sqrt(paths))
     stderr_im = float(np.std(vals.imag, ddof=1) / np.sqrt(paths))

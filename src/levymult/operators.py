@@ -133,9 +133,9 @@ def _band_coeffs(shape: tuple, band: int, rng: np.random.Generator) -> np.ndarra
 def norm_lower_bound_search(
     values: np.ndarray,
     ps,
-    trials: int = 8,
-    refine_steps: int = 6,
-    seed: int = 0,
+    trials: int,
+    refine_steps: int,
+    seed: int,
     band: Optional[int] = None,
 ) -> list:
     """Largest found ratio |S f|_p / |f|_p over random band-limited f: one ``SearchResult`` per p in ps.

@@ -13,7 +13,8 @@ is a chunk of one).  A segment lives on the node where it starts: its
 Brownian increment and length are that node's rows, and a path's last node
 holds zeros; pre-jump states are kept at events only.  Torus states are
 running sums, and SU(2) states are advanced by one loop over the grid steps
-for the whole chunk as first rows (a, b) of [[a, b], [-conj(b), conj(a)]],
+for the whole chunk (``_evolve`` picks one of the two for paths and final
+states alike) as first rows (a, b) of [[a, b], [-conj(b), conj(a)]],
 expanded to matrices once per chunk.  The step exponentials are taken a
 block of steps at a time and kept entries first, so that each step
 multiplies contiguous (2, 2, paths) rows.  A path without events draws no
@@ -32,6 +33,7 @@ from .groups import (
     SU2,
     GroupLevyMeasure,
     group_dim,
+    identity_element,
     su2_exp_batch,
     su2_matrix,
     su2_renormalise,
@@ -222,8 +224,8 @@ def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
     return path
 
 
-def _torus_states(path: PathRecord):
-    """Exact states: running sums of drift, diffusion and jump increments."""
+def _torus_states(path: PathRecord) -> np.ndarray:
+    """Exact states: running sums of drift, diffusion and jump increments; returns the final states."""
     spec = path.spec
     ev_rows = path.event_rows
     # per node: the drift and diffusion of the segment ending there (the one
@@ -237,7 +239,7 @@ def _torus_states(path: PathRecord):
         incr[a:b].cumsum(axis=0, out=incr[a:b])
     path.states = incr[:, 0] + incr[:, 1]
     path.prestates = path.states[ev_rows] - jumps
-    return path
+    return path.states[path.end_rows]
 
 
 def _row_product(g: np.ndarray, m: np.ndarray, out, prod) -> np.ndarray:
@@ -329,14 +331,19 @@ def _su2_evolve(path: PathRecord, record: bool) -> np.ndarray:
     return su2_matrix(*g)
 
 
+def _evolve(path: PathRecord, record: bool) -> np.ndarray:
+    """The layout's final states; with ``record`` (always on the tori) ``path`` keeps every state too."""
+    if path.spec.group == SU2:
+        return _su2_evolve(path, record)
+    return _torus_states(path)
+
+
 def simulate_paths(spec: GroupProcessSpec, indices) -> PathRecord:
     """Simulate the given path indices together; each is reproducible from
     (spec.seed, index) alone and does not depend on the others."""
     path = _layout(spec, indices)
-    if spec.group == SU2:
-        _su2_evolve(path, record=True)
-        return path
-    return _torus_states(path)
+    _evolve(path, record=True)
+    return path
 
 
 def simulate_path(spec: GroupProcessSpec, index: int) -> PathRecord:
@@ -352,24 +359,13 @@ def ensemble_final_states(spec: GroupProcessSpec, paths: int) -> np.ndarray:
     chunk's layout is alive at a time: it is dropped before the next one is laid
     out.  Path p agrees with ``simulate_path(spec, p)``, to the bit.
     """
-    d = group_dim(spec.group)
     # the budget counts each node's normals (8 d bytes a node).  On criterion 10's central SU(2)
     # spec (tracemalloc) a layout keeps 40 B a node and peaks at 57 B a node while it is laid out, and
     # the evolve adds at most 27 B a node: a call peaks at 2.9 budgets (896 paths), below 3.25
-    if spec.group == SU2:
-        out = np.empty((paths, 2, 2), dtype=complex)
-    else:
-        out = np.empty((paths, d))
-    for chunk in blocks(paths, 8 * d * (spec.n_steps + 1 + spec.jumps.total_mass * spec.horizon)):
-        out[chunk] = _final_states(_layout(spec, np.arange(chunk.start, chunk.stop)))
+    out = np.repeat(identity_element(spec.group)[None], paths, axis=0)
+    for chunk in blocks(paths, 8 * group_dim(spec.group) * (spec.n_steps + 1 + spec.jumps.total_mass * spec.horizon)):
+        out[chunk] = _evolve(_layout(spec, np.arange(chunk.start, chunk.stop)), record=False)
     return out
-
-
-def _final_states(path: PathRecord) -> np.ndarray:
-    """The state at the horizon of each path of the layout."""
-    if path.spec.group == SU2:
-        return _su2_evolve(path, record=False)
-    return _torus_states(path).states[path.end_rows]
 
 
 @dataclass

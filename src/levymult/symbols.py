@@ -29,7 +29,7 @@ def stack_rows(irreps, evaluate) -> list:
     return [rows[pi.label] for pi in irreps]
 
 
-def _atom_reps(nu: GroupLevyMeasure, irreps):
+def atom_reps(nu: GroupLevyMeasure, irreps):
     """pi(tau) at every atom for a stack of equal-dimension irreps, (atoms, L, d, d)."""
     return irrep_stack_batch(irreps, np.array([tau for tau, _ in nu.atoms])) if nu.atoms else ()
 
@@ -77,7 +77,7 @@ def subordination_symbols(psi, h: BernsteinSpec, nu: GroupLevyMeasure, irreps):
     hk[kappa > 0.0] = bernstein_eval(h, kappa[kappa > 0.0])
     defined = hk != 0.0
     dim = irreps[0].dim
-    sums = _jump_sums(psi, nu, _atom_reps(nu, irreps), (len(irreps), dim, dim))
+    sums = _jump_sums(psi, nu, atom_reps(nu, irreps), (len(irreps), dim, dim))
     return sums / (2.0 * np.where(defined, hk, np.inf))[:, None, None], defined
 
 
@@ -87,7 +87,7 @@ def generator_blocks(c: float, nu: GroupLevyMeasure, irreps, reps=None) -> np.nd
         raise ValueError("diffusion coefficient must be nonnegative")
     eye = np.eye(irreps[0].dim)
     out = -c * np.array([pi.casimir for pi in irreps])[:, None, None] * eye.astype(complex)
-    for (_, mass), rep in zip(nu.atoms, _atom_reps(nu, irreps) if reps is None else reps):
+    for (_, mass), rep in zip(nu.atoms, atom_reps(nu, irreps) if reps is None else reps):
         out += mass * (rep - eye)
     return out
 
@@ -124,7 +124,7 @@ def central_symbols(amatrix, psi, c: float, nu: GroupLevyMeasure, irreps, alpha)
     special case, whose own jump measure is not finite-atomic.  Each atom's
     pi(tau) is evaluated once.
     """
-    reps = _atom_reps(nu, irreps)
+    reps = atom_reps(nu, irreps)
     if alpha is None:
         alpha = np.trace(generator_blocks(c, nu, irreps, reps), axis1=1, axis2=2) / irreps[0].dim
     alpha = np.broadcast_to(alpha, (len(irreps),)).astype(complex)

@@ -25,6 +25,7 @@ from .groups import (
     T1,
     T2,
     GroupLevyMeasure,
+    group_dim,
     dual_enumerate,
     casimir_eigenvalue,
     get_irrep,
@@ -350,8 +351,7 @@ def _random_group_measure(gen, group) -> GroupLevyMeasure:
         if group == SU2:
             tau = su2_exp(gen.standard_normal(3) * gen.uniform(0.4, 1.5))
         else:
-            d = 1 if group == T1 else 2
-            tau = gen.uniform(0.3, 2 * np.pi - 0.3, size=d)
+            tau = gen.uniform(0.3, 2 * np.pi - 0.3, size=group_dim(group))
         atoms.append((tau, float(gen.uniform(0.3, 1.5))))
     return GroupLevyMeasure(group, tuple(atoms))
 
@@ -373,7 +373,7 @@ def check_differential_subordination_sweep(transcripts=10000, seed=20244) -> Che
         spec = GroupProcessSpec(group, c, jumps, 0.5, 1 / 64, seed=seed + 101 * batch)
         cutoff = {T1: 3, T2: 2, SU2: 1.0}[group]
         f = random_band_limited(group, cutoff, gen, real=True)
-        n = {T1: 1, T2: 2, SU2: 3}[group]
+        n = group_dim(group)
         amat = _random_bounded_matrix(gen, n, bound=0.999)
         if batch % 4 == 0:
             # non-symmetric interval form: the whole pair takes values in [b, B]

@@ -9,8 +9,10 @@ from levymult.groups import (
     PeterWeylCoeffs,
     casimir_eigenvalue,
     dual_enumerate,
+    get_irrep,
     haar_sample,
     heat_coeffs,
+    identity_element,
     irrep_stack_batch,
     plancherel_pairing,
     pw_forward,
@@ -71,6 +73,21 @@ def test_torus_irrep_refuses_a_label_that_is_not_dim_integers(group, label):
 def test_torus_irrep_takes_integral_labels_of_any_number_type():
     assert torus_irrep("t1", 2.0).label == 2 and torus_irrep("t1", np.int64(-3)).label == -3
     assert torus_irrep("t2", [1.0, -2]).label == (1, -2)
+
+
+def test_torus_irreps_are_built_once_with_read_only_generators():
+    pi = get_irrep("t2", [1, 2])
+    assert pi is get_irrep("t2", (1, 2)) and pi is dual_enumerate("t2", 2)[19]
+    for gen in pi.generators:
+        with pytest.raises(ValueError, match="read-only"):
+            gen[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("build", [identity_element, lambda group: quadrature_grid(group, 2)], ids=["identity_element", "quadrature_grid"])
+def test_an_unknown_group_is_refused(build):
+    # as dual_enumerate refuses "t3" above
+    with pytest.raises(ValueError, match="unknown group"):
+        build("t3")
 
 
 @pytest.mark.parametrize(
@@ -344,8 +361,6 @@ def test_aliasing_guard():
     grid = quadrature_grid("su2", 3.5)
     with pytest.raises(ValueError, match="aliasing"):
         pw_forward(np.ones(len(grid.weights)), "su2", 2.0, grid=grid)
-    with pytest.raises(ValueError, match="aliasing"):
-        pw_forward(np.ones(len(grid.weights)), "su2", 1.0, band=1.5, grid=grid)
 
 
 def _su2_tables():
@@ -388,9 +403,9 @@ def test_su2_round_trip_at_spin_four_on_band_eight_grid():
 
 
 def test_su2_callable_below_cutoff_transforms_exactly():
-    # band 1 < cutoff 2: the grid resolves 3, and only the spin-1 entry survives
+    # band 1 < cutoff 2: the default grid resolves 4, and only the spin-1 entry survives
     pi = su2_irrep(1.0)
-    co = pw_forward(lambda pts: su2_irrep_batch(pi, pts)[:, 2, 0], "su2", 2.0, band=1.0)
+    co = pw_forward(lambda pts: su2_irrep_batch(pi, pts)[:, 2, 0], "su2", 2.0)
     assert sorted(co.blocks) == [0.0, 0.5, 1.0, 1.5, 2.0]
     for label, block in co.blocks.items():
         expect = np.zeros_like(block)

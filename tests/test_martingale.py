@@ -13,6 +13,7 @@ from levymult.groups import (
     get_irrep,
     haar_sample,
     multiply,
+    pw_inverse,
     random_band_limited,
     su2_exp,
 )
@@ -245,7 +246,7 @@ def test_burkholder_requires_nonzero_denominator():
     from levymult.martingale import TransformEnsemble
 
     with pytest.raises(ValueError):
-        empirical_burkholder(TransformEnsemble(np.zeros(5), np.ones(5), np.zeros(5)), 2.0)
+        empirical_burkholder(TransformEnsemble(np.zeros(5), np.ones(5)), 2.0)
 
 
 def test_projection_deterministic_against_brute_force_quadrature():
@@ -305,7 +306,8 @@ def _projection_per_label(f, g, amatrix, psi, spec):
     a_use = np.zeros((2, 2)) if amatrix is None else np.atleast_2d(amatrix)
     psi_vals = np.broadcast_to(np.asarray(psi, dtype=complex), (len(spec.jumps.atoms),))
     total = 0.0 + 0.0j
-    for pi, fk, al in zip(stack.irreps, stack.fvec, stack.lmat[:, 0, 0]):
+    for pi, al in zip(stack.irreps, stack.lmat[:, 0, 0]):
+        fk = f.blocks[pi.label][0, 0]
         kvec = np.atleast_1d(np.asarray(pi.label, dtype=float))
         gb = g.blocks.get(tuple(-x for x in pi.label))
         if gb is None or fk == 0.0:
@@ -594,11 +596,12 @@ def test_node_blocks_leave_every_bit_in_place(name, grid_events, monkeypatch):
 def test_su2_horizon_values_do_not_depend_on_the_chunks(monkeypatch):
     # a chunk of one evaluates its lone end state as a larger chunk does
     spec = FINAL_VALUE_SPECS["su2"]
-    ctx = transform_context(spec, random_band_limited("su2", 2.0, rngmod.stream(8, 8), real=True))
+    f = random_band_limited("su2", 2.0, rngmod.stream(8, 8), real=True)
+    ctx = transform_context(spec, f)
 
     def values():
         chunks = ensemble_chunks(spec, ctx, 9, seed=96)
-        return np.concatenate([ctx.horizon_values(multiply("su2", s, path.states[path.end_rows])) for _, path, s in chunks])
+        return np.concatenate([pw_inverse(f, points=multiply("su2", s, path.states[path.end_rows])) for _, path, s in chunks])
 
     whole = values()
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)  # chunks of one path
@@ -615,6 +618,28 @@ def test_projection_estimate_does_not_depend_on_the_chunks(name, monkeypatch):
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)  # chunks of one path
     alone = projection_mc_estimate(f, g, amat, psi, spec, 64)
     assert (alone.mc_value, alone.stderr) == (chunked.mc_value, chunked.stderr)
+
+
+def test_projection_estimate_builds_one_transform_context(monkeypatch):
+    # g is read at the end elements through pw_inverse, with no context of its own
+    built = []
+    monkeypatch.setattr(martmod, "transform_context", lambda spec, f: built.append(f) or transform_context(spec, f))
+    spec = FINAL_VALUE_SPECS["t2-drift"]
+    gen = rngmod.stream(8, 9)
+    f, g = (random_band_limited("t2", 2, gen, real=True) for _ in "fg")
+    projection_mc_estimate(f, g, *_transform_pair(spec), spec, 4)
+    assert built == [f]
+
+
+def test_projection_estimate_refuses_su2_before_it_simulates(monkeypatch):
+    def simulate_paths(*args):
+        raise AssertionError("a path was simulated")
+
+    monkeypatch.setattr(martmod, "simulate_paths", simulate_paths)
+    spec = FINAL_VALUE_SPECS["su2"]
+    f = random_band_limited("su2", 1.0, rngmod.stream(8, 10), real=True)
+    with pytest.raises(ValueError, match="tori"):
+        projection_mc_estimate(f, f, *_transform_pair(spec), spec, 4)
 
 
 def test_a_final_values_chunk_peaks_inside_its_budgets():

@@ -383,13 +383,13 @@ def test_search_blocks_split_the_pairs_without_moving_results(monkeypatch):
 def test_search_rejects_p_outside_the_open_interval(p, monkeypatch):
     monkeypatch.setattr(ops, "_band_coeffs", None)  # no trial may start
     with pytest.raises(ValueError, match="p must lie"):
-        norm_lower_bound_search(np.ones((8, 8)), [2.0, p], trials=2, refine_steps=1)
+        norm_lower_bound_search(np.ones((8, 8)), [2.0, p], trials=2, refine_steps=1, seed=0)
 
 
 def test_search_with_no_trials_or_steps_still_reports_degeneration():
     for trials, steps in ((0, 2), (2, -1)):
         with pytest.raises(ValueError, match="degenerated"):
-            norm_lower_bound_search(np.ones((8, 8)), [2.0], trials=trials, refine_steps=steps)
+            norm_lower_bound_search(np.ones((8, 8)), [2.0], trials=trials, refine_steps=steps, seed=0)
 
 
 def test_cli_norm_search_evaluates_the_multiplier_once(tmp_path, monkeypatch, capsys):
