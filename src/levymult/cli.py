@@ -313,22 +313,12 @@ def _emit_rows(args, config, header: tuple, rows: list) -> None:
 # subcommands
 
 
-def _fields_but_p(report) -> dict:
-    return {k: v for k, v in dataclasses.asdict(report).items() if k != "p"}
-
-
 def cmd_constants(args) -> int:
     with _at("--p --b --B"):
         report = constant_report(args.p, args.b, args.B)
-    payload = {
-        "meta": _meta(args, {"p": args.p, "b": args.b, "B": args.B}),
-        "p": report.p,
-        "p_star": report.p_star,
-        "burkholder": report.burkholder,
-        "choi": _fields_but_p(report.choi),
-    }
-    if report.interval is not None:
-        payload["interval"] = _fields_but_p(report.interval)
+    payload = {"meta": _meta(args, {"p": args.p, "b": args.b, "B": args.B}), **dataclasses.asdict(report)}
+    if report.interval is None:
+        del payload["interval"]
     _emit(payload, args)
     return 0
 

@@ -35,7 +35,6 @@ class ChoiApprox:
     the exact constant is characterised only implicitly.
     """
 
-    p: float
     value: float
     leading: float
     log_term: float
@@ -53,7 +52,6 @@ def choi_constant_approx(p: float) -> ChoiApprox:
     log_term = 0.5 * log_half
     alpha2_term = alpha2 / p
     return ChoiApprox(
-        p=p,
         value=float(leading + log_term + alpha2_term),
         leading=float(leading),
         log_term=float(log_term),
@@ -73,7 +71,6 @@ class CpbBBounds:
     is open and only the sandwich is reported.
     """
 
-    p: float
     b: float
     B: float
     lower: float
@@ -98,7 +95,6 @@ def cpbB_bounds(p: float, b: float, B: float) -> CpbBBounds:
         exact = B * choi_constant_approx(p).value
         kind = "choi-asymptotic"
     return CpbBBounds(
-        p=p,
         b=b,
         B=B,
         lower=float(lower),

@@ -14,8 +14,12 @@ Conventions fixed here and relied on everywhere else:
   (``pw_inverse``, the one evaluator of f at points).  A left-invariant
   field X acts on coefficients by left multiplication with d pi(X).
 * A d-torus takes one code path, driven by ``group_dim``: d-tuple labels
-  (an integer on T^1) in row-major order, grids of d uniform axes, and
-  irreps built once per label (cached, with read-only generators).
+  (an integer on T^1) in row-major order and grids of d uniform axes.
+* Each group object is checked in one place.  ``get_irrep`` checks a label
+  and builds its irrep once (cached, with read-only generators), on every
+  group; a ``PeterWeylCoeffs`` table takes each block's d_pi from it, so it
+  refuses a label of another group; and every evaluator at points takes one
+  element or a batch of them (``_element_batch``), refusing other shapes.
 * SU(2) irreps are evaluated as pi(g) = e^{i alpha J3} d(beta) e^{i gamma J3}
   from Euler angles, with d(beta) = e^{i beta J2} from a cached eigenbasis
   of J2, at points and in the separable transforms on Euler grids, where a
@@ -168,7 +172,6 @@ class Irrep:
         return f"Irrep({self.group}, {self.label}, dim={self.dim}, casimir={self.casimir})"
 
 
-@lru_cache(maxsize=None)
 def _angular_momentum(twice_j: int):
     """Standard (J1, J2, J3) for spin j = twice_j / 2, basis m = j..-j."""
     j = twice_j / 2.0
@@ -185,30 +188,36 @@ def _angular_momentum(twice_j: int):
     return j1, j2, j3
 
 
-def su2_irrep(j: float) -> Irrep:
-    twice = int(round(2 * j))
-    if twice < 0 or abs(2 * j - twice) > 1e-12:
-        raise ValueError(f"spin must be a half-integer, got {j}")
-    gens = tuple(1j * jm for jm in _angular_momentum(twice))
-    return Irrep(SU2, twice / 2.0, twice + 1, (twice / 2.0) * (twice / 2.0 + 1.0), gens)
-
-
-def torus_irrep(group: str, label) -> Irrep:
-    """The character of a label of ``group_dim(group)`` integers: a number on T^1, a pair on T^2."""
+def get_irrep(group: str, label) -> Irrep:
+    """The irrep of a label: a half-integer spin on SU(2); on a d-torus ``group_dim(group)`` integers, a number
+    on T^1 and a pair on T^2, of any number type.  Any other label is a ValueError or TypeError."""
+    if group == SU2:
+        j = float(label)
+        twice = int(round(2 * j))
+        if twice < 0 or abs(2 * j - twice) > 1e-12:
+            raise ValueError(f"spin must be a half-integer, got {label!r}")
+        return _irrep(SU2, twice)
     given = (label,) if group == T1 else tuple(label)
     ks = tuple(map(int, given))
     if ks != given or len(ks) != group_dim(group):
         raise ValueError(f"a {group} label is {group_dim(group)} integer(s), got {label!r}")
-    return _torus_irrep(group, ks)
+    return _irrep(group, ks)
 
 
 @lru_cache(maxsize=4096)
-def _torus_irrep(group: str, ks: tuple) -> Irrep:
-    """The character of the integer tuple ks, built once; its generators are read-only."""
-    gens = tuple([np.array([[1j * k]]) for k in ks])
+def _irrep(group: str, key) -> Irrep:
+    """The irrep of a checked key, twice the spin on SU(2) and the integer tuple k on a d-torus, built once;
+    its generators are read-only."""
+    if group == SU2:
+        j = key / 2.0
+        gens = tuple(1j * jm for jm in _angular_momentum(key))
+        label, dim, casimir = j, key + 1, j * (j + 1.0)
+    else:
+        gens = tuple([np.array([[1j * k]]) for k in key])
+        label, dim, casimir = key[0] if group == T1 else key, 1, float(sum([k * k for k in key]))
     for gen in gens:
         gen.flags.writeable = False
-    return Irrep(group, ks[0] if group == T1 else ks, 1, float(sum([k * k for k in ks])), gens)
+    return Irrep(group, label, dim, casimir, gens)
 
 
 def dual_enumerate(group: str, cutoff) -> list:
@@ -217,15 +226,9 @@ def dual_enumerate(group: str, cutoff) -> list:
     if group == SU2 and cutoff < 0.5 or group != SU2 and int(cutoff) < 1:
         raise ValueError(f"cutoff must be at least 1 on the tori and spin 1/2 on SU(2), got {cutoff!r}")
     if group == SU2:
-        return [su2_irrep(t / 2.0) for t in range(int(2 * cutoff) + 1)]
+        return [_irrep(SU2, t) for t in range(int(2 * cutoff) + 1)]
     c = int(cutoff)
-    return [_torus_irrep(group, ks) for ks in itertools.product(range(-c, c + 1), repeat=group_dim(group))]
-
-
-def get_irrep(group: str, label) -> Irrep:
-    if group == SU2:
-        return su2_irrep(float(label))
-    return torus_irrep(group, label)
+    return [_irrep(group, ks) for ks in itertools.product(range(-c, c + 1), repeat=group_dim(group))]
 
 
 def dim_stacks(irreps) -> list:
@@ -287,6 +290,18 @@ def su2_irrep_batch(pi: Irrep, gs: np.ndarray) -> np.ndarray:
     return _wigner_d(pi.dim - 1, *_su2_euler(np.asarray(gs, dtype=complex)))
 
 
+def _element_batch(group: str, points) -> np.ndarray:
+    """Points as a batch of shape (m,) + the shape of ``identity_element(group)``: angle vectors (m, d) on a
+    d-torus, matrices (m, 2, 2) on SU(2).  A single element is a batch of one; any other shape is a ValueError."""
+    shape = np.shape(identity_element(group))
+    pts = np.asarray(points, dtype=complex if group == SU2 else float)
+    if pts.shape == shape:
+        return pts[None]
+    if pts.shape[1:] != shape:
+        raise ValueError(f"{group} points are one element of shape {shape} or a batch of them, got shape {pts.shape}")
+    return pts
+
+
 @lru_cache(maxsize=4096)
 def _torus_labels(labels: tuple):
     """Torus labels as rows k, and their separable tables; read-only arrays.
@@ -317,8 +332,9 @@ def _torus_labels(labels: tuple):
 def irrep_stack_batch(irreps, gs) -> np.ndarray:
     """pi(g) for a stack of equal-dimension irreps at a batch of elements.
 
-    ``gs`` holds angle vectors (m, n) on the tori and 2x2 matrices
-    (m, 2, 2) on SU(2); the result has shape (m, len(irreps), d, d).
+    ``gs`` holds angle vectors (m, d) on a d-torus and 2x2 matrices
+    (m, 2, 2) on SU(2), or one element (``_element_batch``); the result has
+    shape (m, len(irreps), d_pi, d_pi).
 
     Torus characters e^{i k . theta} are separable: e^{i theta_a u} is
     taken once for each distinct value u of each coordinate axis a of the
@@ -326,23 +342,26 @@ def irrep_stack_batch(irreps, gs) -> np.ndarray:
     these per-axis tables.  Labels with no fewer distinct values than labels
     (one label, a sparse set, a T^1 stack without repeats) take their factors
     directly, the same bits: a T^2 character does not depend on its stack.
+    The layouts differ: the direct routes give C-ordered (m, L) tables, the
+    per-axis tables F-ordered ones, and the sums of ``pw_forward`` (matmul)
+    and ``pw_inverse`` (einsum) round in an order that depends on that
+    layout, so a change of route or layout moves their bits.
     """
+    gs = _element_batch(irreps[0].group, gs)
     if irreps[0].group in (T1, T2):
-        theta = np.atleast_2d(np.asarray(gs, dtype=float))
         k, tables = _torus_labels(tuple(pi.label for pi in irreps))
         if tables is None and k.shape[1] == 2:
-            factors = np.exp(1j * (theta[:, None, :] * k))
+            factors = np.exp(1j * (gs[:, None, :] * k))
             return (factors[:, :, 0] * factors[:, :, 1])[:, :, None, None]
         if tables is None:
-            return np.exp(1j * (theta @ k.T))[:, :, None, None]
+            return np.exp(1j * (gs @ k.T))[:, :, None, None]
         axis, values, sizes, cols = tables
-        chars = np.exp(1j * (theta[:, axis] * values))
+        chars = np.exp(1j * (gs[:, axis] * values))
         if len(sizes) == 2:
-            chars = (chars[:, : sizes[0], None] * chars[:, None, sizes[0] :]).reshape(len(theta), -1)
+            chars = (chars[:, : sizes[0], None] * chars[:, None, sizes[0] :]).reshape(len(gs), -1)
         if cols is not None:
             chars = chars[:, cols]
         return chars[:, :, None, None]
-    gs = np.asarray(gs, dtype=complex)
     return np.stack([su2_irrep_batch(pi, gs) for pi in irreps], axis=1)
 
 
@@ -396,7 +415,7 @@ def quadrature_grid(group: str, band) -> GroupQuadrature:
 
 @dataclass
 class PeterWeylCoeffs:
-    """Band-limited coefficient table: label -> d_pi x d_pi complex block."""
+    """Band-limited coefficient table: label -> d_pi x d_pi complex block, d_pi from ``get_irrep``."""
 
     group: str
     cutoff: float
@@ -404,7 +423,7 @@ class PeterWeylCoeffs:
 
     def __post_init__(self):
         for label, block in self.blocks.items():
-            d = 2 * label + 1 if self.group == SU2 else 1  # d_pi from the label: no Irrep per block
+            d = get_irrep(self.group, label).dim
             if np.shape(block) != (d, d):
                 raise ValueError(f"the block of {label!r} is {np.shape(block)}, not d_pi x d_pi = {d} x {d}")
 
@@ -463,17 +482,12 @@ def pw_forward(f, group: str, cutoff, grid: Optional[GroupQuadrature] = None) ->
 
 
 def pw_inverse(coeffs: PeterWeylCoeffs, points=None, grid: Optional[GroupQuadrature] = None):
-    """Synthesis f(s) = sum_pi d_pi tr(fhat(pi) pi(s)) at the given points."""
+    """Synthesis f(s) = sum_pi d_pi tr(fhat(pi) pi(s)) at the given points (one element or a batch) or on a grid."""
     if (points is None) == (grid is None):
         raise ValueError("give exactly one of points / grid")
     if grid is not None and coeffs.group == SU2:
         return _su2_grid_synthesis(coeffs, grid)
-    if grid is not None:
-        pts = grid.points
-    elif coeffs.group in (T1, T2):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-    else:
-        pts = np.asarray(points, dtype=complex).reshape(-1, 2, 2)
+    pts = _element_batch(coeffs.group, points if grid is None else grid.points)
     out = np.zeros(len(pts), dtype=complex)
     for irreps, blocks in coeffs.stacks():
         out += irreps[0].dim * np.einsum("lab,qlba->q", blocks, irrep_stack_batch(irreps, pts))

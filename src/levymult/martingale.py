@@ -86,11 +86,9 @@ class MartingaleTranscript:
     m_transform: np.ndarray
     qv: np.ndarray
     qv_transform: np.ndarray
-    qv_cross: np.ndarray
     d_qv: np.ndarray
     d_qv_transform: np.ndarray
     d_qv_cross: np.ndarray
-    sigmas: np.ndarray  # start point of each path
     repr_gap: float  # largest |m - m_repr| over all paths
 
 
@@ -335,11 +333,9 @@ class _TransformContext:
             m_transform=_running(tr_inc),
             qv=_running(d_qv),
             qv_transform=_running(d_qv_t),
-            qv_cross=_running(d_qv_c),
             d_qv=d_qv,
             d_qv_transform=d_qv_t,
             d_qv_cross=d_qv_c,
-            sigmas=np.asarray(sigmas),
             repr_gap=float(np.max(np.abs(m_exact - m_repr))),
         )
 
@@ -433,7 +429,6 @@ class ProjectionEstimate:
     mc_value: float
     stderr: float
     deterministic: float
-    paths: int
 
 
 def projection_deterministic(
@@ -483,7 +478,6 @@ def projection_mc_estimate(
         mc_value=float(mc.real),
         stderr=float(np.hypot(stderr, stderr_im)),
         deterministic=float(det.real),
-        paths=paths,
     )
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .constants import burkholder_constant, cpbB_bounds, p_star
+from .constants import burkholder_constant, cpbB_bounds
 from .euclid import ImaginaryPowerProfile, multiplier_autonomous_grid, riesz2_symbol_rn
 from .gammafn import gamma
 from .groups import (
@@ -33,7 +33,6 @@ from .groups import (
     quadrature_grid,
     random_band_limited,
     su2_exp,
-    torus_irrep,
 )
 from .levy import (
     BernsteinSpec,
@@ -224,7 +223,7 @@ def _central_lattice_symbol(gen, xi):
     c = float(gen.uniform(0.05, 0.8))
     nu = _random_group_measure(gen, T2)
     psi = gen.uniform(-0.999, 0.999, size=len(nu.atoms))
-    pis = [torus_irrep(T2, (int(round(k[0])), int(round(k[1])))) for k in xi]
+    pis = [get_irrep(T2, (int(round(k[0])), int(round(k[1])))) for k in xi]
     return central_symbols(amat, psi, c, nu, pis, None)[0][:, 0, 0]
 
 
@@ -257,7 +256,7 @@ def check_norm_search(n_specs=200, seed=20242) -> CheckResult:
             if interval_case:
                 worst_interval = max(worst_interval, res.ratio - cpbB_bounds(res.p, b, bb).upper)
             else:
-                worst_gap = max(worst_gap, res.ratio - (p_star(res.p) - 1.0))
+                worst_gap = max(worst_gap, res.ratio - burkholder_constant(res.p))
                 if res.p == 2.0:
                     worst_p2 = max(worst_p2, res.ratio - sup_lattice)
     passed = worst_gap <= SEARCH_SLACK and worst_p2 <= SEARCH_P2_TOL and worst_interval <= SEARCH_INTERVAL_SLACK
@@ -332,8 +331,8 @@ def check_imaginary_power() -> CheckResult:
     worst_pref = 0.0
     for p in (1.5, 2.0, 3.0):
         for g in POWER_GAMMAS:
-            via_gamma = (p_star(p) - 1.0) / abs(gamma(1.0 - 1j * g))
-            via_identity = (p_star(p) - 1.0) * np.sqrt(np.sinh(np.pi * g) / (np.pi * g))
+            via_gamma = burkholder_constant(p) / abs(gamma(1.0 - 1j * g))
+            via_identity = burkholder_constant(p) * np.sqrt(np.sinh(np.pi * g) / (np.pi * g))
             worst_pref = max(worst_pref, abs(via_gamma - via_identity))
     passed = worst <= POWER_TOL and worst_pref <= PREFACTOR_TOL
     return CheckResult(
@@ -420,7 +419,7 @@ def check_burkholder(paths=10000, seed=20245) -> CheckResult:
         ens = simulate_transform_ensemble(spec, f, amat, psi, paths)
         for p in BURKHOLDER_PS:
             ratio, se = empirical_burkholder(ens, p)
-            bound = p_star(p) - 1.0
+            bound = burkholder_constant(p)
             ok = ratio <= bound * (1.0 + SIGMAS * se / ratio)
             passed = passed and ok and (p != 2.0 or ratio <= 1.0 + SIGMAS * se)
             margins.append(bound * (1 + SIGMAS * se / ratio) - ratio)

@@ -20,11 +20,9 @@ from levymult.groups import (
     quadrature_grid,
     random_band_limited,
     su2_exp,
-    su2_irrep,
     su2_irrep_batch,
     su2_matrix,
     su2_renormalise,
-    torus_irrep,
 )
 
 
@@ -67,20 +65,22 @@ def test_su2_dual_floors_twice_the_cutoff_as_the_tori_floor_theirs(cutoff, top):
 @pytest.mark.parametrize("group, label", [("t1", 1.5), ("t1", "1"), ("t1", (1,)), ("t2", (1,)), ("t2", (1, 2, 3)), ("t2", (1, 0.5)), ("t2", 1)])
 def test_torus_irrep_refuses_a_label_that_is_not_dim_integers(group, label):
     with pytest.raises((ValueError, TypeError)):
-        torus_irrep(group, label)
+        get_irrep(group, label)
 
 
 def test_torus_irrep_takes_integral_labels_of_any_number_type():
-    assert torus_irrep("t1", 2.0).label == 2 and torus_irrep("t1", np.int64(-3)).label == -3
-    assert torus_irrep("t2", [1.0, -2]).label == (1, -2)
+    assert get_irrep("t1", 2.0).label == 2 and get_irrep("t1", np.int64(-3)).label == -3
+    assert get_irrep("t2", [1.0, -2]).label == (1, -2)
 
 
 def test_torus_irreps_are_built_once_with_read_only_generators():
-    pi = get_irrep("t2", [1, 2])
-    assert pi is get_irrep("t2", (1, 2)) and pi is dual_enumerate("t2", 2)[19]
-    for gen in pi.generators:
-        with pytest.raises(ValueError, match="read-only"):
-            gen[0, 0] = 0.0
+    # on every group: one label in two spellings and the dual's entry are one object
+    for group, label, spelling, cutoff, index in (("t2", [1, 2], (1, 2), 2, 19), ("t1", -1, -1.0, 2, 1), ("su2", 1, 1.0, 1, 2)):
+        pi = get_irrep(group, label)
+        assert pi is get_irrep(group, spelling) and pi is dual_enumerate(group, cutoff)[index], group
+        for gen in pi.generators:
+            with pytest.raises(ValueError, match="read-only"):
+                gen[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("build", [identity_element, lambda group: quadrature_grid(group, 2)], ids=["identity_element", "quadrature_grid"])
@@ -99,6 +99,13 @@ def test_coefficient_table_refuses_a_block_that_is_not_d_by_d(group, blocks):
         PeterWeylCoeffs(group, 1, blocks)
 
 
+@pytest.mark.parametrize("group, blocks", [("t2", {1: [[1.0]]}), ("t1", {0.5: [[1.0]]}), ("su2", {(1, 0): [[1.0]]})])
+def test_coefficient_table_refuses_a_label_of_another_group(group, blocks):
+    # refused when the table is built, as get_irrep refuses the label, not at its first use
+    with pytest.raises((ValueError, TypeError)):
+        PeterWeylCoeffs(group, 1, blocks)
+
+
 def test_su2_fundamental_casimir_by_matrix_arithmetic():
     sigma = [
         np.array([[0, 1], [1, 0]], dtype=complex),
@@ -107,12 +114,12 @@ def test_su2_fundamental_casimir_by_matrix_arithmetic():
     ]
     total = sum((0.5j * s) @ (0.5j * s) for s in sigma)
     assert np.allclose(total, -0.75 * np.eye(2))
-    assert casimir_eigenvalue(su2_irrep(0.5)) == pytest.approx(0.75, abs=1e-14)
+    assert casimir_eigenvalue(get_irrep("su2", 0.5)) == pytest.approx(0.75, abs=1e-14)
 
 
 @pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 8.0])
 def test_casimir_scalarity(j):
-    pi = su2_irrep(j)
+    pi = get_irrep("su2", j)
     total = sum(g @ g for g in pi.generators)
     assert np.max(np.abs(total + j * (j + 1) * np.eye(pi.dim))) < 1e-10
     for g in pi.generators:
@@ -120,13 +127,13 @@ def test_casimir_scalarity(j):
 
 
 def test_casimir_zero_only_for_trivial():
-    assert casimir_eigenvalue(su2_irrep(0.0)) == 0.0
-    assert casimir_eigenvalue(torus_irrep("t1", 0)) == 0.0
-    assert casimir_eigenvalue(torus_irrep("t1", 2)) == 4.0
+    assert casimir_eigenvalue(get_irrep("su2", 0.0)) == 0.0
+    assert casimir_eigenvalue(get_irrep("t1", 0)) == 0.0
+    assert casimir_eigenvalue(get_irrep("t1", 2)) == 4.0
 
 
 def test_casimir_detects_broken_generators():
-    pi = su2_irrep(1.0)
+    pi = get_irrep("su2", 1.0)
     broken = pi.__class__(pi.group, pi.label, pi.dim, pi.casimir, (pi.generators[0],) * 3)
     with pytest.raises(ValueError, match="metric normalization"):
         casimir_eigenvalue(broken)
@@ -136,7 +143,7 @@ def test_casimir_detects_broken_generators():
 
 
 def test_torus_evaluation():
-    pi = torus_irrep("t1", 2)
+    pi = get_irrep("t1", 2)
     assert irrep_stack_batch([pi], [[np.pi]])[0, 0, 0, 0] == pytest.approx(np.exp(2j * np.pi))
     assert irrep_stack_batch([pi], [[0.0]])[0, 0, 0, 0] == 1.0
 
@@ -157,7 +164,7 @@ _BOX = [(k1, k2) for k1 in range(-3, 4) for k2 in range(-3, 4)]
 )
 def test_t2_characters_match_the_exponential_of_the_phase(labels):
     theta = haar_sample("t2", rngmod.stream(8, 1), 400)
-    chars = irrep_stack_batch([torus_irrep("t2", k) for k in labels], theta)
+    chars = irrep_stack_batch([get_irrep("t2", k) for k in labels], theta)
     assert chars.shape == (400, len(labels), 1, 1)
     assert np.max(np.abs(chars[:, :, 0, 0] - np.exp(1j * theta @ np.array(labels, dtype=float).T))) <= 1e-14
 
@@ -175,7 +182,7 @@ def test_t2_characters_do_not_depend_on_the_stack():
 @pytest.mark.parametrize("labels", [[-3, 5, -1, 0, 2], [4, -4, 4, 0, -7, 0]], ids=["distinct", "repeats"])
 def test_t1_characters_are_exactly_the_exponential(labels):
     theta = haar_sample("t1", rngmod.stream(8, 2), 300)
-    chars = irrep_stack_batch([torus_irrep("t1", k) for k in labels], theta)
+    chars = irrep_stack_batch([get_irrep("t1", k) for k in labels], theta)
     assert chars[:, :, 0, 0].tobytes() == np.exp(1j * (theta * np.array(labels, dtype=float))).tobytes()
 
 
@@ -187,12 +194,12 @@ def test_cached_label_data_is_read_only():
 
 
 def test_su2_exp_pi_x3():
-    rep = irrep_stack_batch([su2_irrep(0.5)], [su2_exp([0.0, 0.0, np.pi])])[0, 0]
+    rep = irrep_stack_batch([get_irrep("su2", 0.5)], [su2_exp([0.0, 0.0, np.pi])])[0, 0]
     assert np.allclose(rep, np.diag([np.exp(0.5j * np.pi), np.exp(-0.5j * np.pi)]), atol=1e-12)
 
 
 def test_identity_evaluates_to_identity():
-    for pi in (torus_irrep("t2", (1, -2)), su2_irrep(1.5)):
+    for pi in (get_irrep("t2", (1, -2)), get_irrep("su2", 1.5)):
         g = np.zeros(2) if pi.group == "t2" else np.eye(2, dtype=complex)
         assert np.allclose(irrep_stack_batch([pi], [g])[0, 0], np.eye(pi.dim), atol=1e-14)
 
@@ -206,7 +213,7 @@ SPINS = [0.5, 1.0, 1.5, 2.0, 4.0]
 
 @pytest.mark.parametrize("j", SPINS)
 def test_su2_evaluation_matches_matrix_exponential(j):
-    pi = su2_irrep(j)
+    pi = get_irrep("su2", j)
     rng = np.random.default_rng(17)
     for _ in range(8):
         v = rng.standard_normal(3) * rng.uniform(0.1, 2.5)
@@ -220,7 +227,7 @@ def test_su2_evaluation_at_singular_euler_angles(j):
     # beta = 0 (diagonal elements, e^{t X3}), beta = pi (zero diagonal,
     # rotations by pi about an axis in the X1-X2 plane) and exactly +-I,
     # where one Euler phase is undefined and must drop out.
-    pi = su2_irrep(j)
+    pi = get_irrep("su2", j)
     ts = np.array([-4.0 * np.pi, -3.0, -1e-9, 0.0, 1e-9, 0.7, np.pi, 2.0 * np.pi, 5.5, 4.0 * np.pi])
     phis = np.array([0.0, 0.3, 0.5 * np.pi, 2.0, np.pi, -2.5])
     vs = np.concatenate([
@@ -243,7 +250,7 @@ def test_su2_evaluation_accurate_near_center(j):
     # g = +-exp(v) at distance |v|/2 = 1e-12 ... 1e-1 from +-I; pi(-g) is
     # (-1)^{2j} pi(g).  Taking sin(theta/2) as sqrt(1 - cos^2) lost up to
     # 2e-3 on these elements.
-    pi = su2_irrep(j)
+    pi = get_irrep("su2", j)
     rng = np.random.default_rng(23)
     dists = 10.0 ** -np.arange(12, 0, -1)
     axes = rng.standard_normal((len(dists), 3))
@@ -258,7 +265,7 @@ def test_su2_evaluation_accurate_near_center(j):
 def test_su2_batch_homomorphism_and_unitarity():
     g = haar_sample("su2", rngmod.stream(4, 0), 6)
     for j in (1.5, 4.0):
-        pi = su2_irrep(j)
+        pi = get_irrep("su2", j)
         reps = su2_irrep_batch(pi, g)
         for i in range(3):
             prod = su2_irrep_batch(pi, g[2 * i] @ g[2 * i + 1])
@@ -270,7 +277,7 @@ def test_su2_batch_homomorphism_and_unitarity():
 @pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0])
 def test_a_lone_su2_element_evaluates_as_in_a_batch(j):
     # a one-row matrix product would take BLAS's matrix-vector path, which rounds differently
-    pi = su2_irrep(j)
+    pi = get_irrep("su2", j)
     gs = haar_sample("su2", rngmod.stream(4, 1), 9)
     batch = su2_irrep_batch(pi, gs)
     for i in range(len(gs)):
@@ -281,7 +288,7 @@ def test_a_lone_su2_element_evaluates_as_in_a_batch(j):
 def test_su2_center_evaluation():
     # -I maps to (-1)^{2j} I in spin j
     for j, sign in ((0.5, -1.0), (1.0, 1.0), (1.5, -1.0)):
-        rep = irrep_stack_batch([su2_irrep(j)], [-np.eye(2)])[0, 0]
+        rep = irrep_stack_batch([get_irrep("su2", j)], [-np.eye(2)])[0, 0]
         assert np.allclose(rep, sign * np.eye(int(2 * j + 1)), atol=1e-12)
 
 
@@ -313,7 +320,7 @@ def test_constant_function_hits_trivial_block_only():
 
 
 def test_su2_matrix_coefficient_orthogonality():
-    pi_half = su2_irrep(0.5)
+    pi_half = get_irrep("su2", 0.5)
 
     def f(pts):
         return np.sqrt(2.0) * su2_irrep_batch(pi_half, pts)[:, 0, 0]
@@ -339,7 +346,7 @@ def test_round_trip_random_coeffs(group, cutoff):
 
 
 def test_inverse_of_delta_table_reproduces_matrix_entries():
-    pi = su2_irrep(1.0)
+    pi = get_irrep("su2", 1.0)
     block = np.zeros((3, 3), dtype=complex)
     block[2, 1] = 1.0 / 3.0  # d_pi tr(e_{21}/d pi(g)) = pi(g)_{12}
     co = PeterWeylCoeffs("su2", 1.0, {1.0: block})
@@ -352,6 +359,26 @@ def test_inverse_of_delta_table_reproduces_matrix_entries():
 def test_zero_coeffs_synthesise_zero():
     co = PeterWeylCoeffs("t2", 1, {(0, 0): np.zeros((1, 1))})
     assert np.max(np.abs(pw_inverse(co, np.zeros((3, 2))))) == 0.0
+
+
+@pytest.mark.parametrize("group, shape", [("t2", (2, 3)), ("su2", (4, 3, 3)), ("t1", (3,)), ("t2", (2, 2, 1)), ("su2", (2,))])
+def test_points_of_another_shape_are_refused(group, shape):
+    # a full T^2 box once read the first two of three coordinates, SU(2) four 3 x 3 arrays as nine elements
+    coeffs = random_band_limited(group, 2.0 if group == "su2" else 2, rngmod.stream(5, 3))
+    with pytest.raises(ValueError, match="points"):
+        pw_inverse(coeffs, points=np.zeros(shape))
+    with pytest.raises(ValueError, match="points"):
+        irrep_stack_batch(dual_enumerate(group, 1)[-1:], np.zeros(shape))
+
+
+@pytest.mark.parametrize("group", ["t1", "t2", "su2"])
+def test_a_single_element_evaluates_to_one_value(group):
+    coeffs = random_band_limited(group, 1.5 if group == "su2" else 2, rngmod.stream(5, 4))
+    gs = haar_sample(group, rngmod.stream(5, 5), 3)
+    batch = pw_inverse(coeffs, points=gs)
+    for i, g in enumerate(gs):
+        assert pw_inverse(coeffs, points=g).tobytes() == batch[i : i + 1].tobytes()
+    assert irrep_stack_batch(dual_enumerate(group, 1)[-1:], gs[0]).shape[0] == 1
 
 
 def test_aliasing_guard():
@@ -404,7 +431,7 @@ def test_su2_round_trip_at_spin_four_on_band_eight_grid():
 
 def test_su2_callable_below_cutoff_transforms_exactly():
     # band 1 < cutoff 2: the default grid resolves 4, and only the spin-1 entry survives
-    pi = su2_irrep(1.0)
+    pi = get_irrep("su2", 1.0)
     co = pw_forward(lambda pts: su2_irrep_batch(pi, pts)[:, 2, 0], "su2", 2.0)
     assert sorted(co.blocks) == [0.0, 0.5, 1.0, 1.5, 2.0]
     for label, block in co.blocks.items():

@@ -187,7 +187,7 @@ def test_direct_exponential_fallback_matches_eigenbasis(group, monkeypatch):
         path = simulate_path(spec, i)
         sigmas = haar_sample(group, rngmod.stream(6, rngmod.HAAR, i), 1)
         a, b = (c.transcript(path, 0.6 * np.eye(n), np.array([0.5, -0.2]), sigmas) for c in (ctx, direct))
-        for name in ("m", "m_repr", "m_transform", "qv", "qv_transform", "qv_cross"):
+        for name in ("m", "m_repr", "m_transform", "qv", "qv_transform", "d_qv_cross"):
             x, y = getattr(a, name), getattr(b, name)
             assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
 
@@ -535,7 +535,7 @@ def test_path_values_do_not_depend_on_ensemble_size(name):
 
 
 TRANSCRIPT_ROWS = (
-    "m", "m_repr", "m_transform", "qv", "qv_transform", "qv_cross", "d_qv", "d_qv_transform", "d_qv_cross", "sigmas",
+    "m", "m_repr", "m_transform", "qv", "qv_transform", "d_qv", "d_qv_transform", "d_qv_cross",
 )
 
 

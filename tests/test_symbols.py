@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from levymult.euclid import ImaginaryPowerProfile
-from levymult.groups import GroupLevyMeasure, dual_enumerate, irrep_stack_batch, su2_exp, su2_irrep, torus_irrep
+from levymult.groups import GroupLevyMeasure, dual_enumerate, get_irrep, irrep_stack_batch, su2_exp
 from levymult.levy import BernsteinSpec, bernstein_eval
 from levymult.symbols import (
     central_alpha,
@@ -29,13 +29,13 @@ def one(symbols):
 
 
 def test_riesz2_identity_coefficients():
-    for pi in (su2_irrep(0.5), su2_irrep(1.5), torus_irrep("t2", (2, -1))):
+    for pi in (get_irrep("su2", 0.5), get_irrep("su2", 1.5), get_irrep("t2", (2, -1))):
         out = one(riesz2(np.eye(len(pi.generators)), [pi]))
         assert np.max(np.abs(out - np.eye(pi.dim))) < 1e-10
 
 
 def test_riesz2_t2_scalar():
-    pi = torus_irrep("t2", (2, 1))
+    pi = get_irrep("t2", (2, 1))
     out = one(riesz2(np.diag([1.0, -1.0]), [pi]))
     assert out[0, 0] == pytest.approx((4.0 - 1.0) / 5.0)
 
@@ -44,24 +44,24 @@ def test_riesz2_su2_rank_one_coefficient():
     # C = e1 e1^T on the fundamental: -(1/kappa)((i/2)s1)^2 = (1/3) I
     c = np.zeros((3, 3))
     c[0, 0] = 1.0
-    out = one(riesz2(c, [su2_irrep(0.5)]))
+    out = one(riesz2(c, [get_irrep("su2", 0.5)]))
     assert np.max(np.abs(out - np.eye(2) / 3.0)) < 1e-14
 
 
 def test_riesz2_trivial_undefined():
-    (block,), (defined,) = riesz2(np.eye(1), [torus_irrep("t1", 0)])
+    (block,), (defined,) = riesz2(np.eye(1), [get_irrep("t1", 0)])
     assert not defined and np.all(block == 0.0)
 
 
 def test_transform_pair_matrix_of_the_wrong_shape_is_refused():
-    stack = [torus_irrep("t2", (1, 2))]
+    stack = [get_irrep("t2", (1, 2))]
     for c in (np.eye(1), np.eye(3)):
         with pytest.raises(ValueError, match="must be 2x2"):
             riesz2(c, stack)
 
 
 def test_laplace_constant_profile():
-    pi = su2_irrep(1.0)
+    pi = get_irrep("su2", 1.0)
     out = one(laplace_symbols(np.eye(3), [pi]))
     assert np.max(np.abs(out - np.eye(3))) < 1e-12
 
@@ -69,12 +69,12 @@ def test_laplace_constant_profile():
 @pytest.mark.parametrize("kappa,gamma", [(1.0, 0.5), (4.0, 0.5), (4.0, 1.0), (9.0, 1.0)])
 def test_laplace_imaginary_power(kappa, gamma):
     k = int(round(np.sqrt(kappa)))
-    out = one(laplace_symbols(ImaginaryPowerProfile(gamma), [torus_irrep("t1", k)]))
+    out = one(laplace_symbols(ImaginaryPowerProfile(gamma), [get_irrep("t1", k)]))
     assert out[0, 0] == pytest.approx(np.exp(-1j * gamma * np.log(kappa)), abs=1e-6)
 
 
 def test_laplace_kappa_one_is_one():
-    out = one(laplace_symbols(ImaginaryPowerProfile(0.8), [torus_irrep("t1", 1)]))
+    out = one(laplace_symbols(ImaginaryPowerProfile(0.8), [get_irrep("t1", 1)]))
     assert out[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
@@ -83,7 +83,7 @@ def test_subordination_t1_closed_form():
     nu = GroupLevyMeasure("t1", ((np.array([theta0]), 1.0),))
     h = BernsteinSpec(c=1.0)
     for k in (1, 2, 3):
-        out = one(subordination_symbols(1.0, h, nu, [torus_irrep("t1", k)]))
+        out = one(subordination_symbols(1.0, h, nu, [get_irrep("t1", k)]))
         assert out[0, 0] == pytest.approx((1.0 - np.cos(k * theta0)) / k**2, abs=1e-13)
 
 
@@ -110,7 +110,7 @@ def test_subordination_over_a_dual_builds_the_bernstein_quadrature_once(monkeypa
 
 def test_subordination_zero_psi():
     nu = GroupLevyMeasure("t1", ((np.array([0.5]), 2.0),))
-    out = one(subordination_symbols(0.0, BernsteinSpec(c=1.0), nu, [torus_irrep("t1", 2)]))
+    out = one(subordination_symbols(0.0, BernsteinSpec(c=1.0), nu, [get_irrep("t1", 2)]))
     assert np.max(np.abs(out)) == 0.0
 
 
@@ -118,7 +118,7 @@ def test_subordination_su2_direct_assembly():
     tau = su2_exp([0.4, -0.7, 0.9])
     nu = GroupLevyMeasure("su2", ((tau, 1.3),))
     h = BernsteinSpec(c=0.0, atoms=((1.0, 1.0),))  # h(u) = 1 - e^{-u}
-    pi = su2_irrep(0.5)
+    pi = get_irrep("su2", 0.5)
     out = one(subordination_symbols(np.array([0.8]), h, nu, [pi]))
     rep = irrep_stack_batch([pi], [tau])[0, 0]
     manual = 1.3 * 0.8 * (2 * np.eye(2) - rep - rep.conj().T)
@@ -127,7 +127,7 @@ def test_subordination_su2_direct_assembly():
 
 
 def test_central_alpha_examples():
-    pi = su2_irrep(0.5)
+    pi = get_irrep("su2", 0.5)
     empty = GroupLevyMeasure("su2")
     assert central_alpha(2.0, empty, pi) == pytest.approx(-2.0 * 0.75)
     tau = su2_exp([0.0, 0.0, np.pi])
@@ -143,13 +143,13 @@ def test_central_alpha_nonpositive_real_part():
         tau = su2_exp(rng.standard_normal(3))
         nu = GroupLevyMeasure("su2", ((tau, float(rng.uniform(0.1, 2.0))),))
         for j in (0.5, 1.0, 1.5):
-            assert central_alpha(float(rng.uniform(0, 1)), nu, su2_irrep(j)).real <= 1e-12
+            assert central_alpha(float(rng.uniform(0, 1)), nu, get_irrep("su2", j)).real <= 1e-12
 
 
 def test_central_multiplier_riesz_specialisation():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 3))
-    pi = su2_irrep(1.0)
+    pi = get_irrep("su2", 1.0)
     out = central_multiplier(a, None, 1.0, GroupLevyMeasure("su2"), pi)
     x = pi.generators
     riesz = -sum(a[j, i] * x[i] @ x[j] for i in range(3) for j in range(3)) / pi.casimir
@@ -162,7 +162,7 @@ def test_central_multiplier_subordination_specialisation():
     h = BernsteinSpec(c=0.1, atoms=((0.8, 2.0),))
     psi = np.array([0.7])
     for j in (0.5, 1.0):
-        pi = su2_irrep(j)
+        pi = get_irrep("su2", j)
         via_central = one(central_symbols(None, psi, 0.0, nu, [pi], -bernstein_eval(h, np.array([pi.casimir]))))
         direct = one(subordination_symbols(psi, h, nu, [pi]))
         assert np.max(np.abs(via_central - direct)) < 1e-10
@@ -170,13 +170,13 @@ def test_central_multiplier_subordination_specialisation():
 
 def test_central_multiplier_zero_pair():
     nu = GroupLevyMeasure("t1", ((np.array([1.0]), 1.0),))
-    out = central_multiplier(None, 0.0, 0.5, nu, torus_irrep("t1", 2))
+    out = central_multiplier(None, 0.0, 0.5, nu, get_irrep("t1", 2))
     assert np.max(np.abs(out)) == 0.0
 
 
 def test_central_multiplier_requires_decay():
     with pytest.raises(ValueError, match="alpha"):
-        central_multiplier(np.eye(1), None, 0.0, GroupLevyMeasure("t1"), torus_irrep("t1", 1))
+        central_multiplier(np.eye(1), None, 0.0, GroupLevyMeasure("t1"), get_irrep("t1", 1))
 
 
 def _central_multiplier_reference(amat, psi, c, nu, pi, alpha=None):
@@ -192,9 +192,9 @@ def _central_multiplier_reference(amat, psi, c, nu, pi, alpha=None):
 def test_central_multipliers_stack_matches_definition():
     rng = np.random.default_rng(9)
     t2_nu = GroupLevyMeasure("t2", ((np.array([0.4, -1.1]), 0.8), (np.array([2.0, 0.3]), 0.5)))
-    t2_stack = [torus_irrep("t2", (k1, k2)) for k1 in range(-4, 5) for k2 in range(-4, 5) if k1 or k2]
+    t2_stack = [get_irrep("t2", (k1, k2)) for k1 in range(-4, 5) for k2 in range(-4, 5) if k1 or k2]
     su2_nu = GroupLevyMeasure("su2", ((su2_exp([0.6, 0.3, 1.1]), 0.9), (-np.eye(2), 0.4)))
-    for nu, stack in ((t2_nu, t2_stack), (su2_nu, [su2_irrep(1.5)])):
+    for nu, stack in ((t2_nu, t2_stack), (su2_nu, [get_irrep("su2", 1.5)])):
         n = len(stack[0].generators)
         amat, psi = rng.standard_normal((n, n)), rng.uniform(-1.0, 1.0, size=2)
         alphas = -rng.uniform(0.5, 2.0, size=len(stack)) + 0.3j
@@ -209,7 +209,7 @@ def test_central_multipliers_stack_matches_definition():
 
 
 def test_central_symbols_mask_a_vanishing_exponent():
-    stack = [torus_irrep("t1", k) for k in (1, 2, 3)]
+    stack = [get_irrep("t1", k) for k in (1, 2, 3)]
     out, defined, _ = central_symbols(np.eye(1), None, 0.5, GroupLevyMeasure("t1"), stack, np.array([-1.0, 0.0, -2.0]))
     assert defined.tolist() == [True, False, True]
     assert np.all(out[1] == 0.0)
@@ -218,7 +218,7 @@ def test_central_symbols_mask_a_vanishing_exponent():
 def test_generator_matrix_matches_alpha_for_central_data():
     nu = GroupLevyMeasure("su2", ((-np.eye(2), 0.7),))
     for j in (0.5, 1.0):
-        pi = su2_irrep(j)
+        pi = get_irrep("su2", j)
         lmat = generator_matrix(0.4, nu, pi)
         alpha = central_alpha(0.4, nu, pi)
         assert np.max(np.abs(lmat - alpha * np.eye(pi.dim))) < 1e-12
