@@ -182,43 +182,44 @@ def _density(cls, obj, pointer: str, profiles: dict, inner: float, outer: float,
     )
 
 
+def _atom_list(atoms, pointer: str, keys: set, read) -> tuple:
+    """The (point, mass) pairs ``read`` from the objects of the config list ``atoms`` at ``pointer``, keys among ``keys``."""
+    out = []
+    for i, atom in enumerate(atoms):
+        _require_keys(atom, keys, f"{pointer}[{i}]")
+        out.append(read(atom))
+    return tuple(out)
+
+
 def _levy_triple(obj, pointer: str) -> LevyTriple:
     with _at(pointer):
         _require_keys(obj, {"drift", "diffusion", "atoms", "density"}, pointer)
         a = _matrix(obj.get("diffusion", [[0.0]]), f"{pointer}.diffusion").real
         n = len(a)
-        atoms = []
-        for i, atom in enumerate(obj.get("atoms", [])):
-            _require_keys(atom, {"point", "mass"}, f"{pointer}.atoms[{i}]")
-            atoms.append((atom["point"], atom["mass"]))
+        atoms = _atom_list(obj.get("atoms", []), f"{pointer}.atoms", {"point", "mass"}, lambda a: (a["point"], a["mass"]))
         density = None
         if obj.get("density") is not None:
             density = _density(RadialDensity, obj["density"], f"{pointer}.density", RADIAL_PROFILES, 1e-4, 1e3, 96)
-        nu = LevyMeasureRn(dim=n, atoms=tuple(atoms), density=density)
+        nu = LevyMeasureRn(dim=n, atoms=atoms, density=density)
         return LevyTriple(drift=obj.get("drift", [0.0] * n), diffusion=a, nu=nu)
 
 
 def _bernstein(obj, pointer: str) -> BernsteinSpec:
     with _at(pointer):
         _require_keys(obj, {"c", "atoms", "density"}, pointer)
-        atoms = []
-        for i, atom in enumerate(obj.get("atoms", [])):
-            _require_keys(atom, {"y", "mass"}, f"{pointer}.atoms[{i}]")
-            atoms.append((atom["y"], atom["mass"]))
+        atoms = _atom_list(obj.get("atoms", []), f"{pointer}.atoms", {"y", "mass"}, lambda a: (a["y"], a["mass"]))
         density = None
         if obj.get("density") is not None:
             density = _density(PositiveDensity, obj["density"], f"{pointer}.density", BERNSTEIN_PROFILES, 1e-6, 1e4, 32)
-        return BernsteinSpec(c=float(obj.get("c", 0.0)), atoms=tuple(atoms), density=density)
+        return BernsteinSpec(c=float(obj.get("c", 0.0)), atoms=atoms, density=density)
 
 
 def _group_measure(group: str, obj, pointer: str) -> GroupLevyMeasure:
+    def read(atom):
+        return atom["angle"] if group in ("t1", "t2") else su2_exp(atom["axis_angle"]), atom.get("mass", 1.0)
+
     with _at(pointer):
-        atoms = []
-        for i, atom in enumerate(obj or []):
-            _require_keys(atom, {"angle", "axis_angle", "mass"}, f"{pointer}[{i}]")
-            tau = atom["angle"] if group in ("t1", "t2") else su2_exp(atom["axis_angle"])
-            atoms.append((tau, atom.get("mass", 1.0)))
-        return GroupLevyMeasure(group, tuple(atoms))
+        return GroupLevyMeasure(group, _atom_list(obj or [], pointer, {"angle", "axis_angle", "mass"}, read))
 
 
 def _frequencies(rows, dim: int) -> np.ndarray:
@@ -609,7 +610,6 @@ def cmd_verify(args) -> int:
     overrides = {}
     if args.paths is not None:
         overrides["paths"] = args.paths
-        overrides["transcripts"] = args.paths
     if args.specs is not None:
         overrides["n_specs"] = args.specs
     if args.seed is not None:

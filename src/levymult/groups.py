@@ -20,6 +20,7 @@ Conventions fixed here and relied on everywhere else:
   group; a ``PeterWeylCoeffs`` table takes each block's d_pi from it, so it
   refuses a label of another group; and every evaluator at points takes one
   element or a batch of them (``_element_batch``), refusing other shapes.
+  A ``GroupLevyMeasure`` owns its atom table, one element per atom.
 * SU(2) irreps are evaluated as pi(g) = e^{i alpha J3} d(beta) e^{i gamma J3}
   from Euler angles, with d(beta) = e^{i beta J2} from a cached eigenbasis
   of J2, at points and in the separable transforms on Euler grids, where a
@@ -557,31 +558,35 @@ def random_band_limited(group: str, cutoff, rng: np.random.Generator, real: bool
 
 @dataclass(frozen=True)
 class GroupLevyMeasure:
-    """Finite-activity jump measure: a list of (element, mass) atoms."""
+    """Finite-activity jump measure: (element, mass) atoms, each exactly one element, and their table, which
+    every layer reads as one batch: ``atom_points`` (atoms,) + the element shape and ``atom_masses`` (atoms,),
+    both read-only; ``atoms`` holds their rows."""
 
     group: str
     atoms: tuple = ()
 
     def __post_init__(self):
-        cleaned = []
-        for tau, mass in self.atoms:
+        shape = np.shape(identity_element(self.group))
+        points = np.zeros((len(self.atoms),) + shape, dtype=complex if self.group == SU2 else float)
+        for point, (tau, mass) in zip(points, self.atoms):
             if not mass > 0.0:
                 raise ValueError("atom mass must be positive")
-            if self.group in (T1, T2):
-                t = np.atleast_1d(np.asarray(tau, dtype=float))
-                if t.shape != (group_dim(self.group),):
-                    raise ValueError("atom has wrong angle dimension")
-                if np.all(np.abs(np.mod(t + np.pi, 2.0 * np.pi) - np.pi) < 1e-12):
-                    raise ValueError("atom at the identity is not allowed")
-                cleaned.append((t, float(mass)))
-            else:
-                g = np.asarray(tau, dtype=complex)
-                if g.shape != (2, 2) or np.max(np.abs(g @ g.conj().T - np.eye(2))) + abs(np.linalg.det(g) - 1) > 1e-9:
-                    raise ValueError("SU(2) atom must be a unitary 2x2 matrix of determinant 1")
-                if np.max(np.abs(g - np.eye(2))) < 1e-12:
-                    raise ValueError("atom at the identity is not allowed")
-                cleaned.append((g, float(mass)))
-        object.__setattr__(self, "atoms", tuple(cleaned))
+            g = np.asarray(tau, dtype=points.dtype)
+            if self.group == SU2 and (
+                g.shape != shape or np.max(np.abs(g @ g.conj().T - np.eye(2))) + abs(np.linalg.det(g) - 1) > 1e-9
+            ):
+                raise ValueError("SU(2) atom must be a unitary 2x2 matrix of determinant 1")
+            if g.shape != shape:
+                raise ValueError(f"{self.group} atom must be one angle vector of shape {shape}, got shape {g.shape}")
+            gap = g - np.eye(2) if self.group == SU2 else np.mod(g + np.pi, 2.0 * np.pi) - np.pi
+            if np.all(np.abs(gap) < 1e-12):
+                raise ValueError("atom at the identity is not allowed")
+            point[...] = g
+        masses = np.array([mass for _, mass in self.atoms], dtype=float)
+        points.flags.writeable = masses.flags.writeable = False
+        object.__setattr__(self, "atom_points", points)
+        object.__setattr__(self, "atom_masses", masses)
+        object.__setattr__(self, "atoms", tuple(zip(points, masses.tolist())))
 
     @property
     def total_mass(self) -> float:
@@ -591,4 +596,4 @@ class GroupLevyMeasure:
         """Whether the measure is conjugation invariant as given."""
         if self.group in (T1, T2):
             return True
-        return all(np.max(np.abs(tau + np.eye(2))) < 1e-12 for tau, _ in self.atoms)
+        return all(np.max(np.abs(tau + np.eye(2))) < 1e-12 for tau in self.atom_points)

@@ -117,7 +117,7 @@ class RadialDensity:
 
 @dataclass(frozen=True)
 class LevyMeasureRn:
-    """Finite-atom plus truncated-density jump measure on R^n."""
+    """Finite-atom plus truncated-density jump measure on R^n; its atom table is read-only (``atom_points``)."""
 
     dim: int
     atoms: tuple = ()
@@ -137,17 +137,10 @@ class LevyMeasureRn:
                 raise ValueError("atom mass must be positive")
             pts.append(p)
             masses.append(float(mass))
-        object.__setattr__(self, "atoms", tuple((p, m) for p, m in zip(pts, masses)))
-
-    @cached_property
-    def atom_points(self) -> np.ndarray:
-        if not self.atoms:
-            return np.zeros((0, self.dim))
-        return np.stack([p for p, _ in self.atoms])
-
-    @cached_property
-    def atom_masses(self) -> np.ndarray:
-        return np.array([m for _, m in self.atoms])
+        object.__setattr__(self, "atoms", tuple(zip(pts, masses)))
+        object.__setattr__(self, "atom_points", np.array(pts).reshape(len(pts), self.dim))
+        object.__setattr__(self, "atom_masses", np.array(masses))
+        self.atom_points.flags.writeable = self.atom_masses.flags.writeable = False
 
     @cached_property
     def quadratures(self):
@@ -331,7 +324,7 @@ class PositiveDensity:
 
 @dataclass(frozen=True)
 class BernsteinSpec:
-    """Bernstein function h(u) = c u + int (1 - e^{-u y}) lambda(dy)."""
+    """Bernstein function h(u) = c u + int (1 - e^{-u y}) lambda(dy); its atom table is read-only (``atom_y``)."""
 
     c: float = 0.0
     atoms: tuple = ()
@@ -346,14 +339,9 @@ class BernsteinSpec:
                 raise ValueError("Bernstein atoms need y > 0 and mass > 0")
             cleaned.append((float(y), float(mass)))
         object.__setattr__(self, "atoms", tuple(cleaned))
-
-    @cached_property
-    def atom_y(self) -> np.ndarray:
-        return np.array([y for y, _ in self.atoms])
-
-    @cached_property
-    def atom_masses(self) -> np.ndarray:
-        return np.array([m for _, m in self.atoms])
+        object.__setattr__(self, "atom_y", np.array([y for y, _ in cleaned]))
+        object.__setattr__(self, "atom_masses", np.array([m for _, m in cleaned]))
+        self.atom_y.flags.writeable = self.atom_masses.flags.writeable = False
 
 
 def bernstein_eval(spec: BernsteinSpec, u):

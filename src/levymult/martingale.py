@@ -213,7 +213,7 @@ class _TransformContext:
     def __init__(self, spec: GroupProcessSpec, f: PeterWeylCoeffs):
         self.spec = spec
         self.dim = group_dim(spec.group)
-        self.masses = np.array([m for _, m in spec.jumps.atoms], dtype=float)
+        self.masses = spec.jumps.atom_masses
         self.stacks = [_IrrepStack(spec, irreps, fblocks) for irreps, fblocks in f.stacks()]
         # a node block of _values holds decay, representation and their rows: three complex tables as wide as h
         self.row_bytes = 48 * max(st.h.shape[0] for st in self.stacks)
@@ -221,9 +221,8 @@ class _TransformContext:
         # columns of db (8 B a column each), three group elements (states, start points, elements), and twice
         # the complex at_nodes columns (at_nodes, then the atoms' compensators and the node terms taken from
         # it); pre-jump states are kept at events only
-        nodes = spec.n_steps + 1 + spec.jumps.total_mass * spec.horizon
         element = identity_element(spec.group).nbytes
-        self.path_bytes = nodes * (8 * (6 + self.dim) + 3 * element + 32 * (1 + self.dim + len(self.masses)))
+        self.path_bytes = spec.expected_nodes * (8 * (6 + self.dim) + 3 * element + 32 * (1 + self.dim + len(self.masses)))
 
     def _values(self, path: PathRecord, sigmas):
         """M and sqrt(2c) grad M at every node, the jump of M at every event,

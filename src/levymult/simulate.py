@@ -6,7 +6,8 @@ occur at exact Poisson event times (never snapped to the grid); the
 diffusion is integrated to the event and the jump is applied after the
 diffusion substep.  Randomness is drawn from counter-based streams keyed
 by (seed, purpose, path index), so path i is the same no matter how many
-other paths are simulated.
+other paths are simulated.  Paths and subordinators share one step-grid
+rule (``_step_count``); jumps are read from the measure's atom table.
 
 Paths are simulated in chunks laid out in flat node arrays (a single path
 is a chunk of one).  A segment lives on the node where it starts: its
@@ -42,6 +43,17 @@ from .levy import BernsteinSpec
 from .linalg import blocks
 
 
+def _step_count(horizon: float, dt: float) -> int:
+    """The number of steps of the grid of step dt on [0, horizon], the one step-grid rule of both
+    simulators: dt > 0, horizon >= dt and horizon / dt an integer within 1e-9, else ValueError."""
+    if dt <= 0.0 or horizon < dt:
+        raise ValueError("need dt > 0 and horizon >= dt")
+    k = horizon / dt
+    if abs(k - round(k)) > 1e-9:
+        raise ValueError("horizon must be an integer number of steps")
+    return int(round(k))
+
+
 @dataclass(frozen=True)
 class GroupProcessSpec:
     """Characteristics and discretisation of a group-valued Levy process.
@@ -61,13 +73,9 @@ class GroupProcessSpec:
     def __post_init__(self):
         if self.c < 0.0:
             raise ValueError("diffusion coefficient must be nonnegative")
-        if self.dt <= 0.0 or self.horizon < self.dt:
-            raise ValueError("need dt > 0 and horizon >= dt")
+        _step_count(self.horizon, self.dt)
         if self.jumps.group != self.group:
             raise ValueError("jump measure group mismatch")
-        k = self.horizon / self.dt
-        if abs(k - round(k)) > 1e-9:
-            raise ValueError("horizon must be an integer number of steps")
         d = group_dim(self.group)
         drift = tuple(float(x) for x in (self.drift or (0.0,) * d))
         if self.group == SU2:
@@ -78,9 +86,14 @@ class GroupProcessSpec:
             raise ValueError(f"drift must have {d} components")
         object.__setattr__(self, "drift", drift)
 
-    @property
+    @cached_property
     def n_steps(self) -> int:
-        return int(round(self.horizon / self.dt))
+        return _step_count(self.horizon, self.dt)
+
+    @property
+    def expected_nodes(self) -> float:
+        """Nodes of a path on average, which sizes path chunks: its grid nodes and its mean number of events."""
+        return self.n_steps + 1 + self.jumps.total_mass * self.horizon
 
     @cached_property
     def grid_times(self) -> np.ndarray:
@@ -185,10 +198,9 @@ def _compound_poisson(masses: np.ndarray, horizon: float):
 
 def _draw_events(spec: GroupProcessSpec, indices) -> list:
     """(event times, atoms) of each path, from its own jump stream."""
-    masses = np.array([m for _, m in spec.jumps.atoms])
-    if masses.size == 0:
+    if not spec.jumps.atoms:
         return [_NO_EVENTS] * len(indices)
-    return rngmod.streams(spec.seed, (rngmod.JUMPS,), indices, _compound_poisson(masses, spec.horizon))
+    return rngmod.streams(spec.seed, (rngmod.JUMPS,), indices, _compound_poisson(spec.jumps.atom_masses, spec.horizon))
 
 
 def _layout(spec: GroupProcessSpec, indices) -> PathRecord:
@@ -232,7 +244,7 @@ def _torus_states(path: PathRecord) -> np.ndarray:
     # starting at the node before), and its jump
     incr = np.zeros((len(path.times), 2, group_dim(spec.group)))
     incr[1:, 0] = (np.asarray(spec.drift) * path.ds[:, None] + np.sqrt(2.0 * spec.c) * path.db)[:-1]
-    jumps = np.array([tau for tau, _ in spec.jumps.atoms]).reshape(-1, incr.shape[2])[path.marks[ev_rows]]
+    jumps = spec.jumps.atom_points[path.marks[ev_rows]]
     incr[ev_rows, 1] = jumps
     # each path's own running sums: the same as if it were simulated alone
     for a, b in zip(path.offsets[:-1], path.offsets[1:]):
@@ -289,8 +301,7 @@ def _su2_evolve(path: PathRecord, record: bool) -> np.ndarray:
         groups.setdefault(int(ev_step[lo]), []).append(slice(lo, hi))
     if diffuse:
         ev_rot = su2_exp_batch(scale * path.db[ev_nodes - 1]).transpose(1, 2, 0)
-    atom_mats = np.array([tau for tau, _ in spec.jumps.atoms], dtype=complex).reshape(-1, 2, 2).transpose(1, 2, 0)
-    ev_jump = atom_mats[..., path.marks[ev_nodes]]
+    ev_jump = spec.jumps.atom_points.transpose(1, 2, 0)[..., path.marks[ev_nodes]]
     g = np.zeros((2, n_paths), dtype=complex) + [[1.0], [0.0]]
     prod = np.empty((2, 2, n_paths), dtype=complex)
     if record:
@@ -363,7 +374,7 @@ def ensemble_final_states(spec: GroupProcessSpec, paths: int) -> np.ndarray:
     # spec (tracemalloc) a layout keeps 40 B a node and peaks at 57 B a node while it is laid out, and
     # the evolve adds at most 27 B a node: a call peaks at 2.9 budgets (896 paths), below 3.25
     out = np.repeat(identity_element(spec.group)[None], paths, axis=0)
-    for chunk in blocks(paths, 8 * group_dim(spec.group) * (spec.n_steps + 1 + spec.jumps.total_mass * spec.horizon)):
+    for chunk in blocks(paths, 8 * group_dim(spec.group) * spec.expected_nodes):
         out[chunk] = _evolve(_layout(spec, np.arange(chunk.start, chunk.stop)), record=False)
     return out
 
@@ -386,10 +397,7 @@ def simulate_subordinator(
     """
     if spec.density is not None:
         raise ValueError("discretise the density part first (bernstein_atoms)")
-    k = int(round(horizon / dt))
-    if abs(k * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("horizon must be an integer number of steps")
-    grid = np.arange(k + 1) * dt
+    grid = np.arange(_step_count(horizon, dt) + 1) * dt
     values = np.tile(spec.c * grid, (paths, 1))
     if spec.atoms:
         events = rngmod.streams(seed, (rngmod.SUBORDINATOR,), np.arange(paths), _compound_poisson(spec.atom_masses, horizon))

@@ -31,7 +31,7 @@ def stack_rows(irreps, evaluate) -> list:
 
 def atom_reps(nu: GroupLevyMeasure, irreps):
     """pi(tau) at every atom for a stack of equal-dimension irreps, (atoms, L, d, d)."""
-    return irrep_stack_batch(irreps, np.array([tau for tau, _ in nu.atoms])) if nu.atoms else ()
+    return irrep_stack_batch(irreps, nu.atom_points) if nu.atoms else ()
 
 
 def _gradient_sums(a, irreps) -> np.ndarray:
@@ -46,7 +46,7 @@ def _gradient_sums(a, irreps) -> np.ndarray:
 def _jump_sums(psi, nu: GroupLevyMeasure, reps, shape) -> np.ndarray:
     """int (2I - pi(tau) - pi(tau)^*) psi(tau) nu(dtau) for a stack of irreps, ``shape`` (L, d, d)."""
     total = np.zeros(shape, dtype=complex)
-    for (_, mass), pv, rep in zip(nu.atoms, psi_values(psi, len(nu.atoms)), reps):
+    for mass, pv, rep in zip(nu.atom_masses, psi_values(psi, len(nu.atoms)), reps):
         total += mass * pv * (2.0 * np.eye(shape[-1]) - rep - rep.conj().swapaxes(-1, -2))
     return total
 
@@ -87,7 +87,7 @@ def generator_blocks(c: float, nu: GroupLevyMeasure, irreps, reps=None) -> np.nd
         raise ValueError("diffusion coefficient must be nonnegative")
     eye = np.eye(irreps[0].dim)
     out = -c * np.array([pi.casimir for pi in irreps])[:, None, None] * eye.astype(complex)
-    for (_, mass), rep in zip(nu.atoms, atom_reps(nu, irreps) if reps is None else reps):
+    for mass, rep in zip(nu.atom_masses, atom_reps(nu, irreps) if reps is None else reps):
         out += mass * (rep - eye)
     return out
 

@@ -2,10 +2,10 @@
 
 Each check returns a CheckResult with the measured numbers.  Its
 contractual grids, cutoffs, exponents and tolerances are the module
-constants below; a caller varies only its size (``paths``,
-``transcripts`` or ``n_specs``, which the command-line ``verify``
-subcommand sets) and its ``seed``.  The acceptance tests run every check
-at its defaults.  Everything is deterministic for a fixed seed.
+constants below; a caller varies only its size (``paths`` or
+``n_specs``, which the command-line ``verify`` subcommand sets) and its
+``seed``.  The acceptance tests run every check at its defaults.
+Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -355,13 +355,13 @@ def _random_group_measure(gen, group) -> GroupLevyMeasure:
     return GroupLevyMeasure(group, tuple(atoms))
 
 
-def check_differential_subordination_sweep(transcripts=10000, seed=20244) -> CheckResult:
-    """Pathwise quadratic-variation domination over random transform pairs."""
+def check_differential_subordination_sweep(paths=10000, seed=20244) -> CheckResult:
+    """Pathwise quadratic-variation domination over random transform pairs, on at least ``paths`` transcripts."""
     total = 0
     worst = -np.inf
     worst_interval = -np.inf
     batch = 0
-    while total < transcripts:
+    while total < paths:
         gen = rngmod.stream(seed, rngmod.SPEC_DRAW, batch)
         group = (T1, T2, SU2)[batch % 3]
         # SU(2) always diffuses, so its Brownian gradient terms are checked too

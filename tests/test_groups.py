@@ -495,6 +495,10 @@ def test_group_measure_validation():
             GroupLevyMeasure("su2", ((not_su2, 1.0),))
     with pytest.raises(ValueError, match="mass"):
         GroupLevyMeasure("t1", ((np.array([1.0]), -1.0),))
+    # an atom is exactly one element, as a start point is: no bare T^1 number, 0-d array or batch of one
+    for group, not_one_angle in (("t1", 2.0), ("t1", np.array(2.0)), ("t2", np.ones((1, 2)))):
+        with pytest.raises(ValueError, match="one angle vector"):
+            GroupLevyMeasure(group, ((not_one_angle, 1.0),))
     nu = GroupLevyMeasure("t1", ((np.array([2 * np.pi + 0.3]), 1.5),))
     assert nu.total_mass == 1.5
 

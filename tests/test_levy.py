@@ -176,6 +176,17 @@ def test_atom_at_origin_rejected():
         LevyMeasureRn(dim=1, atoms=(((1.0,), -2.0),))
 
 
+def test_rn_and_bernstein_atom_tables_are_built_once_and_read_only():
+    nu = LevyMeasureRn(dim=2, atoms=(((0.5, -1.0), 0.7), (np.array([2.0, 0.25]), 1.5)))
+    spec = BernsteinSpec(c=0.1, atoms=((0.5, 2.0), (3.0, 0.25)))
+    assert np.array_equal(nu.atom_points, [[0.5, -1.0], [2.0, 0.25]]) and np.array_equal(nu.atom_masses, [0.7, 1.5])
+    assert np.array_equal(spec.atom_y, [0.5, 3.0]) and np.array_equal(spec.atom_masses, [2.0, 0.25])
+    assert LevyMeasureRn(dim=2).atom_points.shape == (0, 2) and BernsteinSpec().atom_y.shape == (0,)
+    for table in (nu.atom_points, nu.atom_masses, spec.atom_y, spec.atom_masses):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+
+
 # -- diffusion factorisation ---------------------------------------------------
 
 

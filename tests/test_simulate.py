@@ -401,6 +401,20 @@ def test_subordinator_requires_atoms():
         simulate_subordinator(BernsteinSpec(c=0.0, density=dens), 1.0, 0.5, seed=1, paths=2)
 
 
+@pytest.mark.parametrize(
+    "horizon, dt, message",
+    [(1.0, 0.0, "dt > 0"), (1.0, -0.25, "dt > 0"), (0.25, 0.5, "horizon >= dt"), (1.0, 0.3, "integer number of steps")],
+    ids=["dt-zero", "dt-negative", "horizon-below-dt", "fractional-steps"],
+)
+def test_subordinator_refuses_a_bad_step_grid(horizon, dt, message):
+    """The step-grid rule of ``GroupProcessSpec``, which the subordinator ensemble shares."""
+    spec = BernsteinSpec(c=0.1, atoms=((0.5, 2.0),))
+    with pytest.raises(ValueError, match=message):
+        simulate_subordinator(spec, horizon, dt, seed=1, paths=2)
+    with pytest.raises(ValueError, match=message):
+        GroupProcessSpec("t1", 0.5, GroupLevyMeasure("t1"), horizon, dt, seed=1)
+
+
 def test_subordinator_reproducible():
     spec = BernsteinSpec(c=0.1, atoms=((0.5, 2.0),))
     a = simulate_subordinator(spec, 1.0, 0.25, seed=4, paths=5)

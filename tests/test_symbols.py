@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 
 from levymult.euclid import ImaginaryPowerProfile
-from levymult.groups import GroupLevyMeasure, dual_enumerate, get_irrep, irrep_stack_batch, su2_exp
+from levymult.groups import (
+    GroupLevyMeasure,
+    dim_stacks,
+    dual_enumerate,
+    get_irrep,
+    identity_element,
+    irrep_stack_batch,
+    su2_exp,
+)
 from levymult.levy import BernsteinSpec, bernstein_eval
 from levymult.symbols import (
+    atom_reps,
     central_alpha,
     central_multiplier,
     central_symbols,
@@ -297,3 +306,29 @@ def test_central_stack_matches_each_label_and_masks_modes_without_decay():
             continue
         expect = _central_multiplier_reference(amat, psi, 0.0, nu, pi)
         assert np.max(np.abs(block - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+TABLE_ATOMS = {
+    "t1": ((np.array([1.7]), 1.1), (np.array([4.0]), 0.6)),
+    "t2": ((np.array([1.1, 0.7]), 0.8), (np.array([2.3, 4.1]), 0.5), (np.array([-0.4, 3.0]), 1.25)),
+    "su2": ((su2_exp([0.6, 0.3, 1.1]), 0.9), (-np.eye(2), 0.4)),
+}
+
+
+@pytest.mark.parametrize("group", sorted(TABLE_ATOMS))
+def test_a_measure_owns_its_read_only_atom_table(group):
+    atoms = TABLE_ATOMS[group]
+    nu = GroupLevyMeasure(group, atoms)
+    shape = np.shape(identity_element(group))
+    assert nu.atom_points.shape == (len(atoms),) + shape
+    assert np.array_equal(nu.atom_points, [tau for tau, _ in atoms])
+    assert np.array_equal(nu.atom_masses, [m for _, m in atoms])
+    for table in (nu.atom_points, nu.atom_masses):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+    empty = GroupLevyMeasure(group)
+    assert empty.atom_points.shape == (0,) + shape and empty.atom_masses.shape == (0,)
+    # every layer reads pi(tau) at the atoms through atom_reps: bitwise what a hand-built batch gives
+    hand_built = np.array([tau for tau, _ in atoms], dtype=complex if group == "su2" else float)
+    for stack in dim_stacks(dual_enumerate(group, 2)):
+        assert atom_reps(nu, stack).tobytes() == irrep_stack_batch(stack, hand_built).tobytes()
