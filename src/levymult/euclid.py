@@ -4,12 +4,13 @@ Two evaluation routes are provided, each over an array of frequencies
 (m, n).  ``multiplier_autonomous_grid`` is the closed ratio of
 quadratic-plus-jump forms (unscaled frequency convention);
 ``multiplier_time_dependent`` integrates the semigroup decay in time and
-uses the 2*pi-scaled convention, so that for constant data
+uses the 2*pi-scaled convention: the autonomous route's forms at 2*pi*xi
+times its time factor, so that for constant data
 ``multiplier_time_dependent(spec, triple, xi) == multiplier_autonomous_grid(..., 2*pi*xi)``.
 
-Every jump sum sum_q w_q (1 - cos(xi . y_q)) is one ``levy.oneminus_cos_sums``
-call over all rows, and every density sum, psi-weighted ones included, is
-``levy.refined_sum``.
+Both routes take their jump forms from ``_jump_forms``: every jump sum
+sum_q w_q (1 - cos(xi . y_q)) is one ``levy.oneminus_cos_sums`` call over all
+rows, and every density sum is one ``levy.refined_sum`` (one refinement rule).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .levy import (
     factor_diffusion,
     oneminus_cos_sums,
     refined_sum,
-    symbol_grid,
 )
 from .linalg import blocks, operator_norm, pair_matrix
 
@@ -67,8 +67,17 @@ def multiplier_autonomous_grid(
     amatrix = pair_matrix(amatrix, len(a))
     u = xi @ factor_diffusion(a)  # rows are L^T xi
     num = 0.5 * np.einsum("mi,ij,mj->m", u, amatrix, u)
-    den = np.einsum("mi,ij,mj->m", xi, a, xi)
+    den, num = _jump_forms(xi, nu, psi, np.einsum("mi,ij,mj->m", xi, a, xi), num)
+    if np.any(den <= 0.0):
+        raise ValueError("zero-symbol frequency: denominator vanishes (degenerate data)")
+    return (num + 0.0j) / den
 
+
+def _jump_forms(xi: np.ndarray, nu: LevyMeasureRn, psi: PsiLike, den, num):
+    """(den + int (1 - cos xi.y) nu(dy), num + int (1 - cos xi.y) psi(y) nu(dy)) at each row of xi.
+
+    Atoms first, then the density through one ``refined_sum``, checked against the sums alone.
+    """
     if len(nu.atoms):
         masses = nu.atom_masses
         sums = oneminus_cos_sums(xi, nu.atom_points, masses, masses * _psi_at(psi, nu.atom_points))
@@ -83,9 +92,7 @@ def multiplier_autonomous_grid(
         den = den + sums[0].real
         if psi is not None:
             num = num + sums[1]
-    if np.any(den <= 0.0):
-        raise ValueError("zero-symbol frequency: denominator vanishes (degenerate data)")
-    return (num + 0.0j) / den
+    return den, num
 
 
 def riesz2_symbol_rn(c, xi) -> np.ndarray:
@@ -153,7 +160,7 @@ def profile_time_integral(profile: Callable, rate) -> np.ndarray:
 BOUND_SLACK = 1e-12  # absolute slack of ``MultiplierSpec.validate`` over the declared bounds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplierSpec:
     """A transform pair (A, psi) with declared norm bounds.
 
@@ -195,27 +202,20 @@ class MultiplierSpec:
 def multiplier_time_dependent(spec: MultiplierSpec, triple: LevyTriple, xi: np.ndarray) -> np.ndarray:
     """Multiplier from the time-integrated form on an array of frequencies (m, n), 2*pi-scaled convention.
 
-    m(xi) = 4 pi^2 int [A(s) L^T xi . L^T xi] e^{2 s Re rho(2 pi xi)} ds
-          + 2 int int e^{2 s Re rho(2 pi xi)} (1 - cos(2 pi xi . y)) psi(y) ds nu(dy)
+    m(xi) = 4 pi^2 int [A(s) L^T xi . L^T xi] e^{-2 s den} ds + 2 num int e^{-2 s den} ds,
+    den = -Re rho(2 pi xi) and num the autonomous route's forms at 2 pi xi, from ``_jump_forms``
+    with its one refinement rule; the time integrals are the route's own factor.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    rate, _ = symbol_grid(triple, 2.0 * np.pi * xi)
-    if np.any(rate == 0.0):
+    xi2 = 2.0 * np.pi * xi
+    den, num = _jump_forms(xi2, triple.nu, spec.psi, np.einsum("mi,ij,mj->m", xi2, triple.diffusion, xi2), 0.0j)
+    if np.any(den <= 0.0):
         raise ValueError("non-integrable time profile: Re rho(2 pi xi) = 0")
     u = xi @ factor_diffusion(triple.diffusion)  # rows are L^T xi
-    time_factor = 1.0 / (-2.0 * rate)  # int_0^infty e^{2 s rate} ds
+    time_factor = 1.0 / (2.0 * den)  # int_0^infty e^{-2 s den} ds
 
     if spec.amatrix is not None:
         m1 = 4.0 * np.pi**2 * np.einsum("mi,ij,mj->m", u, pair_matrix(spec.amatrix, triple.dim), u) * time_factor
     else:
-        m1 = 4.0 * np.pi**2 * np.einsum("mi,mi->m", u, u) * profile_time_integral(spec.aprofile, rate)
-
-    m2 = np.zeros(len(xi), dtype=complex)
-    nu = triple.nu
-    if len(nu.atoms):
-        (sums,) = oneminus_cos_sums(2.0 * np.pi * xi, nu.atom_points, nu.atom_masses * _psi_at(spec.psi, nu.atom_points))
-        m2 += 2.0 * sums * time_factor
-    if nu.density is not None and spec.psi is not None:
-        jump_sums = lambda pts, w: oneminus_cos_sums(2.0 * np.pi * xi, pts, w * _psi_at(spec.psi, pts))[0]
-        m2 += 2.0 * refined_sum(nu.quadratures, jump_sums) * time_factor
-    return m1 + m2
+        m1 = 4.0 * np.pi**2 * np.einsum("mi,mi->m", u, u) * profile_time_integral(spec.aprofile, -den)
+    return m1 + 2.0 * num * time_factor

@@ -159,7 +159,7 @@ def haar_sample(group: str, rng: np.random.Generator, size: int):
 # irreducible representations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Irrep:
     """One point of the unitary dual: label, dimension, Casimir, generators."""
 
@@ -556,7 +556,7 @@ def random_band_limited(group: str, cutoff, rng: np.random.Generator, real: bool
 # jump measures on the group
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupLevyMeasure:
     """Finite-activity jump measure: (element, mass) atoms, each exactly one element, and their table, which
     every layer reads as one batch: ``atom_points`` (atoms,) + the element shape and ``atom_masses`` (atoms,),

@@ -10,7 +10,7 @@ compensation over the unit ball.  Comparing against texts that compensate
 differently requires translating the drift accordingly.
 
 Every jump sum sum_q w_q (1 - cos(xi . y_q)), in ``symbol_grid`` and in
-both ``euclid`` multiplier routes, is ``oneminus_cos_sums`` over a whole
+``euclid``'s one jump-form helper, is ``oneminus_cos_sums`` over a whole
 array of frequencies: 2 sum_q w_q sin^2(xi . y_q / 2), exact where
 1 - cos rounds to 0, with half-angle sines taken once per distinct
 coordinate value on lattices (``_separable_sums``) and per frequency
@@ -115,7 +115,7 @@ class RadialDensity:
         return pts.reshape(-1, dim), wgt.reshape(-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevyMeasureRn:
     """Finite-atom plus truncated-density jump measure on R^n; its atom table is read-only (``atom_points``)."""
 
@@ -150,7 +150,7 @@ class LevyMeasureRn:
         return tuple(self.density.points_weights(self.dim, refine=refine) for refine in (1, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevyTriple:
     """Characteristics (drift, diffusion, jump measure) of a Levy process on R^n."""
 

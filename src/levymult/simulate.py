@@ -54,7 +54,7 @@ def _step_count(horizon: float, dt: float) -> int:
     return int(round(k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupProcessSpec:
     """Characteristics and discretisation of a group-valued Levy process.
 

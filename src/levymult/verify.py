@@ -186,9 +186,7 @@ def check_riesz_equivalence(seed=20241) -> CheckResult:
     grid = RIESZ_GRID
     gen = rngmod.stream(seed, rngmod.SPEC_DRAW)
     worst = 0.0
-    x = np.arange(grid) / grid
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    points = np.stack([2 * np.pi * xx.ravel(), 2 * np.pi * yy.ravel()], axis=1)
+    points = quadrature_grid(T2, grid - 1).points
     cs = [np.diag([1.0, -1.0])]
     for _ in range(3):
         m = gen.standard_normal((2, 2))

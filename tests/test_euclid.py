@@ -83,16 +83,17 @@ def test_time_dependent_matches_autonomous_closed_form():
     a = 0.4 * m @ m.T
     amat = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     amat /= 1.3 * np.linalg.norm(amat, 2)
-    nu = LevyMeasureRn(dim=2, atoms=(((0.5, -0.2), 0.7), ((1.5, 0.3), 0.4)))
-    psi = np.array([0.8, -0.5])
-    triple = LevyTriple(drift=[0.0, 0.0], diffusion=a, nu=nu)
-    spec = MultiplierSpec(a_bound=1.0, psi_bound=1.0, amatrix=amat, psi=psi)
-    spec.validate(nu)
     xi = rng.standard_normal((20, 2)) * 2.0
-    for via_time, closed in zip(
-        multiplier_time_dependent(spec, triple, xi), multiplier_autonomous_grid(amat, psi, a, nu, 2.0 * np.pi * xi)
-    ):
-        assert via_time == pytest.approx(closed, abs=1e-8)
+    density = LevyMeasureRn(dim=2, density=_criterion1_density())
+    atoms = LevyMeasureRn(dim=2, atoms=(((0.5, -0.2), 0.7), ((1.5, 0.3), 0.4)))
+    for nu, psi in ((atoms, np.array([0.8, -0.5])), (density, 0.6), (density, None)):
+        triple = LevyTriple(drift=[0.0, 0.0], diffusion=a, nu=nu)
+        spec = MultiplierSpec(a_bound=1.0, psi_bound=1.0, amatrix=amat, psi=psi)
+        spec.validate(nu)
+        for via_time, closed in zip(
+            multiplier_time_dependent(spec, triple, xi), multiplier_autonomous_grid(amat, psi, a, nu, 2.0 * np.pi * xi)
+        ):
+            assert via_time == pytest.approx(closed, rel=1e-12, abs=0.0)
 
 
 def test_imaginary_power_time_integral_matches_power():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from levymult.euclid import MultiplierSpec, multiplier_autonomous_grid, multiplier_time_dependent
+from levymult.groups import SU2, GroupLevyMeasure, _irrep
 from levymult.levy import (
     BernsteinSpec,
     LevyMeasureRn,
@@ -17,6 +18,7 @@ from levymult.levy import (
     symbol_grid,
 )
 from levymult.linalg import NotPositiveSemidefinite
+from levymult.simulate import GroupProcessSpec
 
 
 # -- exponent evaluation -----------------------------------------------------
@@ -121,6 +123,11 @@ def _consumer_case(case):
         return lambda: symbol_grid(LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=_underresolved_radial(1)), [[2.0]])
     if case == "smooth-eval_symbol":
         return lambda: symbol_grid(LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=_smooth_radial(1)), [[40.0]])
+    if case == "time-drifted":
+        # the multiplier does not depend on the drift, so neither may the refinement check of its density
+        spec = MultiplierSpec(a_bound=1.0, psi_bound=1.0, amatrix=eye)
+        triple = LevyTriple(drift=[1e9, 0.0], diffusion=0.01 * eye, nu=_smooth_radial(2))
+        return lambda: multiplier_time_dependent(spec, triple, np.array([[40.0, 0.0]]) / (2.0 * np.pi))
     if case in ("smooth-autonomous", "smooth-lattice"):
         xi = 5.0 * _nonzero_lattice(16) if case == "smooth-lattice" else np.array([[40.0, 0.0]])
         return lambda: multiplier_autonomous_grid(eye, 0.5, eye, _smooth_radial(2), xi)
@@ -149,6 +156,7 @@ def _consumer_case(case):
         "smooth-lattice",
         "time",
         "time-callable-psi",
+        "time-drifted",
         "bernstein",
     ],
 )
@@ -185,6 +193,23 @@ def test_rn_and_bernstein_atom_tables_are_built_once_and_read_only():
     for table in (nu.atom_points, nu.atom_masses, spec.atom_y, spec.atom_masses):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1.0
+
+
+_ARRAY_HOLDERS = {
+    "group-measure": lambda: GroupLevyMeasure("t2", (((0.4, -1.1), 0.8), ((2.0, 0.3), 0.5))),
+    "rn-measure": lambda: LevyMeasureRn(dim=2, atoms=(((0.5, -1.0), 0.7),)),
+    "multiplier-spec": lambda: MultiplierSpec(a_bound=1.0, psi_bound=1.0, amatrix=np.eye(2), psi=0.5),
+    "triple": lambda: LevyTriple(drift=[0.3, 0.0], diffusion=np.eye(2), nu=LevyMeasureRn(dim=2)),
+    "process-spec": lambda: GroupProcessSpec("t2", 0.3, GroupLevyMeasure("t2", (((0.4, -1.1), 0.8),)), 0.25, 1 / 16, 5),
+    "su2-irrep": lambda: _irrep.__wrapped__(SU2, 2),  # the uncached builder: a second, equal irrep
+}
+
+
+@pytest.mark.parametrize("kind", list(_ARRAY_HOLDERS))
+def test_frozen_records_holding_arrays_compare_and_hash_by_identity(kind):
+    x, y = _ARRAY_HOLDERS[kind](), _ARRAY_HOLDERS[kind]()
+    assert x == x and hash(x) == hash(x)
+    assert (x == y) is False and x != y
 
 
 # -- diffusion factorisation ---------------------------------------------------
