@@ -16,9 +16,10 @@ Conventions fixed here and relied on everywhere else:
 * A d-torus takes one code path, driven by ``group_dim``: d-tuple labels
   (an integer on T^1) in row-major order and grids of d uniform axes.
 * Each group object is checked in one place.  ``get_irrep`` checks a label
-  and builds its irrep once (cached, with read-only generators), on every
-  group; a ``PeterWeylCoeffs`` table takes each block's d_pi from it, so it
-  refuses a label of another group; and every evaluator at points takes one
+  and returns its irrep, cached per label (read-only generators; irreps
+  compare and hash by group and label), on every group; a
+  ``PeterWeylCoeffs`` table takes each block's d_pi from it, so it refuses
+  a label of another group; and every evaluator at points takes one
   element or a batch of them (``_element_batch``), refusing other shapes.
   A ``GroupLevyMeasure`` owns its atom table, one element per atom.
 * SU(2) irreps are evaluated as pi(g) = e^{i alpha J3} d(beta) e^{i gamma J3}
@@ -37,7 +38,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .linalg import matmul_rows
+from .linalg import gauss_legendre, matmul_rows
 
 T1 = "t1"
 T2 = "t2"
@@ -161,13 +162,22 @@ def haar_sample(group: str, rng: np.random.Generator, size: int):
 
 @dataclass(frozen=True, eq=False)
 class Irrep:
-    """One point of the unitary dual: label, dimension, Casimir, generators."""
+    """One point of the unitary dual: label, dimension, Casimir, generators.
+
+    Irreps compare and hash by (group, label): the other fields are functions of it.
+    """
 
     group: str
     label: Label
     dim: int
     casimir: float
     generators: tuple
+
+    def __eq__(self, other):
+        return isinstance(other, Irrep) and (self.group, self.label) == (other.group, other.label)
+
+    def __hash__(self):
+        return hash((self.group, self.label))
 
     def __repr__(self):
         return f"Irrep({self.group}, {self.label}, dim={self.dim}, casimir={self.casimir})"
@@ -207,7 +217,7 @@ def get_irrep(group: str, label) -> Irrep:
 
 @lru_cache(maxsize=4096)
 def _irrep(group: str, key) -> Irrep:
-    """The irrep of a checked key, twice the spin on SU(2) and the integer tuple k on a d-torus, built once;
+    """The irrep of a checked key, twice the spin on SU(2) and the integer tuple k on a d-torus, cached per key;
     its generators are read-only."""
     if group == SU2:
         j = key / 2.0
@@ -401,7 +411,7 @@ def quadrature_grid(group: str, band) -> GroupQuadrature:
     n_ang = twice_band + 2 + (twice_band % 2)  # even
     n_beta = twice_band + 16
     alpha = 4.0 * np.pi * np.arange(n_ang) / n_ang
-    x, wx = np.polynomial.legendre.leggauss(n_beta)
+    x, wx = gauss_legendre(n_beta)
     beta = 0.5 * np.pi * (x + 1.0)
     wbeta = 0.5 * np.pi * wx * np.sin(beta)
     weights = np.broadcast_to(wbeta[None, :, None] / (2.0 * n_ang * n_ang), (n_ang, n_beta, n_ang))

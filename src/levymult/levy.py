@@ -12,9 +12,17 @@ differently requires translating the drift accordingly.
 Every jump sum sum_q w_q (1 - cos(xi . y_q)), in ``symbol_grid`` and in
 ``euclid``'s one jump-form helper, is ``oneminus_cos_sums`` over a whole
 array of frequencies: 2 sum_q w_q sin^2(xi . y_q / 2), exact where
-1 - cos rounds to 0, with half-angle sines taken once per distinct
-coordinate value on lattices (``_separable_sums``) and per frequency
-elsewhere (``_direct_sums``).
+1 - cos rounds to 0.  Direct sums (``_direct_sums``) take a sine per
+frequency and node.  On lattices (``_separable_sums``) a half frequency
+h = (f, r) is read on coordinate magnitudes: with a = |f| y_1, b = [r] . y'
+for the class [r] = s(r) r of r up to its sign s(r) = +-1,
+sin^2(h . y) = E + 2 sgn(f) s(r) C, where E = sin^2 a cos^2 b + cos^2 a sin^2 b
+and C = sin a cos a sin b cos b.  So per node the sines and cosines are
+taken once per distinct |f| and per class (33 + 33 on the nonzero 64^2
+lattice), and E and C are real products of rank 2 and 1 on that grid
+(33 x 33), costed at about 1/16 sine per grid point; the route runs
+where it costs less than direct sums.  The cross term's relative error is
+eps sum w (|a| + |b|)^2 / sum w (a + b)^2, near eps for radial densities.
 
 Every density sum, here and in ``euclid``, is ``refined_sum`` over the
 density's coarse and fine ``quadratures``, each built once per density.
@@ -28,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import PSD_TOL, NotPositiveSemidefinite, blocks, pivoted_cholesky
+from .linalg import PSD_TOL, NotPositiveSemidefinite, blocks, gauss_legendre, pivoted_cholesky
 
 #: relative tolerance for agreement of the coarse and refined quadratures
 REFINE_RTOL = 1e-8
@@ -61,7 +69,7 @@ def _log_gl_nodes(inner: float, outer: float, per_decade: int):
     count bounds the error for oscillatory integrands (resolving
     1 - cos(xi . y) needs roughly xi * y nodes over the top decade).
     """
-    x, w = np.polynomial.legendre.leggauss(int(per_decade))
+    x, w = gauss_legendre(int(per_decade))
     n_panels = max(1, int(np.ceil(np.log10(outer / inner))))
     edges = np.log(np.geomspace(inner, outer, n_panels + 1))
     rs, ws = [], []
@@ -204,38 +212,59 @@ def oneminus_cos_sums(xi: np.ndarray, pts: np.ndarray, *weights) -> list:
 
     Taken as 2 sum_q w_q sin^2(xi . y_q / 2), complex weights as their real
     and imaginary parts.  Direct sums take a sine per frequency and node.
-    The lattice route sorts each coordinate (about two sines per frequency
-    and axis), then per node takes 2 (n_first + n_rest) sines and cosines
-    and products worth about 1/16 sine per point of the n_first x n_rest
-    grid; it runs where that costs less.
+    The lattice route sorts the frequencies (about two sines per frequency
+    and axis) into n_mag distinct first-coordinate magnitudes |f| and
+    n_class classes [r] of the other coordinates up to sign, then per node
+    takes 2 (n_mag + n_class) sines and cosines and products worth about
+    1/16 sine per point of the n_mag x n_class grid, where
+    sin^2(h . y) = E + 2 sgn(f) s(r) C (``_separable_sums``, which states the
+    cross term's error); it runs where that costs less.  On the nonzero
+    64^2 lattice n_mag = n_class = 33.
     """
     half = 0.5 * np.atleast_2d(np.asarray(xi, dtype=float))
     parts = [(w.real, w.imag) if np.iscomplexobj(w) else (w,) for w in weights]
     wmat = np.stack([col for cols in parts for col in cols], axis=1)
-    factors = _lattice_factors(half, len(pts))
-    if factors is None:
-        sums = _direct_sums(half, pts, wmat)
-    else:
-        firsts, first_idx, rests, rest_idx = factors
-        sums = _separable_sums(firsts, rests, pts, wmat)[:, first_idx, rest_idx].T
+    tables = _lattice_factors(half, len(pts))
+    sums = _direct_sums(half, pts, wmat) if tables is None else _separable_sums(tables, pts, wmat)
     split = np.split(sums, np.cumsum([len(cols) for cols in parts])[:-1], axis=1)
     return [s[:, 0] + 1j * s[:, 1] if s.shape[1] == 2 else s[:, 0] for s in split]
 
 
 def _lattice_factors(half: np.ndarray, n_nodes: int):
-    """(firsts, first_idx, rests, rest_idx) of the frequencies, or None where direct sums cost less."""
+    """``_magnitude_tables(half)``, or None where direct sums cost less."""
     n_freq, dim = half.shape
     if n_nodes <= 2 * dim:  # the sorting alone would cost more
         return None
-    axes = [np.unique(col, return_inverse=True) for col in half.T]
-    (firsts, first_idx), n_rest, rest_idx = axes[0], 1, 0
-    for values, idx in axes[1:]:
-        n_rest, rest_idx = n_rest * len(values), rest_idx * len(values) + idx
-    per_node = 2 * (len(firsts) + n_rest) + len(firsts) * n_rest / 16
+    tables = _magnitude_tables(half)
+    n_mag, n_class = len(tables[0]), len(tables[2])
+    per_node = 2 * (n_mag + n_class) + n_mag * n_class / 16
     if per_node * n_nodes + 2 * dim * n_freq >= n_freq * n_nodes:
         return None
-    rests = np.array(np.meshgrid(*[v for v, _ in axes[1:]], indexing="ij"))
-    return firsts, first_idx, rests.reshape(-1, n_rest).T, rest_idx
+    return tables
+
+
+def _magnitude_tables(half: np.ndarray):
+    """(mags, mag_idx, classes, class_idx, signs) of the rows h = (f, r) of half.
+
+    mags are the distinct |f|, classes the distinct [r] = s(r) r, where s(r) = +-1
+    is the sign of r's first nonzero coordinate (+1 at r = 0); row i has
+    |f| = mags[mag_idx[i]], [r] = classes[class_idx[i]] and signs[i] = sgn(f) s(r).
+    """
+    first, rest = half[:, 0], half[:, 1:]
+    lead = np.zeros(len(half))
+    for col in rest.T[::-1]:
+        lead = np.where(col != 0.0, col, lead)
+    s_rest = np.where(lead < 0.0, -1.0, 1.0)
+    canon = rest * s_rest[:, None] + 0.0  # + 0.0: -0.0 is 0.0
+    # the rows of canon ranked one axis at a time by 1-d sorts, ten times faster than np.unique(axis=0)
+    class_idx = np.zeros(len(half), dtype=np.intp)
+    for col in canon.T:
+        values, idx = np.unique(col, return_inverse=True)
+        class_idx = np.unique(class_idx * len(values) + idx, return_inverse=True)[1]
+    classes = np.empty((class_idx.max(initial=-1) + 1, rest.shape[1]))
+    classes[class_idx] = canon
+    mags, mag_idx = np.unique(np.abs(first), return_inverse=True)
+    return mags, mag_idx, classes, class_idx, np.sign(first) * s_rest
 
 
 def _direct_sums(half: np.ndarray, pts: np.ndarray, wmat: np.ndarray) -> np.ndarray:
@@ -247,26 +276,31 @@ def _direct_sums(half: np.ndarray, pts: np.ndarray, wmat: np.ndarray) -> np.ndar
     return 2.0 * out
 
 
-def _separable_sums(firsts, rests, pts: np.ndarray, wmat: np.ndarray) -> np.ndarray:
-    """2 sum_q w_q sin^2(a + b) on the grid (weight, first value, rest tuple).
+def _separable_sums(tables, pts: np.ndarray, wmat: np.ndarray) -> np.ndarray:
+    """2 sum_q w_q sin^2(h . y_q) at each row h = (f, r) of the frequencies in ``_magnitude_tables``, (rows, weights).
 
-    a = f y_q1 for each distinct half first coordinate f, b = r . y_q' for
-    each distinct tuple r of the others; sin(a + b) = sin a cos b + cos a sin b
-    makes the sum three real matrix products.  The cross term's relative
-    error, eps sum w (|a| + |b|)^2 / sum w (a + b)^2, stays near eps unless xi
-    is nearly orthogonal to every node, which radial densities exclude.
+    With a = |f| y_q1 and b = [r] . y_q', h . y_q = sgn(f) a + s(r) b, and sin odd
+    and cos even give sin^2(h . y_q) = E + 2 sgn(f) s(r) C, where
+    E = sin^2 a cos^2 b + cos^2 a sin^2 b and C = sin a cos a sin b cos b:
+    summed over the nodes, one real product of rank 2 and one of rank 1 on the
+    n_mag x n_class grid, gathered to the rows with their sign products.  A row
+    and its negative read the same grid points with the same sign product, so
+    the sums are exactly even in h.  The cross term's relative error,
+    eps sum w (|a| + |b|)^2 / sum w (a + b)^2, stays near eps unless xi is
+    nearly orthogonal to every node, which radial densities exclude.
     """
-    n_w, n_first, n_rest = wmat.shape[1], len(firsts), len(rests)
-    grid = np.zeros((n_w * n_first, n_rest))
-    for nodes in blocks(len(pts), 24 * max(n_w * n_first, n_rest)):
+    mags, mag_idx, classes, class_idx, signs = tables
+    n_w, n_mag, n_class = wmat.shape[1], len(mags), len(classes)
+    even, cross = np.zeros((n_w * n_mag, n_class)), np.zeros((n_w * n_mag, n_class))
+    for nodes in blocks(len(pts), 16 * max(n_w * n_mag, n_class)):
         y, w = pts[nodes], wmat[nodes]
-        a, b = np.multiply.outer(firsts, y[:, 0]), rests @ y[:, 1:].T
+        a, b = np.multiply.outer(mags, y[:, 0]), classes @ y[:, 1:].T
         sa, ca, sb, cb = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
-        left = np.concatenate([sa * sa, sa * ca, ca * ca], axis=1)
-        right = np.concatenate([cb * cb, 2.0 * sb * cb, sb * sb], axis=1)
-        weighted = np.tile(w.T, 3)[:, None, :] * left
-        grid += weighted.reshape(-1, left.shape[1]) @ right.T
-    return 2.0 * grid.reshape(n_w, n_first, n_rest)
+        left = np.tile(w.T, 2)[:, None, :] * np.concatenate([sa * sa, ca * ca], axis=1)
+        even += left.reshape(n_w * n_mag, -1) @ np.concatenate([cb * cb, sb * sb], axis=1).T
+        cross += (w.T[:, None, :] * (sa * ca)).reshape(n_w * n_mag, -1) @ (sb * cb).T
+    at = (slice(None), mag_idx, class_idx)
+    return (2.0 * even.reshape(n_w, n_mag, n_class)[at] + 4.0 * signs * cross.reshape(n_w, n_mag, n_class)[at]).T
 
 
 def symbol_grid(triple: LevyTriple, xi: np.ndarray):

@@ -1,6 +1,8 @@
-"""Small dense linear-algebra helpers and the memory budget shared across the package."""
+"""Small dense linear-algebra helpers, the Gauss-Legendre rule and the memory budget shared across the package."""
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +36,14 @@ def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(a) == 1:
         return (np.concatenate([a, a]) @ b)[:1]
     return a @ b
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n; read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def blocks(n: int, item_bytes: float):

@@ -16,6 +16,7 @@ from levymult.levy import (
     RadialDensity,
     _direct_sums,
     _lattice_factors,
+    _magnitude_tables,
     _separable_sums,
     oneminus_cos_sums,
 )
@@ -205,14 +206,8 @@ def _one_minus_cos_reference(xi, pts, w):
 
 
 def _grid_route(xi, pts, wmat):
-    """The separable route on the product grid of distinct coordinates, whatever it costs."""
-    half = 0.5 * xi
-    firsts, first_idx = np.unique(half[:, 0], return_inverse=True)
-    rests, rest_idx = np.zeros((1, 0)), 0
-    if xi.shape[1] == 2:
-        rests, rest_idx = np.unique(half[:, 1], return_inverse=True)
-        rests = rests[:, None]
-    return _separable_sums(firsts, rests, pts, wmat)[:, first_idx, rest_idx].T
+    """The separable route on the magnitude tables of the frequencies, whatever it costs."""
+    return _separable_sums(_magnitude_tables(0.5 * xi), pts, wmat)
 
 
 def _kernel_case(case):
@@ -247,6 +242,54 @@ def test_grid_and_direct_routes_agree_with_one_minus_cos(case):
     for ref in (_half_angle_reference(xi, pts, w), _one_minus_cos_reference(xi, pts, w)):
         assert np.max(np.abs(grid - ref) / scale) <= 1e-12
         assert np.max(np.abs(direct - ref) / scale) <= 1e-12
+
+
+def _complex_modulated(pts, w):
+    return w * 0.8 * np.exp(1j * (pts[:, 0] - 2.0 * pts[:, 1]))
+
+
+def test_lattice_sums_are_exactly_even():
+    xi = _nonzero_lattice(64)
+    pts, w = LevyMeasureRn(dim=2, density=_criterion1_density()).quadratures[0]
+    weights = (w, _complex_modulated(pts, w))
+    assert _lattice_factors(0.5 * xi, len(pts)) is not None and _lattice_factors(-0.5 * xi, len(pts)) is not None
+    for plus, minus in zip(oneminus_cos_sums(xi, pts, *weights), oneminus_cos_sums(-xi, pts, *weights)):
+        assert np.array_equal(plus, minus)
+
+
+def _unsymmetric_case(case):
+    if case == "shifted-lattice":
+        pts, w = LevyMeasureRn(dim=2, density=_criterion1_density()).quadratures[0]
+        return _nonzero_lattice(64) + [0.25, 0.0], pts, _complex_modulated(pts, w)
+    if case == "half-lattice":
+        pts, w = LevyMeasureRn(dim=2, density=_criterion1_density(0.8)).quadratures[0]
+        xi = _nonzero_lattice(64)
+        return xi[xi[:, 0] >= 0.0], pts, w
+    gen = rngmod.stream(5, rngmod.SPEC_DRAW)
+    k = np.fft.fftfreq(8) * 8
+    xi = np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1).reshape(-1, 3)[1:]
+    pts = gen.uniform(-1.5, 1.5, size=(9, 3))
+    return xi, pts, gen.uniform(0.2, 1.0, size=9) * np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, size=9))
+
+
+@pytest.mark.parametrize("case", ["shifted-lattice", "half-lattice", "atoms-3d"])
+def test_lattice_route_on_unsymmetric_frequency_sets(case):
+    # the magnitude identity needs no symmetry: every sign of f and r is read from its own tables
+    xi, pts, w = _unsymmetric_case(case)
+    assert _lattice_factors(0.5 * xi, len(pts)) is not None
+    (sums,) = oneminus_cos_sums(xi, pts, w)
+    scale = _half_angle_reference(xi, pts, np.abs(w))
+    assert np.max(np.abs(sums - _half_angle_reference(xi, pts, w)) / scale) <= 1e-12
+
+
+def test_lattice_tables_hold_magnitudes_and_classes_up_to_sign():
+    xi = _nonzero_lattice(64)
+    pts, _ = LevyMeasureRn(dim=2, density=_criterion1_density()).quadratures[0]
+    mags, mag_idx, classes, class_idx, signs = _lattice_factors(0.5 * xi, len(pts))
+    assert len(mags) == 33 and classes.shape == (33, 1)
+    assert np.array_equal(mags[mag_idx], np.abs(0.5 * xi[:, 0]))
+    assert np.array_equal(classes[class_idx, 0], np.abs(0.5 * xi[:, 1]))
+    assert np.array_equal(signs, np.sign(xi[:, 0]) * np.where(xi[:, 1] < 0.0, -1.0, 1.0))
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-4])

@@ -83,6 +83,17 @@ def test_torus_irreps_are_built_once_with_read_only_generators():
                 gen[0, 0] = 0.0
 
 
+def test_irreps_compare_and_hash_by_group_and_label_after_cache_eviction():
+    # the cache holds 4,096 irreps, and the T^2 dual at cutoff 46 takes 8,649 labels: the first irrep is evicted
+    pi = get_irrep("t2", (0, 1))
+    dual_enumerate("t2", 46)
+    again = get_irrep("t2", (0, 1))
+    assert again is not pi
+    assert again == pi and hash(again) == hash(pi) and len({pi, again}) == 1
+    assert pi != get_irrep("t2", (1, 0)) and pi != get_irrep("t1", 1) and pi != ("t2", (0, 1))
+    assert groupsmod._irrep.__wrapped__("su2", 2) == get_irrep("su2", 1.0)  # the uncached builder
+
+
 @pytest.mark.parametrize("build", [identity_element, lambda group: quadrature_grid(group, 2)], ids=["identity_element", "quadrature_grid"])
 def test_an_unknown_group_is_refused(build):
     # as dual_enumerate refuses "t3" above

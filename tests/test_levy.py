@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from levymult.euclid import MultiplierSpec, multiplier_autonomous_grid, multiplier_time_dependent
-from levymult.groups import SU2, GroupLevyMeasure, _irrep
+from levymult.groups import GroupLevyMeasure
 from levymult.levy import (
     BernsteinSpec,
     LevyMeasureRn,
@@ -17,7 +17,7 @@ from levymult.levy import (
     factor_diffusion,
     symbol_grid,
 )
-from levymult.linalg import NotPositiveSemidefinite
+from levymult.linalg import NotPositiveSemidefinite, gauss_legendre
 from levymult.simulate import GroupProcessSpec
 
 
@@ -195,13 +195,22 @@ def test_rn_and_bernstein_atom_tables_are_built_once_and_read_only():
             table[0] = 1.0
 
 
+def test_gauss_legendre_rules_are_built_once_per_node_count_and_read_only():
+    x, w = gauss_legendre(72)
+    assert gauss_legendre(72)[0] is x and gauss_legendre(144)[0] is not x
+    ref_x, ref_w = np.polynomial.legendre.leggauss(72)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    for table in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+
+
 _ARRAY_HOLDERS = {
     "group-measure": lambda: GroupLevyMeasure("t2", (((0.4, -1.1), 0.8), ((2.0, 0.3), 0.5))),
     "rn-measure": lambda: LevyMeasureRn(dim=2, atoms=(((0.5, -1.0), 0.7),)),
     "multiplier-spec": lambda: MultiplierSpec(a_bound=1.0, psi_bound=1.0, amatrix=np.eye(2), psi=0.5),
     "triple": lambda: LevyTriple(drift=[0.3, 0.0], diffusion=np.eye(2), nu=LevyMeasureRn(dim=2)),
     "process-spec": lambda: GroupProcessSpec("t2", 0.3, GroupLevyMeasure("t2", (((0.4, -1.1), 0.8),)), 0.25, 1 / 16, 5),
-    "su2-irrep": lambda: _irrep.__wrapped__(SU2, 2),  # the uncached builder: a second, equal irrep
 }
 
 
