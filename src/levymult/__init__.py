@@ -20,7 +20,6 @@ from .constants import (
 )
 from .euclid import (
     ImaginaryPowerProfile,
-    MultiplierSpec,
     multiplier_autonomous_grid,
     multiplier_time_dependent,
     riesz2_symbol_rn,

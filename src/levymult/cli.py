@@ -25,7 +25,7 @@ from . import verify as verifymod
 from .constants import constant_report
 from .euclid import (
     ImaginaryPowerProfile,
-    MultiplierSpec,
+    check_bounds,
     multiplier_autonomous_grid,
     multiplier_time_dependent,
     psi_values,
@@ -83,6 +83,15 @@ def _at(pointer: str):
         raise ConfigError(pointer, f"{type(exc).__name__}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _refined(pointer: str):
+    """A ``QuadratureError`` of the block, its message ending with the ``nodes`` key of the density at ``pointer``."""
+    try:
+        yield
+    except QuadratureError as exc:
+        raise QuadratureError(f"{exc}, at {pointer}.nodes") from exc
+
+
 def _finite(text: str) -> float:
     """A number of a config (standard JSON, RFC 8259) or a flag: NaN, +-infinity and overflowing literals are refused."""
     value = float(text)
@@ -108,7 +117,7 @@ def _require_keys(obj: dict, allowed, pointer: str):
 def _int_at_least(obj: dict, key: str, default: int, low: int, pointer: str) -> int:
     """``obj[key]`` (``default`` when absent), an integer of at least ``low``, or a ``ConfigError`` at ``pointer.key``."""
     value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 or value < low:
+    if not isinstance(value, (int, float)) or value % 1 or value < low:
         raise ConfigError(f"{pointer}.{key}", f"expected an integer >= {low}, got {value!r}")
     return int(value)
 
@@ -262,8 +271,21 @@ def _complex_matrix_json(mat: np.ndarray):
     return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
 
 
+#: the keys whose values are names; every other string of a config, and every boolean, is not a number
+NAME_KEYS = {"group", "kind", "mode", "sigma", "type"}
+
+
+def _refuse_non_numbers(obj, pointer: str):
+    """A ``ConfigError`` at the first boolean, or string not under a ``NAME_KEYS`` key, below ``obj``."""
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ():
+        at = f"{pointer}.{key}" if isinstance(obj, dict) else f"{pointer}[{key}]"
+        if isinstance(value, bool) or (isinstance(value, str) and key not in NAME_KEYS):
+            raise ConfigError(at, f"expected a number, got {value!r}")
+        _refuse_non_numbers(value, at)
+
+
 def _load_config(path: str, keys) -> dict:
-    """The config file at ``path``, an object of no other keys than ``keys``."""
+    """The config file at ``path``: an object of ``keys`` only, each leaf a number, a name (``NAME_KEYS``) or null."""
     try:
         with open(path) as fh:
             config = json.load(fh, parse_float=_finite, parse_int=_finite_int, parse_constant=_finite)
@@ -272,6 +294,7 @@ def _load_config(path: str, keys) -> dict:
     except ValueError as exc:
         raise ConfigError(path, f"invalid JSON: {exc}")
     _require_keys(config, keys, "config")
+    _refuse_non_numbers(config, "config")
     return config
 
 
@@ -345,41 +368,43 @@ def cmd_symbol(args) -> int:
     config = _load_config(args.config, {"triple", "xi"})
     triple = _levy_triple(config.get("triple", {}), "config.triple")
     xis = _frequencies(config.get("xi", []), triple.dim)
-    re, im = symbol_grid(triple, xis)
+    with _refined("config.triple.density"):
+        re, im = symbol_grid(triple, xis)
     rows = [tuple(float(x) for x in xi) + (float(r), float(i)) for xi, r, i in zip(xis, re, im)]
     header = tuple(f"xi{i+1}" for i in range(triple.dim)) + ("re", "im")
     _emit_rows(args, config, header, rows)
     return 0
 
 
-def _multiplier_spec(config):
-    """The triple and the ``MultiplierSpec`` of a multiplier config, validated; bounds not given are infinite."""
+def _transform_pair(config):
+    """The triple and the transform pair (A, psi) of a multiplier config, checked against its declared bounds
+    (infinite when not given): A is an ``ImaginaryPowerProfile`` for ``aprofile``, else the n x n ``amatrix``."""
     triple = _levy_triple(config.get("triple", {}), "config.triple")
-    aprofile = None
     if config.get("aprofile") is not None:
         prof = config["aprofile"]
         with _at("config.aprofile"):
             _require_keys(prof, {"type", "gamma"}, "config.aprofile")
             if prof.get("type") != "imaginary_power":
                 raise ConfigError("config.aprofile.type", "unknown profile")
-            aprofile = ImaginaryPowerProfile(float(prof.get("gamma", 0.5)))
-    amatrix = None if aprofile is not None else _pair_matrix(config.get("amatrix"), "config.amatrix", triple.dim)
+            apair = ImaginaryPowerProfile(float(prof.get("gamma", 0.5)))
+    else:
+        apair = _pair_matrix(config.get("amatrix"), "config.amatrix", triple.dim)
     psi = _psi(config.get("psi"), None if triple.nu.density is not None else len(triple.nu.atoms))
     with _at("config"):
-        spec = MultiplierSpec(config.get("a_bound", np.inf), config.get("psi_bound", np.inf), amatrix, aprofile, psi)
-        spec.validate(triple.nu)
-    return triple, spec
+        check_bounds(apair, psi, triple.nu, config.get("a_bound", np.inf), config.get("psi_bound", np.inf))
+    return triple, apair, psi
 
 
 def cmd_multiplier(args) -> int:
     config = _load_config(
         args.config, {"triple", "amatrix", "aprofile", "psi", "mode", "xi", "grid", "a_bound", "psi_bound"}
     )
-    triple, spec = _multiplier_spec(config)
+    triple, apair, psi = _transform_pair(config)
     mode = config.get("mode", "autonomous")
     if mode not in ("autonomous", "time"):
         raise ConfigError("config.mode", "expected 'autonomous' or 'time'")
-    if mode == "autonomous" and spec.aprofile is not None:
+    profile = isinstance(apair, ImaginaryPowerProfile)
+    if mode == "autonomous" and profile:
         raise ConfigError("config.mode", "autonomous mode needs a constant matrix")
     if config.get("xi") is not None:
         xis, where = _frequencies(config["xi"], triple.dim), "config.xi"
@@ -392,11 +417,12 @@ def cmd_multiplier(args) -> int:
         xis = np.array(list(itertools.product(axis, repeat=triple.dim)))
         # xi = 0 is left out: the multiplier is undefined elsewhere only for degenerate data
         xis, where = xis[np.any(xis != 0.0, axis=1)], "config.triple"
-    with _at(where):
-        if mode == "autonomous":
-            vals = multiplier_autonomous_grid(spec.amatrix, spec.psi, triple.diffusion, triple.nu, xis)
-        else:
-            vals = multiplier_time_dependent(spec, triple, xis)
+    with _at(where), _refined("config.triple.density"):
+        if profile:
+            vals = multiplier_time_dependent(apair, psi, triple.diffusion, triple.nu, xis)
+        else:  # a constant pair in time mode is the autonomous route at 2 pi xi
+            scaled = 2.0 * np.pi * xis if mode == "time" else xis
+            vals = multiplier_autonomous_grid(apair, psi, triple.diffusion, triple.nu, scaled)
     rows = [tuple(float(x) for x in xi) + (float(val.real), float(val.imag)) for xi, val in zip(xis, vals)]
     header = tuple(f"xi{i+1}" for i in range(triple.dim)) + ("re_m", "im_m")
     _emit_rows(args, config, header, rows)
@@ -446,7 +472,8 @@ def cmd_symbol_group(args) -> int:
         with _at("config.c"):
             rows = stack_rows(dual, lambda st: central_symbols(cmat, psi, float(config.get("c", 1.0)), nu, st, None))
     elif kind == "subordination":
-        rows = stack_rows(dual, lambda stack: subordination_symbols(psi, bernstein, nu, stack))
+        with _refined("config.bernstein.density"):
+            rows = stack_rows(dual, lambda stack: subordination_symbols(psi, bernstein, nu, stack))
     else:
         rows = stack_rows(dual, _stacked_symbol(kind, config, "config", group))
     payload = {"meta": _meta(args, config), "kind": kind, "symbols": []}
@@ -476,7 +503,7 @@ def cmd_apply(args) -> int:
             dual = dual_enumerate(sym_cfg["group"], sym_cfg["cutoff"])
         symbol = _stacked_symbol(kind, sym_cfg, "config.symbol", sym_cfg["group"])
         trivial = sym_cfg.get("trivial", 0.0)
-        if isinstance(trivial, bool) or not isinstance(trivial, (int, float)):
+        if not isinstance(trivial, (int, float)):
             raise ConfigError("config.symbol.trivial", f"expected a number, got {trivial!r}")
         rows = zip(dual, stack_rows(dual, symbol))
         table = {pi.label: blk if ok else complex(trivial) * np.eye(pi.dim, dtype=complex) for pi, (blk, ok) in rows}
@@ -499,8 +526,8 @@ def cmd_norm_search(args) -> int:
     config = _load_config(
         args.config, {"triple", "amatrix", "aprofile", "psi", "grid", "p", "trials", "refine", "band"}
     )
-    triple, spec = _multiplier_spec(config)
-    if spec.aprofile is not None:
+    triple, apair, psi = _transform_pair(config)
+    if isinstance(apair, ImaginaryPowerProfile):
         raise ConfigError("config.aprofile", "norm search uses autonomous multipliers")
     n = _int_at_least(config, "grid", 32, 2, "config")
     if n & (n - 1):
@@ -512,11 +539,11 @@ def cmd_norm_search(args) -> int:
     if not isinstance(ps, list):
         raise ConfigError("config.p", "expected a list of exponents")
     for i, p in enumerate(ps):
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 1.0 < p < np.inf:
+        if not isinstance(p, (int, float)) or not 1.0 < p < np.inf:
             raise ConfigError(f"config.p[{i}]", f"expected an exponent in (1, infinity), got {p!r}")
 
-    m = lambda xi: multiplier_autonomous_grid(spec.amatrix, spec.psi, triple.diffusion, triple.nu, xi)
-    with _at("config.triple"):  # symbol_on_lattice sets xi = 0 aside: only degenerate data fails
+    m = lambda xi: multiplier_autonomous_grid(apair, psi, triple.diffusion, triple.nu, xi)
+    with _at("config.triple"), _refined("config.triple.density"):  # xi = 0 is set aside: only degenerate data fails
         values = symbol_on_lattice(m, (n,) * triple.dim)
     results = norm_lower_bound_search(
         values, ps, trials=trials, refine_steps=refine, seed=args.seed, band=band

@@ -2,11 +2,11 @@
 
 Two evaluation routes are provided, each over an array of frequencies
 (m, n).  ``multiplier_autonomous_grid`` is the closed ratio of
-quadratic-plus-jump forms (unscaled frequency convention);
-``multiplier_time_dependent`` integrates the semigroup decay in time and
-uses the 2*pi-scaled convention: the autonomous route's forms at 2*pi*xi
-times its time factor, so that for constant data
-``multiplier_time_dependent(spec, triple, xi) == multiplier_autonomous_grid(..., 2*pi*xi)``.
+quadratic-plus-jump forms for a constant matrix A (unscaled frequency
+convention); ``multiplier_time_dependent`` integrates the semigroup decay
+in time for a scalar time profile A(s) = profile(s) I (2*pi-scaled
+convention).  The time-integrated multiplier of a constant A at xi is the
+autonomous route at 2*pi*xi, so only profiles take the time route.
 
 Both routes take their jump forms from ``_jump_forms``: every jump sum
 sum_q w_q (1 - cos(xi . y_q)) is one ``levy.oneminus_cos_sums`` call over all
@@ -16,14 +16,13 @@ rows, and every density sum is one ``levy.refined_sum`` (one refinement rule).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .gammafn import gamma
 from .levy import (
     LevyMeasureRn,
-    LevyTriple,
     factor_diffusion,
     oneminus_cos_sums,
     refined_sum,
@@ -157,65 +156,38 @@ def profile_time_integral(profile: Callable, rate) -> np.ndarray:
     return out.reshape(rate.shape)
 
 
-BOUND_SLACK = 1e-12  # absolute slack of ``MultiplierSpec.validate`` over the declared bounds
+BOUND_SLACK = 1e-12  # absolute slack of ``check_bounds`` over the declared bounds
 
 
-@dataclass(frozen=True, eq=False)
-class MultiplierSpec:
-    """A transform pair (A, psi) with declared norm bounds.
-
-    ``amatrix`` is a constant complex matrix, or ``aprofile`` a catalog
-    time profile (exclusive).  ``psi`` follows the conventions of
-    ``multiplier_autonomous_grid``: scalar, per-atom table, or callable.
-    """
-
-    a_bound: float
-    psi_bound: float
-    amatrix: Optional[np.ndarray] = None
-    aprofile: Optional[ImaginaryPowerProfile] = None
-    psi: PsiLike = None
-
-    def __post_init__(self):
-        if (self.amatrix is None) == (self.aprofile is None):
-            raise ValueError("exactly one of amatrix / aprofile must be given")
-        if self.amatrix is not None:
-            object.__setattr__(self, "amatrix", np.atleast_2d(np.asarray(self.amatrix)))
-
-    def validate(self, nu: LevyMeasureRn) -> None:
-        """Check measured sups against the declared bounds (atoms + sample grid), up to ``BOUND_SLACK``."""
-        if self.amatrix is not None:
-            measured = operator_norm(self.amatrix)
-        else:
-            measured = self.aprofile.sup_norm
-        if measured > self.a_bound + BOUND_SLACK:
-            raise ValueError(f"declared |A| bound {self.a_bound} exceeded: measured {measured}")
-        sup_psi = 0.0
-        if len(nu.atoms):
-            sup_psi = float(np.max(np.abs(_psi_at(self.psi, nu.atom_points))))
-        if nu.density is not None and self.psi is not None:
-            pts, _ = nu.quadratures[0]
-            sup_psi = max(sup_psi, float(np.max(np.abs(_psi_at(self.psi, pts)))))
-        if sup_psi > self.psi_bound + BOUND_SLACK:
-            raise ValueError(f"declared |psi| bound {self.psi_bound} exceeded: measured {sup_psi}")
+def check_bounds(apair, psi: PsiLike, nu: LevyMeasureRn, a_bound, psi_bound) -> None:
+    """Check the sups of a pair (A: a matrix or a profile, psi on the atoms and the coarse density nodes)
+    against its declared bounds, up to ``BOUND_SLACK``."""
+    measured = apair.sup_norm if isinstance(apair, ImaginaryPowerProfile) else operator_norm(apair)
+    if measured > a_bound + BOUND_SLACK:
+        raise ValueError(f"declared |A| bound {a_bound} exceeded: measured {measured}")
+    sup_psi = 0.0
+    if len(nu.atoms):
+        sup_psi = float(np.max(np.abs(_psi_at(psi, nu.atom_points))))
+    if nu.density is not None and psi is not None:
+        pts, _ = nu.quadratures[0]
+        sup_psi = max(sup_psi, float(np.max(np.abs(_psi_at(psi, pts)))))
+    if sup_psi > psi_bound + BOUND_SLACK:
+        raise ValueError(f"declared |psi| bound {psi_bound} exceeded: measured {sup_psi}")
 
 
-def multiplier_time_dependent(spec: MultiplierSpec, triple: LevyTriple, xi: np.ndarray) -> np.ndarray:
-    """Multiplier from the time-integrated form on an array of frequencies (m, n), 2*pi-scaled convention.
+def multiplier_time_dependent(profile: Callable, psi: PsiLike, a, nu: LevyMeasureRn, xi: np.ndarray) -> np.ndarray:
+    """Multiplier of a scalar time profile A(s) = profile(s) I on an array of frequencies (m, n), 2*pi-scaled.
 
-    m(xi) = 4 pi^2 int [A(s) L^T xi . L^T xi] e^{-2 s den} ds + 2 num int e^{-2 s den} ds,
+    m(xi) = 4 pi^2 |L^T xi|^2 int profile(s) e^{-2 s den} ds + 2 num int e^{-2 s den} ds,
     den = -Re rho(2 pi xi) and num the autonomous route's forms at 2 pi xi, from ``_jump_forms``
     with its one refinement rule; the time integrals are the route's own factor.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    a = np.atleast_2d(np.asarray(a, dtype=float))
     xi2 = 2.0 * np.pi * xi
-    den, num = _jump_forms(xi2, triple.nu, spec.psi, np.einsum("mi,ij,mj->m", xi2, triple.diffusion, xi2), 0.0j)
+    den, num = _jump_forms(xi2, nu, psi, np.einsum("mi,ij,mj->m", xi2, a, xi2), 0.0j)
     if np.any(den <= 0.0):
         raise ValueError("non-integrable time profile: Re rho(2 pi xi) = 0")
-    u = xi @ factor_diffusion(triple.diffusion)  # rows are L^T xi
-    time_factor = 1.0 / (2.0 * den)  # int_0^infty e^{-2 s den} ds
-
-    if spec.amatrix is not None:
-        m1 = 4.0 * np.pi**2 * np.einsum("mi,ij,mj->m", u, pair_matrix(spec.amatrix, triple.dim), u) * time_factor
-    else:
-        m1 = 4.0 * np.pi**2 * np.einsum("mi,mi->m", u, u) * profile_time_integral(spec.aprofile, -den)
-    return m1 + 2.0 * num * time_factor
+    u = xi @ factor_diffusion(a)  # rows are L^T xi
+    m1 = 4.0 * np.pi**2 * np.einsum("mi,mi->m", u, u) * profile_time_integral(profile, -den)
+    return m1 + 2.0 * num * (1.0 / (2.0 * den))  # int_0^infty e^{-2 s den} ds = 1 / (2 den)

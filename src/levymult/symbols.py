@@ -4,17 +4,17 @@ Every symbol returns blocks (L, d, d), acting on coefficient tables by left
 block multiplication, and the mask (L,) of the modes where it is defined
 (zero blocks elsewhere): the symbol of a transform pair over a central
 process with its exponents (second-order Riesz transforms are its case
-c = 1 without jumps), Laplace-transform-type profiles (including imaginary
-powers of the Laplacian) and subordination symbols.  ``stack_rows``
-evaluates one once per dimension stack of a dual.  The one-irrep views and
-``symbol_table`` serve callers outside the library.
+c = 1 without jumps), Laplace-transform-type symbols of scalar time
+profiles (including imaginary powers of the Laplacian) and subordination
+symbols.  ``stack_rows`` evaluates one once per dimension stack of a dual.
+The one-irrep views and ``symbol_table`` serve callers outside the library.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .euclid import ImaginaryPowerProfile, profile_time_integral, psi_values
+from .euclid import profile_time_integral, psi_values
 from .groups import GroupLevyMeasure, Irrep, dim_stacks, irrep_stack_batch
 from .levy import BernsteinSpec, bernstein_eval
 from .linalg import pair_matrix
@@ -54,16 +54,14 @@ def _jump_sums(psi, nu: GroupLevyMeasure, reps, shape) -> np.ndarray:
 def laplace_symbols(profile, irreps):
     """int_0^infty 2 kappa e^{-2 s kappa} A(s) ds on a stack of equal-dimension irreps: (blocks, defined).
 
-    Undefined on the trivial irrep.  For a constant matrix A the exponential
-    density integrates to one, so the symbol is A itself; for the
-    imaginary-power profile the result, kappa^{-i gamma} I, is evaluated
-    by quadrature, one ``profile_time_integral`` call for the stack.
+    A(s) = profile(s) I is a scalar time profile, as on R^n (a constant A
+    would give A itself: the exponential density integrates to one).
+    Undefined on the trivial irrep.  For the imaginary-power profile the
+    result, kappa^{-i gamma} I, is evaluated by quadrature, one
+    ``profile_time_integral`` call for the stack.
     """
     kappa = np.array([pi.casimir for pi in irreps])
     defined = kappa > 0.0
-    if not isinstance(profile, ImaginaryPowerProfile):
-        # constant profile: with u = e^{-2 s kappa} the integral is int_0^1 A du = A
-        return np.where(defined[:, None, None], np.atleast_2d(np.asarray(profile)).astype(complex), 0.0), defined
     val = np.zeros(len(irreps), dtype=complex)
     val[defined] = 2.0 * kappa[defined] * profile_time_integral(profile, -kappa[defined])
     return val[:, None, None] * np.eye(irreps[0].dim), defined

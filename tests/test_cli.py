@@ -232,6 +232,50 @@ def test_multiplier_autonomous_profile_exits_2_without_frequencies(tmp_path):
     assert "constant matrix" in proc.stderr
 
 
+def _multiplier_rows(tmp_path, capsys, config):
+    from levymult import cli
+
+    cfg = tmp_path / "mult.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["multiplier", "--config", str(cfg)]) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
+
+
+def test_time_mode_with_a_matrix_is_the_autonomous_route_at_2pi_xi(tmp_path, capsys):
+    # a constant pair's time-integrated multiplier at xi is the autonomous ratio at 2 pi xi, bit for bit
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((2, 2))
+    a = 0.4 * m @ m.T
+    amat = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    amat /= 1.3 * np.linalg.norm(amat, 2)
+    xi = rng.standard_normal((20, 2)) * 2.0
+    pair = {"amatrix": {"re": amat.real.tolist(), "im": amat.imag.tolist()}, "a_bound": 1.0, "psi_bound": 1.0}
+    atoms = {"atoms": [{"point": [0.5, -0.2], "mass": 0.7}, {"point": [1.5, 0.3], "mass": 0.4}]}
+    density = {"density": {"profile": {"type": "exp", "scale": 1.1}, "inner": 0.06, "outer": 0.45, "nodes": 72}}
+    for jumps, psi in ((atoms, {"psi": [0.8, -0.5]}), (density, {"psi": 0.6}), (density, {})):
+        config = {"triple": {"diffusion": a.tolist(), **jumps}, **pair, **psi}
+        time = _multiplier_rows(tmp_path, capsys, {**config, "mode": "time", "xi": xi.tolist()})
+        auto = _multiplier_rows(tmp_path, capsys, {**config, "mode": "autonomous", "xi": (2.0 * np.pi * xi).tolist()})
+        assert [[row["xi1"], row["xi2"]] for row in time] == xi.tolist()  # the rows still print xi
+        assert [(row["re_m"], row["im_m"]) for row in time] == [(row["re_m"], row["im_m"]) for row in auto]
+
+
+def test_time_mode_refuses_an_unresolved_density_whatever_the_drift(tmp_path, capsys):
+    # the multiplier does not depend on the drift, so neither may the refinement check of its density:
+    # eight nodes per decade cannot track cos(xi . y) out to |y| = 30 at |2 pi xi| = 40
+    from levymult import cli
+
+    density = {"profile": {"type": "power", "alpha": 0.5}, "inner": 0.01, "outer": 30.0, "nodes": 8}
+    triple = {"drift": [1e9, 0.0], "diffusion": [[0.01, 0.0], [0.0, 0.01]], "density": density}
+    for pair in ({"amatrix": [[1.0, 0.0], [0.0, 1.0]]}, {"aprofile": {"type": "imaginary_power", "gamma": 0.5}}):
+        cfg = tmp_path / "mult.json"
+        cfg.write_text(json.dumps({"triple": triple, **pair, "mode": "time", "xi": [[40.0 / (2.0 * np.pi), 0.0]]}))
+        assert cli.main(["multiplier", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: density quadrature did not stabilise")
+        assert captured.out == ""
+
+
 def test_apply_command(tmp_path):
     cfg = tmp_path / "apply.json"
     cfg.write_text(
@@ -477,7 +521,7 @@ BERNSTEIN_POWER = {"profile": {"type": "power", "alpha": 0.7}, "inner": 1e-3, "o
         (["simulate"], {**SIMULATE_CONFIG, "dt": 0}, "config"),
         (["simulate"], {**SIMULATE_CONFIG, "dt": 0.3}, "config"),
         (["simulate"], {**SIMULATE_CONFIG, "c": -0.1}, "config"),
-        (["simulate"], {**SIMULATE_CONFIG, "c": "x"}, "config"),
+        (["simulate"], {**SIMULATE_CONFIG, "c": "x"}, "config.c"),
         (["simulate"], {**SU2_SIMULATE, "drift": [0.1, 0.0, 0.0]}, "config"),
         (["simulate"], {**SIMULATE_CONFIG, "atoms": [{"angle": [0.0], "mass": 1.0}]}, "config.atoms"),
         (["simulate"], {**SIMULATE_CONFIG, "f": {"group": "t2", "cutoff": 1, "blocks": []}}, "config.f"),
@@ -613,14 +657,39 @@ def test_failed_simulate_leaves_the_out_file_as_it_was(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "part.gz"]
 
 
+UNRESOLVED = {"profile": {"type": "power", "alpha": 0.5}, "inner": 1e-3, "outer": 100.0, "nodes": 8}
+UNRESOLVED_TRIPLE = {"diffusion": [[0.0]], "density": UNRESOLVED}
+TRIPLE_NODES, BERNSTEIN_NODES = "config.triple.density.nodes", "config.bernstein.density.nodes"
+UNRESOLVED_CONFIGS = [  # (command, config, the nodes key of its density), each summed beyond what its nodes resolve
+    ("symbol", {"triple": UNRESOLVED_TRIPLE, "xi": [[40.0]]}, TRIPLE_NODES),
+    ("multiplier", {"triple": UNRESOLVED_TRIPLE, "amatrix": [[1.0]], "xi": [[40.0]]}, TRIPLE_NODES),
+    ("multiplier", {"triple": UNRESOLVED_TRIPLE, "amatrix": [[1.0]], "mode": "time", "xi": [[40.0]]}, TRIPLE_NODES),
+    ("multiplier", {"triple": UNRESOLVED_TRIPLE, "aprofile": {"type": "imaginary_power"}, "mode": "time", "xi": [[40.0]]}, TRIPLE_NODES),
+    (
+        "norm-search",
+        {"triple": {**UNRESOLVED_TRIPLE, "diffusion": [[0.0, 0.0], [0.0, 0.0]]}, "amatrix": [[1.0, 0.0], [0.0, 0.0]], "psi": 0.5,
+         "grid": 16, "trials": 1, "refine": 0},
+        TRIPLE_NODES,
+    ),
+    (
+        "symbol-group",
+        {"group": "su2", "cutoff": 2, "kind": "subordination", "psi": 0.5, "atoms": SU2_ATOM,
+         "bernstein": {"density": {"profile": {"type": "power"}, "nodes": 1}}},
+        BERNSTEIN_NODES,
+    ),
+]
+
+
 def test_density_quadrature_that_does_not_stabilise_exits_3(tmp_path):
-    density = {"profile": {"type": "power", "alpha": 0.5}, "inner": 1e-3, "outer": 100.0, "nodes": 8}
-    cfg = tmp_path / "symbol.json"
-    cfg.write_text(json.dumps({"triple": {"diffusion": [[0.0]], "density": density}, "xi": [[40.0]]}))
-    proc = run_cli("symbol", "--config", str(cfg), check=False)
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("numerical failure: density quadrature did not stabilise")
-    assert proc.stdout == ""
+    # the message names the key to raise: the nodes of the density that failed
+    for command, config, nodes in UNRESOLVED_CONFIGS:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        proc = run_cli(command, "--config", str(cfg), check=False)
+        assert proc.returncode == 3, (command, proc.stderr)
+        assert proc.stderr.startswith("numerical failure: density quadrature did not stabilise")
+        assert proc.stderr.rstrip().endswith(f", at {nodes}")
+        assert proc.stdout == ""
 
 
 def _readme_config_sketches():
@@ -818,6 +887,32 @@ def _assert_exit_contract(argv, text):
         assert out.getvalue() == "", (argv, text)
     else:
         json.loads(out.getvalue(), parse_constant=_refuse)
+
+
+def _pointer(path) -> str:
+    return "config" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+
+
+NUMBER_LEAVES = [
+    (command, config, path, value)
+    for command, config in MUTATION_BASES
+    for path, value in _nodes(config)
+    if isinstance(value, (int, float)) and not isinstance(value, bool)
+]
+
+
+@pytest.mark.parametrize("form", ["boolean", "string"])
+def test_a_number_given_as_a_boolean_or_a_string_exits_2_at_its_key(tmp_path, capsys, form):
+    from levymult import cli
+
+    cfg = tmp_path / "config.json"
+    for command, config, path, value in NUMBER_LEAVES:
+        cfg.write_text(json.dumps(_replaced(config, path, True if form == "boolean" else str(value))))
+        argv = ["--out", str(tmp_path / "out"), command, "--config", str(cfg)]
+        assert cli.main(argv) == 2, (command, path)
+        captured = capsys.readouterr()
+        assert f"config error at '{_pointer(path)}': expected a number" in captured.err, (command, path)
+        assert captured.out == ""
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=600)

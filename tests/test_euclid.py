@@ -3,7 +3,7 @@ import pytest
 
 from levymult.euclid import (
     ImaginaryPowerProfile,
-    MultiplierSpec,
+    check_bounds,
     multiplier_autonomous_grid,
     multiplier_time_dependent,
     profile_time_integral,
@@ -12,7 +12,6 @@ from levymult.euclid import (
 from levymult.gammafn import gamma
 from levymult.levy import (
     LevyMeasureRn,
-    LevyTriple,
     RadialDensity,
     _direct_sums,
     _lattice_factors,
@@ -25,14 +24,10 @@ from levymult import rng as rngmod
 
 def test_transform_pair_matrix_must_be_n_by_n():
     # a 1x1 A on R^2 used to broadcast to the all-ones matrix
-    triple = LevyTriple(drift=np.zeros(2), diffusion=np.eye(2), nu=LevyMeasureRn(dim=2))
     xi = np.array([[1.0, 0.5]])
     for amat in (np.eye(1), np.eye(3)):
         with pytest.raises(ValueError, match="transform-pair matrix must be 2x2"):
-            multiplier_autonomous_grid(amat, None, np.eye(2), triple.nu, xi)
-        spec = MultiplierSpec(a_bound=np.inf, psi_bound=np.inf, amatrix=amat)
-        with pytest.raises(ValueError, match="transform-pair matrix must be 2x2"):
-            multiplier_time_dependent(spec, triple, xi)
+            multiplier_autonomous_grid(amat, None, np.eye(2), LevyMeasureRn(dim=2), xi)
 
 
 def test_gaussian_quadratic_ratio():
@@ -78,23 +73,27 @@ def test_riesz2_symbol_examples():
         riesz2_symbol_rn(np.eye(2), np.zeros(2))
 
 
-def test_time_dependent_matches_autonomous_closed_form():
+@pytest.mark.parametrize("g", [0.5, 1.0])
+def test_imaginary_power_profile_with_jumps_matches_its_closed_form(g):
+    # int_0^infty (2s)^{i g} / Gamma(1 + i g) e^{-2 s den} ds = den^{-1-i g} / 2, so that
+    # m(xi) = 4 pi^2 (xi . a xi) den^{-1-i g} + num / den, den and num summed here node by node
     rng = np.random.default_rng(11)
     m = rng.standard_normal((2, 2))
-    a = 0.4 * m @ m.T
-    amat = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    amat /= 1.3 * np.linalg.norm(amat, 2)
+    a = 0.005 * m @ m.T  # small, so that the jump forms carry a good share of m
     xi = rng.standard_normal((20, 2)) * 2.0
     density = LevyMeasureRn(dim=2, density=_criterion1_density())
     atoms = LevyMeasureRn(dim=2, atoms=(((0.5, -0.2), 0.7), ((1.5, 0.3), 0.4)))
-    for nu, psi in ((atoms, np.array([0.8, -0.5])), (density, 0.6), (density, None)):
-        triple = LevyTriple(drift=[0.0, 0.0], diffusion=a, nu=nu)
-        spec = MultiplierSpec(a_bound=1.0, psi_bound=1.0, amatrix=amat, psi=psi)
-        spec.validate(nu)
-        for via_time, closed in zip(
-            multiplier_time_dependent(spec, triple, xi), multiplier_autonomous_grid(amat, psi, a, nu, 2.0 * np.pi * xi)
-        ):
-            assert via_time == pytest.approx(closed, rel=1e-12, abs=0.0)
+    psi_list = np.array([0.8, -0.5])
+    for nu, psi, (pts, w, wpsi) in (
+        (atoms, psi_list, (atoms.atom_points, atoms.atom_masses, atoms.atom_masses * psi_list)),
+        (density, 0.6, (*density.quadratures[1], 0.6 * density.quadratures[1][1])),
+    ):
+        xi2 = 2.0 * np.pi * xi
+        den = np.einsum("mi,ij,mj->m", xi2, a, xi2) + _half_angle_reference(xi2, pts, w)
+        num = _half_angle_reference(xi2, pts, wpsi)
+        closed = 4.0 * np.pi**2 * np.einsum("mi,ij,mj->m", xi, a, xi) * den ** (-1.0 - 1j * g) + num / den
+        via_time = multiplier_time_dependent(ImaginaryPowerProfile(g), psi, a, nu, xi)
+        assert np.max(np.abs(via_time - closed) / np.abs(closed)) <= 1e-12
 
 
 def test_imaginary_power_time_integral_matches_power():
@@ -106,28 +105,22 @@ def test_imaginary_power_time_integral_matches_power():
 
 
 def test_imaginary_power_multiplier_has_unit_modulus():
-    triple = LevyTriple(drift=np.zeros(2), diffusion=np.eye(2), nu=LevyMeasureRn(dim=2))
-    prof = ImaginaryPowerProfile(0.5)
-    spec = MultiplierSpec(a_bound=prof.sup_norm, psi_bound=0.0, aprofile=prof)
     xis = np.array([[0.5, 0.0], [1.0, 2.0], [-0.3, 0.4]])
-    for xi, m in zip(xis, multiplier_time_dependent(spec, triple, xis)):
+    vals = multiplier_time_dependent(ImaginaryPowerProfile(0.5), None, np.eye(2), LevyMeasureRn(dim=2), xis)
+    for xi, m in zip(xis, vals):
         kappa = 4.0 * np.pi**2 * float(xi @ xi)
         assert m == pytest.approx(np.exp(-0.5j * np.log(kappa)), abs=1e-8)
         assert abs(m) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_zero_pair_gives_zero():
-    triple = LevyTriple(drift=np.zeros(2), diffusion=np.eye(2), nu=LevyMeasureRn(dim=2))
-    spec = MultiplierSpec(a_bound=0.0, psi_bound=0.0, amatrix=np.zeros((2, 2)))
-    (m,) = multiplier_time_dependent(spec, triple, [[1.0, 1.0]])
+    (m,) = multiplier_autonomous_grid(np.zeros((2, 2)), None, np.eye(2), LevyMeasureRn(dim=2), [[1.0, 1.0]])
     assert m == 0.0
 
 
 def test_time_profile_requires_decay():
-    triple = LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=LevyMeasureRn(dim=1))
-    spec = MultiplierSpec(a_bound=1.0, psi_bound=0.0, amatrix=np.eye(1))
     with pytest.raises(ValueError, match="non-integrable"):
-        multiplier_time_dependent(spec, triple, [[1.0]])
+        multiplier_time_dependent(ImaginaryPowerProfile(0.5), None, [[0.0]], LevyMeasureRn(dim=1), [[1.0]])
 
 
 def test_profile_sup_norm():
@@ -139,14 +132,11 @@ def test_profile_sup_norm():
 
 def test_spec_validation_catches_overdeclared_bounds():
     nu = LevyMeasureRn(dim=2, atoms=(((1.0, 0.0), 1.0),))
-    spec = MultiplierSpec(a_bound=0.5, psi_bound=1.0, amatrix=np.eye(2), psi=0.3)
     with pytest.raises(ValueError, match="bound"):
-        spec.validate(nu)
-    ok = MultiplierSpec(a_bound=1.0, psi_bound=0.3, amatrix=np.eye(2), psi=0.3)
-    ok.validate(nu)
-    bad_psi = MultiplierSpec(a_bound=1.0, psi_bound=0.2, amatrix=np.eye(2), psi=0.3)
+        check_bounds(np.eye(2), 0.3, nu, 0.5, 1.0)
+    check_bounds(np.eye(2), 0.3, nu, 1.0, 0.3)
     with pytest.raises(ValueError, match="psi"):
-        bad_psi.validate(nu)
+        check_bounds(np.eye(2), 0.3, nu, 1.0, 0.2)
 
 
 def test_boundedness_over_random_grid_sample():
@@ -310,12 +300,10 @@ def test_small_frequencies_keep_a_positive_denominator(scale):
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-4])
 def test_time_dependent_multiplier_at_small_frequencies(scale):
-    # the decay rate Re rho and the jump integral take the same half-angle sums
+    # the decay rate Re rho and the jump integral take the same half-angle sums; without diffusion m = psi
     zero = np.zeros((2, 2))
-    spec = MultiplierSpec(a_bound=1.0, psi_bound=1.0, amatrix=zero, psi=0.5)
     for nu in (LevyMeasureRn(dim=2, atoms=(((0.3, 0.1), 1.0),)), LevyMeasureRn(dim=2, density=_criterion1_density())):
-        triple = LevyTriple(drift=[0.0, 0.0], diffusion=zero, nu=nu)
-        (m,) = multiplier_time_dependent(spec, triple, [[scale, 0.0]])
+        (m,) = multiplier_time_dependent(ImaginaryPowerProfile(0.5), 0.5, zero, nu, [[scale, 0.0]])
         assert m == pytest.approx(0.5, rel=1e-12)
 
 

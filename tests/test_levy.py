@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from levymult.euclid import MultiplierSpec, multiplier_autonomous_grid, multiplier_time_dependent
+from levymult.euclid import ImaginaryPowerProfile, multiplier_autonomous_grid, multiplier_time_dependent
 from levymult.groups import GroupLevyMeasure
 from levymult.levy import (
     BernsteinSpec,
@@ -123,11 +123,6 @@ def _consumer_case(case):
         return lambda: symbol_grid(LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=_underresolved_radial(1)), [[2.0]])
     if case == "smooth-eval_symbol":
         return lambda: symbol_grid(LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=_smooth_radial(1)), [[40.0]])
-    if case == "time-drifted":
-        # the multiplier does not depend on the drift, so neither may the refinement check of its density
-        spec = MultiplierSpec(a_bound=1.0, psi_bound=1.0, amatrix=eye)
-        triple = LevyTriple(drift=[1e9, 0.0], diffusion=0.01 * eye, nu=_smooth_radial(2))
-        return lambda: multiplier_time_dependent(spec, triple, np.array([[40.0, 0.0]]) / (2.0 * np.pi))
     if case in ("smooth-autonomous", "smooth-lattice"):
         xi = 5.0 * _nonzero_lattice(16) if case == "smooth-lattice" else np.array([[40.0, 0.0]])
         return lambda: multiplier_autonomous_grid(eye, 0.5, eye, _smooth_radial(2), xi)
@@ -138,9 +133,8 @@ def _consumer_case(case):
             nu, psi = _underresolved_radial(2), 0.5
         if case.startswith("autonomous"):
             return lambda: multiplier_autonomous_grid(eye, psi, eye, nu, np.array([[3.0, 4.0], [1.0, -2.0]]))
-        spec = MultiplierSpec(a_bound=1.0, psi_bound=1.0, amatrix=eye, psi=psi)
-        triple = LevyTriple(drift=[0.0, 0.0], diffusion=eye, nu=nu)
-        return lambda: multiplier_time_dependent(spec, triple, np.array([[3.0, 4.0]]) / (2.0 * np.pi))
+        xi = np.array([[3.0, 4.0]]) / (2.0 * np.pi)
+        return lambda: multiplier_time_dependent(ImaginaryPowerProfile(0.5), psi, eye, nu, xi)
     dens = PositiveDensity(profile=lambda y: y**-1.5 * (1.0 + np.sin(300.0 * y)), inner=1e-2, outer=30.0, nodes=8)
     return lambda: bernstein_eval(BernsteinSpec(density=dens), [0.5, 2.0])
 
@@ -156,7 +150,6 @@ def _consumer_case(case):
         "smooth-lattice",
         "time",
         "time-callable-psi",
-        "time-drifted",
         "bernstein",
     ],
 )
@@ -208,7 +201,6 @@ def test_gauss_legendre_rules_are_built_once_per_node_count_and_read_only():
 _ARRAY_HOLDERS = {
     "group-measure": lambda: GroupLevyMeasure("t2", (((0.4, -1.1), 0.8), ((2.0, 0.3), 0.5))),
     "rn-measure": lambda: LevyMeasureRn(dim=2, atoms=(((0.5, -1.0), 0.7),)),
-    "multiplier-spec": lambda: MultiplierSpec(a_bound=1.0, psi_bound=1.0, amatrix=np.eye(2), psi=0.5),
     "triple": lambda: LevyTriple(drift=[0.3, 0.0], diffusion=np.eye(2), nu=LevyMeasureRn(dim=2)),
     "process-spec": lambda: GroupProcessSpec("t2", 0.3, GroupLevyMeasure("t2", (((0.4, -1.1), 0.8),)), 0.25, 1 / 16, 5),
 }

@@ -69,12 +69,6 @@ def test_transform_pair_matrix_of_the_wrong_shape_is_refused():
             riesz2(c, stack)
 
 
-def test_laplace_constant_profile():
-    pi = get_irrep("su2", 1.0)
-    out = one(laplace_symbols(np.eye(3), [pi]))
-    assert np.max(np.abs(out - np.eye(3))) < 1e-12
-
-
 @pytest.mark.parametrize("kappa,gamma", [(1.0, 0.5), (4.0, 0.5), (4.0, 1.0), (9.0, 1.0)])
 def test_laplace_imaginary_power(kappa, gamma):
     k = int(round(np.sqrt(kappa)))
