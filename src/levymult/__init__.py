@@ -21,7 +21,6 @@ from .constants import (
 from .euclid import (
     ImaginaryPowerProfile,
     multiplier_autonomous_grid,
-    multiplier_time_dependent,
     riesz2_symbol_rn,
 )
 from .gammafn import gamma

@@ -27,7 +27,6 @@ from .euclid import (
     ImaginaryPowerProfile,
     check_bounds,
     multiplier_autonomous_grid,
-    multiplier_time_dependent,
     psi_values,
 )
 from .groups import (
@@ -403,8 +402,7 @@ def cmd_multiplier(args) -> int:
     mode = config.get("mode", "autonomous")
     if mode not in ("autonomous", "time"):
         raise ConfigError("config.mode", "expected 'autonomous' or 'time'")
-    profile = isinstance(apair, ImaginaryPowerProfile)
-    if mode == "autonomous" and profile:
+    if mode == "autonomous" and isinstance(apair, ImaginaryPowerProfile):
         raise ConfigError("config.mode", "autonomous mode needs a constant matrix")
     if config.get("xi") is not None:
         xis, where = _frequencies(config["xi"], triple.dim), "config.xi"
@@ -417,12 +415,9 @@ def cmd_multiplier(args) -> int:
         xis = np.array(list(itertools.product(axis, repeat=triple.dim)))
         # xi = 0 is left out: the multiplier is undefined elsewhere only for degenerate data
         xis, where = xis[np.any(xis != 0.0, axis=1)], "config.triple"
-    with _at(where), _refined("config.triple.density"):
-        if profile:
-            vals = multiplier_time_dependent(apair, psi, triple.diffusion, triple.nu, xis)
-        else:  # a constant pair in time mode is the autonomous route at 2 pi xi
-            scaled = 2.0 * np.pi * xis if mode == "time" else xis
-            vals = multiplier_autonomous_grid(apair, psi, triple.diffusion, triple.nu, scaled)
+    with _at(where), _refined("config.triple.density"):  # time mode is the autonomous route at 2 pi xi
+        scaled = 2.0 * np.pi * xis if mode == "time" else xis
+        vals = multiplier_autonomous_grid(apair, psi, triple.diffusion, triple.nu, scaled)
     rows = [tuple(float(x) for x in xi) + (float(val.real), float(val.imag)) for xi, val in zip(xis, vals)]
     header = tuple(f"xi{i+1}" for i in range(triple.dim)) + ("re_m", "im_m")
     _emit_rows(args, config, header, rows)

@@ -1,16 +1,17 @@
 """Frequency multipliers on R^n built from Levy data and a transform pair (A, psi).
 
-Two evaluation routes are provided, each over an array of frequencies
-(m, n).  ``multiplier_autonomous_grid`` is the closed ratio of
-quadratic-plus-jump forms for a constant matrix A (unscaled frequency
-convention); ``multiplier_time_dependent`` integrates the semigroup decay
-in time for a scalar time profile A(s) = profile(s) I (2*pi-scaled
-convention).  The time-integrated multiplier of a constant A at xi is the
-autonomous route at 2*pi*xi, so only profiles take the time route.
+One route, ``multiplier_autonomous_grid``, evaluates the closed ratio of
+quadratic-plus-jump forms over an array of frequencies (m, n), for a
+constant matrix A or for the imaginary-power time profile
+A(s) = (2s)^{i gamma} / Gamma(1 + i gamma) I.  The time-integrated
+multiplier of a constant A at xi is the autonomous ratio at 2 pi xi; so is
+the profile's, with A = den^{-i gamma} I at each frequency, because the
+profile's Laplace transform is closed:
+int_0^infty A(s) e^{-2 s den} ds = (1/2) den^{-1-i gamma} I.
 
-Both routes take their jump forms from ``_jump_forms``: every jump sum
-sum_q w_q (1 - cos(xi . y_q)) is one ``levy.oneminus_cos_sums`` call over all
-rows, and every density sum is one ``levy.refined_sum`` (one refinement rule).
+Every jump sum sum_q w_q (1 - cos(xi . y_q)) is one ``levy.oneminus_cos_sums``
+call over all rows, and every density sum is one ``levy.refined_sum`` (one
+refinement rule), both from ``_jump_forms``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .levy import (
     oneminus_cos_sums,
     refined_sum,
 )
-from .linalg import blocks, operator_norm, pair_matrix
+from .linalg import operator_norm, pair_matrix
 
 PsiLike = Union[None, float, complex, np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
@@ -48,7 +49,7 @@ def _psi_at(psi: PsiLike, pts: np.ndarray) -> np.ndarray:
 
 
 def multiplier_autonomous_grid(
-    amatrix,
+    apair,
     psi: PsiLike,
     a,
     nu: LevyMeasureRn,
@@ -58,17 +59,23 @@ def multiplier_autonomous_grid(
 
     m(xi) = [ (1/2) (L^T xi) . A (L^T xi) + int (1 - cos(xi.y)) psi(y) nu(dy) ]
             / [ a xi . xi + int (1 - cos(xi.y)) nu(dy) ],   L L^T = 2a.
+
+    ``apair`` is the constant matrix A or an ``ImaginaryPowerProfile``, whose A = den^{-i gamma} I
+    at each row (den the denominator) makes m its time-integrated multiplier at xi / (2 pi):
+    4 pi^2 |L^T xi'|^2 (1/2) den^{-1-i gamma} = (1/2) |L^T (2 pi xi')|^2 den^{-i gamma} / den.
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     if not np.all(np.any(xi != 0.0, axis=1)):  # the denominator is 0 there: refused before any work
         raise ValueError("zero-symbol frequency: denominator vanishes at xi = 0")
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    amatrix = pair_matrix(amatrix, len(a))
+    profile = isinstance(apair, ImaginaryPowerProfile)
     u = xi @ factor_diffusion(a)  # rows are L^T xi
-    num = 0.5 * np.einsum("mi,ij,mj->m", u, amatrix, u)
+    num = 0.0j if profile else 0.5 * np.einsum("mi,ij,mj->m", u, pair_matrix(apair, len(a)), u)
     den, num = _jump_forms(xi, nu, psi, np.einsum("mi,ij,mj->m", xi, a, xi), num)
-    if np.any(den <= 0.0):
+    if np.any(den <= 0.0):  # refused before den^{-i gamma} is taken
         raise ValueError("zero-symbol frequency: denominator vanishes (degenerate data)")
+    if profile:
+        num = 0.5 * np.einsum("mi,mi->m", u, u) * apair.power(den) + num
     return (num + 0.0j) / den
 
 
@@ -119,41 +126,20 @@ class ImaginaryPowerProfile:
         s = np.asarray(s, dtype=float)
         return np.exp(1j * self.gamma * np.log(2.0 * s)) / gamma_one_plus_i(self.gamma)
 
+    def power(self, kappa):
+        """kappa^{-i gamma} = exp(-i gamma log kappa) at rates kappa > 0, the closed form of
+        int_0^infty 2 kappa e^{-2 s kappa} A(s) ds = kappa^{-i gamma} I that R^n and the groups both take."""
+        return np.exp(-1j * self.gamma * np.log(kappa))
+
     @property
     def sup_norm(self) -> float:
-        return 1.0 / abs(gamma_one_plus_i(self.gamma))
+        """1 / |Gamma(1 + i gamma)|, infinite where the Lanczos |Gamma| underflows to 0 (gamma above about 477)."""
+        modulus = abs(gamma_one_plus_i(self.gamma))
+        return 1.0 / modulus if modulus > 0.0 else np.inf
 
 
 def gamma_one_plus_i(g: float) -> complex:
     return complex(gamma(1.0 + 1j * g))
-
-
-#: nodes of the log-time trapezoid rule of ``profile_time_integral``
-TIME_NODES = 4096
-
-
-def profile_time_integral(profile: Callable, rate) -> np.ndarray:
-    """int_0^infty profile(s) * exp(2 s rate) ds for each entry of an array of rates < 0.
-
-    Log-time trapezoid rule, one row of ``TIME_NODES`` nodes per rate, in
-    ``linalg.blocks`` of rows.  The substitution keeps
-    oscillatory profiles like (2s)^{i*gamma} band-limited in the
-    integration variable, where a fixed-interval rule in exp(2 s rate)
-    would pile unbounded oscillation near the endpoint.
-    """
-    rate = np.asarray(rate, dtype=float)
-    if not np.all(rate < 0.0):
-        raise ValueError("non-integrable time profile: decay rate must be negative")
-    out = np.empty(rate.size, dtype=complex)
-    for rows in blocks(rate.size, 16 * TIME_NODES):
-        r = rate.reshape(-1)[rows]
-        log_scale = np.log(1.0 / (2.0 * np.abs(r)))
-        # contiguous rows, so that each row sums as a single rate's would
-        v = np.ascontiguousarray(np.linspace(log_scale - 36.0, log_scale + np.log(50.0), TIME_NODES, axis=1))
-        s = np.exp(v)
-        f = np.asarray(profile(s), dtype=complex) * np.exp(2.0 * s * r[:, None]) * s
-        out[rows] = np.trapezoid(f, v, axis=1)
-    return out.reshape(rate.shape)
 
 
 BOUND_SLACK = 1e-12  # absolute slack of ``check_bounds`` over the declared bounds
@@ -174,20 +160,3 @@ def check_bounds(apair, psi: PsiLike, nu: LevyMeasureRn, a_bound, psi_bound) -> 
     if sup_psi > psi_bound + BOUND_SLACK:
         raise ValueError(f"declared |psi| bound {psi_bound} exceeded: measured {sup_psi}")
 
-
-def multiplier_time_dependent(profile: Callable, psi: PsiLike, a, nu: LevyMeasureRn, xi: np.ndarray) -> np.ndarray:
-    """Multiplier of a scalar time profile A(s) = profile(s) I on an array of frequencies (m, n), 2*pi-scaled.
-
-    m(xi) = 4 pi^2 |L^T xi|^2 int profile(s) e^{-2 s den} ds + 2 num int e^{-2 s den} ds,
-    den = -Re rho(2 pi xi) and num the autonomous route's forms at 2 pi xi, from ``_jump_forms``
-    with its one refinement rule; the time integrals are the route's own factor.
-    """
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    xi2 = 2.0 * np.pi * xi
-    den, num = _jump_forms(xi2, nu, psi, np.einsum("mi,ij,mj->m", xi2, a, xi2), 0.0j)
-    if np.any(den <= 0.0):
-        raise ValueError("non-integrable time profile: Re rho(2 pi xi) = 0")
-    u = xi @ factor_diffusion(a)  # rows are L^T xi
-    m1 = 4.0 * np.pi**2 * np.einsum("mi,mi->m", u, u) * profile_time_integral(profile, -den)
-    return m1 + 2.0 * num * (1.0 / (2.0 * den))  # int_0^infty e^{-2 s den} ds = 1 / (2 den)

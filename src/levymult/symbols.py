@@ -4,9 +4,10 @@ Every symbol returns blocks (L, d, d), acting on coefficient tables by left
 block multiplication, and the mask (L,) of the modes where it is defined
 (zero blocks elsewhere): the symbol of a transform pair over a central
 process with its exponents (second-order Riesz transforms are its case
-c = 1 without jumps), Laplace-transform-type symbols of scalar time
-profiles (including imaginary powers of the Laplacian) and subordination
-symbols.  ``stack_rows`` evaluates one once per dimension stack of a dual.
+c = 1 without jumps), the Laplace-transform-type symbol of the
+imaginary-power profile (imaginary powers of the Laplacian, in closed form)
+and subordination symbols.  ``stack_rows`` evaluates one once per dimension
+stack of a dual.
 The one-irrep views and ``symbol_table`` serve callers outside the library.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .euclid import profile_time_integral, psi_values
+from .euclid import psi_values
 from .groups import GroupLevyMeasure, Irrep, dim_stacks, irrep_stack_batch
 from .levy import BernsteinSpec, bernstein_eval
 from .linalg import pair_matrix
@@ -54,16 +55,15 @@ def _jump_sums(psi, nu: GroupLevyMeasure, reps, shape) -> np.ndarray:
 def laplace_symbols(profile, irreps):
     """int_0^infty 2 kappa e^{-2 s kappa} A(s) ds on a stack of equal-dimension irreps: (blocks, defined).
 
-    A(s) = profile(s) I is a scalar time profile, as on R^n (a constant A
-    would give A itself: the exponential density integrates to one).
-    Undefined on the trivial irrep.  For the imaginary-power profile the
-    result, kappa^{-i gamma} I, is evaluated by quadrature, one
-    ``profile_time_integral`` call for the stack.
+    A(s) is the imaginary-power profile, as on R^n (a constant A would give
+    A itself: the exponential density integrates to one).  Undefined on the
+    trivial irrep.  The integral is closed, kappa^{-i gamma} I, and is read
+    from ``profile.power`` at the defined modes' Casimir values.
     """
     kappa = np.array([pi.casimir for pi in irreps])
     defined = kappa > 0.0
     val = np.zeros(len(irreps), dtype=complex)
-    val[defined] = 2.0 * kappa[defined] * profile_time_integral(profile, -kappa[defined])
+    val[defined] = profile.power(kappa[defined])
     return val[:, None, None] * np.eye(irreps[0].dim), defined
 
 

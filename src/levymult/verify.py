@@ -317,15 +317,28 @@ def check_casimir() -> CheckResult:
     )
 
 
+def _laplace_quadrature(profile, kappa: float) -> complex:
+    """int_0^infty profile(s) e^{-2 s kappa} ds at one rate kappa > 0: criterion 6's oracle for the closed form.
+
+    A trapezoid rule of 4,096 nodes in v = log s, where oscillatory profiles
+    like (2s)^{i gamma} stay band-limited.
+    """
+    log_scale = np.log(1.0 / (2.0 * kappa))
+    v = np.linspace(log_scale - 36.0, log_scale + np.log(50.0), 4096)
+    s = np.exp(v)
+    return complex(np.trapezoid(profile(s) * np.exp(-2.0 * s * kappa) * s, v))
+
+
 def check_imaginary_power() -> CheckResult:
-    """Quadrature of the imaginary-power profile against kappa^{-i gamma}."""
+    """Quadrature of the imaginary-power profile against kappa^{-i gamma}, the closed form of ``laplace_symbols``."""
     worst = 0.0
     pis = [get_irrep(T1, int(round(np.sqrt(kap)))) for kap in POWER_KAPPAS]
     for g in POWER_GAMMAS:
-        out, _ = laplace_symbols(ImaginaryPowerProfile(g), pis)
+        profile = ImaginaryPowerProfile(g)
+        out, _ = laplace_symbols(profile, pis)
         for kap, block in zip(POWER_KAPPAS, out):
-            expect = np.exp(-1j * g * np.log(kap))
-            worst = max(worst, float(np.max(np.abs(block - expect * np.eye(1)))))
+            quad = 2.0 * kap * _laplace_quadrature(profile, kap)
+            worst = max(worst, abs(quad - complex(block[0, 0])))
     worst_pref = 0.0
     for p in (1.5, 2.0, 3.0):
         for g in POWER_GAMMAS:

@@ -260,6 +260,29 @@ def test_time_mode_with_a_matrix_is_the_autonomous_route_at_2pi_xi(tmp_path, cap
         assert [(row["re_m"], row["im_m"]) for row in time] == [(row["re_m"], row["im_m"]) for row in auto]
 
 
+def test_imaginary_power_runs_where_its_gamma_factor_underflows(tmp_path, capsys):
+    # |Gamma(1 + 1000 i)| underflows to 0, so sup |A| = 1 / |Gamma| reads inf: a declared |A| bound exits 2
+    # and an undeclared one runs; the symbols, kappa^{-1000 i} on R^n and on T^1, keep modulus 1
+    from levymult import cli
+
+    config = {"triple": {"diffusion": [[1.0]]}, "aprofile": {"type": "imaginary_power", "gamma": 1000}, "mode": "time"}
+    rows = _multiplier_rows(tmp_path, capsys, {**config, "xi": [[0.5], [-2.0]]})
+    assert [abs(complex(row["re_m"], row["im_m"])) for row in rows] == pytest.approx([1.0, 1.0], abs=1e-15)
+    cfg = tmp_path / "bounded.json"
+    cfg.write_text(json.dumps({**config, "xi": [[0.5]], "a_bound": 1e300}))
+    assert cli.main(["multiplier", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "measured inf" in captured.err and captured.out == ""
+    coeffs = {"group": "t1", "cutoff": 3, "blocks": [{"label": 2, "matrix": [[0.5]]}, {"label": -3, "matrix": [[2.0]]}]}
+    cfg = tmp_path / "apply.json"
+    cfg.write_text(json.dumps({"coeffs": coeffs, "symbol": {"kind": "laplace", "gamma": 1000}}))
+    assert cli.main(["apply", "--config", str(cfg)]) == 0
+    blocks = {b["label"]: complex(*b["matrix"][0][0]) for b in json.loads(capsys.readouterr().out)["blocks"]}
+    for label, coeff in ((2, 0.5), (-3, 2.0)):
+        assert blocks[label] == pytest.approx(coeff * np.exp(-1000j * np.log(label**2)), abs=1e-15)
+        assert abs(blocks[label]) == pytest.approx(coeff, abs=1e-15)
+
+
 def test_time_mode_refuses_an_unresolved_density_whatever_the_drift(tmp_path, capsys):
     # the multiplier does not depend on the drift, so neither may the refinement check of its density:
     # eight nodes per decade cannot track cos(xi . y) out to |y| = 30 at |2 pi xi| = 40

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,6 @@ from levymult.euclid import (
     ImaginaryPowerProfile,
     check_bounds,
     multiplier_autonomous_grid,
-    multiplier_time_dependent,
-    profile_time_integral,
     riesz2_symbol_rn,
 )
 from levymult.gammafn import gamma
@@ -20,6 +20,7 @@ from levymult.levy import (
     oneminus_cos_sums,
 )
 from levymult import rng as rngmod
+from levymult.verify import _laplace_quadrature
 
 
 def test_transform_pair_matrix_must_be_n_by_n():
@@ -92,21 +93,24 @@ def test_imaginary_power_profile_with_jumps_matches_its_closed_form(g):
         den = np.einsum("mi,ij,mj->m", xi2, a, xi2) + _half_angle_reference(xi2, pts, w)
         num = _half_angle_reference(xi2, pts, wpsi)
         closed = 4.0 * np.pi**2 * np.einsum("mi,ij,mj->m", xi, a, xi) * den ** (-1.0 - 1j * g) + num / den
-        via_time = multiplier_time_dependent(ImaginaryPowerProfile(g), psi, a, nu, xi)
-        assert np.max(np.abs(via_time - closed) / np.abs(closed)) <= 1e-12
+        via_route = multiplier_autonomous_grid(ImaginaryPowerProfile(g), psi, a, nu, 2.0 * np.pi * xi)
+        assert np.max(np.abs(via_route - closed) / np.abs(closed)) <= 1e-12
 
 
 def test_imaginary_power_time_integral_matches_power():
-    for kappa in (1.0, 4.0, 9.0):
-        for g in (0.5, 1.0):
-            profile = ImaginaryPowerProfile(g)
-            val = 2.0 * kappa * profile_time_integral(profile, -kappa)
-            assert val == pytest.approx(np.exp(-1j * g * np.log(kappa)), abs=1e-10)
+    # the closed form against criterion 6's log-time trapezoid rule over sixteen decades of rates
+    kappa = np.logspace(-8.0, 8.0, 33)
+    for g in (0.5, 1.0, 3.0):
+        profile = ImaginaryPowerProfile(g)
+        quad = np.array([2.0 * k * _laplace_quadrature(profile, k) for k in kappa])
+        power = profile.power(kappa)
+        assert np.max(np.abs(quad - power) / np.abs(power)) <= 1e-13
 
 
 def test_imaginary_power_multiplier_has_unit_modulus():
     xis = np.array([[0.5, 0.0], [1.0, 2.0], [-0.3, 0.4]])
-    vals = multiplier_time_dependent(ImaginaryPowerProfile(0.5), None, np.eye(2), LevyMeasureRn(dim=2), xis)
+    profile = ImaginaryPowerProfile(0.5)
+    vals = multiplier_autonomous_grid(profile, None, np.eye(2), LevyMeasureRn(dim=2), 2.0 * np.pi * xis)
     for xi, m in zip(xis, vals):
         kappa = 4.0 * np.pi**2 * float(xi @ xi)
         assert m == pytest.approx(np.exp(-0.5j * np.log(kappa)), abs=1e-8)
@@ -119,8 +123,12 @@ def test_zero_pair_gives_zero():
 
 
 def test_time_profile_requires_decay():
-    with pytest.raises(ValueError, match="non-integrable"):
-        multiplier_time_dependent(ImaginaryPowerProfile(0.5), None, [[0.0]], LevyMeasureRn(dim=1), [[1.0]])
+    # den = 0 at a nonzero frequency (no jumps, and no diffusion along xi): refused before den^{-i gamma}
+    for a, xi in (([[0.0]], [[2.0 * np.pi]]), ([[1.0, 0.0], [0.0, 0.0]], [[0.5, 0.0], [0.0, 2.0 * np.pi]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="denominator vanishes"):
+                multiplier_autonomous_grid(ImaginaryPowerProfile(0.5), None, a, LevyMeasureRn(dim=len(a)), xi)
 
 
 def test_profile_sup_norm():
@@ -128,6 +136,15 @@ def test_profile_sup_norm():
     assert prof.sup_norm == pytest.approx(1.0 / abs(gamma(1.0 + 1.0j)), rel=1e-13)
     s = np.array([0.1, 1.0, 7.0])
     assert np.allclose(np.abs(prof(s)), prof.sup_norm)
+
+
+def test_profile_sup_norm_is_infinite_where_gamma_underflows():
+    # |Gamma(1 + 1000 i)| underflows to 0 in the Lanczos sum; the symbol kappa^{-i gamma} stays unimodular
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        prof = ImaginaryPowerProfile(1000.0)
+        assert prof.sup_norm == np.inf
+        assert np.allclose(np.abs(prof.power(np.array([0.5, 1.0, 40.0]))), 1.0, rtol=0.0, atol=1e-15)
 
 
 def test_spec_validation_catches_overdeclared_bounds():
@@ -303,7 +320,7 @@ def test_time_dependent_multiplier_at_small_frequencies(scale):
     # the decay rate Re rho and the jump integral take the same half-angle sums; without diffusion m = psi
     zero = np.zeros((2, 2))
     for nu in (LevyMeasureRn(dim=2, atoms=(((0.3, 0.1), 1.0),)), LevyMeasureRn(dim=2, density=_criterion1_density())):
-        (m,) = multiplier_time_dependent(ImaginaryPowerProfile(0.5), 0.5, zero, nu, [[scale, 0.0]])
+        (m,) = multiplier_autonomous_grid(ImaginaryPowerProfile(0.5), 0.5, zero, nu, [[2.0 * np.pi * scale, 0.0]])
         assert m == pytest.approx(0.5, rel=1e-12)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from levymult.euclid import ImaginaryPowerProfile, multiplier_autonomous_grid, multiplier_time_dependent
+from levymult.euclid import ImaginaryPowerProfile, multiplier_autonomous_grid
 from levymult.groups import GroupLevyMeasure
 from levymult.levy import (
     BernsteinSpec,
@@ -133,8 +133,7 @@ def _consumer_case(case):
             nu, psi = _underresolved_radial(2), 0.5
         if case.startswith("autonomous"):
             return lambda: multiplier_autonomous_grid(eye, psi, eye, nu, np.array([[3.0, 4.0], [1.0, -2.0]]))
-        xi = np.array([[3.0, 4.0]]) / (2.0 * np.pi)
-        return lambda: multiplier_time_dependent(ImaginaryPowerProfile(0.5), psi, eye, nu, xi)
+        return lambda: multiplier_autonomous_grid(ImaginaryPowerProfile(0.5), psi, eye, nu, np.array([[3.0, 4.0]]))
     dens = PositiveDensity(profile=lambda y: y**-1.5 * (1.0 + np.sin(300.0 * y)), inner=1e-2, outer=30.0, nodes=8)
     return lambda: bernstein_eval(BernsteinSpec(density=dens), [0.5, 2.0])
 
