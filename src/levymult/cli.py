@@ -26,6 +26,7 @@ from .constants import constant_report
 from .euclid import (
     ImaginaryPowerProfile,
     check_bounds,
+    density_psi,
     multiplier_autonomous_grid,
     psi_values,
 )
@@ -237,13 +238,9 @@ def _frequencies(rows, dim: int) -> np.ndarray:
 
 
 def _psi(obj, n_atoms):
-    """``config.psi``: None, a number, or one number per atom (``euclid.psi_values``); no list with a density."""
-    if obj is None or isinstance(obj, (int, float)):
-        return obj if obj is None else float(obj)
-    if n_atoms is None:
-        raise ConfigError("config.psi", f"a density takes a number, not {obj!r}")
+    """``config.psi``: None, a number or a per-atom table (``euclid.psi_values``); with a density, None or a number."""
     with _at("config.psi"):
-        return psi_values(obj, n_atoms)
+        return density_psi(obj) if n_atoms is None else psi_values(obj, n_atoms)
 
 
 def _coeff_table(obj, pointer: str) -> PeterWeylCoeffs:

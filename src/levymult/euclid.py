@@ -11,13 +11,15 @@ int_0^infty A(s) e^{-2 s den} ds = (1/2) den^{-1-i gamma} I.
 
 Every jump sum sum_q w_q (1 - cos(xi . y_q)) is one ``levy.oneminus_cos_sums``
 call over all rows, and every density sum is one ``levy.refined_sum`` (one
-refinement rule), both from ``_jump_forms``.
+refinement rule), both from ``_jump_forms``.  psi is None (zero), a number or a
+per-atom table; a density takes a number (``density_psi``), so its sum s is
+taken once with the weights w, and refined as the pair [s, psi s].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .levy import (
 )
 from .linalg import operator_norm, pair_matrix
 
-PsiLike = Union[None, float, complex, np.ndarray, Callable[[np.ndarray], np.ndarray]]
+PsiLike = Union[None, float, complex, np.ndarray]
 
 
 def psi_values(psi, n_atoms: int) -> np.ndarray:
@@ -43,9 +45,11 @@ def psi_values(psi, n_atoms: int) -> np.ndarray:
     return arr.astype(complex)
 
 
-def _psi_at(psi: PsiLike, pts: np.ndarray) -> np.ndarray:
-    """psi at the jump points (atoms or density nodes): a callable evaluated there, else ``psi_values``."""
-    return np.asarray(psi(pts)) if callable(psi) else psi_values(psi, len(pts))
+def density_psi(psi):
+    """psi on a density: one number for all of its nodes, None being zero; any other form raises ValueError."""
+    if not (psi is None or isinstance(psi, (int, float, complex, np.number))):
+        raise ValueError(f"a density takes psi as one number, not {psi!r}")
+    return 0.0 if psi is None else psi
 
 
 def multiplier_autonomous_grid(
@@ -82,22 +86,17 @@ def multiplier_autonomous_grid(
 def _jump_forms(xi: np.ndarray, nu: LevyMeasureRn, psi: PsiLike, den, num):
     """(den + int (1 - cos xi.y) nu(dy), num + int (1 - cos xi.y) psi(y) nu(dy)) at each row of xi.
 
-    Atoms first, then the density through one ``refined_sum``, checked against the sums alone.
+    Atoms first, with the weights m and m psi; then the density, its psi one number (``density_psi``,
+    checked before any sum): its sum s is taken once, and [s, psi s] is one ``refined_sum``.
     """
+    psi_d = None if nu.density is None else density_psi(psi)
     if len(nu.atoms):
         masses = nu.atom_masses
-        sums = oneminus_cos_sums(xi, nu.atom_points, masses, masses * _psi_at(psi, nu.atom_points))
+        sums = oneminus_cos_sums(xi, nu.atom_points, masses, masses * psi_values(psi, len(masses)))
         den, num = den + sums[0], num + sums[1]
-    if nu.density is not None:
-
-        def jump_sums(pts, w):
-            weights = [w] if psi is None else [w, w * _psi_at(psi, pts)]
-            return np.array(oneminus_cos_sums(xi, pts, *weights))
-
-        sums = refined_sum(nu.quadratures, jump_sums)
-        den = den + sums[0].real
-        if psi is not None:
-            num = num + sums[1]
+    if psi_d is not None:  # the pair [s, psi s] = (1, psi) (x) s
+        sums = refined_sum(nu.quadratures, lambda pts, w: np.outer([1.0, psi_d], oneminus_cos_sums(xi, pts, w)[0]))
+        den, num = den + sums[0].real, num + sums[1]
     return den, num
 
 
@@ -123,6 +122,8 @@ class ImaginaryPowerProfile:
     gamma: float
 
     def __call__(self, s):
+        if np.isinf(self.sup_norm):
+            raise ValueError(f"A(s) overflows at gamma = {self.gamma}: 1 / |Gamma(1 + i gamma)| is not finite")
         s = np.asarray(s, dtype=float)
         return np.exp(1j * self.gamma * np.log(2.0 * s)) / gamma_one_plus_i(self.gamma)
 
@@ -133,7 +134,7 @@ class ImaginaryPowerProfile:
 
     @property
     def sup_norm(self) -> float:
-        """1 / |Gamma(1 + i gamma)|, infinite where the Lanczos |Gamma| underflows to 0 (gamma above about 477)."""
+        """1 / |Gamma(1 + i gamma)|: infinite where it overflows, for gamma above about 454.39."""
         modulus = abs(gamma_one_plus_i(self.gamma))
         return 1.0 / modulus if modulus > 0.0 else np.inf
 
@@ -146,17 +147,13 @@ BOUND_SLACK = 1e-12  # absolute slack of ``check_bounds`` over the declared boun
 
 
 def check_bounds(apair, psi: PsiLike, nu: LevyMeasureRn, a_bound, psi_bound) -> None:
-    """Check the sups of a pair (A: a matrix or a profile, psi on the atoms and the coarse density nodes)
-    against its declared bounds, up to ``BOUND_SLACK``."""
+    """Check the sups of a pair (A: a matrix or a profile, psi) against its declared bounds, up to ``BOUND_SLACK``."""
     measured = apair.sup_norm if isinstance(apair, ImaginaryPowerProfile) else operator_norm(apair)
     if measured > a_bound + BOUND_SLACK:
         raise ValueError(f"declared |A| bound {a_bound} exceeded: measured {measured}")
-    sup_psi = 0.0
+    sup_psi = 0.0 if nu.density is None else abs(density_psi(psi))
     if len(nu.atoms):
-        sup_psi = float(np.max(np.abs(_psi_at(psi, nu.atom_points))))
-    if nu.density is not None and psi is not None:
-        pts, _ = nu.quadratures[0]
-        sup_psi = max(sup_psi, float(np.max(np.abs(_psi_at(psi, pts)))))
+        sup_psi = max(sup_psi, float(np.max(np.abs(psi_values(psi, len(nu.atoms))))))
     if sup_psi > psi_bound + BOUND_SLACK:
         raise ValueError(f"declared |psi| bound {psi_bound} exceeded: measured {sup_psi}")
 

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import PSD_TOL, NotPositiveSemidefinite, blocks, gauss_legendre, pivoted_cholesky
+from .linalg import PSD_TOL, NotPositiveSemidefinite, blocks, gauss_legendre, pivoted_cholesky, symmetric_scale
 
 #: relative tolerance for agreement of the coarse and refined quadratures
 REFINE_RTOL = 1e-8
@@ -174,9 +174,7 @@ class LevyTriple:
             raise ValueError(f"drift must be a {n}-vector")
         if a.shape != (n, n):
             raise ValueError(f"diffusion must be {n}x{n}")
-        scale = 1.0 + float(np.max(np.abs(a))) if a.size else 1.0
-        if np.max(np.abs(a - a.T)) > PSD_TOL * scale:
-            raise ValueError("diffusion matrix is not symmetric")
+        scale = symmetric_scale(a)
         if a.size and np.min(np.linalg.eigvalsh(a)) < -PSD_TOL * scale:
             raise NotPositiveSemidefinite("diffusion matrix has a negative eigenvalue")
         object.__setattr__(self, "drift", b)
@@ -195,14 +193,12 @@ def factor_diffusion(a) -> np.ndarray:
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     n = a.shape[0]
-    scale = 1.0 + float(np.max(np.abs(a))) if a.size else 1.0
-    if np.max(np.abs(a - a.T)) > PSD_TOL * scale:
-        raise ValueError("diffusion matrix is not symmetric")
+    scale = symmetric_scale(a)
     lam, _, rank = pivoted_cholesky(2.0 * a)
     out = np.zeros((n, n))
     out[:, :rank] = lam
     resid = np.max(np.abs(out @ out.T - 2.0 * a)) if n else 0.0
-    if resid > 1e-10 * (1.0 + float(np.max(np.abs(a)))):
+    if resid > 1e-10 * scale:
         raise NotPositiveSemidefinite(f"factorisation residual {resid:.3e} too large")
     return out
 
@@ -287,12 +283,14 @@ def _separable_sums(tables, pts: np.ndarray, wmat: np.ndarray) -> np.ndarray:
     and its negative read the same grid points with the same sign product, so
     the sums are exactly even in h.  The cross term's relative error,
     eps sum w (|a| + |b|)^2 / sum w (a + b)^2, stays near eps unless xi is
-    nearly orthogonal to every node, which radial densities exclude.
+    nearly orthogonal to every node, which radial densities exclude.  A node block fits ``BLOCK_BYTES``
+    at 8 bytes for each per-node value: per magnitude and per class the angle, its sine and cosine,
+    their squares and the two joined, and per magnitude the 2 n_w weighted rows.
     """
     mags, mag_idx, classes, class_idx, signs = tables
     n_w, n_mag, n_class = wmat.shape[1], len(mags), len(classes)
     even, cross = np.zeros((n_w * n_mag, n_class)), np.zeros((n_w * n_mag, n_class))
-    for nodes in blocks(len(pts), 16 * max(n_w * n_mag, n_class)):
+    for nodes in blocks(len(pts), 8 * ((7 + 2 * n_w) * n_mag + 7 * n_class)):
         y, w = pts[nodes], wmat[nodes]
         a, b = np.multiply.outer(mags, y[:, 0]), classes @ y[:, 1:].T
         sa, ca, sb, cb = np.sin(a), np.cos(a), np.sin(b), np.cos(b)

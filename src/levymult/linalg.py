@@ -11,9 +11,9 @@ class NotPositiveSemidefinite(ValueError):
     pass
 
 
-#: batched work (the node blocks of martingale values, final-state chunks, sine tables, time-integral
-#: rows, norm-search grids) is split into blocks of about this many bytes: larger blocks gain little speed
-#: and raise the peak resident memory
+#: batched work (the node blocks of martingale values and of lattice jump sums, which count every per-node
+#: table, final-state chunks, sine tables, norm-search grids) is split into blocks of about this many bytes:
+#: larger blocks gain little speed and raise the peak resident memory
 BLOCK_BYTES = 1 << 20
 
 #: Monte Carlo path chunks (``martingale.ensemble_chunks``) take this many ``BLOCK_BYTES`` at a path's
@@ -25,6 +25,14 @@ CHUNK_BLOCKS = 3
 
 #: relative tolerance of the PSD tests: asymmetry, negative eigenvalues and Cholesky pivots
 PSD_TOL = 1e-12
+
+
+def symmetric_scale(a: np.ndarray) -> float:
+    """1 + max|a|, the scale of the PSD tests on a diffusion matrix a, refused unless symmetric to PSD_TOL times it."""
+    scale = 1.0 + float(np.max(np.abs(a))) if a.size else 1.0
+    if np.max(np.abs(a - a.T)) > PSD_TOL * scale:
+        raise ValueError("diffusion matrix is not symmetric")
+    return scale
 
 
 def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

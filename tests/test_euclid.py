@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from levymult import euclid
 from levymult.euclid import (
     ImaginaryPowerProfile,
     check_bounds,
@@ -18,7 +20,9 @@ from levymult.levy import (
     _magnitude_tables,
     _separable_sums,
     oneminus_cos_sums,
+    refined_sum,
 )
+from levymult.linalg import BLOCK_BYTES
 from levymult import rng as rngmod
 from levymult.verify import _laplace_quadrature
 
@@ -50,7 +54,7 @@ def test_identity_pair_gives_one():
 
 def test_half_jump_indicator():
     nu = LevyMeasureRn(dim=1, atoms=(((1.0,), 1.0), ((-1.0,), 1.0)))
-    psi = lambda pts: (pts[:, 0] > 0).astype(float)
+    psi = np.array([1.0, 0.0])  # the indicator of the positive jump, one value per atom
     for val in multiplier_autonomous_grid(np.zeros((1, 1)), psi, np.zeros((1, 1)), nu, [[0.9], [2.2], [-0.4]]):
         assert val == pytest.approx(0.5, abs=1e-14)
 
@@ -145,6 +149,21 @@ def test_profile_sup_norm_is_infinite_where_gamma_underflows():
         prof = ImaginaryPowerProfile(1000.0)
         assert prof.sup_norm == np.inf
         assert np.allclose(np.abs(prof.power(np.array([0.5, 1.0, 40.0]))), 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_profile_values_are_refused_where_the_sup_norm_is_infinite():
+    # A(s) = (2s)^{i gamma} / Gamma(1 + i gamma) overflows from gamma about 454.39: refused before the division
+    s = np.array([0.1, 1.0, 7.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for g in (455.0, 1000.0):
+            with pytest.raises(ValueError, match="overflows"):
+                ImaginaryPowerProfile(g)(s)
+        prof = ImaginaryPowerProfile(440.0)
+        values = prof(s)
+    assert np.all(np.isfinite(values))
+    assert np.allclose(np.abs(values), prof.sup_norm, rtol=1e-12, atol=0.0)
+    assert 2.7e298 < prof.sup_norm < 2.9e298
 
 
 def test_spec_validation_catches_overdeclared_bounds():
@@ -333,9 +352,55 @@ def test_small_frequencies_on_a_scaled_lattice():
     ref = _half_angle_reference(xi, pts, w)
     assert np.max(np.abs(den - ref) / ref) <= 1e-12
     zero = np.zeros((2, 2))
-    m = multiplier_autonomous_grid(zero, lambda y: 0.5 + 0.25 * np.tanh(y[:, 0]), zero, nu, xi)
-    pts_f, w_f = nu.quadratures[1]
-    expected = _half_angle_reference(xi, pts_f, w_f * (0.5 + 0.25 * np.tanh(pts_f[:, 0])))
-    expected = expected / _half_angle_reference(xi, pts_f, w_f)
-    assert np.max(np.abs(m - expected) / np.abs(expected)) <= 1e-12
+    psi = -0.7
+    m = multiplier_autonomous_grid(zero, psi, zero, nu, xi)
+    assert np.max(np.abs(m - psi)) <= 1e-12 * abs(psi)
+
+
+@pytest.mark.parametrize("psi", [0.6, 0.3 - 0.8j])
+def test_density_psi_sum_is_psi_times_one_lattice_sum(psi, monkeypatch):
+    # each density rule is summed once with the weights w; the oracle sums w and w psi as two weight columns
+    xi = _nonzero_lattice(64)
+    nu = LevyMeasureRn(dim=2, density=_criterion1_density())
+    oracle = refined_sum(nu.quadratures, lambda pts, w: np.array(oneminus_cos_sums(xi, pts, w, w * psi)))
+    weight_counts = []
+
+    def counted(xi, pts, *weights):
+        weight_counts.append(len(weights))
+        return oneminus_cos_sums(xi, pts, *weights)
+
+    monkeypatch.setattr(euclid, "oneminus_cos_sums", counted)
+    den, num = euclid._jump_forms(xi, nu, psi, 0.0, 0.0)
+    assert weight_counts == [1, 1]  # the coarse and the fine rule
+    assert np.max(np.abs(den - oracle[0].real) / oracle[0].real) <= 1e-14
+    assert np.max(np.abs(num - oracle[1]) / np.abs(oracle[1])) <= 1e-14
+
+
+def test_a_density_takes_psi_as_one_number(monkeypatch):
+    # a callable or a table is refused, by the route and by check_bounds, before any sum is taken
+    def no_sums(*args):
+        raise AssertionError("a jump sum was taken")
+
+    monkeypatch.setattr(euclid, "oneminus_cos_sums", no_sums)
+    nu = LevyMeasureRn(dim=2, atoms=(((0.3, 0.1), 1.0),), density=_criterion1_density())
+    eye = np.eye(2)
+    for psi in (lambda y: np.ones(len(y)), [0.5], np.array([0.5])):
+        with pytest.raises(ValueError, match="a density takes psi as one number"):
+            multiplier_autonomous_grid(eye, psi, eye, nu, [[1.0, 2.0]])
+        with pytest.raises(ValueError, match="a density takes psi as one number"):
+            check_bounds(eye, psi, nu, 1.0, 1.0)
+
+
+def test_lattice_node_blocks_fit_the_block_budget():
+    # every per-node table counts: with one weight column the blocks used to reach about 6 BLOCK_BYTES
+    xi = _nonzero_lattice(64)
+    pts, w = LevyMeasureRn(dim=2, density=_criterion1_density()).quadratures[1]
+    assert _lattice_factors(0.5 * xi, len(pts)) is not None  # the grid route runs
+    tracemalloc.start()
+    try:
+        oneminus_cos_sums(xi, pts, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * BLOCK_BYTES
 

@@ -109,11 +109,10 @@ def _nonzero_lattice(n):
     return xi[np.any(xi != 0.0, axis=1)]
 
 
-def _resolved_density_with_oscillating_psi():
-    # the density itself passes refinement; psi(y) = cos(5000 |y|) is what the coarse rule misses
-    dens = RadialDensity(profile=lambda r, u: 55.0 * np.exp(-r) / r, inner=0.06, outer=0.45, nodes=72)
-    psi = lambda y: np.cos(5000.0 * np.linalg.norm(y, axis=1))
-    return LevyMeasureRn(dim=2, density=dens), psi
+def _underresolved_for_large_psi():
+    # at xi = (0, 11) the sum alone passes refinement at 0.28 x its tolerance; psi = 50 takes the psi sum's gap to 4 x
+    dens = RadialDensity(profile=lambda r, u: 0.03 * np.exp(-r) / r, inner=0.06, outer=0.45, nodes=8)
+    return LevyMeasureRn(dim=2, density=dens)
 
 
 def _consumer_case(case):
@@ -126,12 +125,13 @@ def _consumer_case(case):
     if case in ("smooth-autonomous", "smooth-lattice"):
         xi = 5.0 * _nonzero_lattice(16) if case == "smooth-lattice" else np.array([[40.0, 0.0]])
         return lambda: multiplier_autonomous_grid(eye, 0.5, eye, _smooth_radial(2), xi)
-    if case.startswith("autonomous") or case.startswith("time"):
-        if case.endswith("callable-psi"):
-            nu, psi = _resolved_density_with_oscillating_psi()
-        else:
-            nu, psi = _underresolved_radial(2), 0.5
-        if case.startswith("autonomous"):
+    if case == "autonomous-psi50":
+        nu, xi = _underresolved_for_large_psi(), np.array([[0.0, 11.0]])
+        multiplier_autonomous_grid(eye, 0.5, eye, nu, xi)  # accepted: the refusal below is the psi-scaled gap's
+        return lambda: multiplier_autonomous_grid(eye, 50.0, eye, nu, xi)
+    if case in ("autonomous", "time"):
+        nu, psi = _underresolved_radial(2), 0.5
+        if case == "autonomous":
             return lambda: multiplier_autonomous_grid(eye, psi, eye, nu, np.array([[3.0, 4.0], [1.0, -2.0]]))
         return lambda: multiplier_autonomous_grid(ImaginaryPowerProfile(0.5), psi, eye, nu, np.array([[3.0, 4.0]]))
     dens = PositiveDensity(profile=lambda y: y**-1.5 * (1.0 + np.sin(300.0 * y)), inner=1e-2, outer=30.0, nodes=8)
@@ -144,11 +144,10 @@ def _consumer_case(case):
         "eval_symbol",
         "smooth-eval_symbol",
         "autonomous",
-        "autonomous-callable-psi",
+        "autonomous-psi50",
         "smooth-autonomous",
         "smooth-lattice",
         "time",
-        "time-callable-psi",
         "bernstein",
     ],
 )
