@@ -38,6 +38,8 @@ PsiLike = Union[None, float, complex, np.ndarray]
 def psi_values(psi, n_atoms: int) -> np.ndarray:
     """psi on each atom of a jump measure: None (zero), a scalar, or a per-atom table."""
     arr = np.asarray(0.0 if psi is None else psi)
+    if arr.dtype.kind not in "biufc":  # a callable or a string, say
+        raise ValueError(f"psi on atoms is None, a number or a per-atom table of numbers, not {psi!r}")
     if arr.ndim == 0:
         return np.full(n_atoms, complex(arr))
     if arr.shape != (n_atoms,):
@@ -86,13 +88,14 @@ def multiplier_autonomous_grid(
 def _jump_forms(xi: np.ndarray, nu: LevyMeasureRn, psi: PsiLike, den, num):
     """(den + int (1 - cos xi.y) nu(dy), num + int (1 - cos xi.y) psi(y) nu(dy)) at each row of xi.
 
-    Atoms first, with the weights m and m psi; then the density, its psi one number (``density_psi``,
-    checked before any sum): its sum s is taken once, and [s, psi s] is one ``refined_sum``.
+    Atoms first, with the weights m and m psi, the latter real when every psi is; then the density, its psi one
+    number (``density_psi``, checked before any sum): its sum s is taken once, and [s, psi s] is one ``refined_sum``.
     """
     psi_d = None if nu.density is None else density_psi(psi)
     if len(nu.atoms):
         masses = nu.atom_masses
-        sums = oneminus_cos_sums(xi, nu.atom_points, masses, masses * psi_values(psi, len(masses)))
+        wpsi = masses * psi_values(psi, len(masses))
+        sums = oneminus_cos_sums(xi, nu.atom_points, masses, wpsi if wpsi.imag.any() else wpsi.real)
         den, num = den + sums[0], num + sums[1]
     if psi_d is not None:  # the pair [s, psi s] = (1, psi) (x) s
         sums = refined_sum(nu.quadratures, lambda pts, w: np.outer([1.0, psi_d], oneminus_cos_sums(xi, pts, w)[0]))

@@ -46,6 +46,8 @@ SU2 = "su2"
 
 #: residual allowed when checking that sum_i dpi(X_i)^2 is scalar
 CASIMIR_TOL = 1e-10
+#: fewest points at which torus characters are mirrored: below it the mirroring costs more than the exps it saves
+MIRROR_MIN_POINTS = 128
 
 Label = Union[int, tuple, float]
 
@@ -319,17 +321,20 @@ def _torus_labels(labels: tuple):
 
     The tables exist when the labels have fewer distinct coordinate values u,
     counted over the axes, than there are labels (a full T^2 box has 2c + 1
-    per axis against (2c + 1)^2 labels).  They hold the axis of each u, the
-    values u, their number on each axis, and the column of each label in
-    the row-major product of the axes (None when the labels are that
-    product, in order).
+    per axis against (2c + 1)^2 labels), or are a sign-symmetric T^1 set.
+    They hold the axis of each u, the sorted values u of each axis, their
+    number on each axis, the column of each label in the row-major product
+    of the axes (None when the labels are that product, in order), and the
+    number of positive values of each sign-symmetric axis (None on others).
+    The one symmetry rule: sorted values v with v = -v[::-1], 0 in v or not.
     """
     k = np.array(labels, dtype=float).reshape(len(labels), -1)
-    sizes = tuple(len(set(col)) for col in k.T.tolist())
-    if sum(sizes) >= len(labels):
+    values, where = zip(*(np.unique(col, return_inverse=True) for col in k.T))
+    sizes = tuple(len(v) for v in values)
+    halves = tuple(len(v) // 2 if np.array_equal(v, -v[::-1]) else None for v in values)
+    if sum(sizes) >= len(labels) and (len(sizes) > 1 or halves[0] is None):
         k.flags.writeable = False
         return k, None
-    values, where = zip(*(np.unique(col, return_inverse=True) for col in k.T))
     axis = np.repeat(np.arange(len(sizes)), sizes)
     values = np.concatenate(values)
     cols = np.ravel_multi_index(where, sizes)
@@ -337,7 +342,20 @@ def _torus_labels(labels: tuple):
     for a in (k, axis, values, cols):
         if a is not None:
             a.flags.writeable = False
-    return k, (axis, values, sizes, cols)
+    return k, (axis, values, sizes, cols, halves)
+
+
+def _axis_characters(out: np.ndarray, theta: np.ndarray, values: np.ndarray, half) -> None:
+    """Writes e^{i u theta} for the sorted values u of one axis into the rows of ``out``; on a
+    sign-symmetric axis (``half`` positive values, else None) the exps are taken at u > 0 only.
+    Row -u takes the real part of row u and 0.0 - Im: -Im bitwise, and at u theta = +-0 the +0
+    that the exp gives and conj does not.  Row 0 is exactly 1 (as the exp, for finite angles)."""
+    n = 0 if half is None else len(values) - half
+    pos = np.exp(1j * np.multiply.outer(values[n:], theta), out=out[n:])
+    if half is not None:
+        out.real[:half] = pos.real[::-1]
+        np.subtract(0.0, pos.imag[::-1], out=out.imag[:half])
+        out[half:n] = 1.0
 
 
 def irrep_stack_batch(irreps, gs) -> np.ndarray:
@@ -349,25 +367,34 @@ def irrep_stack_batch(irreps, gs) -> np.ndarray:
 
     Torus characters e^{i k . theta} are separable: e^{i theta_a u} is
     taken once for each distinct value u of each coordinate axis a of the
-    labels, and a label's character is read from the row-major product of
-    these per-axis tables.  Labels with no fewer distinct values than labels
-    (one label, a sparse set, a T^1 stack without repeats) take their factors
-    directly, the same bits: a T^2 character does not depend on its stack.
-    The layouts differ: the direct routes give C-ordered (m, L) tables, the
-    per-axis tables F-ordered ones, and the sums of ``pw_forward`` (matmul)
-    and ``pw_inverse`` (einsum) round in an order that depends on that
-    layout, so a change of route or layout moves their bits.
+    labels, only for u > 0 on a sign-symmetric axis or T^1 set from
+    ``MIRROR_MIN_POINTS`` points on (``_axis_characters``), and a label's
+    character is read from the row-major product of these per-axis tables.
+    Other labels with no fewer distinct values than labels (one label, a
+    sparse set, a T^1 stack without repeats) take their factors directly.
+    Every route gives the same bits and keeps its layout: C-ordered (m, L)
+    tables from the direct routes and T^1 sets without repeats, F-ordered
+    ones from the per-axis tables, since the sums of ``pw_forward`` (matmul)
+    and ``pw_inverse`` (einsum) round in an order that depends on it.
     """
     gs = _element_batch(irreps[0].group, gs)
     if irreps[0].group in (T1, T2):
         k, tables = _torus_labels(tuple(pi.label for pi in irreps))
+        mirror = tables is not None and len(gs) >= MIRROR_MIN_POINTS and any(tables[-1])  # a pair to mirror
         if tables is None and k.shape[1] == 2:
             factors = np.exp(1j * (gs[:, None, :] * k))
             return (factors[:, :, 0] * factors[:, :, 1])[:, :, None, None]
-        if tables is None:
+        if tables is None or (not mirror and len(tables[1]) == len(k)):
             return np.exp(1j * (gs @ k.T))[:, :, None, None]
-        axis, values, sizes, cols = tables
-        chars = np.exp(1j * (gs[:, axis] * values))
+        axis, values, sizes, cols, halves = tables
+        if not mirror:
+            chars = np.exp(1j * (gs[:, axis] * values))
+        else:
+            chars = np.empty((len(values), len(gs)), complex).T  # F order, as the exps of gs[:, axis] above
+            for a, (stop, half) in enumerate(zip(itertools.accumulate(sizes), halves)):
+                _axis_characters(chars.T[stop - sizes[a] : stop], gs[:, a], values[stop - sizes[a] : stop], half)
+            if len(values) == len(k):  # a T^1 set without repeats keeps the direct route's C order
+                return np.ascontiguousarray(chars if cols is None else chars[:, cols])[:, :, None, None]
         if len(sizes) == 2:
             chars = (chars[:, : sizes[0], None] * chars[:, None, sizes[0] :]).reshape(len(gs), -1)
         if cols is not None:

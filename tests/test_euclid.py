@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from levymult import euclid
+from levymult import levy as levymod
 from levymult.euclid import (
     ImaginaryPowerProfile,
     check_bounds,
@@ -12,6 +13,7 @@ from levymult.euclid import (
     riesz2_symbol_rn,
 )
 from levymult.gammafn import gamma
+from levymult.groups import GroupLevyMeasure, dual_enumerate
 from levymult.levy import (
     LevyMeasureRn,
     RadialDensity,
@@ -24,6 +26,7 @@ from levymult.levy import (
 )
 from levymult.linalg import BLOCK_BYTES
 from levymult import rng as rngmod
+from levymult.symbols import central_symbols
 from levymult.verify import _laplace_quadrature
 
 
@@ -389,6 +392,37 @@ def test_a_density_takes_psi_as_one_number(monkeypatch):
             multiplier_autonomous_grid(eye, psi, eye, nu, [[1.0, 2.0]])
         with pytest.raises(ValueError, match="a density takes psi as one number"):
             check_bounds(eye, psi, nu, 1.0, 1.0)
+
+
+def test_atoms_take_psi_as_none_a_number_or_a_table_of_numbers():
+    # a callable on atoms alone is refused as psi, by the R^n route and by the group symbols
+    nu = LevyMeasureRn(dim=2, atoms=(((0.3, 0.1), 1.0),))
+    nu_t1 = GroupLevyMeasure("t1", ((np.array([0.5]), 2.0),))
+    for psi in (lambda y: np.ones(len(y)), "0.5"):
+        with pytest.raises(ValueError, match="psi on atoms is None, a number or a per-atom table"):
+            multiplier_autonomous_grid(np.eye(2), psi, np.eye(2), nu, [[1.0, 2.0]])
+        with pytest.raises(ValueError, match="psi on atoms is None, a number or a per-atom table"):
+            central_symbols(np.eye(1), psi, 0.5, nu_t1, dual_enumerate("t1", 1), None)
+
+
+def test_a_real_psi_on_atoms_is_summed_as_a_real_weight_column(monkeypatch):
+    # masses and masses psi: the all-zero imaginary column of a real psi is not summed
+    nu = LevyMeasureRn(dim=2, atoms=(((0.3, 0.1), 1.0), ((-1.2, 0.8), 0.6), ((0.5, 2.0), 0.2)))
+    xi = np.array([[1.0, 2.0], [-0.5, 0.7], [3.0, -0.1]])
+    columns = []
+
+    def counted(half, pts, wmat):
+        columns.append(wmat.shape[1])
+        return _direct_sums(half, pts, wmat)
+
+    monkeypatch.setattr(levymod, "_direct_sums", counted)
+    for psi in (np.array([0.5, -0.3, 0.9]), -0.6, None, np.array([0.5, -0.3j, 0.9])):
+        masses = nu.atom_masses
+        den, num = euclid._jump_forms(xi, nu, psi, 0.0, 0.0)
+        oracle = oneminus_cos_sums(xi, nu.atom_points, masses, masses * euclid.psi_values(psi, 3))
+        assert np.max(np.abs(den - oracle[0]) / oracle[0]) <= 1e-15
+        assert np.max(np.abs(num - oracle[1]) / np.maximum(np.abs(oracle[1]), 1e-300)) <= 1e-15
+    assert columns == [2, 3, 2, 3, 2, 3, 3, 3]  # each route's sum, then its oracle's
 
 
 def test_lattice_node_blocks_fit_the_block_budget():

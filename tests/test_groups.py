@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
@@ -10,6 +12,7 @@ from levymult.groups import (
     casimir_eigenvalue,
     dual_enumerate,
     get_irrep,
+    group_dim,
     haar_sample,
     heat_coeffs,
     identity_element,
@@ -190,18 +193,112 @@ def test_t2_characters_do_not_depend_on_the_stack():
     assert irrep_stack_batch([dual[i] for i in sparse], theta).tobytes() == whole[:, sparse].tobytes()
 
 
-@pytest.mark.parametrize("labels", [[-3, 5, -1, 0, 2], [4, -4, 4, 0, -7, 0]], ids=["distinct", "repeats"])
+# angles where a mirrored character could differ from the exp: a signed zero, a tiny phase, pi, a large phase
+_EDGE_ANGLES = np.array([0.0, -0.0, 1e-300, -1e-300, np.pi, -np.pi, 1e6, -1e6])
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[-3, 5, -1, 0, 2], [4, -4, 4, 0, -7, 0], list(range(-3, 4)), list(range(3, -4, -1)), [-1, 1], [-3, -1, 0, 1, 3]],
+    ids=["distinct", "repeats", "box", "reversed-box", "pair", "odd-symmetric"],
+)
 def test_t1_characters_are_exactly_the_exponential(labels):
-    theta = haar_sample("t1", rngmod.stream(8, 2), 300)
+    theta = np.concatenate([haar_sample("t1", rngmod.stream(8, 2), 300), _EDGE_ANGLES[:, None]])
     chars = irrep_stack_batch([get_irrep("t1", k) for k in labels], theta)
     assert chars[:, :, 0, 0].tobytes() == np.exp(1j * (theta * np.array(labels, dtype=float))).tobytes()
 
 
+def _direct_characters(labels, gs):
+    """Every character from its own exps: per distinct axis value through the row-major product of the axes
+    (F-ordered, as the fancy index gs[:, axis] leaves it) where the labels have fewer values than labels,
+    else per label (C-ordered)."""
+    k = np.array(labels, dtype=float).reshape(len(labels), -1)
+    values, where = zip(*(np.unique(col, return_inverse=True) for col in k.T))
+    sizes = [len(v) for v in values]
+    if sum(sizes) >= len(labels) and k.shape[1] == 2:
+        factors = np.exp(1j * (gs[:, None, :] * k))
+        return factors[:, :, 0] * factors[:, :, 1]
+    if sum(sizes) >= len(labels):
+        return np.exp(1j * (gs @ k.T))
+    chars = np.exp(1j * (gs[:, np.repeat(np.arange(len(sizes)), sizes)] * np.concatenate(values)))
+    if len(sizes) == 2:
+        chars = (chars[:, : sizes[0], None] * chars[:, None, sizes[0] :]).reshape(len(gs), -1)
+    cols = np.ravel_multi_index(where, sizes)
+    return chars if np.array_equal(cols, np.arange(len(labels))) else chars[:, cols]
+
+
+_BOX4 = [(k1, k2) for k1 in range(-4, 5) for k2 in range(-4, 5)]
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        list(range(-3, 4)),
+        list(range(3, -4, -1)),
+        [int(k) for k in np.random.default_rng(4).permutation(np.arange(-3, 4))],
+        [-1, 1],
+        [-3, -1, 0, 1, 3],
+        [-3, 5, -1, 0, 2],
+        [4, -4, 4, 0, -7, 0],
+        [2, -2, 2, 0],  # repeats on a sign-symmetric axis: the per-axis table, mirrored
+        _BOX,
+        _BOX4,
+        _BOX4[::-1],
+        [_BOX4[i] for i in np.random.default_rng(5).permutation(len(_BOX4))],
+        [(k1, k2) for k1 in (-1, 1) for k2 in (-3, -1, 0, 1, 3)],
+        [(k1, k2) for k1 in (-1, 1) for k2 in (0, 1, 2)],  # one sign-symmetric axis, one not
+        [(1, 0), (-1, 2), (0, -3), (2, 1), (-2, -1)],
+        [(0, 0), (7, -3), (-5, 11)],
+        [(0, 1), (0, -2), (0, 1)],
+    ],
+    ids=[
+        "t1-box", "t1-reversed", "t1-shuffled", "t1-pair", "t1-odd-symmetric", "t1-distinct", "t1-repeats",
+        "t1-symmetric-repeats", "t2-box3", "t2-box4", "t2-reversed-box4", "t2-shuffled-box4", "t2-symmetric-product",
+        "t2-half-symmetric", "t2-scattered", "t2-sparse", "t2-repeats",
+    ],
+)
+def test_torus_characters_keep_the_bits_and_layout_of_the_direct_exps(labels, monkeypatch):
+    # mirrored columns must carry the exp's bits, the +0 imaginary part at theta = +-0 included, and each
+    # route its layout: pw_forward and pw_inverse round in an order that depends on the strides
+    group = "t1" if np.ndim(labels[0]) == 0 else "t2"
+    edges = np.array(list(itertools.product(_EDGE_ANGLES, repeat=group_dim(group))))
+    theta = np.concatenate([edges, haar_sample(group, rngmod.stream(8, 4), 200)])
+    stack = [get_irrep(group, k) for k in labels]
+    mirrored, axis_characters = [], groupsmod._axis_characters
+
+    def spy(out, theta, values, half):
+        mirrored.extend([len(theta)] if half else [])
+        axis_characters(out, theta, values, half)
+
+    monkeypatch.setattr(groupsmod, "_axis_characters", spy)
+    least = groupsmod.MIRROR_MIN_POINTS  # below it, every exp is taken directly
+    for pts in (theta, theta[:1], theta[:2], theta[-7:], theta[: least - 1], theta[:least]):
+        chars, expected = irrep_stack_batch(stack, pts), _direct_characters(labels, pts)[:, :, None, None]
+        assert chars.tobytes() == expected.tobytes()
+        assert chars.strides == expected.strides
+        assert (chars.flags.c_contiguous, chars.flags.f_contiguous) == (expected.flags.c_contiguous, expected.flags.f_contiguous)
+    tables = groupsmod._torus_labels(tuple(labels))[1]
+    assert min(mirrored, default=least) >= least
+    assert bool(mirrored) == (tables is not None and any(tables[-1]))  # the route under test ran where it should
+
+
 def test_cached_label_data_is_read_only():
-    for labels in (tuple(_BOX), tuple(_BOX[::-1]), ((0, 0), (7, -3), (-5, 11)), (3, -1, 3)):
+    # with the sign-symmetric axes that take mirrored characters: h positive values, None on other axes
+    for labels, halves in (
+        (tuple(_BOX), (3, 3)),
+        (tuple(_BOX[::-1]), (3, 3)),
+        (((0, 0), (7, -3), (-5, 11)), None),
+        ((3, -1, 3), (None,)),
+        (tuple(range(3, -4, -1)), (3,)),
+        ((-1, 1), (1,)),
+        ((-3, -1, 0, 1, 3), (2,)),
+        ((-3, 5, -1, 0, 2), None),
+        (tuple((k1, k2) for k1 in (-1, 1) for k2 in (0, 1, 2)), (1, None)),
+    ):
         k, tables = groupsmod._torus_labels(labels)
         arrays = [k] + [a for a in tables or () if isinstance(a, np.ndarray)]
         assert not any(a.flags.writeable for a in arrays)
+        assert (tables and tables[-1]) == halves
 
 
 def test_su2_exp_pi_x3():
