@@ -122,21 +122,11 @@ def _int_at_least(obj: dict, key: str, default: int, low: int, pointer: str) -> 
     return int(value)
 
 
-def _py(value):
-    """Plain-Python view of numpy scalars for JSON output."""
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 def _dumps(obj, **layout) -> str:
-    """``json.dumps`` with sorted keys; NaN and +-infinity, which standard JSON cannot hold, a numerical failure."""
+    """``json.dumps`` with sorted keys and numpy scalars as their Python values (``item``); NaN and
+    +-infinity, which standard JSON cannot hold, a numerical failure."""
     try:
-        return json.dumps(obj, sort_keys=True, allow_nan=False, **layout)
+        return json.dumps(obj, sort_keys=True, allow_nan=False, default=np.generic.item, **layout)
     except ValueError as exc:
         raise FloatingPointError(f"non-finite result: {exc}") from exc
 
@@ -640,9 +630,9 @@ def cmd_verify(args) -> int:
         "results": [
             {
                 "name": r.name,
-                "passed": _py(r.passed),
+                "passed": r.passed,
                 "seed": r.seed,
-                "details": {k: _py(v) for k, v in r.details.items()},
+                "details": r.details,
             }
             for r in results
         ],

@@ -30,7 +30,7 @@ from .levy import (
     oneminus_cos_sums,
     refined_sum,
 )
-from .linalg import operator_norm, pair_matrix
+from .linalg import pair_matrix
 
 PsiLike = Union[None, float, complex, np.ndarray]
 
@@ -151,7 +151,7 @@ BOUND_SLACK = 1e-12  # absolute slack of ``check_bounds`` over the declared boun
 
 def check_bounds(apair, psi: PsiLike, nu: LevyMeasureRn, a_bound, psi_bound) -> None:
     """Check the sups of a pair (A: a matrix or a profile, psi) against its declared bounds, up to ``BOUND_SLACK``."""
-    measured = apair.sup_norm if isinstance(apair, ImaginaryPowerProfile) else operator_norm(apair)
+    measured = apair.sup_norm if isinstance(apair, ImaginaryPowerProfile) else np.linalg.norm(apair, 2)
     if measured > a_bound + BOUND_SLACK:
         raise ValueError(f"declared |A| bound {a_bound} exceeded: measured {measured}")
     sup_psi = 0.0 if nu.density is None else abs(density_psi(psi))

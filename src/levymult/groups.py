@@ -396,7 +396,7 @@ def irrep_stack_batch(irreps, gs) -> np.ndarray:
             if len(values) == len(k):  # a T^1 set without repeats keeps the direct route's C order
                 return np.ascontiguousarray(chars if cols is None else chars[:, cols])[:, :, None, None]
         if len(sizes) == 2:
-            chars = (chars[:, : sizes[0], None] * chars[:, None, sizes[0] :]).reshape(len(gs), -1)
+            chars = (chars[:, : sizes[0], None] * chars[:, None, sizes[0] :]).reshape(len(gs), sizes[0] * sizes[1])
         if cols is not None:
             chars = chars[:, cols]
         return chars[:, :, None, None]

@@ -24,8 +24,9 @@ lattice), and E and C are real products of rank 2 and 1 on that grid
 where it costs less than direct sums.  The cross term's relative error is
 eps sum w (|a| + |b|)^2 / sum w (a + b)^2, near eps for radial densities.
 
-Every density sum, here and in ``euclid``, is ``refined_sum`` over the
-density's coarse and fine ``quadratures``, each built once per density.
+Every density sum, here and in ``euclid``, is ``refined_sum`` over the density's coarse
+and fine ``quadratures``, each built once per density, refined at the sum's own scale.
+Every diffusion passes the one PSD test, ``factor_diffusion``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import PSD_TOL, NotPositiveSemidefinite, blocks, gauss_legendre, pivoted_cholesky, symmetric_scale
+from .linalg import NotPositiveSemidefinite, blocks, gauss_legendre, pivoted_cholesky, symmetric_scale
 
 #: relative tolerance for agreement of the coarse and refined quadratures
 REFINE_RTOL = 1e-8
@@ -46,16 +47,16 @@ class QuadratureError(RuntimeError):
     """Successive quadrature refinements disagreed beyond tolerance."""
 
 
-def refined_sum(quadratures, evaluate: Callable, offset=0.0):
+def refined_sum(quadratures, evaluate: Callable):
     """evaluate(points, weights) on the fine of a density's (coarse, fine) ``quadratures``.
 
     Each value is refused with ``QuadratureError`` where its coarse/fine gap
-    |Re| + |Im| exceeds REFINE_RTOL (1 + |offset + fine|); ``offset`` is
-    what the sum is added to in the result (zero: the sum alone sets the scale).
+    |Re| + |Im| exceeds REFINE_RTOL (1 + |fine|): the sum alone sets the scale,
+    whatever drift, diffusion or atoms it is later added to.
     """
     coarse, fine = (np.asarray(evaluate(*quad)) for quad in quadratures)
     gap = np.abs(fine.real - coarse.real) + np.abs(fine.imag - coarse.imag)
-    tol = REFINE_RTOL * (1.0 + np.abs(offset + fine))
+    tol = REFINE_RTOL * (1.0 + np.abs(fine))
     if np.any(gap > tol):
         raise QuadratureError(f"density quadrature did not stabilise: gap up to {np.max(gap / tol):.3g} x tolerance")
     return fine
@@ -160,7 +161,9 @@ class LevyMeasureRn:
 
 @dataclass(frozen=True, eq=False)
 class LevyTriple:
-    """Characteristics (drift, diffusion, jump measure) of a Levy process on R^n."""
+    """Characteristics (drift, diffusion, jump measure) of a Levy process on R^n.
+
+    The diffusion must pass ``factor_diffusion``, the one PSD test; its symmetric part is kept."""
 
     drift: np.ndarray
     diffusion: np.ndarray
@@ -174,9 +177,7 @@ class LevyTriple:
             raise ValueError(f"drift must be a {n}-vector")
         if a.shape != (n, n):
             raise ValueError(f"diffusion must be {n}x{n}")
-        scale = symmetric_scale(a)
-        if a.size and np.min(np.linalg.eigvalsh(a)) < -PSD_TOL * scale:
-            raise NotPositiveSemidefinite("diffusion matrix has a negative eigenvalue")
+        factor_diffusion(a)
         object.__setattr__(self, "drift", b)
         object.__setattr__(self, "diffusion", 0.5 * (a + a.T))
 
@@ -186,10 +187,13 @@ class LevyTriple:
 
 
 def factor_diffusion(a) -> np.ndarray:
-    """Matrix Lambda with Lambda Lambda^T = 2a, for symmetric PSD a.
+    """Matrix Lambda with Lambda Lambda^T = 2a, for symmetric PSD a: the one PSD test of a diffusion.
 
-    Diagonal pivoting makes rank-deficient input acceptable; the factor is
-    deterministic (lower triangular up to the pivot permutation).
+    a is refused (``symmetric_scale``) unless symmetric to ``linalg.PSD_TOL`` (1 + max|a|), and with
+    ``NotPositiveSemidefinite`` where the pivoted Cholesky of 2a leaves a block beyond PSD_TOL times its
+    scale (``pivoted_cholesky``) or the residual |Lambda Lambda^T - 2a| exceeds 1e-10 (1 + max|a|).  Diagonal
+    pivoting makes rank-deficient input acceptable; the factor is deterministic (lower triangular up to the
+    pivot permutation).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     n = a.shape[0]
@@ -264,9 +268,11 @@ def _magnitude_tables(half: np.ndarray):
 
 
 def _direct_sums(half: np.ndarray, pts: np.ndarray, wmat: np.ndarray) -> np.ndarray:
-    """2 sum_q w_q sin^2(h . y_q) for each row h of half, shape (len(half), weights)."""
+    """2 sum_q w_q sin^2(h . y_q) for each row h of half, shape (len(half), weights).
+
+    A node block fits ``BLOCK_BYTES`` at 8 bytes a value of its three tables (phases, sines, squares)."""
     out = np.zeros((len(half), wmat.shape[1]))
-    for nodes in blocks(len(pts), 8 * max(1, len(half))):
+    for nodes in blocks(len(pts), 3 * 8 * max(1, len(half))):
         s = np.sin(half @ pts[nodes].T)
         out += (s * s) @ wmat[nodes]
     return 2.0 * out
@@ -307,6 +313,9 @@ def symbol_grid(triple: LevyTriple, xi: np.ndarray):
     xi has shape (m, n); returns (re (m,), im (m,)) with
     re = -a xi.xi + int(cos(xi.y) - 1) nu(dy)         (always <= 0)
     im = b.xi + int(sin(xi.y) - xi.y 1_{|y|<=1}) nu(dy)
+
+    The density's sum is ``refined_sum``'s, at its own scale whatever the drift and diffusion add.
+    Row blocks of sines fit ``BLOCK_BYTES`` at 8 bytes a value of three tables (phases, sines, the last block's).
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     a, b, nu = triple.diffusion, triple.drift, triple.nu
@@ -314,20 +323,21 @@ def symbol_grid(triple: LevyTriple, xi: np.ndarray):
     im = xi @ b
 
     def jump_part(points, weights):
-        small = np.sum(points * points, axis=1) <= 1.0
+        large = np.sum(points * points, axis=1) > 1.0
         out = np.empty(len(xi), dtype=complex)
         out.real = -oneminus_cos_sums(xi, points, weights)[0]
-        for rows in blocks(len(xi), 8 * len(points)):
+        for rows in blocks(len(xi), 3 * 8 * len(points)):
             phase = xi[rows] @ points.T
-            out.imag[rows] = (np.sin(phase) - np.where(small, phase, 0.0)) @ weights
+            sines = np.sin(phase)
+            phase[:, large] = 0.0  # compensated over the unit ball only
+            out.imag[rows] = np.subtract(sines, phase, out=sines) @ weights
         return out
 
     if len(nu.atoms):
         atom = jump_part(nu.atom_points, nu.atom_masses)
         re, im = re + atom.real, im + atom.imag
     if nu.density is not None:
-        # checked against the whole exponent: the gap scale is 1 + |rho|
-        dens = refined_sum(nu.quadratures, jump_part, offset=re + 1j * im)
+        dens = refined_sum(nu.quadratures, jump_part)
         re, im = re + dens.real, im + dens.imag
     return np.minimum(re, 0.0), im
 

@@ -23,7 +23,7 @@ BLOCK_BYTES = 1 << 20
 #: (4.1 MiB at 50 paths, against 5.75), a transcript chunk below 2 chunk budgets (5.0 MiB, against 6)
 CHUNK_BLOCKS = 3
 
-#: relative tolerance of the PSD tests: asymmetry, negative eigenvalues and Cholesky pivots
+#: relative tolerance of the PSD test (``levy.factor_diffusion``): asymmetry and Cholesky pivots
 PSD_TOL = 1e-12
 
 
@@ -68,18 +68,13 @@ def pair_matrix(amatrix, n: int) -> np.ndarray:
     return a
 
 
-def operator_norm(a) -> float:
-    """Spectral norm (largest singular value)."""
-    a = np.atleast_2d(np.asarray(a))
-    return float(np.linalg.norm(a, 2))
-
-
 def pivoted_cholesky(m: np.ndarray):
     """Diagonally pivoted Cholesky factorisation of a symmetric PSD matrix.
 
     Returns L (n x rank, lower triangular up to the pivot order) and the
     pivot index list, with m[piv][:, piv] = L L^T.  Rank-deficient input
-    is accepted; a residual diagonal below -PSD_TOL*scale raises.
+    is accepted where the block left at the first pivot below PSD_TOL*scale
+    is within PSD_TOL*scale entrywise; otherwise it raises.
     """
     m = np.array(m, dtype=float)
     n = m.shape[0]
@@ -97,11 +92,10 @@ def pivoted_cholesky(m: np.ndarray):
             l[[k, j], :] = l[[j, k], :]
             piv[k], piv[j] = piv[j], piv[k]
         d = m[k, k]
-        if d <= PSD_TOL * scale:
-            if d < -PSD_TOL * scale:
-                raise NotPositiveSemidefinite(
-                    f"pivot {d:.3e} below tolerance; matrix is not PSD"
-                )
+        if d <= PSD_TOL * scale:  # what is left, its diagonal at most d, must vanish to tolerance
+            rest = np.max(np.abs(m[k:, k:]))
+            if rest > PSD_TOL * scale:
+                raise NotPositiveSemidefinite(f"pivot {d:.3e} leaves entries up to {rest:.3e}; matrix is not PSD")
             rank = k
             break
         root = np.sqrt(d)

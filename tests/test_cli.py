@@ -509,6 +509,8 @@ BERNSTEIN_DENSITY_CONFIG = {
 # the profiles that no other config runs: the radial exp(-r)/r and the Bernstein power
 EXP_DENSITY = {"profile": {"type": "exp", "scale": 0.8}, "inner": 1e-3, "outer": 10.0, "nodes": 16}
 BERNSTEIN_POWER = {"profile": {"type": "power", "alpha": 0.7}, "inner": 1e-3, "outer": 100.0, "nodes": 8}
+# its pivot of 2a is -3e-12, below -PSD_TOL times 2, the largest diagonal of 2a; its eigenvalue -1.5e-12 is above -2e-12
+PSD_EDGE = {"diffusion": [[1.0, 0.0], [0.0, -1.5e-12]], "atoms": [{"point": [0.8, -0.4], "mass": 0.6}]}
 
 
 @pytest.mark.parametrize(
@@ -578,6 +580,11 @@ BERNSTEIN_POWER = {"profile": {"type": "power", "alpha": 0.7}, "inner": 1e-3, "o
         (["symbol"], {"triple": {**R1, "density": {**DENSITY, "nodes": 16.5}}, "xi": [[1.0]]}, "config.triple.density.nodes"),
         (["symbol-group"], {**BERNSTEIN_DENSITY_CONFIG, "bernstein": {"density": {**BERNSTEIN_DENSITY, "nodes": 0}}}, "config.bernstein.density.nodes"),
         (["symbol-group"], {**BERNSTEIN_DENSITY_CONFIG, "bernstein": {"density": {**BERNSTEIN_DENSITY, "nodes": 4.5}}}, "config.bernstein.density.nodes"),
+        # a diffusion that one PSD test refuses for every command: symbol once printed its exponent, and multiplier
+        # reported it at config.xi
+        (["symbol"], {"triple": PSD_EDGE, "xi": [[1.0, 0.5]]}, "config.triple"),
+        (["multiplier"], {"triple": PSD_EDGE, "amatrix": np.eye(2).tolist(), "xi": [[1.0, 0.5]]}, "config.triple"),
+        (["norm-search"], {"triple": PSD_EDGE, "amatrix": np.eye(2).tolist(), "grid": 8, "trials": 1, "refine": 0}, "config.triple"),
     ],
 )
 def test_bad_input_exits_2_with_a_pointer(tmp_path, capsys, argv, config, pointer):
@@ -683,6 +690,8 @@ def test_failed_simulate_leaves_the_out_file_as_it_was(tmp_path):
 UNRESOLVED = {"profile": {"type": "power", "alpha": 0.5}, "inner": 1e-3, "outer": 100.0, "nodes": 8}
 UNRESOLVED_TRIPLE = {"diffusion": [[0.0]], "density": UNRESOLVED}
 TRIPLE_NODES, BERNSTEIN_NODES = "config.triple.density.nodes", "config.bernstein.density.nodes"
+# 48 nodes a decade leave a gap of 2.3 x the sum's tolerance at xi = (0, 9), whatever the drift and diffusion
+EDGE_DENSITY = {"profile": {"type": "exp", "scale": 1.0}, "inner": 0.05, "outer": 2.0, "nodes": 48}
 UNRESOLVED_CONFIGS = [  # (command, config, the nodes key of its density), each summed beyond what its nodes resolve
     ("symbol", {"triple": UNRESOLVED_TRIPLE, "xi": [[40.0]]}, TRIPLE_NODES),
     ("multiplier", {"triple": UNRESOLVED_TRIPLE, "amatrix": [[1.0]], "xi": [[40.0]]}, TRIPLE_NODES),
@@ -699,6 +708,13 @@ UNRESOLVED_CONFIGS = [  # (command, config, the nodes key of its density), each 
         {"group": "su2", "cutoff": 2, "kind": "subordination", "psi": 0.5, "atoms": SU2_ATOM,
          "bernstein": {"density": {"profile": {"type": "power"}, "nodes": 1}}},
         BERNSTEIN_NODES,
+    ),
+    ("symbol", {"triple": {"diffusion": [[0.5, 0.0], [0.0, 0.5]], "density": EDGE_DENSITY}, "xi": [[0.0, 9.0]]}, TRIPLE_NODES),
+    ("symbol", {"triple": {"drift": [0.0, 3.0], "diffusion": [[0.0, 0.0], [0.0, 0.0]], "density": EDGE_DENSITY}, "xi": [[0.0, 9.0]]}, TRIPLE_NODES),
+    (
+        "multiplier",
+        {"triple": {"diffusion": [[0.5, 0.0], [0.0, 0.5]], "density": EDGE_DENSITY}, "amatrix": [[1.0, 0.0], [0.0, 1.0]], "xi": [[0.0, 9.0]]},
+        TRIPLE_NODES,
     ),
 ]
 

@@ -222,7 +222,7 @@ def _direct_characters(labels, gs):
         return np.exp(1j * (gs @ k.T))
     chars = np.exp(1j * (gs[:, np.repeat(np.arange(len(sizes)), sizes)] * np.concatenate(values)))
     if len(sizes) == 2:
-        chars = (chars[:, : sizes[0], None] * chars[:, None, sizes[0] :]).reshape(len(gs), -1)
+        chars = (chars[:, : sizes[0], None] * chars[:, None, sizes[0] :]).reshape(len(gs), sizes[0] * sizes[1])
     cols = np.ravel_multi_index(where, sizes)
     return chars if np.array_equal(cols, np.arange(len(labels))) else chars[:, cols]
 
@@ -272,7 +272,7 @@ def test_torus_characters_keep_the_bits_and_layout_of_the_direct_exps(labels, mo
 
     monkeypatch.setattr(groupsmod, "_axis_characters", spy)
     least = groupsmod.MIRROR_MIN_POINTS  # below it, every exp is taken directly
-    for pts in (theta, theta[:1], theta[:2], theta[-7:], theta[: least - 1], theta[:least]):
+    for pts in (theta, theta[:0], theta[:1], theta[:2], theta[-7:], theta[: least - 1], theta[:least]):
         chars, expected = irrep_stack_batch(stack, pts), _direct_characters(labels, pts)[:, :, None, None]
         assert chars.tobytes() == expected.tobytes()
         assert chars.strides == expected.strides
@@ -487,6 +487,10 @@ def test_a_single_element_evaluates_to_one_value(group):
     for i, g in enumerate(gs):
         assert pw_inverse(coeffs, points=g).tobytes() == batch[i : i + 1].tobytes()
     assert irrep_stack_batch(dual_enumerate(group, 1)[-1:], gs[0]).shape[0] == 1
+    # and no element to none: a T^2 box, read from per-axis tables, once failed to reshape its empty product
+    assert pw_inverse(coeffs, points=gs[:0]).shape == (0,)
+    for stack, _ in coeffs.stacks():
+        assert irrep_stack_batch(stack, gs[:0]).shape == (0, len(stack), stack[0].dim, stack[0].dim)
 
 
 def test_aliasing_guard():

@@ -115,11 +115,20 @@ def _underresolved_for_large_psi():
     return LevyMeasureRn(dim=2, density=dens)
 
 
+def _exp_density_48():
+    # at xi = (0, 9) the coarse/fine gap of the sum is 2.3 x its own tolerance
+    return LevyMeasureRn(dim=2, density=RadialDensity(profile=lambda r, u: np.exp(-r) / r, inner=0.05, outer=2.0, nodes=48))
+
+
 def _consumer_case(case):
     """A call that sums an under-resolved density: the refinement rule must refuse it."""
     eye = np.eye(2)
     if case == "eval_symbol":
         return lambda: symbol_grid(LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=_underresolved_radial(1)), [[2.0]])
+    if case in ("eval_symbol-diffusion", "eval_symbol-drift"):
+        # the gap is the sum's alone: -a xi.xi and b.xi, added to it, once raised the tolerance above the gap
+        drift, a = ([0.0, 0.0], 0.5 * eye) if case == "eval_symbol-diffusion" else ([0.0, 3.0], 0.0 * eye)
+        return lambda: symbol_grid(LevyTriple(drift=drift, diffusion=a, nu=_exp_density_48()), [[0.0, 9.0]])
     if case == "smooth-eval_symbol":
         return lambda: symbol_grid(LevyTriple(drift=[0.0], diffusion=[[0.0]], nu=_smooth_radial(1)), [[40.0]])
     if case in ("smooth-autonomous", "smooth-lattice"):
@@ -142,6 +151,8 @@ def _consumer_case(case):
     "case",
     [
         "eval_symbol",
+        "eval_symbol-diffusion",
+        "eval_symbol-drift",
         "smooth-eval_symbol",
         "autonomous",
         "autonomous-psi50",
@@ -248,6 +259,35 @@ def test_factor_multiply_back_random_psd(n, seed):
 def test_factor_rejects_indefinite():
     with pytest.raises((NotPositiveSemidefinite, ValueError)):
         factor_diffusion(np.array([[1.0, 0.0], [0.0, -0.5]]))
+
+
+@pytest.mark.parametrize(
+    "a, accepted",
+    [
+        ([[1.0, 0.0], [0.0, -1.5e-12]], False),  # eigenvalue above the old eigvalsh bound -2e-12, pivot of 2a -3e-12
+        ([[1.0, 0.0], [0.0, -0.4e-12]], True),
+        ([[1.0, 1.0], [1.0, 1.0 - 2e-12]], False),
+        # left over after a zero pivot: an eigenvalue of -1e-11 and of -5e-12, within the factor's residual bound
+        ([[0.0, 1e-11], [1e-11, 0.0]], False),
+        (np.diag([1.0, 0.0, -5e-12]), False),
+        (np.diag([1.0, 1e-13, 0.0]), True),
+        ([[1.0, 1.0], [1.0, 1.0]], True),
+        ([[0.0, 0.0], [0.0, 0.0]], True),
+    ],
+)
+def test_a_triple_takes_exactly_the_diffusions_that_factor(a, accepted):
+    # one PSD test: the multiplier routes factor what LevyTriple accepted
+    n = len(a)
+    nu = LevyMeasureRn(dim=n, atoms=((np.linspace(0.8, -0.4, n), 0.6),))
+    if accepted:
+        triple = LevyTriple(drift=np.zeros(n), diffusion=a, nu=nu)
+        lam = factor_diffusion(triple.diffusion)
+        assert np.max(np.abs(lam @ lam.T - 2.0 * np.array(a))) <= 1e-10
+        return
+    with pytest.raises(NotPositiveSemidefinite):
+        LevyTriple(drift=np.zeros(n), diffusion=a, nu=nu)
+    with pytest.raises(NotPositiveSemidefinite):
+        factor_diffusion(a)
 
 
 def test_triple_rejects_asymmetric_diffusion():
