@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -645,7 +646,9 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every ``main`` call: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="levymult",
         description="Levy-process Fourier multipliers and their Monte Carlo verification",
@@ -692,8 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.seed is None and args.fn is not cmd_verify:
         args.seed = 0
     try:

@@ -26,7 +26,9 @@ Conventions fixed here and relied on everywhere else:
   from Euler angles, with d(beta) = e^{i beta J2} from a cached eigenbasis
   of J2, at points and in the separable transforms on Euler grids, where a
   table over (m, beta, m') meets the alpha and gamma phases in two matmuls
-  (Kostelec & Rockmore, "FFTs on the rotation group", 2008).
+  (Kostelec & Rockmore, "FFTs on the rotation group", 2008).  Every route
+  reads its phases from ``_half_integer_phases``; the grid routes and
+  ``pw_inverse`` at points take one table for all their spins.
 """
 
 from __future__ import annotations
@@ -288,19 +290,42 @@ def _wigner_small_d(twice_j: int, beta) -> np.ndarray:
     return matmul_rows(np.exp(1j * np.multiply.outer(np.ravel(beta), w)), k).real.reshape(np.shape(beta) + (twice_j + 1,) * 2)
 
 
-def _wigner_d(twice_j: int, alpha, beta, gamma) -> np.ndarray:
-    """pi(g) = e^{i alpha J3} d(beta) e^{i gamma J3} from broadcasting arrays of Euler angles, (..., d, d).
+@lru_cache(maxsize=256)
+def _half_integers(top: int, step: int) -> np.ndarray:
+    """m = top/2, top/2 - step/2, ..., -top/2, built once per (top, step); read-only."""
+    m = (top - np.arange(0, 2 * top + 1, step)) / 2.0
+    m.flags.writeable = False
+    return m
+
+
+def _half_integer_phases(alpha, top: int, step: int) -> np.ndarray:
+    """e^{i alpha m}, alpha.shape + (m,), for the m of ``_half_integers(top, step)``: with step 1 a table for every
+    spin up to top/2 (spin t/2 at ``_spin_columns(top, t)``), with step 2 the m of spin top/2 alone.
+    m = (top - 2k)/2 and t/2 - k are the same double, so a spin's phases are the same bits in either table."""
+    return np.exp(1j * np.multiply.outer(alpha, _half_integers(top, step)))
+
+
+def _spin_columns(top: int, twice_j: int) -> slice:
+    """The columns of spin twice_j / 2 in a step-1 ``_half_integer_phases`` table of top (and its m, m' in the grid
+    routes' tables)."""
+    return slice(top - twice_j, top + twice_j + 1, 2)
+
+
+def _wigner_d(twice_j: int, beta, phase_a: np.ndarray, phase_c: np.ndarray) -> np.ndarray:
+    """pi(g) = e^{i alpha J3} d(beta) e^{i gamma J3} for spin twice_j / 2, (..., d, d), from broadcasting Euler angles
+    beta and the spin's columns of the alpha and gamma phase tables (``_half_integer_phases``).
 
     Only e^{i(m alpha + m' gamma)} with m - m' integer enters, so alpha, gamma mod 2 pi suffice.
     """
-    m = twice_j / 2.0 - np.arange(twice_j + 1)
-    phase_a, phase_c = np.exp(1j * np.multiply.outer(alpha, m)), np.exp(1j * np.multiply.outer(gamma, m))
     return phase_a[..., :, None] * _wigner_small_d(twice_j, beta) * phase_c[..., None, :]
 
 
 def su2_irrep_batch(pi: Irrep, gs: np.ndarray) -> np.ndarray:
-    """pi(g) for a batch of 2x2 SU(2) elements, shape (..., d, d)."""
-    return _wigner_d(pi.dim - 1, *_su2_euler(np.asarray(gs, dtype=complex)))
+    """pi(g) for a batch of 2x2 SU(2) elements, shape (..., d, d), its phases from the one table helper
+    ``_half_integer_phases``, taken at this spin's m alone."""
+    twice_j = pi.dim - 1
+    alpha, beta, gamma = _su2_euler(np.asarray(gs, dtype=complex))
+    return _wigner_d(twice_j, beta, _half_integer_phases(alpha, twice_j, 2), _half_integer_phases(gamma, twice_j, 2))
 
 
 def _element_batch(group: str, points) -> np.ndarray:
@@ -407,7 +432,7 @@ def irrep_stack_batch(irreps, gs) -> np.ndarray:
 # quadrature grids
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupQuadrature:
     """Nodes and weights that integrate band-limited functions exactly.
 
@@ -417,6 +442,7 @@ class GroupQuadrature:
     beta, gamma) with separable weights: n_alpha = 2*band+2 uniform on
     [0, 4 pi) and n_beta = 2*band+16 Gauss-Legendre on [0, pi].  The SU(2)
     transforms run on ``euler`` = (alpha, beta, beta weights, n_alpha, n_beta).
+    A grid is shared by every caller of ``quadrature_grid``: frozen, and its arrays are made read-only.
     """
 
     group: str
@@ -425,9 +451,17 @@ class GroupQuadrature:
     weights: np.ndarray
     euler: Optional[tuple] = None
 
+    def __post_init__(self):
+        for a in (self.points, self.weights) + (self.euler or ())[:3]:
+            a.flags.writeable = False
 
+
+@lru_cache(maxsize=16)
 def quadrature_grid(group: str, band) -> GroupQuadrature:
-    """int(ceil(band)) + 1 uniform angles on each axis of a d-torus, row-major; Euler angles on SU(2)."""
+    """int(ceil(band)) + 1 uniform angles on each axis of a d-torus, row-major; Euler angles on SU(2).
+
+    Built once per (group, band) and shared, the last 16 kept (the SU(2) grid of band 8, 10,368 points, holds
+    about 0.75 MB)."""
     if group != SU2:
         d = group_dim(group)
         m = int(np.ceil(band)) + 1
@@ -443,7 +477,8 @@ def quadrature_grid(group: str, band) -> GroupQuadrature:
     wbeta = 0.5 * np.pi * wx * np.sin(beta)
     weights = np.broadcast_to(wbeta[None, :, None] / (2.0 * n_ang * n_ang), (n_ang, n_beta, n_ang))
     # the spin-1/2 representation is the defining one: the points are e^{alpha X3} e^{beta X2} e^{gamma X3}
-    pts = _wigner_d(1, alpha[:, None, None], beta[None, :, None], alpha[None, None, :]).reshape(-1, 2, 2)
+    phases = _half_integer_phases(alpha, 1, 2)
+    pts = _wigner_d(1, beta[None, :, None], phases[:, None, None], phases[None, None, :]).reshape(-1, 2, 2)
     return GroupQuadrature(SU2, float(band), pts, weights.ravel(), euler=(alpha, beta, wbeta, n_ang, n_beta))
 
 
@@ -520,21 +555,29 @@ def pw_forward(f, group: str, cutoff, grid: Optional[GroupQuadrature] = None) ->
 
 
 def pw_inverse(coeffs: PeterWeylCoeffs, points=None, grid: Optional[GroupQuadrature] = None):
-    """Synthesis f(s) = sum_pi d_pi tr(fhat(pi) pi(s)) at the given points (one element or a batch) or on a grid."""
+    """Synthesis f(s) = sum_pi d_pi tr(fhat(pi) pi(s)) at the given points (one element or a batch) or on a grid.
+
+    At SU(2) points one Euler-angle pass and one ``_half_integer_phases`` table of the top spin serve every
+    spin; each spin's representation is the bits ``su2_irrep_batch`` gives."""
     if (points is None) == (grid is None):
         raise ValueError("give exactly one of points / grid")
     if grid is not None and coeffs.group == SU2:
         return _su2_grid_synthesis(coeffs, grid)
     pts = _element_batch(coeffs.group, points if grid is None else grid.points)
+    stacks = coeffs.stacks()
+    if coeffs.group == SU2:
+        top = max((irreps[0].dim - 1 for irreps, _ in stacks), default=0)
+        alpha, beta, gamma = _su2_euler(pts)
+        phase_a, phase_c = _half_integer_phases(alpha, top, 1), _half_integer_phases(gamma, top, 1)
     out = np.zeros(len(pts), dtype=complex)
-    for irreps, blocks in coeffs.stacks():
-        out += irreps[0].dim * np.einsum("lab,qlba->q", blocks, irrep_stack_batch(irreps, pts))
+    for irreps, blocks in stacks:
+        if coeffs.group == SU2:  # a stack of one spin
+            s = _spin_columns(top, irreps[0].dim - 1)
+            reps = _wigner_d(irreps[0].dim - 1, beta, phase_a[:, s], phase_c[:, s])[:, None]
+        else:
+            reps = irrep_stack_batch(irreps, pts)
+        out += irreps[0].dim * np.einsum("lab,qlba->q", blocks, reps)
     return out
-
-
-def _half_integer_phases(alpha, top: int) -> np.ndarray:
-    """e^{i alpha m} for m = top/2, top/2 - 1/2, ..., -top/2: spin t/2 sits at slice(top - t, top + t + 1, 2)."""
-    return np.exp(1j * np.outer(alpha, (top - np.arange(2 * top + 1)) / 2.0))
 
 
 def _su2_grid_synthesis(coeffs: PeterWeylCoeffs, grid: GroupQuadrature) -> np.ndarray:
@@ -544,9 +587,9 @@ def _su2_grid_synthesis(coeffs: PeterWeylCoeffs, grid: GroupQuadrature) -> np.nd
     top = max((d - 1 for d, _ in spins), default=0)
     table = np.zeros((2 * top + 1, n_beta, 2 * top + 1), dtype=complex)
     for d, block in spins:
-        s = slice(top - d + 1, top + d, 2)
+        s = _spin_columns(top, d - 1)
         table[s, :, s] += d * block.T[:, None, :] * _wigner_small_d(d - 1, beta).transpose(1, 0, 2)
-    phase = _half_integer_phases(alpha, top)
+    phase = _half_integer_phases(alpha, top, 1)
     partial = (phase @ table.reshape(len(table), -1)).reshape(-1, len(table))  # (alpha, beta) x m'
     return (partial @ phase.T).ravel()
 
@@ -555,12 +598,12 @@ def _su2_grid_analysis(wf: np.ndarray, grid: GroupQuadrature, dual) -> dict:
     """Blocks sum_q wf_q conj(pi(g_q))^T, the adjoint of ``_su2_grid_synthesis``."""
     alpha, beta, _, n_ang, n_beta = grid.euler
     top = dual[-1].dim - 1
-    phase = _half_integer_phases(alpha, top).conj()
+    phase = _half_integer_phases(alpha, top, 1).conj()
     partial = (wf.reshape(-1, n_ang) @ phase).reshape(n_ang, -1)  # alpha x (beta, m')
     table = (phase.T @ partial).reshape(2 * top + 1, n_beta, 2 * top + 1)
     blocks = {}
     for pi in dual:
-        s = slice(top - pi.dim + 1, top + pi.dim, 2)
+        s = _spin_columns(top, pi.dim - 1)
         blocks[pi.label] = np.einsum("nba,bna->ab", _wigner_small_d(pi.dim - 1, beta), table[s, :, s])
     return blocks
 

@@ -163,7 +163,8 @@ class LevyMeasureRn:
 class LevyTriple:
     """Characteristics (drift, diffusion, jump measure) of a Levy process on R^n.
 
-    The diffusion must pass ``factor_diffusion``, the one PSD test; its symmetric part is kept."""
+    The drift must be finite and the diffusion must pass ``factor_diffusion``, the one PSD test; its symmetric part
+    is kept."""
 
     drift: np.ndarray
     diffusion: np.ndarray
@@ -175,6 +176,8 @@ class LevyTriple:
         n = self.nu.dim
         if b.shape != (n,):
             raise ValueError(f"drift must be a {n}-vector")
+        if not np.all(np.isfinite(b)):
+            raise ValueError(f"drift must be finite, got {b.tolist()}")
         if a.shape != (n, n):
             raise ValueError(f"diffusion must be {n}x{n}")
         factor_diffusion(a)
@@ -189,13 +192,15 @@ class LevyTriple:
 def factor_diffusion(a) -> np.ndarray:
     """Matrix Lambda with Lambda Lambda^T = 2a, for symmetric PSD a: the one PSD test of a diffusion.
 
-    a is refused (``symmetric_scale``) unless symmetric to ``linalg.PSD_TOL`` (1 + max|a|), and with
-    ``NotPositiveSemidefinite`` where the pivoted Cholesky of 2a leaves a block beyond PSD_TOL times its
-    scale (``pivoted_cholesky``) or the residual |Lambda Lambda^T - 2a| exceeds 1e-10 (1 + max|a|).  Diagonal
-    pivoting makes rank-deficient input acceptable; the factor is deterministic (lower triangular up to the
-    pivot permutation).
+    a is refused with a ValueError unless finite, then (``symmetric_scale``) unless symmetric to
+    ``linalg.PSD_TOL`` (1 + max|a|), and with ``NotPositiveSemidefinite`` where the pivoted Cholesky of 2a
+    leaves a block beyond PSD_TOL times its scale (``pivoted_cholesky``) or the residual
+    |Lambda Lambda^T - 2a| exceeds 1e-10 (1 + max|a|).  Diagonal pivoting makes rank-deficient input
+    acceptable; the factor is deterministic (lower triangular up to the pivot permutation).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"diffusion must be finite, got {a.tolist()}")
     n = a.shape[0]
     scale = symmetric_scale(a)
     lam, _, rank = pivoted_cholesky(2.0 * a)

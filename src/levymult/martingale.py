@@ -58,7 +58,7 @@ from .groups import (
 )
 from .linalg import CHUNK_BLOCKS, blocks, expm, matmul_rows, pair_matrix
 from .simulate import GroupProcessSpec, PathRecord, ensemble_final_states, simulate_paths
-from .symbols import atom_reps, central_symbols, generator_blocks, psi_values, stack_rows
+from .symbols import atom_reps, central_symbols, generator_blocks, psi_values, stack_rows, stack_table
 
 #: generator blocks whose eigenvector matrix is worse conditioned than this
 #: are exponentiated directly instead of through their eigendecomposition
@@ -139,7 +139,7 @@ class _IrrepStack:
         self.irreps = irreps
         n_blocks, dim = len(irreps), irreps[0].dim
         eye = np.eye(dim)
-        gens = np.array([pi.generators for pi in irreps], dtype=complex)  # (L, n, d, d)
+        gens = stack_table(irreps).gens  # (L, n, d, d)
         self.drift = np.einsum("i,lixy->lxy", np.asarray(spec.drift), gens)
         reps = atom_reps(spec.jumps, irreps)
         self.gmat = generator_blocks(spec.c, spec.jumps, irreps, reps)

@@ -9,14 +9,20 @@ imaginary-power profile (imaginary powers of the Laplacian, in closed form)
 and subordination symbols.  ``stack_rows`` evaluates one once per dimension
 stack of a dual.
 The one-irrep views and ``symbol_table`` serve callers outside the library.
+Every symbol reads the generators, their pair products and the Casimir
+values of its stack from one cached table (``stack_table``).
 """
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
 
 from .euclid import psi_values
-from .groups import GroupLevyMeasure, Irrep, dim_stacks, irrep_stack_batch
+from .groups import GroupLevyMeasure, Irrep, dim_stacks, get_irrep, irrep_stack_batch
 from .levy import BernsteinSpec, bernstein_eval
 from .linalg import pair_matrix
 
@@ -35,12 +41,40 @@ def atom_reps(nu: GroupLevyMeasure, irreps):
     return irrep_stack_batch(irreps, nu.atom_points) if nu.atoms else ()
 
 
+class StackTable(NamedTuple):
+    """The data of a stack of L equal-dimension irreps that no symbol's inputs change; read-only arrays."""
+
+    gens: np.ndarray  # dpi(X_i) at [:, i], (L, n, d, d)
+    products: np.ndarray  # dpi(X_i) dpi(X_j) at [:, i, j], (L, n, n, d, d)
+    casimir: np.ndarray  # (L,)
+
+
+def stack_table(irreps) -> StackTable:
+    """The ``StackTable`` of a stack of equal-dimension irreps, built once per (group, labels) and shared, the last
+    1024 kept."""
+    return _stack_table(irreps[0].group, tuple(pi.label for pi in irreps))
+
+
+@lru_cache(maxsize=1024)
+def _stack_table(group: str, labels: tuple) -> StackTable:
+    irreps = [get_irrep(group, label) for label in labels]
+    gens = np.array([pi.generators for pi in irreps])
+    n = gens.shape[1]
+    products = np.empty((len(irreps), n, n) + gens.shape[2:], dtype=complex)
+    for i, j in itertools.product(range(n), repeat=2):
+        products[:, i, j] = gens[:, i] @ gens[:, j]
+    casimir = np.array([pi.casimir for pi in irreps])
+    for a in (gens, products, casimir):
+        a.flags.writeable = False
+    return StackTable(gens, products, casimir)
+
+
 def _gradient_sums(a, irreps) -> np.ndarray:
     """sum_{ij} A_{ji} dpi(X_i) dpi(X_j) for a stack of equal-dimension irreps, (L, d, d)."""
-    gens = np.array([pi.generators for pi in irreps])  # (L, n, d, d)
-    out = np.zeros((len(irreps),) + gens.shape[2:], dtype=complex)
+    products = stack_table(irreps).products
+    out = np.zeros((len(irreps),) + products.shape[3:], dtype=complex)
     for i, j in zip(*np.nonzero(a.T)):
-        out += a[j, i] * (gens[:, i] @ gens[:, j])
+        out += a[j, i] * products[:, i, j]
     return out
 
 
@@ -60,7 +94,7 @@ def laplace_symbols(profile, irreps):
     trivial irrep.  The integral is closed, kappa^{-i gamma} I, and is read
     from ``profile.power`` at the defined modes' Casimir values.
     """
-    kappa = np.array([pi.casimir for pi in irreps])
+    kappa = stack_table(irreps).casimir
     defined = kappa > 0.0
     val = np.zeros(len(irreps), dtype=complex)
     val[defined] = profile.power(kappa[defined])
@@ -70,7 +104,7 @@ def laplace_symbols(profile, irreps):
 def subordination_symbols(psi, h: BernsteinSpec, nu: GroupLevyMeasure, irreps):
     """(1/(2 h(kappa))) int (2I - pi(tau) - pi(tau)^*) psi(tau) nu(dtau) on a stack of equal-dimension irreps:
     (blocks, defined), undefined on the trivial irrep and where h(kappa) = 0 (h evaluated once for the stack)."""
-    kappa = np.array([pi.casimir for pi in irreps])
+    kappa = stack_table(irreps).casimir
     hk = np.zeros(len(irreps))
     hk[kappa > 0.0] = bernstein_eval(h, kappa[kappa > 0.0])
     defined = hk != 0.0
@@ -84,7 +118,7 @@ def generator_blocks(c: float, nu: GroupLevyMeasure, irreps, reps=None) -> np.nd
     if c < 0.0:
         raise ValueError("diffusion coefficient must be nonnegative")
     eye = np.eye(irreps[0].dim)
-    out = -c * np.array([pi.casimir for pi in irreps])[:, None, None] * eye.astype(complex)
+    out = -c * stack_table(irreps).casimir[:, None, None] * eye.astype(complex)
     for mass, rep in zip(nu.atom_masses, atom_reps(nu, irreps) if reps is None else reps):
         out += mass * (rep - eye)
     return out
@@ -126,7 +160,7 @@ def central_symbols(amatrix, psi, c: float, nu: GroupLevyMeasure, irreps, alpha)
     if alpha is None:
         alpha = np.trace(generator_blocks(c, nu, irreps, reps), axis1=1, axis2=2) / irreps[0].dim
     alpha = np.broadcast_to(alpha, (len(irreps),)).astype(complex)
-    defined = alpha.real < -UNDEFINED_RTOL * (c * np.array([pi.casimir for pi in irreps]) + nu.total_mass)
+    defined = alpha.real < -UNDEFINED_RTOL * (c * stack_table(irreps).casimir + nu.total_mass)
     re_alpha = np.where(defined, alpha.real, np.inf)[:, None, None]  # zero blocks at undefined modes
     out = _gradient_sums(pair_matrix(amatrix, len(irreps[0].generators)), irreps) * (c / re_alpha)
     if nu.atoms:  # without atoms the zero jump term is left out: subtracting it would turn -0 entries into +0

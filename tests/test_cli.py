@@ -647,6 +647,38 @@ def test_non_finite_flags_exit_2(capsys, argv):
     assert captured.out == ""
 
 
+def test_repeated_main_calls_in_one_process_print_what_fresh_processes_print(capsys, tmp_path):
+    # the parser is built once per process: no call may leave a default, a format or a seed to the next
+    from levymult import cli
+
+    cfg = tmp_path / "laplace.json"
+    cfg.write_text(json.dumps({"group": "t2", "cutoff": 2, "kind": "laplace", "gamma": 3}))
+    calls = [
+        ["constants", "--p", "3"],
+        ["--format", "csv", "--seed", "5", "dual", "--group", "su2", "--cutoff", "1.5"],
+        ["dual", "--group", "t1", "--cutoff", "nan"],
+        ["dual", "--group", "t2", "--cutoff", "1"],
+        ["symbol-group", "--config", str(cfg)],
+        ["--seed", "7", "dual"],
+        ["constants", "--p", "3", "--b", "-1", "--B", "1"],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = [run(argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 2, 0, 0, 2, 0]
+    assert [run(argv) for argv in calls[::-1]] == first[::-1]
+    for (code, out, err), argv in zip(first, calls):
+        fresh = run_cli(*argv, check=False)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 def test_su2_dual_stops_at_the_largest_spin_within_the_cutoff(capsys):
     from levymult import cli
 

@@ -400,6 +400,72 @@ def test_su2_center_evaluation():
         assert np.allclose(rep, sign * np.eye(int(2 * j + 1)), atol=1e-12)
 
 
+def _per_spin_wigner_d(twice_j, alpha, beta, gamma):
+    """The evaluator before the shared phase table: each spin's own m and its own two exps."""
+    m = twice_j / 2.0 - np.arange(twice_j + 1)
+    phase_a, phase_c = np.exp(1j * np.multiply.outer(alpha, m)), np.exp(1j * np.multiply.outer(gamma, m))
+    return phase_a[..., :, None] * groupsmod._wigner_small_d(twice_j, beta) * phase_c[..., None, :]
+
+
+def _per_spin_pw_inverse(coeffs, pts):
+    """Synthesis at points with the Euler angles and phases taken again for every spin."""
+    out = np.zeros(len(pts), dtype=complex)
+    for irreps, blocks in coeffs.stacks():
+        reps = np.stack([_per_spin_wigner_d(pi.dim - 1, *groupsmod._su2_euler(pts)) for pi in irreps], axis=1)
+        out += irreps[0].dim * np.einsum("lab,qlba->q", blocks, reps)
+    return out
+
+
+def _edge_elements():
+    """+-I, elements with beta within 1e-9 of 0 and of pi, and a Haar batch."""
+    tilt = np.array([1e-9, -3e-10, 0.0])
+    vs = [np.zeros(3), [0.0, 0.0, 1.3], [0.0, 0.0, -2.9], tilt, tilt + [0.0, 0.0, 0.4],
+          [np.pi, 0.0, 0.0], [0.0, np.pi, 1e-9], np.pi * np.array([np.cos(0.7), np.sin(0.7), 1e-10])]
+    gs = np.array([su2_exp(v) for v in vs] + [-np.eye(2)])
+    return np.concatenate([gs, haar_sample("su2", rngmod.stream(31, 1), 300)])
+
+
+@pytest.mark.parametrize("twice_j", range(1, 9))
+def test_su2_evaluation_keeps_the_bits_of_the_per_spin_evaluator(twice_j):
+    pi = get_irrep("su2", twice_j / 2)
+    gs = _edge_elements()
+    expect = _per_spin_wigner_d(twice_j, *groupsmod._su2_euler(gs))
+    assert su2_irrep_batch(pi, gs).tobytes() == expect.tobytes()
+    assert irrep_stack_batch([pi], gs).tobytes() == expect[:, None].tobytes()
+    for i in (0, 8, 9, 200):  # a batch of one: +I, -I and two Haar elements
+        assert su2_irrep_batch(pi, gs[i : i + 1]).tobytes() == expect[i : i + 1].tobytes(), i
+
+
+def test_su2_synthesis_at_points_keeps_the_bits_of_the_per_spin_evaluator():
+    # one Euler-angle pass and one phase table for every spin, on tables with gaps, beyond the
+    # bands of the grids, and of one spin
+    gs = _edge_elements()
+    full, sparse, high = _su2_tables()
+    single = PeterWeylCoeffs("su2", 2.5, {2.5: high.blocks[2.5]})
+    for coeffs in (full, sparse, high, single):
+        for n in (1, 2, 17, len(gs)):
+            assert pw_inverse(coeffs, points=gs[:n]).tobytes() == _per_spin_pw_inverse(coeffs, gs[:n]).tobytes(), n
+        assert pw_inverse(coeffs, points=gs[8]).tobytes() == _per_spin_pw_inverse(coeffs, gs[8:9]).tobytes()
+
+
+@pytest.mark.parametrize("group, band", [("t1", 6), ("t2", 3.5), ("su2", 2.0), ("su2", 8.0)])
+def test_a_quadrature_grid_is_built_once_keeps_its_bits_and_is_read_only(group, band):
+    grid = quadrature_grid(group, band)
+    assert quadrature_grid(group, float(band)) is grid
+    if group == "su2":
+        alpha, beta, wbeta, n_ang, n_beta = grid.euler
+        points = _per_spin_wigner_d(1, alpha[:, None, None], beta[None, :, None], alpha[None, None, :])
+        assert grid.points.tobytes() == points.reshape(-1, 2, 2).tobytes()
+        weights = np.broadcast_to(wbeta[None, :, None] / (2.0 * n_ang * n_ang), (n_ang, n_beta, n_ang)).ravel()
+        assert grid.weights.tobytes() == weights.tobytes()
+    arrays = (grid.points, grid.weights) + (grid.euler or ())[:3]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    with pytest.raises(AttributeError):
+        grid.points = grid.points.copy()
+
+
 def test_su2_renormalise_projects():
     g = haar_sample("su2", rngmod.stream(4, 1), 4)
     noisy = g[:, 0].T + 1e-8 * (np.ones((2, 4)) + 0.5j)  # first rows

@@ -290,6 +290,25 @@ def test_a_triple_takes_exactly_the_diffusions_that_factor(a, accepted):
         factor_diffusion(a)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_drift_or_diffusion_entry_is_refused_by_name(bad):
+    # refused before the symmetry test: an infinite diagonal entry once factored to a zero matrix, and NaN passed
+    nu = LevyMeasureRn(dim=2)
+    for pos in range(2):
+        drift = np.zeros(2)
+        drift[pos] = bad
+        with pytest.raises(ValueError, match="^drift must be finite"):
+            LevyTriple(drift=drift, diffusion=np.eye(2), nu=nu)
+    for pos in [[(0, 0)], [(1, 1)], [(0, 1)], [(1, 0)], [(0, 1), (1, 0)]]:
+        a = np.eye(2)
+        for p in pos:
+            a[p] = bad
+        with pytest.raises(ValueError, match="^diffusion must be finite"):
+            LevyTriple(drift=np.zeros(2), diffusion=a, nu=nu)
+        with pytest.raises(ValueError, match="^diffusion must be finite"):
+            factor_diffusion(a)
+
+
 def test_triple_rejects_asymmetric_diffusion():
     with pytest.raises(ValueError):
         LevyTriple(drift=[0.0, 0.0], diffusion=[[1.0, 0.5], [0.0, 1.0]], nu=LevyMeasureRn(dim=2))

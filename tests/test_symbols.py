@@ -1,25 +1,30 @@
 import numpy as np
 import pytest
 
-from levymult.euclid import ImaginaryPowerProfile
+from levymult.euclid import ImaginaryPowerProfile, psi_values
 from levymult.groups import (
     GroupLevyMeasure,
     dim_stacks,
     dual_enumerate,
     get_irrep,
+    group_dim,
     identity_element,
     irrep_stack_batch,
     su2_exp,
 )
 from levymult.levy import BernsteinSpec, bernstein_eval
+from levymult.linalg import pair_matrix
 from levymult.symbols import (
+    UNDEFINED_RTOL,
     atom_reps,
     central_alpha,
     central_multiplier,
     central_symbols,
+    generator_blocks,
     generator_matrix,
     laplace_symbols,
     stack_rows,
+    stack_table,
     subordination_symbols,
     symbol_table,
 )
@@ -326,3 +331,102 @@ def test_a_measure_owns_its_read_only_atom_table(group):
     hand_built = np.array([tau for tau, _ in atoms], dtype=complex if group == "su2" else float)
     for stack in dim_stacks(dual_enumerate(group, 2)):
         assert atom_reps(nu, stack).tobytes() == irrep_stack_batch(stack, hand_built).tobytes()
+
+
+# -- the cached stack table against the formulas that rebuilt it on every call ------------
+
+
+def _rebuilt_casimir(irreps):
+    return np.array([pi.casimir for pi in irreps])
+
+
+def _rebuilt_jump_sums(psi, nu, reps, shape):
+    total = np.zeros(shape, dtype=complex)
+    for mass, pv, rep in zip(nu.atom_masses, psi_values(psi, len(nu.atoms)), reps):
+        total += mass * pv * (2.0 * np.eye(shape[-1]) - rep - rep.conj().swapaxes(-1, -2))
+    return total
+
+
+def _rebuilt_generator_blocks(c, nu, irreps):
+    eye = np.eye(irreps[0].dim)
+    out = -c * _rebuilt_casimir(irreps)[:, None, None] * eye.astype(complex)
+    for mass, rep in zip(nu.atom_masses, atom_reps(nu, irreps)):
+        out += mass * (rep - eye)
+    return out
+
+
+def _rebuilt_central_symbols(amatrix, psi, c, nu, irreps):
+    reps = atom_reps(nu, irreps)
+    alpha = (np.trace(_rebuilt_generator_blocks(c, nu, irreps), axis1=1, axis2=2) / irreps[0].dim).astype(complex)
+    defined = alpha.real < -UNDEFINED_RTOL * (c * _rebuilt_casimir(irreps) + nu.total_mass)
+    re_alpha = np.where(defined, alpha.real, np.inf)[:, None, None]
+    a = pair_matrix(amatrix, len(irreps[0].generators))
+    gens = np.array([pi.generators for pi in irreps])
+    out = np.zeros((len(irreps),) + gens.shape[2:], dtype=complex)
+    for i, j in zip(*np.nonzero(a.T)):
+        out += a[j, i] * (gens[:, i] @ gens[:, j])
+    out = out * (c / re_alpha)
+    if nu.atoms:
+        out = out - _rebuilt_jump_sums(psi, nu, reps, out.shape) / (2.0 * re_alpha)
+    return out, defined, alpha
+
+
+def _rebuilt_laplace_symbols(profile, irreps):
+    kappa = _rebuilt_casimir(irreps)
+    defined = kappa > 0.0
+    val = np.zeros(len(irreps), dtype=complex)
+    val[defined] = profile.power(kappa[defined])
+    return val[:, None, None] * np.eye(irreps[0].dim), defined
+
+
+def _rebuilt_subordination_symbols(psi, h, nu, irreps):
+    kappa = _rebuilt_casimir(irreps)
+    hk = np.zeros(len(irreps))
+    hk[kappa > 0.0] = bernstein_eval(h, kappa[kappa > 0.0])
+    defined = hk != 0.0
+    sums = _rebuilt_jump_sums(psi, nu, atom_reps(nu, irreps), (len(irreps), irreps[0].dim, irreps[0].dim))
+    return sums / (2.0 * np.where(defined, hk, np.inf))[:, None, None], defined
+
+
+def _symbol_stacks(group):
+    """Every one-irrep stack of a dual, then its whole dimension stacks."""
+    dual = dual_enumerate(group, {"t1": 4, "t2": 3, "su2": 3.0}[group])
+    return [[pi] for pi in dual] + dim_stacks(dual)
+
+
+@pytest.mark.parametrize("group", sorted(TABLE_ATOMS))
+@pytest.mark.parametrize("c", [0.35, 0.0])
+def test_symbols_keep_the_bits_of_the_formulas_they_replaced(group, c):
+    rng = np.random.default_rng(31)
+    nu = GroupLevyMeasure(group, TABLE_ATOMS[group])
+    empty = GroupLevyMeasure(group)
+    n = group_dim(group)
+    amat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    psi = rng.uniform(-1.0, 1.0, len(nu.atoms))
+    h = BernsteinSpec(c=0.5, atoms=((1.0, 0.7),))
+    profile = ImaginaryPowerProfile(0.8)
+    for stack in _symbol_stacks(group):
+        for measure in (nu, empty):
+            got, expect = central_symbols(amat, psi, c, measure, stack, None), _rebuilt_central_symbols(amat, psi, c, measure, stack)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, expect)), [pi.label for pi in stack]
+            got, expect = generator_blocks(c, measure, stack), _rebuilt_generator_blocks(c, measure, stack)
+            assert got.tobytes() == expect.tobytes()
+        got, expect = subordination_symbols(psi, h, nu, stack), _rebuilt_subordination_symbols(psi, h, nu, stack)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, expect))
+        got, expect = laplace_symbols(profile, stack), _rebuilt_laplace_symbols(profile, stack)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, expect))
+
+
+@pytest.mark.parametrize("group", sorted(TABLE_ATOMS))
+def test_a_stack_table_is_built_once_and_is_read_only(group):
+    for stack in _symbol_stacks(group)[-2:]:
+        table = stack_table(stack)
+        assert stack_table(list(stack)) is table
+        gens, products, casimir = table
+        assert gens.tobytes() == np.array([pi.generators for pi in stack]).tobytes()
+        assert casimir.tobytes() == _rebuilt_casimir(stack).tobytes()
+        for i, j in np.ndindex(products.shape[1:3]):
+            assert products[:, i, j].tobytes() == (gens[:, i] @ gens[:, j]).tobytes()
+        for a in table:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
